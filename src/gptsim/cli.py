@@ -286,13 +286,17 @@ def _cmd_steer(args) -> int:
     if args.target:
         with open(args.target.lstrip("@")) as fh:
             target = gm.ensemble_from_dict(json.load(fh))
-        alice = ss.synthesize_steering_measurement(psi, target).measurement
+        synthesized = ss.synthesize_steering_measurement(psi, target)
+        alice, ens = synthesized.measurement, synthesized.ensemble
     else:
         alice = _parse_measurement(psi.model_a, args.alice)
+        ens = ss.steer(psi, alice)
 
-    ens = ss.steer(psi, alice)
-    trivial = gm.measurement([gm.unit_effect(psi.model_a)])
-    residual = ss.verify_no_signaling_marginal(psi, alice, trivial)
+    # Distance of the steered average from the trivial protocol's, as in
+    # steering.verify_no_signaling_marginal but without steering alice again.
+    trivial = ss.steer(psi, gm.measurement([gm.unit_effect(psi.model_a)]))
+    residual = float(np.max(np.abs(gm.mix(ens).coeffs
+                                   - gm.mix(trivial).coeffs)))
     payload = {"ensemble": ens.to_dict(),
                "measurement": alice.to_dict(),
                "marginal_residual": residual}

@@ -79,15 +79,22 @@ class SystemModel:
         return vec
 
     def coeffs_from_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Expand a Hermitian matrix in the orthonormal basis."""
+        """Expand a Hermitian matrix in the orthonormal basis.
+
+        Qubit models also take a ``(..., 2, 2)`` stack and return
+        ``(..., 4)`` coefficients, each row equal to its matrix's expansion.
+        """
         if self.size == 2:  # closed form in the {I, X, Y, Z}/sqrt(2) basis
-            off = matrix[0, 1]
+            # Entry (i, j) read as t[j, i] indexes one matrix or a stack
+            # alike, at the cost of plain indexing on a single matrix.
+            t = matrix.T
+            off = t[1, 0]
             return np.array([
-                (matrix[0, 0].real + matrix[1, 1].real) * _INV_SQRT2,
+                (t[0, 0].real + t[1, 1].real) * _INV_SQRT2,
                 2.0 * off.real * _INV_SQRT2,
                 -2.0 * off.imag * _INV_SQRT2,
-                (matrix[0, 0].real - matrix[1, 1].real) * _INV_SQRT2,
-            ])
+                (t[0, 0].real - t[1, 1].real) * _INV_SQRT2,
+            ]).T
         coeffs = np.einsum("ij,kji->k", matrix, self.hermitian_basis)
         return np.real(coeffs)
 

@@ -10,7 +10,7 @@ normalization constraint for signaling demos), ``piecewise-quadratic``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,13 +24,6 @@ FAMILIES = ("identity", "power", "piecewise-quadratic", "tabulated")
 _AUDIT_GRID = 10_000  # constructor-time range audit resolution
 
 
-class _ClampCounter:
-    """Mutable clamp-event tally attached to tabulated rules."""
-
-    def __init__(self):
-        self.count = 0
-
-
 @dataclass(frozen=True, eq=False)
 class ProbabilityRule:
     """Function [0, 1] -> [0, 1] with family metadata.
@@ -42,7 +35,6 @@ class ProbabilityRule:
     family: str
     params: dict
     _fn: Callable[[np.ndarray], np.ndarray]
-    clamp_counter: _ClampCounter = field(default_factory=_ClampCounter)
 
     def __call__(self, p):
         return eval_rule(self, p)
@@ -102,9 +94,8 @@ def piecewise_quadratic_rule() -> ProbabilityRule:
 def tabulated_rule(samples) -> ProbabilityRule:
     """Monotone piecewise-linear interpolation through (p, value) samples.
 
-    Outputs are clamped to [0, 1]; clamp events are tallied on the rule's
-    ``clamp_counter``. Monotone samples yield a monotone interpolant (no
-    spline overshoot).
+    Outputs are clamped to [0, 1]. Monotone samples yield a monotone
+    interpolant (no spline overshoot).
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -115,25 +106,25 @@ def tabulated_rule(samples) -> ProbabilityRule:
         raise ValueError("samples must cover [0, 1].")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("sample abscissae must be strictly increasing.")
-    counter = _ClampCounter()
 
     def fn(p):
-        raw = np.interp(p, xs, ys)
-        clipped = np.clip(raw, 0.0, 1.0)
-        counter.count += int(np.sum(clipped != raw))
-        return clipped
+        return np.clip(np.interp(p, xs, ys), 0.0, 1.0)
 
     _audit_range("tabulated", fn)
-    counter.count = 0  # audit clamps are not user-visible events
     return ProbabilityRule(
         "tabulated",
-        {"samples": [[float(a), float(b)] for a, b in zip(xs, ys)]},
-        fn, clamp_counter=counter)
+        {"samples": [[float(a), float(b)] for a, b in zip(xs, ys)]}, fn)
 
 
 def rule_from_dict(data: dict) -> ProbabilityRule:
-    """Rule from its JSON form, e.g. {"family": "power", "alpha": 1.5}."""
+    """Rule from its JSON form, e.g. {"family": "power", "alpha": 1.5}.
+
+    A family's missing parameter raises ``ValueError`` naming the key.
+    """
     family = data.get("family")
+    key = {"power": "alpha", "tabulated": "samples"}.get(family)
+    if key is not None and key not in data:
+        raise ValueError(f"The {family} rule family needs {key!r}.")
     if family == "identity":
         return identity_rule()
     if family == "power":

@@ -132,8 +132,7 @@ def run_scenario(scenario: Scenario) -> SignalingReport:
     omega = gm.mix(target)
     joint = ss.purify(omega, purifier_dim=len(target))
 
-    protocol_1 = ss.synthesize_steering_measurement(joint, target).measurement
-    ensemble_1 = ss.steer(joint, protocol_1)
+    ensemble_1 = ss.synthesize_steering_measurement(joint, target).ensemble
     prob_1 = rl.predict_ensemble(scenario.rule, ensemble_1, phi)
 
     if scenario.mode == TRIVIAL_AVERAGE:
@@ -143,8 +142,7 @@ def run_scenario(scenario: Scenario) -> SignalingReport:
         prob_2 = rl.predict_average(scenario.rule, ensemble_2.states[0], phi)
     else:
         uniform = uniform_overlap_decomposition(omega, phi)
-        protocol_2 = ss.synthesize_steering_measurement(joint, uniform).measurement
-        ensemble_2 = ss.steer(joint, protocol_2)
+        ensemble_2 = ss.synthesize_steering_measurement(joint, uniform).ensemble
         prob_2 = rl.predict_ensemble(scenario.rule, ensemble_2, phi)
 
     avg_1 = ensemble_1.weights @ np.stack([s.coeffs for s in ensemble_1.states])
@@ -298,6 +296,8 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     """Sample random scenarios through the full pipeline; pass iff every
     |gap| stays within tolerance. The worst witness is returned either way.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}.")
     if tol <= 0:
         raise ValueError("tol must be positive.")
     rng = np.random.default_rng(seed)

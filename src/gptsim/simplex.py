@@ -1,10 +1,13 @@
-"""Small dense two-phase simplex solver over free variables.
+"""Small dense two-phase simplex solver in standard form.
 
-Solves  min/max c.x  subject to  a_ub.x <= b_ub  and  a_eq.x = b_eq  with x
-unrestricted in sign (variables are split internally). Pivoting uses the
-most-negative reduced cost with smallest-index tie-breaking and falls back to
-Bland's rule after a run of degenerate pivots, so the solve is deterministic
-and cannot cycle.
+Solves  min c.x  subject to  a_eq.x = b_eq  and  x >= 0. Phase 1 starts from
+an artificial basis on every row and drives it to zero; rows that stay
+basic in an artificial are redundant and dropped before phase 2. Pivoting
+uses the most-negative reduced cost with smallest-index tie-breaking and
+falls back to Bland's rule after a run of degenerate pivots, so the solve is
+deterministic and cannot cycle. The tableau is dense, which suits programs
+with few rows and many columns, such as the duals the LP cross-check of
+``transition`` builds.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, UnboundedError
+from .errors import UnboundedError
 
 _EPS = 1e-9
 _PIVOT_EPS = 1e-10
@@ -28,89 +31,6 @@ class LpResult:
     value: float | None
     iterations: int
     phase1_iterations: int
-
-
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-             maximize: bool = False) -> LpResult:
-    """Solve the linear program; see module docstring for conventions."""
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    a_ub, b_ub = _as_rows(a_ub, b_ub, n)
-    a_eq, b_eq = _as_rows(a_eq, b_eq, n)
-
-    obj = -c if maximize else c.copy()
-
-    # Split free variables: x = xp - xm with xp, xm >= 0.
-    a = np.vstack([a_ub, a_eq])
-    b = np.concatenate([b_ub, b_eq])
-    n_ub = a_ub.shape[0]
-    m = a.shape[0]
-    a_split = np.hstack([a, -a])
-    cost = np.concatenate([obj, -obj])
-
-    # Slacks on inequality rows, then flip rows to make b nonnegative.
-    slack = np.zeros((m, n_ub))
-    slack[np.arange(n_ub), np.arange(n_ub)] = 1.0
-    tableau_a = np.hstack([a_split, slack])
-    neg = b < 0
-    tableau_a[neg] *= -1.0
-    b = np.where(neg, -b, b)
-
-    # Artificial variables wherever the slack cannot start basic.
-    needs_artificial = np.ones(m, dtype=bool)
-    needs_artificial[:n_ub] = neg[:n_ub]  # un-flipped ub rows start on slack
-    art_rows = np.flatnonzero(needs_artificial)
-    n_struct = tableau_a.shape[1]
-    art = np.zeros((m, art_rows.size))
-    art[art_rows, np.arange(art_rows.size)] = 1.0
-
-    table = np.hstack([tableau_a, art, b[:, None]])
-    basis = np.empty(m, dtype=int)
-    basis[~needs_artificial] = 2 * n + np.flatnonzero(~needs_artificial)
-    basis[art_rows] = n_struct + np.arange(art_rows.size)
-
-    # Phase 1: drive artificials to zero.
-    phase1_iters = 0
-    if art_rows.size:
-        cost1 = np.zeros(table.shape[1] - 1)
-        cost1[n_struct:] = 1.0
-        status, phase1_iters = _iterate(table, basis, cost1)
-        if status == "unbounded":  # cannot happen for a bounded-below phase 1
-            return LpResult("infeasible", None, None, phase1_iters, phase1_iters)
-        if _phase1_value(table, basis, n_struct) > _EPS:
-            return LpResult("infeasible", None, None, phase1_iters, phase1_iters)
-        _pivot_out_artificials(table, basis, n_struct)
-        # Rows still basic in an artificial are redundant (zero everywhere).
-        keep = basis < n_struct
-        table = np.hstack([table[keep][:, :n_struct], table[keep][:, -1:]])
-        basis = basis[keep]
-        m = table.shape[0]
-
-    cost2 = np.concatenate([cost, np.zeros(n_ub)])
-    status, iters = _iterate(table, basis, cost2)
-    total = phase1_iters + iters
-    if status == "unbounded":
-        return LpResult("unbounded", None, None, total, phase1_iters)
-
-    x_split = np.zeros(n_struct)
-    x_split[basis] = table[:, -1]
-    x = x_split[:n] - x_split[n:2 * n]
-    value = float(c @ x)
-    return LpResult("optimal", x, value, total, phase1_iters)
-
-
-def _as_rows(a, b, n):
-    if a is None:
-        return np.zeros((0, n)), np.zeros(0)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != (b.shape[0], n):
-        raise ValueError(f"Constraint shapes {a.shape} / {b.shape} do not match n={n}.")
-    return a, b
-
-
-def _phase1_value(table, basis, n_struct):
-    return float(np.sum(table[basis >= n_struct, -1]))
 
 
 def _iterate(table, basis, cost):
@@ -173,9 +93,8 @@ def _pivot_out_artificials(table, basis, n_struct):
 def solve_nonneg(c, a_eq, b_eq) -> LpResult:
     """Solve the standard form  min c.x  s.t.  a_eq.x = b_eq, x >= 0.
 
-    Suited to problems with few rows and many columns (e.g. duals of
-    heavily-constrained low-dimensional programs); shares the pivoting core
-    and determinism guarantees of :func:`solve_lp`.
+    Returns an :class:`LpResult` whose status is "optimal", "infeasible" or
+    "unbounded"; ``x`` and ``value`` are set only when optimal.
     """
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a_eq, dtype=float)).copy()
@@ -193,7 +112,7 @@ def solve_nonneg(c, a_eq, b_eq) -> LpResult:
 
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
     status, phase1_iters = _iterate(table, basis, cost1)
-    if status == "unbounded" or _phase1_value(table, basis, n) > _EPS:
+    if status == "unbounded" or float(np.sum(table[basis >= n, -1])) > _EPS:
         return LpResult("infeasible", None, None, phase1_iters, phase1_iters)
     _pivot_out_artificials(table, basis, n)
     keep = basis < n
@@ -207,14 +126,3 @@ def solve_nonneg(c, a_eq, b_eq) -> LpResult:
     x = np.zeros(n)
     x[basis] = table[:, -1]
     return LpResult("optimal", x, float(c @ x), total, phase1_iters)
-
-
-def solve_or_raise(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                   maximize: bool = False) -> LpResult:
-    """Like :func:`solve_lp` but maps failure statuses to exceptions."""
-    result = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
-    if result.status == "infeasible":
-        raise InfeasibleError("Linear program is infeasible.")
-    if result.status == "unbounded":
-        raise UnboundedError("Linear program is unbounded.")
-    return result

@@ -29,11 +29,11 @@ _DROP_TOL = 1e-14  # conditional outcomes below this weight are numerical zeros
 
 @dataclass(frozen=True, eq=False)
 class SteeringMeasurement:
-    """Purifier-side measurement together with the decomposition it induces."""
+    """Purifier-side measurement together with the ensemble it steers side B
+    into; ``ensemble`` is what :func:`steer` returns for ``measurement``."""
 
     measurement: gm.Measurement
-    target: gm.Ensemble
-    state: gm.BipartiteState
+    ensemble: gm.Ensemble
 
 
 def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteState:
@@ -93,10 +93,15 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
         return gm.Ensemble(weights / weights.sum(),
                            tuple(s for _, s in members))
 
+    return _steer_quantum(psi, alice)[1]
+
+
+def _steer_quantum(psi: gm.BipartiteState, alice: gm.Measurement):
+    """Subnormalized B conditionals of every outcome, and their ensemble."""
     m = psi.joint_matrix
+    subs = [(m.conj().T @ effect.matrix @ m).T for effect in alice.effects]
     members = []
-    for effect in alice.effects:
-        sub = (m.conj().T @ effect.matrix @ m).T  # subnormalized B state
+    for sub in subs:
         if sub.shape[0] == 2:
             prob = sub[0, 0].real + sub[1, 1].real
         else:
@@ -109,7 +114,7 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
     weights = np.array([w for w, _ in members])
     weights = weights / weights.sum()
     weights.flags.writeable = False
-    return gm.Ensemble(weights, tuple(s for _, s in members))
+    return subs, gm.Ensemble(weights, tuple(s for _, s in members))
 
 
 def synthesize_steering_measurement(psi: gm.BipartiteState,
@@ -120,6 +125,10 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     basis of the joint state; the corresponding A-side vectors give rank-1
     measurement elements, completed by the deficit effect (supported off
     the A-marginal) when the purifier is larger than the Schmidt rank.
+
+    The conditionals of the final measurement are computed once: each is
+    checked against its target member at ``STEERING_TOL`` and together they
+    form the returned ensemble, identical to ``steer(psi, measurement)``.
     """
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")
@@ -191,19 +200,13 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
         effects.append(gm.effect_from_matrix(psi.model_a, genuine))
 
     alice = gm.measurement(effects)
-    _check_steering(psi, alice, weights, states)
-    return SteeringMeasurement(alice, target, psi)
-
-
-def _check_steering(psi, alice, weights, states) -> None:
-    """Verify the subnormalized conditionals against the target members."""
-    m = psi.joint_matrix
+    subs, steered = _steer_quantum(psi, alice)
     for i, (lam, member) in enumerate(zip(weights, states)):
-        sub = (m.conj().T @ alice.effects[i].matrix @ m).T
-        residual = float(np.max(np.abs(sub - lam * member.matrix)))
+        residual = float(np.max(np.abs(subs[i] - lam * member.matrix)))
         if residual > STEERING_TOL:
             raise AssertionError(
                 f"Steered conditional {i} deviates by {residual}.")
+    return SteeringMeasurement(alice, steered)
 
 
 def verify_no_signaling_marginal(psi: gm.BipartiteState,

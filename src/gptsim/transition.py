@@ -192,13 +192,15 @@ def state_with_tau(model: gm.SystemModel, phi: gm.State, p: float,
 # ----------------------------------------------------------------------------
 
 def great_circle_states(phi: gm.State, count: int,
-                        through: gm.State | None = None) -> list[gm.State]:
+                        through: gm.State | None = None) -> np.ndarray:
     """Qubit cone generators on the Bloch great circle through phi.
 
-    The circle plane is spanned by phi's Bloch vector and, when provided,
-    the component of ``through``'s Bloch vector orthogonal to it (with a
-    deterministic axis fallback for aligned or missing ``through``). The
-    first grid point coincides with phi.
+    Returns a ``(count, 4)`` array whose rows are the coefficient vectors
+    of the pure states at ``count`` equally spaced angles, the first row
+    being phi's own. The circle plane is spanned by phi's Bloch vector and,
+    when provided, the component of ``through``'s Bloch vector orthogonal
+    to it (with a deterministic axis fallback for aligned or missing
+    ``through``). The rows feed :func:`tau_lp_report` directly.
     """
     model = phi.model
     if model.kind != gm.QUANTUM or model.size != 2:
@@ -216,8 +218,10 @@ def great_circle_states(phi: gm.State, count: int,
     if w is None:
         w = _deterministic_orthogonal(m)
     thetas = 2.0 * np.pi * np.arange(count) / count
-    return [gm.state_from_bloch(model, np.cos(t) * m + np.sin(t) * w)
-            for t in thetas]
+    blochs = np.cos(thetas)[:, None] * m + np.sin(thetas)[:, None] * w
+    matrices = 0.5 * (np.eye(2, dtype=complex)
+                      + np.einsum("nk,kij->nij", blochs, gm._PAULIS))
+    return model.coeffs_from_matrix(matrices)
 
 
 def _deterministic_orthogonal(m: np.ndarray) -> np.ndarray:
@@ -230,20 +234,22 @@ def _deterministic_orthogonal(m: np.ndarray) -> np.ndarray:
 
 
 def tau_lp(model: gm.SystemModel, psi: gm.State, phi: gm.State,
-           generators=None) -> float:
+           generators: np.ndarray | None = None) -> float:
     """Transition probability by direct optimization over an effect polytope."""
     return tau_lp_report(model, psi, phi, generators).value
 
 
 def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
-                  generators=None) -> TauLpReport:
+                  generators: np.ndarray | None = None) -> TauLpReport:
     """LP form of tau with solver diagnostics.
 
     Maximizes e(psi) over covectors e that accept phi with certainty,
     reject each state of phi's distinguishing complement family, and
-    satisfy 0 <= e(g) <= 1 on the cone generators (classical: the
-    deterministic vertices, always exact; quantum: a caller-supplied finite
-    generator set such as a Bloch great-circle grid).
+    satisfy 0 <= e(g) <= 1 on the cone generators. ``generators`` is an
+    ``(m, ambient_dimension)`` array with one generator's coefficient
+    vector per row. Classical models default to the deterministic vertices,
+    ``np.eye(n)``, which makes the LP exact; quantum models need a finite
+    generator set such as :func:`great_circle_states`.
 
     The perfect-acceptance/rejection equalities are eliminated analytically
     and the remaining box-constrained program is solved through its dual,
@@ -257,29 +263,34 @@ def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
 
     if model.kind == gm.CLASSICAL:
         if generators is None:
-            generators = [gm.point_state(model, i) for i in range(model.size)]
-        rejected = _classical_rejected(model, phi)
+            generators = np.eye(model.size)
+        index = int(np.argmax(phi.coeffs))
+        rejected = [row for j, row in enumerate(np.eye(model.size)) if j != index]
     else:
         if generators is None:
             raise ValueError(
                 "Quantum tau_lp needs a finite effect generator set; "
                 "see great_circle_states.")
-        rejected = _quantum_rejected(model, phi)
+        rejected = [gm.ket_state(model, row).coeffs
+                    for row in orthonormal_completion(gm.pure_ket(phi))]
+    gen_rows = np.ascontiguousarray(generators, dtype=float)
+    if gen_rows.ndim != 2 or gen_rows.shape[1] != model.ambient_dimension:
+        raise ValueError(
+            f"Generators must be an (m, {model.ambient_dimension}) array of "
+            f"coefficient rows, got shape {gen_rows.shape}.")
 
-    pinned = np.vstack([phi.coeffs[None, :]]
-                       + [r.coeffs[None, :] for r in rejected])
+    pinned = np.vstack([phi.coeffs] + rejected)
     targets = np.concatenate([[1.0], np.zeros(len(rejected))])
 
     # Particular solution: the distinguishing accept effect, corrected onto
     # the equality manifold; nullspace basis spans the remaining freedom.
-    accept = distinguishing_measurement(model, phi).accept.covector
+    accept = accept_effect(phi).covector
     correction = np.linalg.lstsq(pinned, pinned @ accept - targets, rcond=None)[0]
     e0 = accept - correction
     _, svals, vt = np.linalg.svd(pinned)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     nullspace = vt[rank:].T  # (ambient, k)
 
-    gen_rows = np.stack([g.coeffs for g in generators])
     base = gen_rows @ e0
     const = float(e0 @ psi.coeffs)
 
@@ -288,7 +299,7 @@ def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
         if base.min() < -LINEAR_TOL or base.max() > 1.0 + LINEAR_TOL:
             raise InfeasibleError(
                 "No effect in the generator polytope attains e(phi) = 1.")
-        return TauLpReport(min(max(const, 0.0), 1.0), 0, 0, len(generators))
+        return TauLpReport(min(max(const, 0.0), 1.0), 0, 0, len(gen_rows))
 
     reduced_obj = nullspace.T @ psi.coeffs
     rows = gen_rows @ nullspace  # (m, k)
@@ -307,14 +318,5 @@ def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
             "No effect in the generator polytope attains e(phi) = 1.")
     value = min(max(result.value + const, 0.0), 1.0)
     return TauLpReport(value, result.iterations, result.phase1_iterations,
-                       len(generators))
+                       len(gen_rows))
 
-
-def _classical_rejected(model, phi):
-    index = int(np.argmax(phi.coeffs))
-    return [gm.point_state(model, j) for j in range(model.size) if j != index]
-
-
-def _quantum_rejected(model, phi):
-    completion = orthonormal_completion(gm.pure_ket(phi))
-    return [gm.ket_state(model, row) for row in completion]

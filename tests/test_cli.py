@@ -274,6 +274,28 @@ def test_certify_power_fails_with_witness(capsys):
     assert "seed: 4" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_certify_rejects_empty_sample(capsys, fmt, samples):
+    code, out, err = run_cli(capsys, "certify", "--family", "identity",
+                             "--samples", samples, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "samples" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["gap", "--family", "power", "--p1", "1", "--p2", "0",
+      "--lambda", "0.5"], "alpha"),
+    (["rule-check", "--family", "tabulated"], "samples"),
+])
+def test_missing_rule_parameter_is_usage_error(capsys, argv, key):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and key in err
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------

@@ -3,8 +3,27 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gptsim.errors import InfeasibleError, UnboundedError
-from gptsim.simplex import solve_lp, solve_or_raise
+from gptsim.simplex import solve_nonneg
+
+
+def solve_general(c, a_ub, b_ub, a_eq=None, b_eq=None, maximize=False):
+    """Free-variable program  min/max c.x  s.t.  a_ub.x <= b_ub, a_eq.x = b_eq
+    posed in standard form for solve_nonneg: x = xp - xm, plus one slack per
+    inequality row. Returns the solver result and x (None unless optimal)."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_ub = np.asarray(b_ub, dtype=float)
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    n_ub = a_ub.shape[0]
+    rows = np.vstack([np.hstack([a_ub, -a_ub, np.eye(n_ub)]),
+                      np.hstack([a_eq, -a_eq, np.zeros((a_eq.shape[0], n_ub))])])
+    cost = -c if maximize else c
+    res = solve_nonneg(np.concatenate([cost, -cost, np.zeros(n_ub)]), rows,
+                       np.concatenate([b_ub, b_eq]))
+    x = None if res.x is None else res.x[:n] - res.x[n:2 * n]
+    return res, x
 
 
 def enumerate_vertices(c, a_ub, b_ub, a_eq=None, b_eq=None):
@@ -29,52 +48,51 @@ def enumerate_vertices(c, a_ub, b_ub, a_eq=None, b_eq=None):
 
 
 def test_simple_maximization():
-    res = solve_lp(c=[1.0, 1.0],
-                   a_ub=[[1, 0], [0, 1], [-1, 0], [0, -1]],
-                   b_ub=[1, 2, 0, 0], maximize=True)
+    res, x = solve_general(c=[1.0, 1.0],
+                           a_ub=[[1, 0], [0, 1], [-1, 0], [0, -1]],
+                           b_ub=[1, 2, 0, 0], maximize=True)
     assert res.status == "optimal"
-    assert res.value == pytest.approx(3.0, abs=1e-9)
-    assert np.allclose(res.x, [1, 2], atol=1e-9)
+    assert res.value == pytest.approx(-3.0, abs=1e-9)  # solver minimizes -c.x
+    assert np.allclose(x, [1, 2], atol=1e-9)
 
 
 def test_textbook_lp():
-    # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0 -> 36 at (2, 6)
-    res = solve_lp(c=[3.0, 5.0],
-                   a_ub=[[1, 0], [0, 2], [3, 2], [-1, 0], [0, -1]],
-                   b_ub=[4, 12, 18, 0, 0], maximize=True)
-    assert res.value == pytest.approx(36.0, abs=1e-9)
-    assert np.allclose(res.x, [2, 6], atol=1e-9)
+    # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x, y >= 0 -> 36 at (2, 6)
+    res = solve_nonneg(c=[-3.0, -5.0, 0, 0, 0],
+                       a_eq=[[1, 0, 1, 0, 0], [0, 2, 0, 1, 0], [3, 2, 0, 0, 1]],
+                       b_eq=[4, 12, 18])
+    assert res.value == pytest.approx(-36.0, abs=1e-9)
+    assert np.allclose(res.x[:2], [2, 6], atol=1e-9)
 
 
 def test_equality_constraints():
-    # max x + 2y on the segment x + y = 1, 0 <= x, y <= 1 -> 2 at (0, 1)
-    res = solve_lp(c=[1.0, 2.0],
-                   a_ub=[[-1, 0], [0, -1], [1, 0], [0, 1]],
-                   b_ub=[0, 0, 1, 1],
-                   a_eq=[[1, 1]], b_eq=[1], maximize=True)
-    assert res.value == pytest.approx(2.0, abs=1e-9)
+    # max x + 2y on the segment x + y = 1, x, y >= 0 -> 2 at (0, 1)
+    res = solve_nonneg(c=[-1.0, -2.0], a_eq=[[1, 1]], b_eq=[1])
+    assert res.value == pytest.approx(-2.0, abs=1e-9)
     assert np.allclose(res.x, [0, 1], atol=1e-9)
 
 
 def test_free_variables_negative_solution():
-    # min x s.t. x >= -3 (as -x <= 3) -> -3
-    res = solve_lp(c=[1.0], a_ub=[[-1.0]], b_ub=[3.0])
+    # min x s.t. x >= -3 (as -x <= 3) with x free -> -3
+    res, x = solve_general(c=[1.0], a_ub=[[-1.0]], b_ub=[3.0])
     assert res.value == pytest.approx(-3.0, abs=1e-9)
+    assert x == pytest.approx([-3.0], abs=1e-9)
 
 
 def test_infeasible_detected():
-    res = solve_lp(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+    # x + s = 1 and x = 2 cannot both hold with x, s >= 0.
+    res = solve_nonneg(c=[1.0, 0.0], a_eq=[[1, 1], [1, 0]], b_eq=[1.0, 2.0])
     assert res.status == "infeasible"
-    with pytest.raises(InfeasibleError):
-        solve_or_raise(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+    assert res.x is None and res.value is None
+    res = solve_nonneg(c=[1.0], a_eq=[[1.0]], b_eq=[-2.0])  # x = -2, x >= 0
+    assert res.status == "infeasible"
 
 
 def test_unbounded_detected():
-    res = solve_lp(c=[1.0, 0.0], a_ub=[[0, 1], [0, -1]], b_ub=[1, 0], maximize=True)
+    # min -x s.t. x - y = 0: the ray x = y grows without bound.
+    res = solve_nonneg(c=[-1.0, 0.0], a_eq=[[1, -1]], b_eq=[0.0])
     assert res.status == "unbounded"
-    with pytest.raises(UnboundedError):
-        solve_or_raise(c=[1.0, 0.0], a_ub=[[0, 1], [0, -1]], b_ub=[1, 0],
-                       maximize=True)
+    assert res.x is None and res.value is None
 
 
 def test_degenerate_lp_terminates():
@@ -82,16 +100,16 @@ def test_degenerate_lp_terminates():
     a = np.array([[1, 0], [0, 1], [1, 1], [1, 1], [2, 2], [-1, 0], [0, -1]],
                  dtype=float)
     b = np.array([1, 1, 2, 2, 4, 0, 0], dtype=float)
-    res = solve_lp(c=[1.0, 1.0], a_ub=a, b_ub=b, maximize=True)
-    assert res.value == pytest.approx(2.0, abs=1e-9)
+    res, x = solve_general(c=[1.0, 1.0], a_ub=a, b_ub=b, maximize=True)
+    assert res.status == "optimal"
+    assert float(np.sum(x)) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_redundant_equalities():
-    res = solve_lp(c=[1.0, 1.0],
-                   a_ub=[[-1, 0], [0, -1]], b_ub=[0, 0],
-                   a_eq=[[1, 1], [2, 2]], b_eq=[1, 2], maximize=True)
+    # Second row is twice the first; phase 1 drops it.
+    res = solve_nonneg(c=[-1.0, -1.0], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
     assert res.status == "optimal"
-    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert res.value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_matches_vertex_enumeration_oracle():
@@ -107,16 +125,16 @@ def test_matches_vertex_enumeration_oracle():
         b = np.concatenate([b, np.full(n, 10.0 + np.abs(x0).max()),
                             np.full(n, 10.0 + np.abs(x0).max())])
         c = rng.normal(size=n)
-        res = solve_lp(c, a_ub=a, b_ub=b, maximize=True)
+        res, x = solve_general(c, a_ub=a, b_ub=b, maximize=True)
         expected = enumerate_vertices(c, a, b)
         assert res.status == "optimal"
-        assert res.value == pytest.approx(expected, abs=1e-7)
+        assert float(c @ x) == pytest.approx(expected, abs=1e-7)
 
 
 def test_deterministic_given_same_input():
     a = np.array([[1, 1], [1, -1], [-1, 0], [0, -1]], dtype=float)
     b = np.array([2, 1, 0, 0], dtype=float)
-    first = solve_lp(c=[1.0, 0.3], a_ub=a, b_ub=b, maximize=True)
-    second = solve_lp(c=[1.0, 0.3], a_ub=a, b_ub=b, maximize=True)
+    first, _ = solve_general(c=[1.0, 0.3], a_ub=a, b_ub=b, maximize=True)
+    second, _ = solve_general(c=[1.0, 0.3], a_ub=a, b_ub=b, maximize=True)
     assert first.iterations == second.iterations
     assert np.array_equal(first.x, second.x)

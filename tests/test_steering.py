@@ -210,6 +210,9 @@ def test_synthesize_steer_roundtrip_random_decompositions():
         psi, target = random_decomposition(omega, members, rng)
         result = ss.synthesize_steering_measurement(psi, target)
         steered = ss.steer(psi, result.measurement)
+        assert np.array_equal(result.ensemble.weights, steered.weights)
+        for got, want in zip(result.ensemble.states, steered.states, strict=True):
+            assert np.array_equal(got.matrix, want.matrix)
         assert len(steered) == len(target)
         np.testing.assert_allclose(steered.weights, target.weights, atol=1e-9)
         for got, want in zip(steered.states, target.states):

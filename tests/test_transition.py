@@ -285,19 +285,49 @@ def test_tau_lp_detects_unbounding_generator_set():
 # ---------------------------------------------------------------------------
 
 def test_great_circle_first_point_is_phi():
-    grid = tr.great_circle_states(PLUS, 12)
-    assert np.max(np.abs(grid[0].matrix - PLUS.matrix)) <= 1e-12
-    for s in grid:
-        assert s.pure
+    rows = tr.great_circle_states(PLUS, 12)
+    assert rows.shape == (12, 4)
+    assert np.max(np.abs(rows[0] - PLUS.coeffs)) <= 1e-12
+    # A qubit state is pure iff its coefficient vector has unit length.
+    np.testing.assert_allclose(np.sum(rows ** 2, axis=1), 1.0, atol=1e-12)
 
 
 def test_great_circle_contains_through_state_plane():
     rng = np.random.default_rng(12)
     psi, phi = random_pure(QUBIT, rng), random_pure(QUBIT, rng)
-    grid = tr.great_circle_states(phi, 720, through=psi)
+    rows = tr.great_circle_states(phi, 720, through=psi)
     m = gm.bloch_vector(phi) / np.linalg.norm(gm.bloch_vector(phi))
     t = gm.bloch_vector(psi)
     normal = np.cross(m, t - (t @ m) * m)
     normal /= np.linalg.norm(normal)
-    for s in grid[::60]:
-        assert abs(gm.bloch_vector(s) @ normal) <= 1e-9
+    blochs = np.sqrt(2.0) * rows[:, 1:]  # Bloch vector = sqrt(2) * (c1, c2, c3)
+    assert np.max(np.abs(blochs @ normal)) <= 1e-9
+
+
+def test_great_circle_rows_match_validated_states():
+    # Reference: the rows are the coefficients of the validated pure states
+    # on the circle, built one at a time.
+    rng = np.random.default_rng(13)
+    for trial in range(40):
+        psi, phi = random_pure(QUBIT, rng), random_pure(QUBIT, rng)
+        count = int(rng.integers(3, 400))
+        through = psi if trial % 4 else None
+        m = gm.bloch_vector(phi) / np.linalg.norm(gm.bloch_vector(phi))
+        if through is None:
+            w = tr._deterministic_orthogonal(m)
+        else:
+            t = gm.bloch_vector(psi)
+            w = (t - (t @ m) * m) / np.linalg.norm(t - (t @ m) * m)
+        thetas = 2.0 * np.pi * np.arange(count) / count
+        expected = np.stack([
+            gm.state_from_bloch(QUBIT, np.cos(a) * m + np.sin(a) * w).coeffs
+            for a in thetas])
+        assert np.array_equal(
+            tr.great_circle_states(phi, count, through=through), expected)
+
+
+def test_tau_lp_rejects_misshapen_generators():
+    rows = tr.great_circle_states(KET0, 30, through=PLUS)
+    for bad in (rows[:, :3], rows[0], rows[None]):
+        with pytest.raises(ValueError):
+            tr.tau_lp(QUBIT, PLUS, KET0, generators=bad)
