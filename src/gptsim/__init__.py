@@ -82,9 +82,9 @@ from .signaling import (
     Scenario,
     SignalingReport,
     affinity_certificate,
+    closed_form,
     gap_surface,
     max_gap_search,
-    protocol_probability,
     reference_table,
     run_scenario,
     simulate_runs,
@@ -92,21 +92,18 @@ from .signaling import (
 )
 from .steering import (
     SteeringMeasurement,
+    marginal_residual,
     purify,
     steer,
     synthesize_steering_measurement,
-    verify_no_signaling_marginal,
 )
 from .transition import (
-    DistinguishingPair,
     TauLpReport,
     accept_effect,
-    distinguishing_measurement,
     great_circle_states,
     mixed_tau,
     state_with_tau,
     tau,
-    tau_lp,
     tau_lp_report,
 )
 

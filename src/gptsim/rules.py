@@ -214,10 +214,12 @@ def check_constraints(rule: ProbabilityRule, grid_n: int = 4097,
 
     Convexity labels come from second differences thresholded at ``tol``;
     measure-zero discontinuities are invisible to the grid by declared
-    semantics.
+    semantics. ``tol`` must be finite and non-negative.
     """
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3.")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}.")
     grid = np.linspace(0.0, 1.0, grid_n)
     values = eval_rule(rule, grid)
 

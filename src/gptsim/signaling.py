@@ -50,10 +50,6 @@ class Scenario:
         if self.mode not in (TRIVIAL_AVERAGE, STEERED_UNIFORM):
             raise ValueError(f"Unknown protocol-2 mode {self.mode!r}.")
 
-    @property
-    def p_bar(self) -> float:
-        return self.lam * self.p1 + (1.0 - self.lam) * self.p2
-
     def to_dict(self) -> dict:
         return {"rule": self.rule.to_dict(), "phi": self.phi.to_dict(),
                 "p1": self.p1, "p2": self.p2, "lambda": self.lam,
@@ -66,8 +62,7 @@ class SignalingReport:
 
     ``prob_1``/``prob_2`` are the protocol predictions computed through the
     full steering pipeline; ``gap`` is their signed difference.
-    ``formula_residual`` records the agreement with the closed-form
-    lambda*rule(p1) + (1-lambda)*rule(p2) versus rule(p_bar);
+    ``formula_residual`` records the agreement with :func:`closed_form`;
     ``marginal_residual`` certifies both protocols left the same average
     state on the distant side.
     """
@@ -97,18 +92,16 @@ class SignalingReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def protocol_probability(rule: rl.ProbabilityRule, psi: gm.BipartiteState,
-                         protocol: gm.Measurement | None,
-                         phi: gm.State) -> float:
-    """Distant party's expected probability of passing phi's test.
+def closed_form(rule: rl.ProbabilityRule, p1, p2, lam):
+    """Closed-form protocol predictions (P1, P2) of a decomposition.
 
-    A measurement protocol means the preparation side announces nothing but
-    the receiver knows the induced ensemble (ensemble-knowledge prediction);
-    ``None`` is the trivial protocol where only the average state is known.
+    P1 = lam*rule(p1) + (1-lam)*rule(p2) is the resolved decomposition's
+    rate and P2 = rule(lam*p1 + (1-lam)*p2) the average state's; the gap is
+    P1 - P2. Scalars give floats; arrays broadcast against each other.
     """
-    if protocol is None:
-        return rl.predict_average(rule, gm.marginal(psi, "B"), phi)
-    return rl.predict_ensemble(rule, ss.steer(psi, protocol), phi)
+    prob_1 = lam * rl.eval_rule(rule, p1) + (1 - lam) * rl.eval_rule(rule, p2)
+    prob_2 = rl.eval_rule(rule, lam * p1 + (1 - lam) * p2)
+    return prob_1, prob_2
 
 
 def run_scenario(scenario: Scenario) -> SignalingReport:
@@ -145,16 +138,13 @@ def run_scenario(scenario: Scenario) -> SignalingReport:
         ensemble_2 = ss.synthesize_steering_measurement(joint, uniform).ensemble
         prob_2 = rl.predict_ensemble(scenario.rule, ensemble_2, phi)
 
-    avg_1 = ensemble_1.weights @ np.stack([s.coeffs for s in ensemble_1.states])
-    avg_2 = ensemble_2.weights @ np.stack([s.coeffs for s in ensemble_2.states])
-    marginal_residual = float(np.max(np.abs(avg_1 - avg_2)))
+    marginal_residual = ss.marginal_residual(ensemble_1, ensemble_2)
     if marginal_residual > _MARGINAL_TOL:
         raise AssertionError(
             f"Protocols disagree on the distant marginal by {marginal_residual}.")
 
-    expected_1 = (scenario.lam * rl.eval_rule(scenario.rule, scenario.p1)
-                  + (1.0 - scenario.lam) * rl.eval_rule(scenario.rule, scenario.p2))
-    expected_2 = rl.eval_rule(scenario.rule, scenario.p_bar)
+    expected_1, expected_2 = closed_form(scenario.rule, scenario.p1,
+                                         scenario.p2, scenario.lam)
     formula_residual = max(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
     if formula_residual > _FORMULA_TOL:
         raise AssertionError(
@@ -197,6 +187,10 @@ def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble
         in_plane = np.zeros(3)
         w = tr._deterministic_orthogonal(m)
     spread = np.sqrt(max(1.0 - float(r @ r), 0.0))
+    if (1.0 - np.linalg.norm(r)) / 2 <= ss.RANK_TOL:
+        # omega is pure to purify's rank cut; a round-off spread (~1e-8)
+        # would put the members outside the purification's support.
+        spread = 0.0
     n_up = height * m + in_plane + spread * w
     n_dn = height * m + in_plane - spread * w
     return gm.ensemble([(0.5, gm.state_from_bloch(model, n_up)),
@@ -217,19 +211,9 @@ def gap_surface(rule: rl.ProbabilityRule, grid: int):
     if grid < 3:
         raise ValueError("grid must be at least 3 per axis.")
     axis = np.linspace(0.0, 1.0, grid)
-    p1 = axis[:, None, None]
-    p2 = axis[None, :, None]
-    lam = axis[None, None, :]
-    prob_1 = lam * rl.eval_rule(rule, p1) + (1 - lam) * rl.eval_rule(rule, p2)
-    prob_2 = rl.eval_rule(rule, np.broadcast_to(lam * p1 + (1 - lam) * p2,
-                                                (grid, grid, grid)))
-    return axis, prob_1, np.asarray(prob_2), prob_1 - prob_2
-
-
-def _analytic_gap(rule, p1, p2, lam):
-    pbar = lam * p1 + (1 - lam) * p2
-    return (lam * rl.eval_rule(rule, p1) + (1 - lam) * rl.eval_rule(rule, p2)
-            - rl.eval_rule(rule, pbar))
+    prob_1, prob_2 = closed_form(rule, axis[:, None, None],
+                                 axis[None, :, None], axis[None, None, :])
+    return axis, prob_1, prob_2, prob_1 - prob_2
 
 
 def max_gap_search(rule: rl.ProbabilityRule, grid: int = 101,
@@ -257,7 +241,8 @@ def max_gap_search(rule: rl.ProbabilityRule, grid: int = 101,
             for delta in (-step, step):
                 cand = point.copy()
                 cand[dim] = min(1.0, max(0.0, cand[dim] + delta))
-                cand_value = abs(_analytic_gap(rule, *cand))
+                cand_1, cand_2 = closed_form(rule, *cand)
+                cand_value = abs(cand_1 - cand_2)
                 if cand_value > value + 1e-15:
                     point, value = cand, cand_value
                     moved = True
@@ -298,8 +283,8 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}.")
-    if tol <= 0:
-        raise ValueError("tol must be positive.")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}.")
     rng = np.random.default_rng(seed)
     model = gm.quantum(2)
     worst_report = None
@@ -405,8 +390,11 @@ def reference_table(tol: float | None = None) -> list[ReferenceRow]:
     Example 1: the power(1.5) rule on the maximally entangled state with
     exact/orthogonal versus uniform-overlap steering. Example 2: the
     piecewise-quadratic rule at a symmetric and an asymmetric decomposition.
-    ``tol`` overrides every row's comparison tolerance (regression mode).
+    ``tol`` overrides every row's comparison tolerance (regression mode);
+    it must be finite and non-negative.
     """
+    if tol is not None and not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}.")
     phi = gm.point_state(gm.quantum(2), 0)
     ex1 = run_scenario(Scenario(rl.power_rule(1.5), phi, 1.0, 0.0, 0.5,
                                 mode=STEERED_UNIFORM))

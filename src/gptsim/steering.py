@@ -24,6 +24,7 @@ from .errors import (
 )
 
 STEERING_TOL = 1e-10
+RANK_TOL = 1e-12  # eigenvalues of a purified state at or below this are zero
 _DROP_TOL = 1e-14  # conditional outcomes below this weight are numerical zeros
 
 
@@ -53,7 +54,7 @@ def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteStat
     order = np.argsort(-eigvals, kind="stable")
     eigvals = np.clip(eigvals[order], 0.0, None)
     eigvecs = eigvecs[:, order]
-    rank = int(np.sum(eigvals > 1e-12))
+    rank = int(np.sum(eigvals > RANK_TOL))
     dim_a = rank if purifier_dim is None else int(purifier_dim)
     if dim_a < rank:
         raise ValueError(f"Purifier dimension {dim_a} is below rank {rank}.")
@@ -209,15 +210,16 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     return SteeringMeasurement(alice, steered)
 
 
-def verify_no_signaling_marginal(psi: gm.BipartiteState,
-                                 alice_1: gm.Measurement,
-                                 alice_2: gm.Measurement) -> float:
-    """Max-abs coefficient distance between the two steered average states.
+def marginal_residual(ens_1: gm.Ensemble, ens_2: gm.Ensemble) -> float:
+    """Max-abs coefficient distance between two ensembles' average states.
 
     This is the operational no-signaling check: every purifier-side
-    measurement must leave the distant average state untouched. The
+    measurement must leave the distant average state untouched, so two
+    ensembles steered from one joint state must average alike. The
     contract is a residual at most 1e-10.
     """
-    avg_1 = gm.mix(steer(psi, alice_1))
-    avg_2 = gm.mix(steer(psi, alice_2))
-    return float(np.max(np.abs(avg_1.coeffs - avg_2.coeffs)))
+    if ens_1.states[0].model != ens_2.states[0].model:
+        raise ModelMismatchError("Ensembles live on different models.")
+    avg_1 = ens_1.weights @ np.stack([s.coeffs for s in ens_1.states])
+    avg_2 = ens_2.weights @ np.stack([s.coeffs for s in ens_2.states])
+    return float(np.max(np.abs(avg_1 - avg_2)))

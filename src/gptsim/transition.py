@@ -26,20 +26,6 @@ from .models import LINEAR_TOL
 from .simplex import solve_nonneg
 
 
-@dataclass(frozen=True, eq=False)
-class DistinguishingPair:
-    """Two-outcome test {accept, reject} for a pure state and its complement."""
-
-    accept: gm.Effect
-    reject: gm.Effect
-    reference: gm.State
-    complement: gm.State
-
-    @property
-    def measurement(self) -> gm.Measurement:
-        return gm.measurement([self.accept, self.reject])
-
-
 @dataclass(frozen=True)
 class TauLpReport:
     """LP cross-check outcome with solver diagnostics."""
@@ -85,41 +71,14 @@ def orthonormal_completion(ket: np.ndarray) -> np.ndarray:
     return np.stack(rows[1:], axis=0)
 
 
-def distinguishing_measurement(model: gm.SystemModel,
-                               phi: gm.State) -> DistinguishingPair:
-    """Two-outcome test with accept(phi) = 1 and accept(complement) = 0.
-
-    Quantum: the accepting effect is the rank-1 projector onto phi; the
-    rejecting effect is its complement (not rank-1 for d > 2). Classical:
-    the indicator of phi's deterministic point.
-    """
-    _require_pure(phi, "phi")
-    if model != phi.model:
-        raise ModelMismatchError("phi does not belong to the given model.")
-    if model.kind == gm.QUANTUM:
-        ket = gm.pure_ket(phi)
-        accept = gm.projector_effect(phi)
-        perp_ket = orthonormal_completion(ket)[0]
-        complement = gm.ket_state(model, perp_ket)
-        reject = gm.effect_from_matrix(
-            model, np.eye(model.size, dtype=complex) - accept.matrix)
-        return DistinguishingPair(accept, reject, phi, complement)
-
-    index = int(np.argmax(phi.coeffs))
-    accept_vec = np.zeros(model.size)
-    accept_vec[index] = 1.0
-    accept = gm.effect_from_covector(model, accept_vec)
-    reject = gm.effect_from_covector(model, 1.0 - accept_vec)
-    complement = gm.point_state(model, (index + 1) % model.size)
-    return DistinguishingPair(accept, reject, phi, complement)
-
-
 def accept_effect(phi: gm.State) -> gm.Effect:
     """The optimal accepting effect of phi's distinguishing test.
 
     Quantum: the rank-1 projector onto phi (the pure state's own matrix);
-    classical: the indicator of phi's deterministic point. Identical to
-    ``distinguishing_measurement(...).accept`` without building the pair.
+    classical: the indicator of phi's deterministic point. It accepts
+    ``state_with_tau(model, phi, 0.0, seed)``, a state perfectly
+    distinguishable from phi, with probability zero; the rejecting effect
+    is its complement to the unit effect.
     """
     _require_pure(phi, "phi")
     if phi.model.kind == gm.QUANTUM:
@@ -231,12 +190,6 @@ def _deterministic_orthogonal(m: np.ndarray) -> np.ndarray:
         if norm > 0.5:
             return cand / norm
     raise AssertionError("unreachable: some axis is at angle > 30deg from m")
-
-
-def tau_lp(model: gm.SystemModel, psi: gm.State, phi: gm.State,
-           generators: np.ndarray | None = None) -> float:
-    """Transition probability by direct optimization over an effect polytope."""
-    return tau_lp_report(model, psi, phi, generators).value
 
 
 def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,

@@ -46,8 +46,8 @@ def test_criterion_1_convex_rule_reproduction():
     x_basis = gm.measurement([gm.projector_effect(plus),
                               gm.projector_effect(minus)])
 
-    p1 = sg.protocol_probability(rule, bell, z_basis, PHI)
-    p2 = sg.protocol_probability(rule, bell, x_basis, PHI)
+    p1 = rl.predict_ensemble(rule, ss.steer(bell, z_basis), PHI)
+    p2 = rl.predict_ensemble(rule, ss.steer(bell, x_basis), PHI)
     gap = p1 - p2
 
     # The same numbers through the scenario driver (synthesized protocols).
@@ -129,9 +129,9 @@ def test_criterion_5_overlap_lemma_invariants():
     for _ in range(1000):
         phi = _random_pure(rng)
         psi = _random_pure(rng)
-        pair = tr.distinguishing_measurement(QUBIT, phi)
+        complement = tr.state_with_tau(QUBIT, phi, 0.0, 0)
         worst_reflexive = max(worst_reflexive, abs(tr.tau(phi, phi) - 1.0))
-        total = tr.tau(psi, phi) + tr.tau(psi, pair.complement)
+        total = tr.tau(psi, phi) + tr.tau(psi, complement)
         worst_complement = max(worst_complement, abs(total - 1.0))
     ok = worst_reflexive <= 1e-12 and worst_complement <= 1e-12
     _report(5, "overlap lemma invariants", ok,
@@ -148,7 +148,7 @@ def test_criterion_6_steering_roundtrip():
         omega = _random_mixed(rng)
         members = int(rng.integers(2, 4))
         joint = ss.purify(omega, purifier_dim=members)
-        protocols = []
+        ensembles = []
         for _ in range(2):
             g = rng.normal(size=(members, members)) + \
                 1j * rng.normal(size=(members, members))
@@ -165,9 +165,8 @@ def test_criterion_6_steering_roundtrip():
             for got, want in zip(steered.states, target.states):
                 worst_state = max(worst_state, float(np.max(np.abs(
                     got.matrix - want.matrix))))
-            protocols.append(synth.measurement)
-        worst_marginal = max(worst_marginal, ss.verify_no_signaling_marginal(
-            joint, protocols[0], protocols[1]))
+            ensembles.append(steered)
+        worst_marginal = max(worst_marginal, ss.marginal_residual(*ensembles))
     ok = worst_weight <= 1e-9 and worst_state <= 1e-9 and worst_marginal <= 1e-10
     _report(6, "steering synthesis roundtrip", ok,
             f"weights {worst_weight:.2e}, states {worst_state:.2e}, "
@@ -181,7 +180,7 @@ def test_criterion_7_lp_against_closed_form():
         psi = _random_pure(rng)
         phi = _random_pure(rng)
         grid = tr.great_circle_states(phi, 720, through=psi)
-        lp_value = tr.tau_lp(QUBIT, psi, phi, generators=grid)
+        lp_value = tr.tau_lp_report(QUBIT, psi, phi, generators=grid).value
         worst = max(worst, abs(lp_value - tr.tau(psi, phi)))
 
     classical_worst = 0.0
@@ -189,8 +188,8 @@ def test_criterion_7_lp_against_closed_form():
         model = gm.classical(n)
         for k in range(n):
             for j in range(n):
-                lp_value = tr.tau_lp(model, gm.point_state(model, k),
-                                     gm.point_state(model, j))
+                lp_value = tr.tau_lp_report(model, gm.point_state(model, k),
+                                            gm.point_state(model, j)).value
                 exact = 1.0 if k == j else 0.0
                 classical_worst = max(classical_worst, abs(lp_value - exact))
     ok = worst <= 5e-3 and classical_worst <= 1e-12

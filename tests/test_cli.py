@@ -296,6 +296,26 @@ def test_missing_rule_parameter_is_usage_error(capsys, argv, key):
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "--family", "identity", "--samples", "3"],
+    ["rule-check", "--family", "identity"],
+    ["reproduce"],
+])
+def test_bad_tolerance_is_usage_error(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tol" in err
+
+
+def test_certify_rejects_zero_tolerance(capsys):
+    code, out, err = run_cli(capsys, "certify", "--family", "identity",
+                             "--samples", "3", "--tol", "0")
+    assert code == 2
+    assert out == "" and "tol" in err
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------

@@ -168,6 +168,12 @@ def test_nonmonotone_tabulated_rule_flagged():
     assert not report.passed
 
 
+@pytest.mark.parametrize("tol", [-1e-8, float("nan"), float("inf")])
+def test_check_constraints_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        rl.check_constraints(rl.identity_rule(), tol=tol)
+
+
 def test_power_rule_classified_convex():
     report = rl.check_constraints(rl.power_rule(2.0))
     assert all(seg[2] == "convex" for seg in report.convexity_segments)

@@ -30,24 +30,26 @@ def brute_force_max_gap(phi_fn, n=201):
 
 
 # ---------------------------------------------------------------------------
-# protocol_probability
+# protocol predictions on steered ensembles
 # ---------------------------------------------------------------------------
 
-def test_protocol_probability_power_rule_z_basis():
-    value = sg.protocol_probability(rl.power_rule(1.5), BELL, Z_BASIS, PHI)
+def test_steered_prediction_power_rule_z_basis():
+    value = rl.predict_ensemble(rl.power_rule(1.5), ss.steer(BELL, Z_BASIS), PHI)
     assert value == 0.5  # float-exact: tau values clamp to {0, 1}
 
 
-def test_protocol_probability_power_rule_x_basis():
-    value = sg.protocol_probability(rl.power_rule(1.5), BELL, X_BASIS, PHI)
+def test_steered_prediction_power_rule_x_basis():
+    value = rl.predict_ensemble(rl.power_rule(1.5), ss.steer(BELL, X_BASIS), PHI)
     assert value == pytest.approx(0.5 ** 1.5, abs=1e-12)
     assert value == pytest.approx(0.35355, abs=1e-5)
 
 
-def test_protocol_probability_trivial_collapses_for_identity():
+def test_steered_prediction_trivial_collapses_for_identity():
     rule = rl.identity_rule()
-    for protocol in (Z_BASIS, X_BASIS, None):
-        value = sg.protocol_probability(rule, BELL, protocol, PHI)
+    values = [rl.predict_ensemble(rule, ss.steer(BELL, basis), PHI)
+              for basis in (Z_BASIS, X_BASIS)]
+    values.append(rl.predict_average(rule, gm.marginal(BELL, "B"), PHI))
+    for value in values:
         assert value == pytest.approx(0.5, abs=1e-12)
 
 
@@ -117,6 +119,43 @@ def test_scenario_degenerate_weights():
     assert report.gap == pytest.approx(0.0, abs=1e-12)
     report = sg.run_scenario(sg.Scenario(rl.power_rule(1.5), PHI, 0.7, 0.2, 0.0))
     assert report.gap == pytest.approx(0.0, abs=1e-12)
+
+
+def test_steered_uniform_pure_average_state():
+    # lambda in {0, 1}, or p1 = p2 in {0, 1}, leaves a pure average state;
+    # its round-off must not spread the uniform-overlap members out of the
+    # purification's support.
+    rng = np.random.default_rng(41)
+    rules = (rl.power_rule(1.5), rl.piecewise_quadratic_rule(),
+             rl.identity_rule(), rl.power_rule(2.5))
+    for i in range(200):
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        phi = gm.ket_state(QUBIT, ket / np.linalg.norm(ket))
+        if i % 3 == 0:
+            p1, p2 = (float(x) for x in rng.random(2))
+            lam = float(rng.integers(2))
+        elif i % 3 == 1:
+            p1 = p2 = float(rng.integers(2))
+            lam = float(rng.random())
+        else:
+            p1, p2, lam = float(rng.integers(2)), float(rng.random()), 1.0
+        rule = rules[i % len(rules)]
+        report = sg.run_scenario(sg.Scenario(rule, phi, p1, p2, lam,
+                                             mode=sg.STEERED_UNIFORM, seed=i))
+        expected_1, expected_2 = sg.closed_form(rule, p1, p2, lam)
+        assert abs(report.gap - (expected_1 - expected_2)) <= 1e-12
+        assert report.marginal_residual <= 1e-10
+
+
+def test_closed_form_broadcasts_like_scalars():
+    rule = rl.piecewise_quadratic_rule()
+    p1, p2, lam = np.array([0.2, 0.3, 1.0]), np.array([0.4, 0.7, 0.0]), 0.5
+    prob_1, prob_2 = sg.closed_form(rule, p1, p2, lam)
+    assert prob_1.shape == prob_2.shape == (3,)
+    for k in range(3):
+        scalar_1, scalar_2 = sg.closed_form(rule, float(p1[k]), float(p2[k]), lam)
+        assert (prob_1[k], prob_2[k]) == (scalar_1, scalar_2)
+    assert prob_1[0] - prob_2[0] == pytest.approx(0.02, abs=1e-12)
 
 
 def test_report_serializes():
@@ -220,6 +259,12 @@ def test_affinity_certificate_piecewise_fails():
     assert not cert.passed
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+def test_affinity_certificate_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        sg.affinity_certificate(rl.identity_rule(), samples=5, tol=tol)
+
+
 def test_affinity_certificate_serializes():
     cert = sg.affinity_certificate(rl.identity_rule(), samples=20,
                                    tol=1e-10, seed=5)
@@ -284,3 +329,9 @@ def test_reference_table_values():
     assert rows["example1.gap"].value == pytest.approx(0.146447, abs=1e-6)
     assert rows["example2.symmetric.gap"].value == pytest.approx(0.0, abs=1e-12)
     assert rows["example2.asymmetric.gap"].value == pytest.approx(0.02, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+def test_reference_table_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        sg.reference_table(tol=tol)

@@ -265,23 +265,36 @@ def test_synthesize_rank_deficit_instructs_repurification():
 # ---------------------------------------------------------------------------
 
 def test_z_vs_x_marginals_agree_on_bell():
-    assert ss.verify_no_signaling_marginal(BELL, Z_BASIS, X_BASIS) <= 1e-15
+    assert ss.marginal_residual(ss.steer(BELL, Z_BASIS),
+                                ss.steer(BELL, X_BASIS)) <= 1e-15
 
 
 def test_same_measurement_twice_zero_residual():
-    assert ss.verify_no_signaling_marginal(BELL, Z_BASIS, Z_BASIS) == 0.0
+    steered = ss.steer(BELL, Z_BASIS)
+    assert ss.marginal_residual(steered, steered) == 0.0
 
 
 def test_no_signaling_random_pairs():
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        omega = random_mixed(rng)
-        psi = ss.purify(omega, purifier_dim=2)
-        bases = []
-        for _ in range(2):
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, _ = np.linalg.qr(g)
-            bases.append(gm.measurement([
-                gm.effect_from_matrix(QUBIT, np.outer(q[:, k], q[:, k].conj()))
-                for k in range(2)]))
-        assert ss.verify_no_signaling_marginal(psi, bases[0], bases[1]) <= 1e-10
+    for d in (2, 3, 4):
+        model = gm.quantum(d)
+        for _ in range(100):
+            psi = ss.purify(random_mixed(rng, model), purifier_dim=d)
+            steered = []
+            for _ in range(2):
+                g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                q, _ = np.linalg.qr(g)
+                basis = gm.measurement([
+                    gm.effect_from_matrix(psi.model_a,
+                                          np.outer(q[:, k], q[:, k].conj()))
+                    for k in range(d)])
+                steered.append(ss.steer(psi, basis))
+            assert ss.marginal_residual(*steered) <= 1e-10
+
+
+def test_marginal_residual_rejects_mismatched_models():
+    # classical(4) states have as many coefficients as qubit states.
+    point = gm.point_state(gm.classical(4), 0)
+    with pytest.raises(ModelMismatchError):
+        ss.marginal_residual(ss.steer(BELL, Z_BASIS),
+                             gm.ensemble([(1.0, point)]))

@@ -75,37 +75,51 @@ def test_tau_rejects_mixed_and_mismatched():
 # distinguishing measurements
 # ---------------------------------------------------------------------------
 
+def reject_effect(phi):
+    """Complement of phi's accepting effect to the unit effect; building it
+    checks that it is a valid effect."""
+    model = phi.model
+    return gm.effect_from_covector(
+        model, model.unit_covector - tr.accept_effect(phi).covector)
+
+
 def test_distinguishing_pair_computational_basis():
-    pair = tr.distinguishing_measurement(QUBIT, KET0)
-    assert gm.evaluate(pair.accept, KET0) == 1.0
-    assert gm.evaluate(pair.accept, pair.complement) == 0.0
-    assert np.max(np.abs(pair.complement.matrix - KET1.matrix)) <= 1e-12
+    accept = tr.accept_effect(KET0)
+    complement = tr.state_with_tau(QUBIT, KET0, 0.0, 0)
+    assert gm.evaluate(accept, KET0) == 1.0
+    assert gm.evaluate(accept, complement) == 0.0
+    assert np.max(np.abs(complement.matrix - KET1.matrix)) <= 1e-12
 
 
 def test_distinguishing_pair_rotated_basis():
-    pair = tr.distinguishing_measurement(QUBIT, PLUS)
-    assert gm.evaluate(pair.accept, PLUS) == pytest.approx(1.0, abs=1e-12)
-    assert gm.evaluate(pair.accept, pair.complement) == pytest.approx(0.0, abs=1e-12)
-    total = pair.accept.covector + pair.reject.covector
-    assert np.max(np.abs(total - QUBIT.unit_covector)) <= 1e-12
+    accept = tr.accept_effect(PLUS)
+    complement = tr.state_with_tau(QUBIT, PLUS, 0.0, 0)
+    assert gm.evaluate(accept, PLUS) == pytest.approx(1.0, abs=1e-12)
+    assert gm.evaluate(accept, complement) == pytest.approx(0.0, abs=1e-12)
+    assert gm.evaluate(reject_effect(PLUS), complement) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_distinguishing_pair_sums_to_one_on_random_states():
     rng = np.random.default_rng(3)
     for model in (QUBIT, QUTRIT):
         phi = random_pure(model, rng)
-        pair = tr.distinguishing_measurement(model, phi)
+        accept, reject = tr.accept_effect(phi), reject_effect(phi)
+        gm.measurement([accept, reject])  # validates completeness
         for _ in range(500):
             psi = random_pure(model, rng)
-            total = gm.evaluate(pair.accept, psi) + gm.evaluate(pair.reject, psi)
+            total = gm.evaluate(accept, psi) + gm.evaluate(reject, psi)
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distinguishing_pair_classical():
-    pair = tr.distinguishing_measurement(TRIT, gm.point_state(TRIT, 2))
-    assert gm.evaluate(pair.accept, gm.point_state(TRIT, 2)) == 1.0
-    assert gm.evaluate(pair.accept, pair.complement) == 0.0
-    assert pair.measurement is not None
+    phi = gm.point_state(TRIT, 2)
+    accept = tr.accept_effect(phi)
+    complement = tr.state_with_tau(TRIT, phi, 0.0, 0)
+    assert gm.evaluate(accept, phi) == 1.0
+    assert gm.evaluate(accept, complement) == 0.0
+    assert gm.evaluate(reject_effect(phi), complement) == 1.0
+    assert gm.measurement([accept, reject_effect(phi)]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +139,9 @@ def test_tau_complement_normalization():
     rng = np.random.default_rng(5)
     for _ in range(200):
         phi = random_pure(QUBIT, rng)
-        pair = tr.distinguishing_measurement(QUBIT, phi)
+        complement = tr.state_with_tau(QUBIT, phi, 0.0, 0)
         psi = random_pure(QUBIT, rng)
-        assert tr.tau(psi, phi) + tr.tau(psi, pair.complement) == pytest.approx(
+        assert tr.tau(psi, phi) + tr.tau(psi, complement) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -223,25 +237,26 @@ def test_state_with_tau_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_tau_lp_classical_identical_points():
-    assert tr.tau_lp(BIT, gm.point_state(BIT, 0), gm.point_state(BIT, 0)) == \
-        pytest.approx(1.0, abs=1e-12)
+    report = tr.tau_lp_report(BIT, gm.point_state(BIT, 0), gm.point_state(BIT, 0))
+    assert report.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tau_lp_classical_distinguishable_points():
-    assert tr.tau_lp(BIT, gm.point_state(BIT, 1), gm.point_state(BIT, 0)) == \
-        pytest.approx(0.0, abs=1e-12)
+    report = tr.tau_lp_report(BIT, gm.point_state(BIT, 1), gm.point_state(BIT, 0))
+    assert report.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tau_lp_classical_larger_model_exact():
     for k in range(3):
         for j in range(3):
-            value = tr.tau_lp(TRIT, gm.point_state(TRIT, k), gm.point_state(TRIT, j))
+            value = tr.tau_lp_report(TRIT, gm.point_state(TRIT, k),
+                                     gm.point_state(TRIT, j)).value
             assert value == pytest.approx(1.0 if k == j else 0.0, abs=1e-12)
 
 
 def test_tau_lp_qubit_grid_close_to_closed_form():
     grid = tr.great_circle_states(KET0, 360, through=PLUS)
-    value = tr.tau_lp(QUBIT, PLUS, KET0, generators=grid)
+    value = tr.tau_lp_report(QUBIT, PLUS, KET0, generators=grid).value
     assert value == pytest.approx(0.5, abs=5e-3)
     assert value >= 0.5 - 1e-9  # outer relaxation never undershoots
 
@@ -253,7 +268,8 @@ def test_tau_lp_grid_refinement_improves():
     errors = []
     for count in (90, 360, 1440):
         grid = tr.great_circle_states(phi, count, through=psi)
-        errors.append(abs(tr.tau_lp(QUBIT, psi, phi, generators=grid) - exact))
+        report = tr.tau_lp_report(QUBIT, psi, phi, generators=grid)
+        errors.append(abs(report.value - exact))
     assert errors[2] <= errors[1] <= errors[0]
     assert errors[2] <= 1e-3
 
@@ -267,7 +283,7 @@ def test_tau_lp_report_exposes_iterations():
 
 def test_tau_lp_quantum_requires_generators():
     with pytest.raises(ValueError):
-        tr.tau_lp(QUBIT, PLUS, KET0)
+        tr.tau_lp_report(QUBIT, PLUS, KET0)
 
 
 def test_tau_lp_detects_unbounding_generator_set():
@@ -277,7 +293,7 @@ def test_tau_lp_detects_unbounding_generator_set():
     grid = tr.great_circle_states(KET0, 90)
     psi_y = gm.ket_state(QUBIT, np.array([1, 1j]) / np.sqrt(2))
     with pytest.raises(UnboundedError):
-        tr.tau_lp(QUBIT, psi_y, KET0, generators=grid)
+        tr.tau_lp_report(QUBIT, psi_y, KET0, generators=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -330,4 +346,4 @@ def test_tau_lp_rejects_misshapen_generators():
     rows = tr.great_circle_states(KET0, 30, through=PLUS)
     for bad in (rows[:, :3], rows[0], rows[None]):
         with pytest.raises(ValueError):
-            tr.tau_lp(QUBIT, PLUS, KET0, generators=bad)
+            tr.tau_lp_report(QUBIT, PLUS, KET0, generators=bad)
