@@ -11,6 +11,7 @@ no gap.
 """
 
 from .errors import (
+    ContractError,
     EmptyEnsembleError,
     GptError,
     InfeasibleError,
@@ -87,6 +88,7 @@ from .signaling import (
     max_gap_search,
     reference_table,
     run_scenario,
+    run_scenarios,
     simulate_runs,
     uniform_overlap_decomposition,
 )

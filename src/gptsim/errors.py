@@ -2,7 +2,16 @@
 
 
 class GptError(Exception):
-    """Base class for all errors raised by gptsim."""
+    """Base class for all errors raised by gptsim.
+
+    A check over a stack of objects sets ``index`` to the leading-axis
+    position of the first one that failed. An error from a scenario batch
+    also carries that ``scenario``, its ``index`` is the scenario's position
+    in the batch, and its message names both.
+    """
+
+    index = None
+    scenario = None
 
 
 class ModelMismatchError(GptError):
@@ -51,6 +60,16 @@ class RankDeficitError(GptError):
     def __init__(self, message: str, required_dimension: int):
         super().__init__(message)
         self.required_dimension = required_dimension
+
+
+class ContractError(GptError):
+    """Raised when a steering run breaks one of its numerical contracts.
+
+    The contracts are the purification round-trip, steered conditionals
+    equal to their targets, a deficit effect off the purifier's support, a
+    distant marginal shared by both protocols within 1e-10 and predictions
+    within 1e-12 of the closed form.
+    """
 
 
 class RuleDomainError(GptError):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyEnsembleError,
+    GptError,
     ModelMismatchError,
     NotNormalizedError,
     NotPureError,
@@ -78,25 +79,23 @@ class SystemModel:
         vec.flags.writeable = False
         return vec
 
-    def coeffs_from_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Expand a Hermitian matrix in the orthonormal basis.
+    @cached_property
+    def _coeff_map(self) -> np.ndarray:
+        """``(d*d, d*d)`` map taking a flattened matrix to its coefficients."""
+        d = self.size
+        return np.ascontiguousarray(
+            self.hermitian_basis.transpose(0, 2, 1).reshape(d * d, d * d).T)
 
-        Qubit models also take a ``(..., 2, 2)`` stack and return
-        ``(..., 4)`` coefficients, each row equal to its matrix's expansion.
-        """
+    def coeffs_from_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Expand a Hermitian matrix, or a ``(..., d, d)`` stack of them, in
+        the orthonormal basis; each row is its own matrix's expansion."""
         if self.size == 2:  # closed form in the {I, X, Y, Z}/sqrt(2) basis
-            # Entry (i, j) read as t[j, i] indexes one matrix or a stack
-            # alike, at the cost of plain indexing on a single matrix.
-            t = matrix.T
-            off = t[1, 0]
-            return np.array([
-                (t[0, 0].real + t[1, 1].real) * _INV_SQRT2,
-                2.0 * off.real * _INV_SQRT2,
-                -2.0 * off.imag * _INV_SQRT2,
-                (t[0, 0].real - t[1, 1].real) * _INV_SQRT2,
-            ]).T
-        coeffs = np.einsum("ij,kji->k", matrix, self.hermitian_basis)
-        return np.real(coeffs)
+            parts, trace, diff = _qubit_parts(
+                np.ascontiguousarray(matrix, dtype=complex))
+            return _qubit_coeffs(trace, diff, parts)
+        d2 = self.size * self.size
+        flat = matrix.reshape(*matrix.shape[:-2], 1, d2)
+        return np.real(flat @ self._coeff_map)[..., 0, :]
 
     def matrix_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Reconstruct the Hermitian matrix from its coefficient vector."""
@@ -108,11 +107,13 @@ class SystemModel:
         return {"kind": self.kind, key: self.size}
 
 
+@lru_cache(maxsize=None)
 def quantum(d: int) -> SystemModel:
     """Quantum model on a d-dimensional complex Hilbert space."""
     return SystemModel(QUANTUM, d)
 
 
+@lru_cache(maxsize=None)
 def classical(n: int) -> SystemModel:
     """Classical model with n perfectly distinguishable outcomes."""
     return SystemModel(CLASSICAL, n)
@@ -205,20 +206,192 @@ def validate_state(model: SystemModel, coeffs: np.ndarray) -> State:
     return State(model, coeffs, None, pure)
 
 
-def _spectrum_bounds(matrix: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix.
+# Stack kernels. Each takes a ``(..., d, d)`` stack (or ``(..., d)`` for
+# vectors) and works on every member at once with the same arithmetic, call
+# for call, as on a single one, so a stack member's result is bitwise equal
+# to that of a stack of one. BLAS-backed reductions (dot products, norms)
+# go through ``matmul`` on per-member rows, which calls the same routine
+# per member as ``np.dot``/``np.vdot``/``np.linalg.norm`` on one vector.
+
+def _dagger(matrices: np.ndarray) -> np.ndarray:
+    return matrices.conj().swapaxes(-1, -2)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise dot product of real ``(..., n)`` stacks."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(vecs: np.ndarray) -> np.ndarray:
+    """Rowwise Euclidean norm of a ``(..., n)`` stack (of a complex row:
+    the root of its real part's and its imaginary part's squares)."""
+    if vecs.dtype.kind != "c":
+        return np.sqrt(_dot(vecs, vecs))
+    parts = np.ascontiguousarray(vecs).view(np.float64).reshape(
+        *vecs.shape, 2).swapaxes(-1, -2)
+    squares = _dot(parts, parts)
+    return np.sqrt(squares[..., 0] + squares[..., 1])
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real part of ``vdot`` of matching ``(..., d, d)`` matrix stacks."""
+    size = a.shape[-1] * a.shape[-2]
+    flat_a = a.conj().reshape(*a.shape[:-2], 1, size)
+    return (flat_a @ b.reshape(*b.shape[:-2], size, 1))[..., 0, 0].real
+
+
+def _fail(error: type, message, bad: np.ndarray, *values):
+    """Raise ``error`` for the first True entry of ``bad``.
+
+    ``message`` is formatted with each of ``values`` read at that entry;
+    the error's ``index`` is the entry's leading-axis position, or None for
+    an unstacked check.
+    """
+    at = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+    exc = error(message.format(*(np.asarray(v)[at] for v in values)))
+    exc.index = int(at[0]) if at else None
+    raise exc
+
+
+def _qubit_parts(matrices: np.ndarray):
+    """Float view ``(..., 2, 4)`` of a C-contiguous ``(..., 2, 2)`` complex
+    stack (row 0: Re m00, Im m00, Re m01, Im m01), with each matrix's
+    m00 + m11 and m00 - m11 (real parts)."""
+    parts = matrices.view(np.float64)
+    m00, m11 = parts[..., 0, 0], parts[..., 1, 2]
+    return parts, m00 + m11, m00 - m11
+
+
+_OFF_SCALE = np.array([2.0, -2.0])
+
+
+@lru_cache(maxsize=None)
+def _eye(d: int) -> np.ndarray:
+    """Read-only complex identity of size d."""
+    eye = np.eye(d, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+def _qubit_coeffs(trace, diff, parts) -> np.ndarray:
+    """Coefficients ``(..., 4)`` in the {I, X, Y, Z}/sqrt(2) basis."""
+    coeffs = np.empty(trace.shape + (4,))
+    coeffs[..., 0] = trace * _INV_SQRT2
+    coeffs[..., 1:3] = _OFF_SCALE * parts[..., 0, 2:] * _INV_SQRT2
+    coeffs[..., 3] = diff * _INV_SQRT2
+    return coeffs
+
+
+def _spectrum_bounds(matrices: np.ndarray, trace=None, diff=None):
+    """Smallest and largest eigenvalue of each Hermitian matrix.
 
     2x2 matrices use the closed form (exact at the arithmetic level, which
-    keeps projector spectra at exactly {0, 1}); larger ones fall back to
-    the eigensolver.
+    keeps projector spectra at exactly {0, 1}) on their ``trace`` and
+    ``diff`` (see :func:`_qubit_parts`); larger ones use the eigensolver.
     """
-    if matrix.shape[0] == 2:
-        half_trace = 0.5 * (matrix[0, 0].real + matrix[1, 1].real)
-        radius = np.sqrt((0.5 * (matrix[0, 0].real - matrix[1, 1].real)) ** 2
-                         + abs(matrix[0, 1]) ** 2)
+    if matrices.shape[-1] == 2:
+        half_trace = 0.5 * trace
+        radius = np.sqrt((0.5 * diff) ** 2 + abs(matrices[..., 0, 1]) ** 2)
         return half_trace - radius, half_trace + radius
-    eigvals = np.linalg.eigvalsh(matrix)
-    return float(eigvals[0]), float(eigvals[-1])
+    eigvals = np.linalg.eigvalsh(matrices)
+    return eigvals[..., 0], eigvals[..., -1]
+
+
+def _check_states(model: SystemModel, matrices: np.ndarray):
+    """Validate a ``(..., d, d)`` stack of density matrices.
+
+    Each must be Hermitian within SPECTRAL_TOL (round-off asymmetry is
+    symmetrized away), have unit trace within LINEAR_TOL and no eigenvalue
+    below -SPECTRAL_TOL. Eigenvalues between that and the clip floor are
+    projected away. Returns ``(matrices, coeffs, pure, clipped)``, read-only.
+    """
+    m = np.ascontiguousarray(matrices, dtype=complex)
+    if m.shape[-2:] != (model.size, model.size):
+        raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
+    qubit = model.size == 2
+    if qubit:
+        parts, trace, diff = _qubit_parts(m)
+        skew = np.maximum(np.maximum(abs(parts[..., 0, 1]), abs(parts[..., 1, 3])),
+                          abs(m[..., 0, 1] - m[..., 1, 0].conj()))
+    else:
+        skew = abs(m - _dagger(m)).max(axis=(-2, -1))
+        trace, diff = np.trace(m, axis1=-2, axis2=-1).real, None
+    asym = skew > 0.0
+    if np.count_nonzero(asym):
+        m = np.where(asym[..., None, None], 0.5 * (m + _dagger(m)), m)
+        if qubit:
+            parts, _, diff = _qubit_parts(m)
+    low = _spectrum_bounds(m, trace, diff)[0]
+    if np.count_nonzero((skew > SPECTRAL_TOL) | (abs(trace - 1.0) > LINEAR_TOL)
+                        | (low < -SPECTRAL_TOL)):
+        if np.count_nonzero(skew > SPECTRAL_TOL):
+            _fail(OutsideConeError, "Matrix is not Hermitian within tolerance.",
+                  skew > SPECTRAL_TOL)
+        if np.count_nonzero(abs(trace - 1.0) > LINEAR_TOL):
+            _fail(NotNormalizedError, "Trace is {}, expected 1.",
+                  abs(trace - 1.0) > LINEAR_TOL, trace)
+        _fail(OutsideConeError, "Negative eigenvalue {} beyond tolerance.",
+              low < -SPECTRAL_TOL, low)
+
+    clipped = low < _CLIP_FLOOR
+    if np.count_nonzero(clipped):
+        # Genuine (but tolerable) negative part: project it away. Values
+        # above the floor are rounding noise that a rebuild could not
+        # improve on, so they pass through untouched.
+        eigvals, eigvecs = np.linalg.eigh(m[clipped])
+        fixed = (eigvecs * np.clip(eigvals, 0.0, None)[..., None, :]) @ \
+            _dagger(eigvecs)
+        fixed = 0.5 * (fixed + _dagger(fixed))
+        fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
+        m = m.copy()
+        m[clipped] = fixed
+        if qubit:
+            parts, trace, diff = _qubit_parts(m)
+
+    pure = abs(_vdot(m, m) - 1.0) <= SPECTRAL_TOL
+    if qubit:
+        coeffs = _qubit_coeffs(trace, diff, parts)
+    else:
+        coeffs = np.ascontiguousarray(model.coeffs_from_matrix(m))
+    coeffs.flags.writeable = False
+    m.flags.writeable = False
+    return m, coeffs, pure, clipped
+
+
+def _states(model: SystemModel, matrices, coeffs, pure, kets=None,
+            has_ket=None) -> list:
+    """States of already-checked stack members, without checking again;
+    member i keeps ``kets[i]`` where ``has_ket[i]``."""
+    return [State(model, coeffs[i], matrices[i], bool(pure[i]),
+                  kets[i] if has_ket is not None and has_ket[i] else None)
+            for i in range(len(matrices))]
+
+
+class _blame:
+    """Context mapping the ``index`` of a failure inside a sub-stack, taken
+    as ``stack[rows]``, back to the position in the whole stack (a slice
+    ``rows`` takes the whole stack)."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if (isinstance(exc, GptError) and exc.index is not None
+                and not isinstance(self.rows, slice)):
+            exc.index = int(self.rows[exc.index])
+        return False
+
+
+def _groups(values: np.ndarray) -> list:
+    """``(value, rows)`` for each distinct value of an int array, ascending;
+    ``rows`` is a full slice when all values agree."""
+    distinct = sorted(set(values.tolist()))
+    if len(distinct) == 1:
+        return [(distinct[0], slice(None))]
+    return [(v, np.flatnonzero(values == v)) for v in distinct]
 
 
 def state_from_matrix(model: SystemModel, matrix: np.ndarray,
@@ -229,39 +402,22 @@ def state_from_matrix(model: SystemModel, matrix: np.ndarray,
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    if model.size == 2:
-        skew = max(abs(matrix[0, 0].imag), abs(matrix[1, 1].imag),
-                   abs(matrix[0, 1] - matrix[1, 0].conjugate()))
-        trace = matrix[0, 0].real + matrix[1, 1].real
-    else:
-        skew = float(np.max(np.abs(matrix - matrix.conj().T)))
-        trace = float(np.trace(matrix).real)
-    if skew > SPECTRAL_TOL:
-        raise OutsideConeError("Matrix is not Hermitian within tolerance.")
-    if skew > 0.0:
-        matrix = 0.5 * (matrix + matrix.conj().T)
-    if abs(trace - 1.0) > LINEAR_TOL:
-        raise NotNormalizedError(f"Trace is {trace}, expected 1.")
+    matrix, coeffs, pure, clipped = _check_states(model, matrix)
+    return State(model, coeffs, matrix, bool(pure),
+                 ket if pure and not clipped else None)
 
-    low, _ = _spectrum_bounds(matrix)
-    if low < -SPECTRAL_TOL:
-        raise OutsideConeError(f"Negative eigenvalue {low} beyond tolerance.")
-    if low < _CLIP_FLOOR:
-        # Genuine (but tolerable) negative part: project it away. Values
-        # above the floor are rounding noise that a rebuild could not
-        # improve on, so they pass through untouched.
-        eigvals, eigvecs = np.linalg.eigh(matrix)
-        clipped = np.clip(eigvals, 0.0, None)
-        matrix = (eigvecs * clipped) @ eigvecs.conj().T
-        matrix = 0.5 * (matrix + matrix.conj().T)
-        matrix = matrix / np.trace(matrix).real
-        ket = None
 
-    pure = abs(float(np.vdot(matrix, matrix).real) - 1.0) <= SPECTRAL_TOL
-    coeffs = model.coeffs_from_matrix(matrix)
-    coeffs.flags.writeable = False
-    matrix.flags.writeable = False
-    return State(model, coeffs, matrix, pure, ket if pure else None)
+def _ket_states(model: SystemModel, kets: np.ndarray):
+    """Check a ``(..., d)`` stack of kets for unit norm and build their
+    projectors: ``(kets, matrices, coeffs, pure, clipped)``, phases fixed."""
+    norm = _norm(kets)
+    if np.count_nonzero(abs(norm - 1.0) > SPECTRAL_TOL):
+        _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
+              abs(norm - 1.0) > SPECTRAL_TOL, norm)
+    unit = _fix_phase(kets / norm[..., None])
+    unit.flags.writeable = False
+    matrices = unit[..., :, None] * np.conj(unit)[..., None, :]
+    return (unit, *_check_states(model, matrices))
 
 
 def ket_state(model: SystemModel, ket: np.ndarray) -> State:
@@ -271,12 +427,9 @@ def ket_state(model: SystemModel, ket: np.ndarray) -> State:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (model.size,):
         raise ValueError(f"Expected a length-{model.size} vector.")
-    norm = float(np.linalg.norm(ket))
-    if abs(norm - 1.0) > SPECTRAL_TOL:
-        raise NotNormalizedError(f"Ket norm is {norm}, expected 1.")
-    unit = _fix_phase(ket / norm)
-    unit.flags.writeable = False
-    return state_from_matrix(model, np.outer(unit, unit.conj()), ket=unit)
+    unit, matrix, coeffs, pure, clipped = _ket_states(model, ket)
+    return State(model, coeffs, matrix, bool(pure),
+                 unit if pure and not clipped else None)
 
 
 def point_state(model: SystemModel, index: int) -> State:
@@ -311,17 +464,29 @@ def pure_ket(state: State) -> np.ndarray:
         raise NotPureError("State is mixed; no ket representation exists.")
     if state.ket is not None:
         return state.ket
-    eigvals, eigvecs = np.linalg.eigh(state.matrix)
-    ket = eigvecs[:, -1]
-    return _fix_phase(ket)
+    return _pure_kets(state.matrix)
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(vec) > 1e-12))
-    pivot = vec[idx]
-    if pivot.imag == 0.0 and pivot.real > 0.0:
-        return vec
-    return vec * (pivot.conjugate() / abs(pivot))
+def _pure_kets(matrices: np.ndarray) -> np.ndarray:
+    """Phase-fixed top eigenvectors ``(..., d)`` of a ``(..., d, d)`` stack."""
+    return _fix_phase(np.linalg.eigh(matrices)[1][..., :, -1])
+
+
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    """Each ``(..., d)`` row times the phase making its first component
+    larger than 1e-12 in modulus real and positive."""
+    leading = abs(vecs) > 1e-12
+    if np.count_nonzero(leading[..., 0]) == leading[..., 0].size:
+        pivot = vecs[..., 0]
+    else:
+        idx = np.argmax(leading, axis=-1)
+        pivot = np.take_along_axis(vecs, idx[..., None], axis=-1)[..., 0]
+    keep = (pivot.imag == 0.0) & (pivot.real > 0.0)
+    if np.count_nonzero(keep) == np.size(keep):
+        return vecs
+    fixed = vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))[..., None]
+    np.copyto(fixed, vecs, where=keep[..., None])
+    return fixed
 
 
 # ============================================================================
@@ -344,6 +509,35 @@ class Effect:
         return data
 
 
+def _check_effects(model: SystemModel, matrices: np.ndarray):
+    """Validate a ``(..., d, d)`` stack of effect operators: Hermitian within
+    SPECTRAL_TOL, spectrum inside [0, 1] within SPECTRAL_TOL. Returns the
+    symmetrized matrices and their covectors, read-only."""
+    m = np.asarray(matrices, dtype=complex)
+    dagger = _dagger(m)
+    skew = abs(m - dagger).max(axis=(-2, -1))
+    m = 0.5 * (m + dagger)
+    if model.size == 2:
+        parts, trace, diff = _qubit_parts(m)
+        low, high = _spectrum_bounds(m, trace, diff)
+    else:
+        low, high = _spectrum_bounds(m)
+    if np.count_nonzero((skew > SPECTRAL_TOL) | (low < -SPECTRAL_TOL)
+                        | (high > 1.0 + SPECTRAL_TOL)):
+        if np.count_nonzero(skew > SPECTRAL_TOL):
+            _fail(OutsideConeError, "Effect operator is not Hermitian.",
+                  skew > SPECTRAL_TOL)
+        _fail(OutsideConeError, "Effect spectrum [{}, {}] escapes [0, 1].",
+              (low < -SPECTRAL_TOL) | (high > 1.0 + SPECTRAL_TOL), low, high)
+    if model.size == 2:
+        covectors = _qubit_coeffs(trace, diff, parts)
+    else:
+        covectors = np.ascontiguousarray(model.coeffs_from_matrix(m))
+    covectors.flags.writeable = False
+    m.flags.writeable = False
+    return m, covectors
+
+
 def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
     """Effect from a Hermitian operator with spectrum inside [0, 1].
 
@@ -355,16 +549,7 @@ def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    if np.max(np.abs(matrix - matrix.conj().T)) > SPECTRAL_TOL:
-        raise OutsideConeError("Effect operator is not Hermitian.")
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    low, high = _spectrum_bounds(matrix)
-    if low < -SPECTRAL_TOL or high > 1.0 + SPECTRAL_TOL:
-        raise OutsideConeError(
-            f"Effect spectrum [{low}, {high}] escapes [0, 1].")
-    covector = model.coeffs_from_matrix(matrix)
-    covector.flags.writeable = False
-    matrix.flags.writeable = False
+    matrix, covector = _check_effects(model, matrix)
     return Effect(model, covector, matrix)
 
 
@@ -470,18 +655,27 @@ def evaluate(effect: Effect, state: State) -> float:
         raise ModelMismatchError(
             f"Effect on {effect.model} paired with state on {state.model}.")
     if state.matrix is not None:
-        value = float(np.vdot(state.matrix, effect.matrix).real)
-    else:
-        value = float(effect.covector @ state.coeffs)
-    if value < 0.0:
-        if value < -SPECTRAL_TOL:
-            raise OutsideConeError(f"Pairing {value} below 0 beyond tolerance.")
-        value = 0.0
-    elif value > 1.0:
-        if value > 1.0 + SPECTRAL_TOL:
-            raise OutsideConeError(f"Pairing {value} above 1 beyond tolerance.")
-        value = 1.0
-    return value
+        return float(_pairings(state.matrix, effect.matrix))
+    return float(_clamp_pairings(effect.covector @ state.coeffs))
+
+
+def _pairings(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Pairings of matching ``(..., d, d)`` state and effect matrix stacks."""
+    return _clamp_pairings(_vdot(states, effects))
+
+
+def _clamp_pairings(values: np.ndarray) -> np.ndarray:
+    """Snap pairings within SPECTRAL_TOL of [0, 1] onto it; farther raises."""
+    below, above = values < 0.0, values > 1.0
+    if np.count_nonzero(below | above):
+        if np.count_nonzero(values < -SPECTRAL_TOL):
+            _fail(OutsideConeError, "Pairing {} below 0 beyond tolerance.",
+                  values < -SPECTRAL_TOL, values)
+        if np.count_nonzero(values > 1.0 + SPECTRAL_TOL):
+            _fail(OutsideConeError, "Pairing {} above 1 beyond tolerance.",
+                  values > 1.0 + SPECTRAL_TOL, values)
+        values = np.clip(values, 0.0, 1.0)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -663,16 +857,25 @@ def bloch_vector(state: State) -> np.ndarray:
     """Bloch vector (x, y, z) of a qubit state."""
     if state.model.kind != QUANTUM or state.model.size != 2:
         raise UnsupportedModelError("Bloch vectors are defined for qubits.")
-    return np.real(np.einsum("kij,ji->k", _PAULIS, state.matrix))
+    return _bloch(state.matrix)
+
+
+def _bloch(matrices: np.ndarray) -> np.ndarray:
+    """Bloch vectors ``(..., 3)`` of a ``(..., 2, 2)`` stack."""
+    return np.real(np.einsum("kij,...ji->...k", _PAULIS, matrices))
+
+
+def _from_bloch(vecs: np.ndarray) -> np.ndarray:
+    """Qubit matrices ``(..., 2, 2)`` of a ``(..., 3)`` Bloch vector stack."""
+    return 0.5 * (np.eye(2, dtype=complex)
+                  + np.einsum("...k,kij->...ij", vecs, _PAULIS))
 
 
 def state_from_bloch(model: SystemModel, vec: np.ndarray) -> State:
     """Qubit state with the given Bloch vector (|vec| <= 1)."""
     if model.kind != QUANTUM or model.size != 2:
         raise UnsupportedModelError("Bloch construction is defined for qubits.")
-    vec = np.asarray(vec, dtype=float)
-    rho = 0.5 * (np.eye(2, dtype=complex) + np.einsum("k,kij->ij", vec, _PAULIS))
-    return state_from_matrix(model, rho)
+    return state_from_matrix(model, _from_bloch(np.asarray(vec, dtype=float)))
 
 
 # ============================================================================

@@ -21,13 +21,16 @@ from . import models as gm
 from . import rules as rl
 from . import steering as ss
 from . import transition as tr
-from .errors import UnsupportedModelError
+from .errors import ContractError, GptError, NotPureError, UnsupportedModelError
 
 TRIVIAL_AVERAGE = "trivial-average"
 STEERED_UNIFORM = "steered-uniform"
 
 _FORMULA_TOL = 1e-12
 _MARGINAL_TOL = 1e-10
+# Scenarios per batch of a certificate: a batch's arrays take about 4.5 KB
+# per scenario, so this bounds a certificate's memory at any sample count.
+_CERTIFICATE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -109,57 +112,229 @@ def run_scenario(scenario: Scenario) -> SignalingReport:
 
     The report's probabilities come from the steered ensembles; the run
     fails loudly if they disagree with the closed-form gap expression or if
-    the two protocols do not share the distant average state.
+    the two protocols do not share the distant average state. This is
+    :func:`run_scenarios` on a batch of one.
     """
-    phi = scenario.phi
-    model = phi.model
-    if model.kind != gm.QUANTUM:
-        raise UnsupportedModelError("Signaling scenarios require a quantum model.")
-    rng = np.random.default_rng(scenario.seed)
+    return run_scenarios([scenario])[0]
 
-    psi_1 = tr.state_with_tau(model, phi, scenario.p1, rng)
-    psi_2 = tr.state_with_tau(model, phi, scenario.p2, rng)
-    members = [(scenario.lam, psi_1), (1.0 - scenario.lam, psi_2)]
-    members = [(w, s) for w, s in members if w > 0.0]
-    target = gm.ensemble(members)
-    omega = gm.mix(target)
-    joint = ss.purify(omega, purifier_dim=len(target))
 
-    ensemble_1 = ss.synthesize_steering_measurement(joint, target).ensemble
-    prob_1 = rl.predict_ensemble(scenario.rule, ensemble_1, phi)
+def run_scenarios(scenarios) -> list[SignalingReport]:
+    """Run a batch of scenarios through the full pipeline at once.
 
-    if scenario.mode == TRIVIAL_AVERAGE:
-        protocol_2 = gm.measurement([gm.unit_effect(joint.model_a)])
-        ensemble_2 = ss.steer(joint, protocol_2)
-        # The trivial steer's only conditional is the B marginal itself.
-        prob_2 = rl.predict_average(scenario.rule, ensemble_2.states[0], phi)
-    else:
-        uniform = uniform_overlap_decomposition(omega, phi)
-        ensemble_2 = ss.synthesize_steering_measurement(joint, uniform).ensemble
-        prob_2 = rl.predict_ensemble(scenario.rule, ensemble_2, phi)
+    Each quantity of the pipeline is one stacked array over the batch, and
+    every check of a stage is made on the whole stack; each report is
+    bitwise what the scenario gives in a batch of its own. A failing check
+    raises for the first scenario it fails on: the error's ``index`` and
+    ``scenario`` name it, and so does its message.
+    """
+    runs = _Runs(list(scenarios))
+    return [runs.report(i) for i in range(len(runs.scenarios))]
 
-    marginal_residual = ss.marginal_residual(ensemble_1, ensemble_2)
-    if marginal_residual > _MARGINAL_TOL:
-        raise AssertionError(
-            f"Protocols disagree on the distant marginal by {marginal_residual}.")
 
-    expected_1, expected_2 = closed_form(scenario.rule, scenario.p1,
-                                         scenario.p2, scenario.lam)
-    formula_residual = max(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
-    if formula_residual > _FORMULA_TOL:
-        raise AssertionError(
-            f"Pipeline deviates from the closed form by {formula_residual}.")
+class _Runs:
+    """The arrays of a batch run: per scenario the two predictions, the gap
+    and both residuals, and the steered ensembles behind them. A failure
+    names its scenario by its position in the batch plus ``start``."""
 
-    return SignalingReport(
-        scenario=scenario,
-        prob_1=prob_1,
-        prob_2=prob_2,
-        gap=prob_1 - prob_2,
-        ensemble_1=ensemble_1,
-        ensemble_2=ensemble_2,
-        marginal_residual=marginal_residual,
-        formula_residual=formula_residual,
-    )
+    def __init__(self, scenarios: list, start: int = 0):
+        self.scenarios = scenarios
+        n = len(scenarios)
+        self.prob_1, self.prob_2 = np.empty(n), np.empty(n)
+        self.marginal, self.formula = np.empty(n), np.empty(n)
+        self._ensembles = [None] * n
+        try:
+            self._check_models()
+            sizes = np.array([s.phi.model.size for s in scenarios])
+            for d in sorted(set(sizes.tolist())):
+                rows = np.flatnonzero(sizes == d)
+                with gm._blame(rows):
+                    self._run_group(gm.quantum(d), rows)
+        except GptError as exc:
+            if exc.index is not None:
+                exc.scenario = scenarios[exc.index]
+                exc.index += start
+                exc.args = (f"Scenario {exc.index} of the batch "
+                            f"{json.dumps(exc.scenario.to_dict(), sort_keys=True)}"
+                            f": {exc}",)
+            raise
+        self.gap = self.prob_1 - self.prob_2
+
+    def _check_models(self) -> None:
+        for i, s in enumerate(self.scenarios):
+            exc = None
+            if s.phi.model.kind != gm.QUANTUM:
+                exc = UnsupportedModelError(
+                    "Signaling scenarios require a quantum model.")
+            elif not s.phi.pure:
+                exc = NotPureError("phi must be a pure state.")
+            elif s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
+                exc = UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
+            if exc is not None:
+                exc.index = i
+                raise exc
+
+    def _run_group(self, model: gm.SystemModel, rows: np.ndarray) -> None:
+        """Run the scenarios ``rows``, all on ``model``.
+
+        Protocol 1 of every scenario and the steered protocol 2 of those in
+        steered-uniform mode are synthesized as one stack of targets; those
+        measurements and the trivial ones of trivial-average mode are then
+        steered as one stack, whose rows the two protocols share.
+        """
+        scenarios = [self.scenarios[i] for i in rows]
+        n, d = len(rows), model.size
+        phi_m = np.array([s.phi.matrix for s in scenarios])
+        phi_k = np.array([gm.pure_ket(s.phi) for s in scenarios])
+        p = np.array([(s.p1, s.p2) for s in scenarios])
+        weights = np.array([(s.lam, 1.0 - s.lam) for s in scenarios])
+        lam = weights[:, 0]
+        present = weights > 0.0  # a member of weight 0 drops out
+        lone = [j for j, s in enumerate(scenarios) if s.lam in (0.0, 1.0)]
+
+        # Protocol 1's members: states with overlaps p1 and p2 with phi,
+        # their residual directions drawn from the scenario's seed.
+        draws = np.ones((n, 2, d - 1), dtype=complex)
+        for j, s in enumerate(scenarios):
+            mixed = [0.0 < s.p1 < 1.0, 0.0 < s.p2 < 1.0]
+            if any(mixed):
+                draws[j, mixed] = tr._tau_draws(
+                    np.random.default_rng(s.seed), d - 1, sum(mixed))
+        kets, members, _, pure, clipped = gm._ket_states(
+            model, tr._kets_with_tau(phi_k[:, None], p, draws))
+        if np.count_nonzero(clipped):
+            kets = np.where(clipped[..., None], gm._pure_kets(members), kets)
+        is_phi = p == 1.0  # the reference state itself
+        if np.count_nonzero(is_phi):
+            kets = np.where(is_phi[..., None], phi_k[:, None], kets)
+            members = np.where(is_phi[..., None, None], phi_m[:, None], members)
+            pure = pure | is_phi
+        if np.count_nonzero(present & ~pure):
+            gm._fail(NotPureError, "Ensemble members must be pure states.",
+                     (present & ~pure).any(axis=1))
+
+        # The average state (a lone member is its own) and its purification.
+        average = (weights[:, 0, None, None] * members[:, 0]
+                   + weights[:, 1, None, None] * members[:, 1])
+        for j in lone:
+            average[j] = members[j, 0 if scenarios[j].lam == 1.0 else 1]
+        omega = gm._check_states(model, average)[0]
+        joints = ss._purify(omega, present.sum(axis=1))
+
+        # Synthesis targets: protocol 1 of every scenario, then protocol 2
+        # of the steered-uniform ones.
+        steered = np.array([s.mode == STEERED_UNIFORM for s in scenarios])
+        uniform = np.flatnonzero(steered)
+        trivial = np.flatnonzero(~steered)
+        targets = np.concatenate([np.arange(n), uniform])
+        if len(uniform):
+            with gm._blame(uniform):
+                u_members, _, u_pure, _ = gm._check_states(
+                    model, _uniform_members(omega[uniform], phi_m[uniform]))
+                if np.count_nonzero(u_pure) < u_pure.size:
+                    gm._fail(NotPureError, "Ensemble members must be pure states.",
+                             ~u_pure.all(axis=1))
+            m = len(uniform)
+            weights = np.concatenate([weights, np.full((m, 2), 0.5)])
+            members = np.concatenate([members, u_members])
+            kets = np.concatenate([kets, gm._pure_kets(u_members)])
+            pure = np.concatenate([pure, u_pure])
+            present = np.concatenate([present, np.ones((m, 2), dtype=bool)])
+        model_a = gm.quantum(joints.shape[1])
+        with gm._blame(targets):
+            effects, _, live = ss._synthesize(
+                model_a, joints[targets], weights, members, kets, pure, present)
+
+        # Steered rows: protocol 1 of scenario j at row j, protocol 2 at
+        # row n + j, the trivial measurement's or the synthesized one.
+        if len(trivial):
+            unit = np.zeros((n,) + effects.shape[1:], dtype=complex)
+            unit[:, 0] = np.eye(model_a.size)
+            unit_live = np.zeros((n, live.shape[1]), dtype=bool)
+            unit_live[:, 0] = True
+            unit[uniform], unit_live[uniform] = effects[n:], live[n:]
+            effects = np.concatenate([effects[:n], unit])
+            live = np.concatenate([live[:n], unit_live])
+        both = np.concatenate([np.arange(n), np.arange(n)])
+        with gm._blame(both):
+            steered = ss._steer(model, joints[both], effects, live)
+        rows_t = np.concatenate([np.arange(n), n + uniform])
+        with gm._blame(targets):
+            ss._check_targets(steered.subs[rows_t], weights, members, present)
+            mixed = steered.keep[rows_t] & ~steered.pure[rows_t]
+            if np.count_nonzero(mixed):
+                gm._fail(NotPureError,
+                         "Ensemble-knowledge prediction needs pure members; "
+                         "use predict_average for an unresolved mixed state.",
+                         mixed.any(axis=1))
+        with gm._blame(both):
+            taus = gm._pairings(steered.matrices, phi_m[both, None])
+        values = self._rule_values(rows[both], taus)
+
+        # Predictions: from the known decomposition, or (trivial protocol 2)
+        # the rule at the average state's overlap.
+        known = (steered.weights[:, None, :] @ values[..., None])[:, 0, 0]
+        prob_1 = known[:n]
+        prob_2 = known[n:].copy()
+        prob_2[trivial] = values[n + trivial, 0]
+        marginal = ss._marginal_residuals(
+            steered.weights[:n], steered.coeffs[:n],
+            steered.weights[n:], steered.coeffs[n:])
+        for j, i in enumerate(rows):
+            self._ensembles[i] = (model, steered, j, n + j)
+
+        if np.count_nonzero(marginal > _MARGINAL_TOL):
+            gm._fail(ContractError,
+                     "Protocols disagree on the distant marginal by {}.",
+                     marginal > _MARGINAL_TOL, marginal)
+        expected_1, expected_2 = np.empty(n), np.empty(n)
+        for rule, at in self._rule_rows(rows):
+            expected_1[at], expected_2[at] = closed_form(
+                rule, p[at, 0], p[at, 1], lam[at])
+        formula = np.maximum(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
+        if np.count_nonzero(formula > _FORMULA_TOL):
+            gm._fail(ContractError,
+                     "Pipeline deviates from the closed form by {}.",
+                     formula > _FORMULA_TOL, formula)
+        self.prob_1[rows], self.prob_2[rows] = prob_1, prob_2
+        self.marginal[rows], self.formula[rows] = marginal, formula
+
+    def _rule_values(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Each row's scenario rule applied to its row of ``taus``."""
+        groups = self._rule_rows(rows)
+        if len(groups) == 1:
+            return rl.eval_rule(groups[0][0], taus)
+        values = np.empty_like(taus)
+        for rule, at in groups:
+            values[at] = rl.eval_rule(rule, taus[at])
+        return values
+
+    def _rule_rows(self, rows: np.ndarray) -> list:
+        """(rule, positions in ``rows``) for each distinct rule object."""
+        rules = [self.scenarios[i].rule for i in rows]
+        if all(rule is rules[0] for rule in rules):
+            return [(rules[0], slice(None))]
+        groups = {}
+        for j, rule in enumerate(rules):
+            groups.setdefault(id(rule), (rule, []))[1].append(j)
+        return [(rule, np.array(at)) for rule, at in groups.values()]
+
+    def report(self, i: int) -> SignalingReport:
+        model, steered, j_1, j_2 = self._ensembles[i]
+        return SignalingReport(
+            scenario=self.scenarios[i],
+            prob_1=float(self.prob_1[i]),
+            prob_2=float(self.prob_2[i]),
+            gap=float(self.gap[i]),
+            ensemble_1=steered.ensemble(model, j_1),
+            ensemble_2=steered.ensemble(model, j_2),
+            marginal_residual=float(self.marginal[i]),
+            formula_residual=float(self.formula[i]),
+        )
+
+
+_UNIFORM_QUBITS_ONLY = (
+    "The uniform-overlap construction is a qubit protocol; use the "
+    "trivial-average mode for other models.")
 
 
 def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble:
@@ -172,29 +347,46 @@ def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble
     """
     model = omega.model
     if model.kind != gm.QUANTUM or model.size != 2:
-        raise UnsupportedModelError(
-            "The uniform-overlap construction is a qubit protocol; use the "
-            "trivial-average mode for other models.")
-    r = gm.bloch_vector(omega)
-    m = gm.bloch_vector(phi)
-    m = m / np.linalg.norm(m)
-    height = float(r @ m)
-    in_plane = r - height * m
-    radial = float(np.linalg.norm(in_plane))
-    if radial > 1e-12:
-        w = np.cross(m, in_plane / radial)
-    else:
-        in_plane = np.zeros(3)
-        w = tr._deterministic_orthogonal(m)
-    spread = np.sqrt(max(1.0 - float(r @ r), 0.0))
-    if (1.0 - np.linalg.norm(r)) / 2 <= ss.RANK_TOL:
-        # omega is pure to purify's rank cut; a round-off spread (~1e-8)
-        # would put the members outside the purification's support.
-        spread = 0.0
-    n_up = height * m + in_plane + spread * w
-    n_dn = height * m + in_plane - spread * w
-    return gm.ensemble([(0.5, gm.state_from_bloch(model, n_up)),
-                        (0.5, gm.state_from_bloch(model, n_dn))])
+        raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
+    members = _uniform_members(omega.matrix[None], phi.matrix[None])[0]
+    return gm.ensemble([(0.5, gm.state_from_matrix(model, m)) for m in members])
+
+
+def _uniform_members(omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Matrices ``(n, 2, 2, 2)`` of the uniform-overlap decompositions of
+    ``(n, 2, 2)`` qubit stacks ``omega`` against ``phi``."""
+    r = gm._bloch(omega)
+    m = gm._bloch(phi)
+    m = m / gm._norm(m)[:, None]
+    height = gm._dot(r, m)
+    in_plane = r - height[:, None] * m
+    radial = gm._norm(in_plane)
+    flat = ~(radial > 1e-12)
+    w = _cross(m, in_plane / np.where(flat, 1.0, radial)[:, None])
+    if np.count_nonzero(flat):
+        w[flat] = tr._deterministic_orthogonal(m[flat])
+        in_plane[flat] = 0.0
+    length = gm._dot(r, r)
+    spread = np.sqrt(np.maximum(1.0 - length, 0.0))
+    # omega is pure to purify's rank cut; a round-off spread (~1e-8)
+    # would put the members outside the purification's support.
+    spread[(1.0 - np.sqrt(length)) / 2 <= ss.RANK_TOL] = 0.0
+    centre = height[:, None] * m + in_plane
+    offset = spread[:, None] * w
+    blochs = np.empty((len(r), 2, 3))
+    blochs[:, 0] = centre + offset
+    blochs[:, 1] = centre - offset
+    return gm._from_bloch(blochs)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise cross product of ``(n, 3)`` stacks, term for term as
+    ``np.cross``."""
+    out = np.empty(a.shape)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +472,12 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
                          tol: float = 1e-10, seed: int = 0) -> CertificateResult:
     """Sample random scenarios through the full pipeline; pass iff every
     |gap| stays within tolerance. The worst witness is returned either way.
+
+    The scenarios run in batches of up to ``_CERTIFICATE_BATCH``; only the
+    worst witness's report outlives its batch. If a scenario fails a
+    check, it is run again on its own, so that the failure also surfaces
+    from :func:`run_scenario` on it; the error raised names its place among
+    the certificate's samples.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}.")
@@ -287,25 +485,43 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         raise ValueError(f"tol must be positive and finite, got {tol}.")
     rng = np.random.default_rng(seed)
     model = gm.quantum(2)
-    worst_report = None
-    worst_value = -1.0
-    for index in range(samples):
-        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
-        phi = gm.ket_state(model, ket / np.linalg.norm(ket))
-        p1, p2, lam = rng.random(3)
-        scenario = Scenario(rule, phi, float(p1), float(p2), float(lam),
-                            seed=int(rng.integers(2**31)))
-        report = run_scenario(scenario)
-        if abs(report.gap) > worst_value:
-            worst_value = abs(report.gap)
-            worst_report = report
+    worst = None  # (|gap|, report); the first maximum wins
+    for start in range(0, samples, _CERTIFICATE_BATCH):
+        count = min(_CERTIFICATE_BATCH, samples - start)
+        kets = np.empty((count, 2), dtype=complex)
+        params = np.empty((count, 3))
+        seeds = []
+        for index in range(count):
+            kets[index] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            params[index] = rng.random(3)
+            seeds.append(int(rng.integers(2**31)))
+        unit, matrices, coeffs, pure, clipped = gm._ket_states(
+            model, kets / gm._norm(kets)[:, None])
+        phis = gm._states(model, matrices, coeffs, pure, unit, pure & ~clipped)
+        scenarios = [Scenario(rule, phi, float(p1), float(p2), float(lam),
+                              seed=s)
+                     for phi, (p1, p2, lam), s in zip(phis, params, seeds)]
+        try:
+            runs = _Runs(scenarios, start)
+        except GptError as exc:
+            if exc.scenario is not None:
+                try:  # it fails alone as well, as a run of its own
+                    run_scenario(exc.scenario)
+                except GptError:
+                    pass
+            raise
+        magnitudes = np.abs(runs.gap)
+        k = int(np.argmax(magnitudes))
+        if worst is None or magnitudes[k] > worst[0]:
+            worst = (float(magnitudes[k]), runs.report(k))
+    worst_value, report = worst
     return CertificateResult(
         passed=worst_value <= tol,
         samples=samples,
         tolerance=tol,
         seed=seed,
         max_abs_gap=worst_value,
-        worst=worst_report,
+        worst=report,
     )
 
 
@@ -396,12 +612,10 @@ def reference_table(tol: float | None = None) -> list[ReferenceRow]:
     if tol is not None and not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}.")
     phi = gm.point_state(gm.quantum(2), 0)
-    ex1 = run_scenario(Scenario(rl.power_rule(1.5), phi, 1.0, 0.0, 0.5,
-                                mode=STEERED_UNIFORM))
-    ex2_sym = run_scenario(Scenario(rl.piecewise_quadratic_rule(), phi,
-                                    0.3, 0.7, 0.5))
-    ex2_asym = run_scenario(Scenario(rl.piecewise_quadratic_rule(), phi,
-                                     0.2, 0.4, 0.5))
+    ex1, ex2_sym, ex2_asym = run_scenarios([
+        Scenario(rl.power_rule(1.5), phi, 1.0, 0.0, 0.5, mode=STEERED_UNIFORM),
+        Scenario(rl.piecewise_quadratic_rule(), phi, 0.3, 0.7, 0.5),
+        Scenario(rl.piecewise_quadratic_rule(), phi, 0.2, 0.4, 0.5)])
     rows = [
         ReferenceRow("example1.P1", ex1.prob_1, 0.5, 1e-3),
         ReferenceRow("example1.P2", ex1.prob_2, 0.5 ** 1.5, 1e-3),

@@ -11,14 +11,18 @@ purifier-side measurement whose outcomes prepare exactly that decomposition
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import models as gm
 from .errors import (
+    ContractError,
     MarginalMismatchError,
     ModelMismatchError,
+    NotNormalizedError,
     NotPureError,
+    OutsideConeError,
     RankDeficitError,
     UnsupportedModelError,
 )
@@ -37,6 +41,30 @@ class SteeringMeasurement:
     ensemble: gm.Ensemble
 
 
+class _Steered(NamedTuple):
+    """Stacked outcome of steering ``n`` joint states with ``S`` effects
+    each: the subnormalized B conditionals ``subs`` and, per outcome kept
+    (probability at least the drop threshold), its normalized weight and
+    checked conditional state; other slots hold weight 0 and a placeholder
+    state."""
+
+    subs: np.ndarray      # (n, S, d, d)
+    keep: np.ndarray      # (n, S)
+    weights: np.ndarray   # (n, S)
+    matrices: np.ndarray  # (n, S, d, d)
+    coeffs: np.ndarray    # (n, S, d*d)
+    pure: np.ndarray      # (n, S)
+
+    def ensemble(self, model: gm.SystemModel, i: int) -> gm.Ensemble:
+        """Member ``i``'s ensemble of kept outcomes, as ``steer`` builds it."""
+        kept = self.keep[i]
+        weights = self.weights[i][kept]
+        weights.flags.writeable = False
+        return gm.Ensemble(weights, tuple(gm._states(
+            model, self.matrices[i][kept], self.coeffs[i][kept],
+            self.pure[i][kept])))
+
+
 def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteState:
     """Pure joint state whose second marginal is ``omega``.
 
@@ -50,28 +78,51 @@ def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteStat
         raise UnsupportedModelError(
             "Classical mixed states have no purification; steering scenarios "
             "require a quantum model.")
-    eigvals, eigvecs = np.linalg.eigh(omega.matrix)
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-    rank = int(np.sum(eigvals > RANK_TOL))
-    dim_a = rank if purifier_dim is None else int(purifier_dim)
-    if dim_a < rank:
-        raise ValueError(f"Purifier dimension {dim_a} is below rank {rank}.")
-    dim_a = max(dim_a, 2)  # systems have at least two levels
+    dims = None if purifier_dim is None else np.array([int(purifier_dim)])
+    amplitudes = _purify(omega.matrix[None], dims)[0]
+    return gm.BipartiteState(gm.quantum(len(amplitudes)), omega.model,
+                             amplitudes.reshape(-1))
 
-    amplitudes = np.zeros((dim_a, omega.model.size), dtype=complex)
-    for k in range(rank):
-        vec = gm._fix_phase(eigvecs[:, k])
-        amplitudes[k] = np.sqrt(eigvals[k]) * vec
-    model_a = gm.quantum(dim_a)
-    psi = gm.bipartite_from_ket(model_a, omega.model, amplitudes.reshape(-1))
 
-    reduced = (amplitudes.conj().T @ amplitudes).T
-    roundtrip = np.max(np.abs(reduced - omega.matrix))
-    if roundtrip > STEERING_TOL:
-        raise AssertionError(f"Purification marginal residual {roundtrip}.")
-    return psi
+def _purify(matrices: np.ndarray, purifier_dims=None) -> np.ndarray:
+    """Purifications of an ``(n, d, d)`` stack of density matrices.
+
+    ``purifier_dims`` holds each one's requested purifier dimension (None:
+    its rank); all share dimension max(2, largest request). Returns the
+    ``(n, dim_a, d)`` joint matrices, read-only: row k is the k-th
+    eigenvector, phase-fixed, times the square root of its eigenvalue, in
+    descending order, with rows at or below RANK_TOL zero.
+    """
+    eigvals, eigvecs = np.linalg.eigh(matrices)
+    n, d = eigvals.shape
+    order = (-eigvals).argsort(axis=-1, kind="stable")
+    items = np.arange(n)[:, None]
+    eigvals = np.maximum(eigvals[items, order], 0.0)
+    rows = eigvecs.swapaxes(-1, -2)[items, order]  # row k: eigenvector k
+    rank = (eigvals > RANK_TOL).sum(axis=-1)
+    dims = rank if purifier_dims is None else purifier_dims
+    if np.count_nonzero(dims < rank):
+        gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
+                 dims < rank, dims, rank)
+    dim_a = max(int(dims.max()), 2)
+    top = min(dim_a, d)
+    amplitudes = np.zeros((n, dim_a, d), dtype=complex)
+    amplitudes[:, :top] = (np.sqrt(eigvals[:, :top])[..., None]
+                           * gm._fix_phase(rows[:, :top]))
+    if np.count_nonzero(rank < top):
+        amplitudes[np.arange(top) >= rank[:, None]] = 0.0
+    norm = gm._norm(amplitudes.reshape(n, -1))
+    if np.count_nonzero(abs(norm - 1.0) > gm.LINEAR_TOL):
+        gm._fail(NotNormalizedError, "Joint norm is {}, expected 1.",
+                 abs(norm - 1.0) > gm.LINEAR_TOL, norm)
+    amplitudes.flags.writeable = False
+
+    reduced = (amplitudes.conj().swapaxes(-1, -2) @ amplitudes).swapaxes(-1, -2)
+    roundtrip = abs(reduced - matrices).max(axis=(-2, -1))
+    if np.count_nonzero(roundtrip > STEERING_TOL):
+        gm._fail(ContractError, "Purification marginal residual {}.",
+                 roundtrip > STEERING_TOL, roundtrip)
+    return amplitudes
 
 
 def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
@@ -94,28 +145,33 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
         return gm.Ensemble(weights / weights.sum(),
                            tuple(s for _, s in members))
 
-    return _steer_quantum(psi, alice)[1]
+    effects = np.stack([e.matrix for e in alice.effects])[None]
+    live = np.ones(effects.shape[:2], dtype=bool)
+    return _steer(psi.model_b, psi.joint_matrix[None], effects, live
+                  ).ensemble(psi.model_b, 0)
 
 
-def _steer_quantum(psi: gm.BipartiteState, alice: gm.Measurement):
-    """Subnormalized B conditionals of every outcome, and their ensemble."""
-    m = psi.joint_matrix
-    subs = [(m.conj().T @ effect.matrix @ m).T for effect in alice.effects]
-    members = []
-    for sub in subs:
-        if sub.shape[0] == 2:
-            prob = sub[0, 0].real + sub[1, 1].real
-        else:
-            prob = float(np.trace(sub).real)
-        if prob < _DROP_TOL:
-            continue
-        members.append((prob, gm.state_from_matrix(psi.model_b, sub / prob)))
-    if not members:
-        raise AssertionError("All outcomes had zero probability.")
-    weights = np.array([w for w, _ in members])
-    weights = weights / weights.sum()
-    weights.flags.writeable = False
-    return subs, gm.Ensemble(weights, tuple(s for _, s in members))
+def _steer(model_b: gm.SystemModel, joints: np.ndarray, effects: np.ndarray,
+           live: np.ndarray) -> _Steered:
+    """Steer ``n`` joint matrices ``(n, A, d)`` with ``(n, S, A, A)``
+    effect stacks, of which ``live`` ``(n, S)`` are the measurements'."""
+    subs = (joints.conj().swapaxes(-1, -2)[:, None] @ effects
+            @ joints[:, None]).swapaxes(-1, -2)
+    if model_b.size == 2:
+        probs = subs[..., 0, 0].real + subs[..., 1, 1].real
+    else:
+        probs = np.trace(subs, axis1=-2, axis2=-1).real
+    keep = live & ~(probs < _DROP_TOL)
+    kept = keep.any(axis=1)
+    if np.count_nonzero(kept) < len(kept):
+        gm._fail(ContractError, "All outcomes had zero probability.", ~kept)
+    weights = np.where(keep, probs, 0.0)
+    conditionals = subs / np.where(keep, probs, 1.0)[..., None, None]
+    if np.count_nonzero(keep) < keep.size:  # a valid stand-in for the rest
+        conditionals[~keep] = np.eye(model_b.size) / model_b.size
+    matrices, coeffs, pure, _ = gm._check_states(model_b, conditionals)
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    return _Steered(subs, keep, weights, matrices, coeffs, pure)
 
 
 def synthesize_steering_measurement(psi: gm.BipartiteState,
@@ -133,81 +189,152 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     """
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")
-    weights = target.weights
     states = target.states
+    kets = np.stack([gm.pure_ket(s) if s.pure else np.eye(1, s.model.size)[0]
+                     for s in states])
+    joints = psi.joint_matrix[None]
+    weights = target.weights[None]
+    members = np.stack([s.matrix for s in states])[None]
+    present = np.ones((1, len(states)), dtype=bool)
+    effects, covectors, live = _synthesize(
+        psi.model_a, joints, weights, members, kets[None].astype(complex),
+        np.array([[s.pure for s in states]]), present)
+    steered = _steer(psi.model_b, joints, effects, live)
+    _check_targets(steered.subs, weights, members, present)
+    alice = gm.Measurement(tuple(
+        gm.Effect(psi.model_a, c, m)
+        for m, c, on in zip(effects[0], covectors[0], live[0]) if on))
+    return SteeringMeasurement(alice, steered.ensemble(psi.model_b, 0))
 
-    m = psi.joint_matrix
-    marginal_b = (m.conj().T @ m).T
-    avg = weights[0] * states[0].matrix
-    for w, s in zip(weights[1:], states[1:]):
-        avg = avg + w * s.matrix
-    residual = float(np.max(np.abs(avg - marginal_b)))
-    if residual > 1e-9:
-        raise MarginalMismatchError(
-            f"Target ensemble averages {residual} away from the B marginal.")
 
-    dim_a = psi.model_a.size
-    if len(target) > dim_a:
-        raise RankDeficitError(
-            f"Target has {len(target)} members but the purifier has "
-            f"dimension {dim_a}; re-purify with purifier_dim >= {len(target)}.",
-            required_dimension=len(target))
+def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
+                weights: np.ndarray, members: np.ndarray, kets: np.ndarray,
+                pure: np.ndarray, present: np.ndarray):
+    """Synthesize the steering measurements of ``n`` joint states.
+
+    ``joints`` is ``(n, A, d)``; each target has ``K`` member slots: weights
+    ``(n, K)``, matrices ``(n, K, d, d)``, kets ``(n, K, d)`` and purity.
+    A slot that is not ``present`` must have weight 0 and a unit ket; it
+    gets the zero effect. Returns ``(effects, covectors, live)`` with
+    ``K + 1`` effect slots, the last one the deficit effect where it is
+    ``live``. :func:`_check_targets` checks what they steer to.
+    """
+    n, dim_a, _ = joints.shape
+    slots = weights.shape[1]
+    marginal_b = (joints.conj().swapaxes(-1, -2) @ joints).swapaxes(-1, -2)
+    avg = weights[:, 0, None, None] * members[:, 0]
+    for k in range(1, slots):
+        avg = avg + weights[:, k, None, None] * members[:, k]
+    residual = abs(avg - marginal_b).max(axis=(-2, -1))
+    if np.count_nonzero(residual > 1e-9):
+        gm._fail(MarginalMismatchError,
+                 "Target ensemble averages {} away from the B marginal.",
+                 residual > 1e-9, residual)
+    if slots > dim_a:
+        count = present.sum(axis=1)
+        if np.count_nonzero(count > dim_a):
+            i = int(np.argmax(count > dim_a))
+            exc = RankDeficitError(
+                f"Target has {count[i]} members but the purifier has "
+                f"dimension {dim_a}; re-purify with purifier_dim >= "
+                f"{count[i]}.", required_dimension=int(count[i]))
+            exc.index = i
+            raise exc
+    if np.count_nonzero(present & ~pure):
+        gm._fail(NotPureError,
+                 "Steering targets must decompose into pure states.",
+                 (present & ~pure).any(axis=1))
 
     # Schmidt form: amplitudes = sum_k s_k |u_k>_A |w_k>_B where u_k are the
     # left singular vectors and w_k[b] = vh[k, b] (the conjugated right ones).
-    u, svals, vh = np.linalg.svd(psi.joint_matrix)
-    rank = int(np.sum(svals > 1e-12))
-    u = u[:, :rank]
-    svals = svals[:rank]
-    schmidt_b = vh[:rank].T  # (dim_b, rank), column k is w_k
+    u, svals, vh = np.linalg.svd(joints)
+    rank = (svals > 1e-12).sum(axis=-1)
+    alphas = np.empty((n, slots, dim_a), dtype=complex)
+    support = np.empty((n, dim_a, dim_a), dtype=complex)
+    roots = np.sqrt(weights)[..., None]
+    for r, rows in gm._groups(rank):  # the Schmidt slices differ per rank
+        u_r, s_r, vh_r = u[rows][..., :r], svals[rows][:, None, :r], vh[rows][:, :r]
+        root, ket = roots[rows], kets[rows]
+        beta = root * (vh_r.conj()[:, None] @ ket[..., None])[..., 0]
+        rebuilt = (vh_r.swapaxes(-1, -2)[:, None] @ beta[..., None])[..., 0]
+        off = (gm._norm(root * ket - rebuilt) > 1e-8) & present[rows]
+        if np.count_nonzero(off):
+            with gm._blame(rows):
+                gm._fail(MarginalMismatchError,
+                         "Target member leaves the support of the B marginal.",
+                         off.any(axis=1))
+        alphas[rows] = (u_r[:, None] @ (beta.conj() / s_r)[..., None])[..., 0]
+        support[rows] = u_r @ u_r.conj().swapaxes(-1, -2)
+    outer = alphas[..., :, None] * alphas.conj()[..., None, :]
 
-    effects = []
-    for lam, member in zip(weights, states):
-        if not member.pure:
-            raise NotPureError("Steering targets must decompose into pure states.")
-        ket = gm.pure_ket(member)
-        beta = np.sqrt(lam) * (schmidt_b.conj().T @ ket)  # <w_k|ket>
-        rebuilt = schmidt_b @ beta
-        if np.linalg.norm(np.sqrt(lam) * ket - rebuilt) > 1e-8:
-            raise MarginalMismatchError(
-                "Target member leaves the support of the B marginal.")
-        alpha = u @ (beta.conj() / svals)
-        effects.append(gm.effect_from_matrix(psi.model_a,
-                                             np.outer(alpha, alpha.conj())))
-
-    total = np.sum([e.matrix for e in effects], axis=0)
-    deficit = np.eye(dim_a, dtype=complex) - total
-    # Split the deficit into the genuine part (orthogonal to the Schmidt
+    # Split the deficit of the members' effects (symmetrized, as the check
+    # leaves them) into the genuine part (orthogonal to the Schmidt
     # support, nonzero when the purifier exceeds the rank) and conditioning
     # noise, which is folded back into the heaviest element so the
     # completeness identity holds at linear tolerance.
-    support = u @ u.conj().T
-    complement = np.eye(dim_a, dtype=complex) - support
+    symmetric = 0.5 * (outer + gm._dagger(outer))
+    total = symmetric[:, 0]
+    for k in range(1, slots):
+        total = total + symmetric[:, k]
+    eye = gm._eye(dim_a)
+    deficit = eye - total
+    complement = eye - support
     genuine = complement @ deficit @ complement
-    noise = deficit - genuine
-    if np.max(np.abs(genuine)) <= STEERING_TOL:
-        noise = deficit
-        genuine = None
-    if np.max(np.abs(noise)) > 0:
-        heavy = int(np.argmax(weights))
-        effects[heavy] = gm.effect_from_matrix(
-            psi.model_a, effects[heavy].matrix + noise)
-    if genuine is not None:
-        rho_a = gm.marginal(psi, "A").matrix
-        leak = float(np.max(np.abs(genuine @ rho_a)))
-        if leak > STEERING_TOL:
-            raise AssertionError(
-                f"Deficit effect overlaps the A marginal by {leak}.")
-        effects.append(gm.effect_from_matrix(psi.model_a, genuine))
+    has_genuine = abs(genuine).max(axis=(-2, -1)) > STEERING_TOL
+    noise = deficit
+    if np.count_nonzero(has_genuine):
+        noise = np.where(has_genuine[:, None, None], deficit - genuine, deficit)
+    fold = abs(noise).max(axis=(-2, -1)) > 0
+    heavy = (np.arange(n), np.argmax(weights, axis=1))
+    # One check covers the members' effects, the heaviest with the noise
+    # folded in (used where there is noise) and the genuine deficit (used
+    # where it is above STEERING_TOL, and always a valid effect).
+    checked, checked_cov = gm._check_effects(model_a, np.concatenate(
+        [outer, (symmetric[heavy] + noise)[:, None], genuine[:, None]], axis=1))
+    kept = [*range(slots), slots + 1]
+    effects, covectors = checked[:, kept], checked_cov[:, kept]
+    if np.count_nonzero(fold):
+        effects[heavy[0][fold], heavy[1][fold]] = checked[fold, slots]
+        covectors[heavy[0][fold], heavy[1][fold]] = checked_cov[fold, slots]
+    if np.count_nonzero(has_genuine) < n:
+        effects[~has_genuine, slots] = 0.0
+        covectors[~has_genuine, slots] = 0.0
+    if np.count_nonzero(has_genuine):
+        with_deficit = np.flatnonzero(has_genuine)
+        joint = joints[with_deficit]
+        with gm._blame(with_deficit):
+            rho_a = gm._check_states(
+                model_a, joint @ joint.conj().swapaxes(-1, -2))[0]
+            leak = abs(genuine[with_deficit] @ rho_a).max(axis=(-2, -1))
+            if np.count_nonzero(leak > STEERING_TOL):
+                gm._fail(ContractError,
+                         "Deficit effect overlaps the A marginal by {}.",
+                         leak > STEERING_TOL, leak)
+    live = np.concatenate([present, has_genuine[:, None]], axis=1)
 
-    alice = gm.measurement(effects)
-    subs, steered = _steer_quantum(psi, alice)
-    for i, (lam, member) in enumerate(zip(weights, states)):
-        residual = float(np.max(np.abs(subs[i] - lam * member.matrix)))
-        if residual > STEERING_TOL:
-            raise AssertionError(
-                f"Steered conditional {i} deviates by {residual}.")
-    return SteeringMeasurement(alice, steered)
+    total = covectors[:, 0]
+    for k in range(1, slots + 1):
+        total = total + covectors[:, k]
+    residual = abs(total - model_a.unit_covector).max(axis=-1)
+    if np.count_nonzero(residual > gm.LINEAR_TOL):
+        gm._fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
+                 residual > gm.LINEAR_TOL, residual)
+    effects.flags.writeable = covectors.flags.writeable = False
+    return effects, covectors, live
+
+
+def _check_targets(subs: np.ndarray, weights: np.ndarray,
+                   members: np.ndarray, present: np.ndarray) -> None:
+    """Each synthesized measurement's subnormalized conditionals ``subs``
+    must equal its target's weighted members within STEERING_TOL."""
+    residual = abs(subs[:, :weights.shape[1]]
+                   - weights[..., None, None] * members).max(axis=(-2, -1))
+    bad = present & (residual > STEERING_TOL)
+    if np.count_nonzero(bad):
+        first = (np.arange(len(bad)), bad.argmax(axis=1))
+        position = np.cumsum(present, axis=1) - 1  # index among the members
+        gm._fail(ContractError, "Steered conditional {} deviates by {}.",
+                 bad.any(axis=1), position[first], residual[first])
 
 
 def marginal_residual(ens_1: gm.Ensemble, ens_2: gm.Ensemble) -> float:
@@ -220,6 +347,14 @@ def marginal_residual(ens_1: gm.Ensemble, ens_2: gm.Ensemble) -> float:
     """
     if ens_1.states[0].model != ens_2.states[0].model:
         raise ModelMismatchError("Ensembles live on different models.")
-    avg_1 = ens_1.weights @ np.stack([s.coeffs for s in ens_1.states])
-    avg_2 = ens_2.weights @ np.stack([s.coeffs for s in ens_2.states])
-    return float(np.max(np.abs(avg_1 - avg_2)))
+    return float(_marginal_residuals(
+        ens_1.weights, np.stack([s.coeffs for s in ens_1.states]),
+        ens_2.weights, np.stack([s.coeffs for s in ens_2.states])))
+
+
+def _marginal_residuals(weights_1, coeffs_1, weights_2, coeffs_2):
+    """Rowwise :func:`marginal_residual` of stacked ensembles: weights
+    ``(..., K)`` and member coefficients ``(..., K, m)`` for each side."""
+    avg_1 = (weights_1[..., None, :] @ coeffs_1)[..., 0, :]
+    avg_2 = (weights_2[..., None, :] @ coeffs_2)[..., 0, :]
+    return np.abs(avg_1 - avg_2).max(axis=-1)

@@ -50,25 +50,34 @@ def _require_same_model(a: gm.State, b: gm.State) -> None:
 def orthonormal_completion(ket: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the orthocomplement of ``ket``.
 
-    Returns a (d-1, d) array; rows are obtained by Gram-Schmidt over the
-    computational basis, skipping the direction absorbed by ``ket``
-    (closed form for qubits).
+    Returns a (d-1, d) array, or ``(..., d-1, d)`` for a ``(..., d)`` stack
+    of kets; rows are obtained by Gram-Schmidt over the computational
+    basis, skipping the direction absorbed by ``ket`` (closed form for
+    qubits).
     """
-    d = ket.shape[0]
+    d = ket.shape[-1]
     if d == 2:
-        return np.array([[-ket[1].conjugate(), ket[0].conjugate()]])
-    rows = [ket]
+        rows = np.empty(ket.shape[:-1] + (1, 2), dtype=complex)
+        rows[..., 0, 0] = -ket[..., 1].conjugate()
+        rows[..., 0, 1] = ket[..., 0].conjugate()
+        return rows
+    kets = ket.reshape(-1, d)
+    rows = np.zeros((len(kets), d, d), dtype=complex)
+    rows[:, 0] = kets
+    count = np.ones(len(kets), dtype=int)  # rows filled so far
     for j in range(d):
-        cand = np.zeros(d, dtype=complex)
-        cand[j] = 1.0
-        for r in rows:
-            cand = cand - r * np.vdot(r, cand)
-        norm = np.linalg.norm(cand)
-        if norm > 0.5 / np.sqrt(d):  # at most one basis vector collapses
-            rows.append(cand / norm)
-        if len(rows) == d:
-            break
-    return np.stack(rows[1:], axis=0)
+        cand = np.zeros((len(kets), d), dtype=complex)
+        cand[:, j] = 1.0
+        for r in range(d - 1):
+            row = rows[:, r]
+            overlap = (np.conj(row)[:, None, :] @ cand[:, :, None])[:, 0]
+            cand = np.where((r < count)[:, None], cand - row * overlap, cand)
+        norm = gm._norm(cand)
+        # at most one basis vector collapses; full bases take no more rows
+        take = (norm > 0.5 / np.sqrt(d)) & (count < d)
+        rows[take, count[take]] = cand[take] / norm[take, None]
+        count = count + take
+    return rows[:, 1:].reshape(*ket.shape[:-1], d - 1, d)
 
 
 def accept_effect(phi: gm.State) -> gm.Effect:
@@ -133,17 +142,40 @@ def state_with_tau(model: gm.SystemModel, phi: gm.State, p: float,
     ket = gm.pure_ket(phi)
     if p == 1.0:
         return phi
-    completion = orthonormal_completion(ket)
-    if p == 0.0:
-        return gm.ket_state(model, completion[0])
+    draws = np.ones(model.size - 1, dtype=complex)
+    if p != 0.0:
+        rng = np.random.default_rng(seed) if not isinstance(
+            seed, np.random.Generator) else seed
+        draws = _tau_draws(rng, model.size - 1, 1)[0]
+    return gm.ket_state(model, _kets_with_tau(ket, p, draws))
 
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
-    weights = rng.normal(size=model.size - 1) + 1j * rng.normal(size=model.size - 1)
-    residual = weights @ completion
-    residual = residual / np.linalg.norm(residual)
-    psi_ket = np.sqrt(p) * ket + np.sqrt(1.0 - p) * residual
-    return gm.ket_state(model, psi_ket / np.linalg.norm(psi_ket))
+
+def _tau_draws(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """``(count, size)`` complex residual weights for ``count`` states with
+    an intermediate overlap, drawn one state after another: real parts,
+    then imaginary parts."""
+    pairs = rng.normal(size=2 * size * count).reshape(count, 2, size)
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
+def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:
+    """Unit kets with overlap ``p`` with each of the ``(..., d)`` ``kets``.
+
+    p = 0 gives the first row of the orthonormal completion, exactly;
+    otherwise the completion is weighted by ``draws`` (``(..., d-1)``) into
+    a unit residual direction, mixed in with weight sqrt(1 - p). p = 1
+    (the reference itself) is left to the caller.
+    """
+    p = np.asarray(p, dtype=float)
+    completion = orthonormal_completion(kets)
+    residual = (draws[..., None, :] @ completion)[..., 0, :]
+    residual = residual / gm._norm(residual)[..., None]
+    psi = (np.sqrt(p)[..., None] * kets
+           + np.sqrt(1.0 - p)[..., None] * residual)
+    psi = psi / gm._norm(psi)[..., None]
+    if np.count_nonzero(p == 0.0):
+        psi = np.where((p == 0.0)[..., None], completion[..., 0, :], psi)
+    return psi
 
 
 # ----------------------------------------------------------------------------
@@ -184,12 +216,20 @@ def great_circle_states(phi: gm.State, count: int,
 
 
 def _deterministic_orthogonal(m: np.ndarray) -> np.ndarray:
+    """Unit vector orthogonal to the unit ``m``, or one per row of a
+    ``(..., 3)`` stack: the first coordinate axis at more than 30 degrees
+    from it (one always is), with its component along m removed."""
+    out = np.zeros(m.shape)
+    found = np.zeros(m.shape[:-1], dtype=bool)
     for axis in np.eye(3):
-        cand = axis - (axis @ m) * m
-        norm = np.linalg.norm(cand)
-        if norm > 0.5:
-            return cand / norm
-    raise AssertionError("unreachable: some axis is at angle > 30deg from m")
+        axis = np.broadcast_to(axis, m.shape)
+        cand = axis - gm._dot(axis, m)[..., None] * m
+        norm = gm._norm(cand)
+        take = ~found & (norm > 0.5)
+        out = np.where(take[..., None],
+                       cand / np.where(take, norm, 1.0)[..., None], out)
+        found = found | take
+    return out
 
 
 def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,

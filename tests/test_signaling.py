@@ -1,11 +1,16 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptsim import models as gm
 from gptsim import rules as rl
 from gptsim import signaling as sg
 from gptsim import steering as ss
-from gptsim.errors import UnsupportedModelError
+from gptsim.errors import ContractError, OutsideConeError, UnsupportedModelError
 
 QUBIT = gm.quantum(2)
 PHI = gm.point_state(QUBIT, 0)
@@ -164,6 +169,131 @@ def test_report_serializes():
     assert data["P1"] == report.prob_1
     assert "ensemble_1" in data and "scenario" in data
     assert isinstance(report.to_json(), str)
+
+
+# ---------------------------------------------------------------------------
+# run_scenarios: a batch runs as its scenarios would one by one
+# ---------------------------------------------------------------------------
+
+# Rules with a finite slope everywhere: a steep rule amplifies round-off
+# past the 1e-12 closed-form contract (see the failure test below).
+SMOOTH_RULES = (rl.identity_rule(), rl.power_rule(1.5), rl.power_rule(2.5),
+                rl.piecewise_quadratic_rule())
+
+
+@st.composite
+def scenarios(draw):
+    d = draw(st.sampled_from([2, 2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+    phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
+    overlap = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    p1, p2 = draw(overlap), draw(overlap)
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                         st.floats(0.05, 0.95)))
+    if draw(st.booleans()):
+        # orthogonal members at nearly equal weight: a near-degenerate
+        # average state
+        p1, p2 = 1.0, 0.0
+        lam = 0.5 + draw(st.sampled_from([0.0, 1e-12, 1e-9, -1e-9]))
+    mode = sg.TRIVIAL_AVERAGE
+    if d == 2 and draw(st.booleans()):
+        mode = sg.STEERED_UNIFORM
+    return sg.Scenario(draw(st.sampled_from(SMOOTH_RULES)), phi, p1, p2, lam,
+                       mode=mode, seed=draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.lists(scenarios(), min_size=1, max_size=8))
+def test_batch_equals_single_runs(batch):
+    singles = [sg.run_scenario(s) for s in batch]
+    for one, many in zip(singles, sg.run_scenarios(batch)):
+        assert many.scenario is one.scenario
+        for field in ("prob_1", "prob_2", "gap"):
+            assert getattr(many, field).hex() == getattr(one, field).hex()
+        assert many.to_json() == one.to_json()
+
+
+def test_batch_failure_names_its_scenario():
+    # A rule rising by 0.2 over [0, 1e-5] turns round-off in a zero
+    # overlap into a 3e-12 closed-form deviation for this scenario.
+    steep = rl.tabulated_rule([[0, 0], [1e-5, 0.2], [0.5, 0.6], [1, 1]])
+    rng = np.random.default_rng(35)
+    ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+    bad = sg.Scenario(steep, gm.ket_state(QUBIT, ket / np.linalg.norm(ket)),
+                      1.0, 0.0, 0.3, seed=35)
+    fine = [sg.Scenario(rl.power_rule(1.5), PHI, 0.1 * i, 0.7, 0.4, seed=i,
+                        mode=(sg.STEERED_UNIFORM, sg.TRIVIAL_AVERAGE)[i % 2])
+            for i in range(5)]
+    named = json.dumps(bad.to_dict(), sort_keys=True)
+    for k in (0, 2, 5):
+        with pytest.raises(ContractError) as info:
+            sg.run_scenarios(fine[:k] + [bad] + fine[k:])
+        assert info.value.index == k
+        assert info.value.scenario is bad
+        assert str(info.value).startswith(
+            f"Scenario {k} of the batch {named}: Pipeline deviates from the "
+            f"closed form by ")
+
+
+def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
+    # Certificate seed 1555123228 draws a near-pure mixture at sample 609
+    # (lambda = 0.99994): its folded effect's spectrum reaches 1 + 1.2e-9.
+    # The certificate's batch fails there, and the failure also surfaces
+    # from run_scenario on that scenario, where a per-scenario wrapper (the
+    # benchmark's defect probe) finds it.
+    real = sg.run_scenario
+    raised = []
+
+    def catching(scenario):
+        try:
+            return real(scenario)
+        except Exception:
+            raised.append(scenario)
+            raise
+
+    monkeypatch.setattr(sg, "run_scenario", catching)
+    with pytest.raises(OutsideConeError) as info:
+        sg.affinity_certificate(rl.identity_rule(), samples=1000,
+                                seed=1555123228)
+    assert info.value.index == 609
+    assert str(info.value).startswith("Scenario 609 of the batch {")
+    assert raised == [info.value.scenario]
+    assert raised[0].lam == pytest.approx(0.99994, abs=1e-5)
+
+
+def test_batch_reports_match_per_scenario_pipeline():
+    # sha256 of these 48 reports' JSON, recorded from the per-scenario
+    # pipeline the batch replaced (numpy 2.4, OpenBLAS 0.3.31): the batch
+    # keeps its arithmetic call for call, so every bit of every report,
+    # ensembles and residuals included, is unchanged.
+    rng = np.random.default_rng(2026)
+    rules = (rl.identity_rule(), rl.power_rule(1.5), rl.power_rule(2.5),
+             rl.piecewise_quadratic_rule(),
+             rl.tabulated_rule([[0, 0], [0.3, 0.1], [0.6, 0.7], [1, 1]]))
+    batch = []
+    for i in range(48):
+        d = (2, 2, 2, 3, 4)[i % 5]
+        ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
+        p1, p2, lam = (float(x) for x in rng.random(3))
+        if i % 6 == 1:
+            lam = float(i % 4 // 2)
+        elif i % 6 == 2:
+            p1, p2 = float(i % 4 // 2), float(i % 8 // 4)
+        mode = sg.STEERED_UNIFORM if d == 2 and i % 2 else sg.TRIVIAL_AVERAGE
+        batch.append(sg.Scenario(rules[i % 5], phi, p1, p2, lam, mode=mode,
+                                 seed=int(rng.integers(2**31))))
+    text = "\n".join(r.to_json() for r in sg.run_scenarios(batch))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "beb39236bb1ee7e0ac31fe2a113e0529df927cd8ec9e2e95da8acbd70b6ec4f9")
+
+
+def test_certificate_worst_witness_is_its_single_run():
+    cert = sg.affinity_certificate(rl.power_rule(1.5), samples=200, tol=1e-3,
+                                   seed=8)
+    assert cert.worst.to_json() == sg.run_scenario(cert.worst.scenario).to_json()
+    assert cert.max_abs_gap == abs(cert.worst.gap)
 
 
 # ---------------------------------------------------------------------------
