@@ -1,17 +1,25 @@
 """Exception hierarchy shared by all gptsim modules."""
 
+import json
+
 
 class GptError(Exception):
     """Base class for all errors raised by gptsim.
 
-    A check over a stack of objects sets ``index`` to the leading-axis
-    position of the first one that failed. An error from a scenario batch
-    also carries that ``scenario``, its ``index`` is the scenario's position
-    in the batch, and its message names both.
+    An error from a scenario batch names the first scenario of the batch
+    that fails when run alone: ``index`` is its position in the batch and
+    ``scenario`` the scenario, and the message starts with both.
     """
 
     index = None
     scenario = None
+
+    def __str__(self):
+        message = super().__str__()
+        if self.scenario is None:
+            return message
+        named = json.dumps(self.scenario.to_dict(), sort_keys=True)
+        return f"Scenario {self.index} of the batch {named}: {message}"
 
 
 class ModelMismatchError(GptError):

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     EmptyEnsembleError,
-    GptError,
     ModelMismatchError,
     NotNormalizedError,
     NotPureError,
@@ -241,16 +240,10 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fail(error: type, message, bad: np.ndarray, *values):
-    """Raise ``error`` for the first True entry of ``bad``.
-
-    ``message`` is formatted with each of ``values`` read at that entry;
-    the error's ``index`` is the entry's leading-axis position, or None for
-    an unstacked check.
-    """
+    """Raise ``error`` for the first True entry of ``bad``, its ``message``
+    formatted with each of ``values`` read at that entry."""
     at = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
-    exc = error(message.format(*(np.asarray(v)[at] for v in values)))
-    exc.index = int(at[0]) if at else None
-    raise exc
+    raise error(message.format(*(np.asarray(v)[at] for v in values)))
 
 
 def _qubit_parts(matrices: np.ndarray):
@@ -365,24 +358,6 @@ def _states(model: SystemModel, matrices, coeffs, pure, kets=None,
     return [State(model, coeffs[i], matrices[i], bool(pure[i]),
                   kets[i] if has_ket is not None and has_ket[i] else None)
             for i in range(len(matrices))]
-
-
-class _blame:
-    """Context mapping the ``index`` of a failure inside a sub-stack, taken
-    as ``stack[rows]``, back to the position in the whole stack (a slice
-    ``rows`` takes the whole stack)."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, traceback):
-        if (isinstance(exc, GptError) and exc.index is not None
-                and not isinstance(self.rows, slice)):
-            exc.index = int(self.rows[exc.index])
-        return False
 
 
 def _groups(values: np.ndarray) -> list:

@@ -319,18 +319,33 @@ def predict_ensemble(rule: ProbabilityRule, ens: gm.Ensemble,
     weight-averaged rule values (law of total probability)."""
     if len(ens) == 0:
         raise EmptyEnsembleError("Cannot predict from an empty ensemble.")
-    for s in ens.states:
-        if not s.pure:
-            raise NotPureError(
-                "Ensemble-knowledge prediction needs pure members; "
-                "use predict_average for an unresolved mixed state.")
     accept = tr.accept_effect(phi)
     taus = np.array([gm.evaluate(accept, s) for s in ens.states])
-    return float(ens.weights @ eval_rule(rule, taus))
+    mixed = np.array([not s.pure for s in ens.states])
+    return float(_predict(rule, ens.weights[None], taus[None], mixed[None])[0])
 
 
 def predict_average(rule: ProbabilityRule, omega: gm.State,
                     phi: gm.State) -> float:
     """Prediction from the average state alone (no decomposition known):
     the rule applied to the mixed-state overlap."""
-    return eval_rule(rule, tr.mixed_tau(omega, phi))
+    lone = np.ones((1, 1))
+    return float(_predict(rule, lone, np.array([[tr.mixed_tau(omega, phi)]]),
+                          np.zeros((1, 1), dtype=bool))[0])
+
+
+def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
+             mixed: np.ndarray) -> np.ndarray:
+    """Predictions of a stack of ensembles, one per row of ``(n, K)``
+    member weights and overlaps with phi: the weight-averaged rule values.
+
+    ``mixed`` marks the mixed members of known decompositions, which have
+    no prediction. An average state with no decomposition known is a row
+    with one member of weight 1 (other slots of weight 0), whose prediction
+    is the rule at its mixed-state overlap.
+    """
+    if np.count_nonzero(mixed):
+        raise NotPureError(
+            "Ensemble-knowledge prediction needs pure members; "
+            "use predict_average for an unresolved mixed state.")
+    return (weights[:, None, :] @ eval_rule(rule, taus)[..., None])[:, 0, 0]

@@ -123,8 +123,9 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
 
     Each quantity of the pipeline is one stacked array over the batch, and
     every check of a stage is made on the whole stack; each report is
-    bitwise what the scenario gives in a batch of its own. A failing check
-    raises for the first scenario it fails on: the error's ``index`` and
+    bitwise what the scenario gives in a batch of its own. If a check
+    fails, the scenarios are run again one at a time, in order, and the
+    first one that fails alone raises: the error's ``index`` and
     ``scenario`` name it, and so does its message.
     """
     runs = _Runs(list(scenarios))
@@ -146,32 +147,31 @@ class _Runs:
             self._check_models()
             sizes = np.array([s.phi.model.size for s in scenarios])
             for d in sorted(set(sizes.tolist())):
-                rows = np.flatnonzero(sizes == d)
-                with gm._blame(rows):
-                    self._run_group(gm.quantum(d), rows)
+                self._run_group(gm.quantum(d), np.flatnonzero(sizes == d))
         except GptError as exc:
-            if exc.index is not None:
-                exc.scenario = scenarios[exc.index]
-                exc.index += start
-                exc.args = (f"Scenario {exc.index} of the batch "
-                            f"{json.dumps(exc.scenario.to_dict(), sort_keys=True)}"
-                            f": {exc}",)
-            raise
+            index, error = 0, exc
+            if n > 1:  # the first scenario that fails when run alone
+                for index, scenario in enumerate(scenarios):
+                    try:
+                        run_scenario(scenario)
+                    except GptError as alone:
+                        error = alone
+                        break
+                else:
+                    raise
+            error.index, error.scenario = start + index, scenarios[index]
+            raise error from None
         self.gap = self.prob_1 - self.prob_2
 
     def _check_models(self) -> None:
-        for i, s in enumerate(self.scenarios):
-            exc = None
+        for s in self.scenarios:
             if s.phi.model.kind != gm.QUANTUM:
-                exc = UnsupportedModelError(
+                raise UnsupportedModelError(
                     "Signaling scenarios require a quantum model.")
-            elif not s.phi.pure:
-                exc = NotPureError("phi must be a pure state.")
-            elif s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
-                exc = UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
-            if exc is not None:
-                exc.index = i
-                raise exc
+            if not s.phi.pure:
+                raise NotPureError("phi must be a pure state.")
+            if s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
+                raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
 
     def _run_group(self, model: gm.SystemModel, rows: np.ndarray) -> None:
         """Run the scenarios ``rows``, all on ``model``.
@@ -209,8 +209,7 @@ class _Runs:
             members = np.where(is_phi[..., None, None], phi_m[:, None], members)
             pure = pure | is_phi
         if np.count_nonzero(present & ~pure):
-            gm._fail(NotPureError, "Ensemble members must be pure states.",
-                     (present & ~pure).any(axis=1))
+            raise NotPureError("Ensemble members must be pure states.")
 
         # The average state (a lone member is its own) and its purification.
         average = (weights[:, 0, None, None] * members[:, 0]
@@ -227,12 +226,10 @@ class _Runs:
         trivial = np.flatnonzero(~steered)
         targets = np.concatenate([np.arange(n), uniform])
         if len(uniform):
-            with gm._blame(uniform):
-                u_members, _, u_pure, _ = gm._check_states(
-                    model, _uniform_members(omega[uniform], phi_m[uniform]))
-                if np.count_nonzero(u_pure) < u_pure.size:
-                    gm._fail(NotPureError, "Ensemble members must be pure states.",
-                             ~u_pure.all(axis=1))
+            u_members, _, u_pure, _ = gm._check_states(
+                model, _uniform_members(omega[uniform], phi_m[uniform]))
+            if np.count_nonzero(u_pure) < u_pure.size:
+                raise NotPureError("Ensemble members must be pure states.")
             m = len(uniform)
             weights = np.concatenate([weights, np.full((m, 2), 0.5)])
             members = np.concatenate([members, u_members])
@@ -240,9 +237,8 @@ class _Runs:
             pure = np.concatenate([pure, u_pure])
             present = np.concatenate([present, np.ones((m, 2), dtype=bool)])
         model_a = gm.quantum(joints.shape[1])
-        with gm._blame(targets):
-            effects, _, live = ss._synthesize(
-                model_a, joints[targets], weights, members, kets, pure, present)
+        effects, _, live = ss._synthesize(
+            model_a, joints[targets], weights, members, kets, pure, present)
 
         # Steered rows: protocol 1 of scenario j at row j, protocol 2 at
         # row n + j, the trivial measurement's or the synthesized one.
@@ -255,27 +251,22 @@ class _Runs:
             effects = np.concatenate([effects[:n], unit])
             live = np.concatenate([live[:n], unit_live])
         both = np.concatenate([np.arange(n), np.arange(n)])
-        with gm._blame(both):
-            steered = ss._steer(model, joints[both], effects, live)
+        steered = ss._steer(model, joints[both], effects, live)
         rows_t = np.concatenate([np.arange(n), n + uniform])
-        with gm._blame(targets):
-            ss._check_targets(steered.subs[rows_t], weights, members, present)
-            mixed = steered.keep[rows_t] & ~steered.pure[rows_t]
-            if np.count_nonzero(mixed):
-                gm._fail(NotPureError,
-                         "Ensemble-knowledge prediction needs pure members; "
-                         "use predict_average for an unresolved mixed state.",
-                         mixed.any(axis=1))
-        with gm._blame(both):
-            taus = gm._pairings(steered.matrices, phi_m[both, None])
-        values = self._rule_values(rows[both], taus)
+        ss._check_targets(steered.subs[rows_t], weights, members, present)
 
-        # Predictions: from the known decomposition, or (trivial protocol 2)
-        # the rule at the average state's overlap.
-        known = (steered.weights[:, None, :] @ values[..., None])[:, 0, 0]
-        prob_1 = known[:n]
-        prob_2 = known[n:].copy()
-        prob_2[trivial] = values[n + trivial, 0]
+        # Predictions: from the known decomposition, or (trivial protocol 2,
+        # the lone unit outcome of weight 1) the rule at the average state's
+        # overlap.
+        accepts = np.array([tr.accept_effect(s.phi).matrix for s in scenarios])
+        taus = gm._pairings(steered.matrices, accepts[both, None])
+        mixed = steered.keep & ~steered.pure
+        mixed[n + trivial] = False
+        known = np.empty(2 * n)
+        for rule, at in self._rule_rows(rows[both]):
+            known[at] = rl._predict(rule, steered.weights[at], taus[at],
+                                    mixed[at])
+        prob_1, prob_2 = known[:n], known[n:]
         marginal = ss._marginal_residuals(
             steered.weights[:n], steered.coeffs[:n],
             steered.weights[n:], steered.coeffs[n:])
@@ -297,16 +288,6 @@ class _Runs:
                      formula > _FORMULA_TOL, formula)
         self.prob_1[rows], self.prob_2[rows] = prob_1, prob_2
         self.marginal[rows], self.formula[rows] = marginal, formula
-
-    def _rule_values(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Each row's scenario rule applied to its row of ``taus``."""
-        groups = self._rule_rows(rows)
-        if len(groups) == 1:
-            return rl.eval_rule(groups[0][0], taus)
-        values = np.empty_like(taus)
-        for rule, at in groups:
-            values[at] = rl.eval_rule(rule, taus[at])
-        return values
 
     def _rule_rows(self, rows: np.ndarray) -> list:
         """(rule, positions in ``rows``) for each distinct rule object."""
@@ -362,7 +343,7 @@ def _uniform_members(omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
     in_plane = r - height[:, None] * m
     radial = gm._norm(in_plane)
     flat = ~(radial > 1e-12)
-    w = _cross(m, in_plane / np.where(flat, 1.0, radial)[:, None])
+    w = np.cross(m, in_plane / np.where(flat, 1.0, radial)[:, None])
     if np.count_nonzero(flat):
         w[flat] = tr._deterministic_orthogonal(m[flat])
         in_plane[flat] = 0.0
@@ -377,16 +358,6 @@ def _uniform_members(omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
     blochs[:, 0] = centre + offset
     blochs[:, 1] = centre - offset
     return gm._from_bloch(blochs)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise cross product of ``(n, 3)`` stacks, term for term as
-    ``np.cross``."""
-    out = np.empty(a.shape)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +445,9 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     |gap| stays within tolerance. The worst witness is returned either way.
 
     The scenarios run in batches of up to ``_CERTIFICATE_BATCH``; only the
-    worst witness's report outlives its batch. If a scenario fails a
-    check, it is run again on its own, so that the failure also surfaces
-    from :func:`run_scenario` on it; the error raised names its place among
-    the certificate's samples.
+    worst witness's report outlives its batch. A failing sample surfaces
+    from :func:`run_scenario` on it (see :func:`run_scenarios`), and the
+    error raised names its place among the certificate's samples.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}.")
@@ -501,15 +471,7 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         scenarios = [Scenario(rule, phi, float(p1), float(p2), float(lam),
                               seed=s)
                      for phi, (p1, p2, lam), s in zip(phis, params, seeds)]
-        try:
-            runs = _Runs(scenarios, start)
-        except GptError as exc:
-            if exc.scenario is not None:
-                try:  # it fails alone as well, as a run of its own
-                    run_scenario(exc.scenario)
-                except GptError:
-                    pass
-            raise
+        runs = _Runs(scenarios, start)
         magnitudes = np.abs(runs.gap)
         k = int(np.argmax(magnitudes))
         if worst is None or magnitudes[k] > worst[0]:

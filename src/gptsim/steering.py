@@ -234,12 +234,10 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
         count = present.sum(axis=1)
         if np.count_nonzero(count > dim_a):
             i = int(np.argmax(count > dim_a))
-            exc = RankDeficitError(
+            raise RankDeficitError(
                 f"Target has {count[i]} members but the purifier has "
                 f"dimension {dim_a}; re-purify with purifier_dim >= "
                 f"{count[i]}.", required_dimension=int(count[i]))
-            exc.index = i
-            raise exc
     if np.count_nonzero(present & ~pure):
         gm._fail(NotPureError,
                  "Steering targets must decompose into pure states.",
@@ -259,10 +257,8 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
         rebuilt = (vh_r.swapaxes(-1, -2)[:, None] @ beta[..., None])[..., 0]
         off = (gm._norm(root * ket - rebuilt) > 1e-8) & present[rows]
         if np.count_nonzero(off):
-            with gm._blame(rows):
-                gm._fail(MarginalMismatchError,
-                         "Target member leaves the support of the B marginal.",
-                         off.any(axis=1))
+            raise MarginalMismatchError(
+                "Target member leaves the support of the B marginal.")
         alphas[rows] = (u_r[:, None] @ (beta.conj() / s_r)[..., None])[..., 0]
         support[rows] = u_r @ u_r.conj().swapaxes(-1, -2)
     outer = alphas[..., :, None] * alphas.conj()[..., None, :]
@@ -302,14 +298,13 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
     if np.count_nonzero(has_genuine):
         with_deficit = np.flatnonzero(has_genuine)
         joint = joints[with_deficit]
-        with gm._blame(with_deficit):
-            rho_a = gm._check_states(
-                model_a, joint @ joint.conj().swapaxes(-1, -2))[0]
-            leak = abs(genuine[with_deficit] @ rho_a).max(axis=(-2, -1))
-            if np.count_nonzero(leak > STEERING_TOL):
-                gm._fail(ContractError,
-                         "Deficit effect overlaps the A marginal by {}.",
-                         leak > STEERING_TOL, leak)
+        rho_a = gm._check_states(
+            model_a, joint @ joint.conj().swapaxes(-1, -2))[0]
+        leak = abs(genuine[with_deficit] @ rho_a).max(axis=(-2, -1))
+        if np.count_nonzero(leak > STEERING_TOL):
+            gm._fail(ContractError,
+                     "Deficit effect overlaps the A marginal by {}.",
+                     leak > STEERING_TOL, leak)
     live = np.concatenate([present, has_genuine[:, None]], axis=1)
 
     total = covectors[:, 0]

@@ -101,7 +101,6 @@ def test_criterion_4_convexity_sign_law():
     worst_concave = -np.inf
     for alpha_range, expect_positive in (((1.1, 3.0), True),
                                          ((0.3, 0.9), False)):
-        batch = []
         for _ in range(100):
             rule = rl.power_rule(float(rng.uniform(*alpha_range)))
             for _ in range(10):
@@ -109,13 +108,13 @@ def test_criterion_4_convexity_sign_law():
                 while p1 == p2:
                     p1, p2 = rng.random(2)
                 lam = float(rng.uniform(0.1, 0.9))
-                batch.append(sg.Scenario(rule, PHI, float(p1), float(p2), lam,
-                                         seed=int(rng.integers(2**31))))
-        for report in sg.run_scenarios(batch):
-            if expect_positive:
-                worst_convex = min(worst_convex, report.gap)
-            else:
-                worst_concave = max(worst_concave, report.gap)
+                report = sg.run_scenario(sg.Scenario(
+                    rule, PHI, float(p1), float(p2), lam,
+                    seed=int(rng.integers(2**31))))
+                if expect_positive:
+                    worst_convex = min(worst_convex, report.gap)
+                else:
+                    worst_concave = max(worst_concave, report.gap)
     elapsed = time.perf_counter() - start
     ok = worst_convex > 0 and worst_concave < 0 and elapsed < 30.0
     _report(4, "convex/concave gap sign law", ok,
