@@ -9,6 +9,8 @@ randomized subcommands echo their effective seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -25,8 +27,7 @@ _FMT = "%.17g"  # bit-faithful decimal round-trips
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (GptError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -34,7 +35,10 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and reused: parse_args returns a fresh Namespace per
+    # call and no default is mutable, so calls share nothing but the parser.
     parser = argparse.ArgumentParser(
         prog="gptsim",
         description="Probability-rule audits and steering-based signaling "
@@ -153,11 +157,18 @@ def _load_rule(args) -> rl.ProbabilityRule:
 
 
 def _emit(text: str, args) -> None:
+    with _output(args) as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def _output(args):
+    """The --out file opened for writing, or stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _parse_model(token: str) -> gm.SystemModel:
@@ -379,17 +390,20 @@ def _cmd_scan(args) -> int:
         _emit(json.dumps(payload, sort_keys=True) + "\n", args)
         return 0
 
-    lines = [f"# gptsim scan seed={args.seed} grid={args.grid} "
-             f"rule={rule.label()}",
-             "p1,p2,lambda,P1,P2,gap"]
-    table = np.stack([*np.meshgrid(axis, axis, axis, indexing="ij"),
-                      prob_1, prob_2, gaps], axis=-1)
-    row_fmt = ",".join([_FMT] * 6)
-    # Join per p1 slab: converting all cells at once adds a third to peak memory.
-    for slab in table.reshape(args.grid, -1, 6):
-        lines.append("\n".join(row_fmt % tuple(row) for row in slab.tolist()))
-    lines.append("# witness " + _report_row(witness))
-    _emit("\n".join(lines) + "\n", args)
+    # The axis takes few values: format them once, into row templates for
+    # one p1 slab, so that each row formats only P1, P2 and gap. Each slab
+    # is converted and written on its own, so that the CSV is never held
+    # whole: converting all cells at once adds a third to peak memory.
+    cells = [_FMT % v for v in axis.tolist()]
+    rows = [f"{p2},{lam},{_FMT},{_FMT},{_FMT}\n"
+            for p2 in cells for lam in cells]
+    with _output(args) as fh:
+        fh.write(f"# gptsim scan seed={args.seed} grid={args.grid} "
+                 f"rule={rule.label()}\np1,p2,lambda,P1,P2,gap\n")
+        for p1, *slab in zip(cells, prob_1, prob_2, gaps):
+            values = np.stack(slab, axis=-1).ravel().tolist()
+            fh.write("".join([f"{p1},{row}" for row in rows]) % tuple(values))
+        fh.write("# witness " + _report_row(witness) + "\n")
     if args.out:
         # CSV went to the file; surface the witness on stdout as well.
         sys.stdout.write("witness: " + _report_row(witness) + "\n")

@@ -1,11 +1,16 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gptsim
 from gptsim import models as gm
+from gptsim import rules as rl
+from gptsim import signaling as sg
 from gptsim.cli import main
 
 QUBIT = gm.quantum(2)
@@ -15,6 +20,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh_process(*argv):
+    """``python -m gptsim.cli argv`` in a new interpreter that imports this
+    gptsim, whether or not it is installed."""
+    src = os.path.dirname(os.path.dirname(gptsim.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "gptsim.cli", *argv],
+                          capture_output=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +280,46 @@ def test_scan_io_failure(tmp_path, capsys):
     assert code == 2
 
 
+SCAN_RULES = {
+    "identity": {},
+    "power": {"alpha": 1.5},
+    "piecewise-quadratic": {},
+    "tabulated": {"samples": [[0.0, 0.0], [0.25, 0.05], [0.5, 0.5],
+                              [0.75, 0.95], [1.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("grid", [3, 41])
+@pytest.mark.parametrize("family", sorted(SCAN_RULES))
+def test_scan_csv_rows_match_cellwise_reference(tmp_path, capsys, family,
+                                                grid):
+    params = SCAN_RULES[family]
+    flags = ["--family", family]
+    if "alpha" in params:
+        flags += ["--alpha", str(params["alpha"])]
+    if "samples" in params:
+        flags += ["--rule-samples", json.dumps(params["samples"])]
+    path = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "scan", *flags, "--grid", str(grid),
+                         "--refine", "1", "--format", "csv",
+                         "--out", str(path))
+    assert code == 0
+
+    # Every cell formatted on its own, in (p1, p2, lambda) order.
+    axis, prob_1, prob_2, gaps = sg.gap_surface(
+        rl.rule_from_dict({"family": family, **params}), grid)
+    axis, prob_1, prob_2, gaps = (a.tolist() for a in (axis, prob_1, prob_2,
+                                                       gaps))
+    expected = ["p1,p2,lambda,P1,P2,gap"] + [
+        ",".join("%.17g" % x for x in (axis[i], axis[j], axis[k],
+                                       prob_1[i][j][k], prob_2[i][j][k],
+                                       gaps[i][j][k]))
+        for i in range(grid) for j in range(grid) for k in range(grid)]
+    rows = [line for line in path.read_text().split("\n")[:-1]
+            if not line.startswith("#")]
+    assert rows == expected
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -364,9 +419,7 @@ def test_reproduce_csv(capsys):
 # ---------------------------------------------------------------------------
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gptsim.cli", "reproduce", "--format", "json"],
-        capture_output=True, text=True)
+    proc = run_fresh_process("reproduce", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
 
@@ -380,3 +433,36 @@ def test_json_output_deterministic(capsys):
                             "--format", "json")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_parser_reused_and_calls_share_nothing(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        recording_parse_args)
+    tau = ["tau", "--psi", "+", "--phi", "0", "--format", "json"]
+    code, out, _ = run_cli(capsys, *tau, "--lp", "16", "--verbose")
+    assert code == 0
+    assert {"tau_lp", "lp_iterations", "lp_generators"} <= set(json.loads(out))
+    code, out, _ = run_cli(capsys, *tau)
+    assert code == 0
+    assert set(json.loads(out)) == {"tau"}
+
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--family", "identity", "--p2", "0.5", "--lambda", "0.5"])
+    assert exc.value.code == 2
+    assert "--p1" in capsys.readouterr().err
+
+    gap = ["gap", "--family", "power", "--alpha", "1.5", "--p1", "0.2",
+           "--p2", "0.9", "--lambda", "0.3", "--seed", "5", "--format", "json"]
+    code, out, err = run_cli(capsys, *gap)
+    fresh = run_fresh_process(*gap)
+    assert (code, out.encode(), err.encode()) == (
+        fresh.returncode, fresh.stdout, fresh.stderr)
+    assert len(parsers) == 4
+    assert all(parser is parsers[0] for parser in parsers)
