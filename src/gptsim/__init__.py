@@ -44,7 +44,6 @@ from .models import (
     evaluate,
     ket_state,
     marginal,
-    maximally_mixed,
     measurement,
     measurement_from_dict,
     mix,
@@ -70,7 +69,6 @@ from .rules import (
     power_rule,
     predict_average,
     predict_ensemble,
-    predict_pure,
     rule_from_dict,
     tabulated_rule,
 )
@@ -103,7 +101,6 @@ from .transition import (
     TauLpReport,
     accept_effect,
     great_circle_states,
-    mixed_tau,
     state_with_tau,
     tau,
     tau_lp_report,

@@ -420,13 +420,6 @@ def point_state(model: SystemModel, index: int) -> State:
     return validate_state(model, coeffs)
 
 
-def maximally_mixed(model: SystemModel) -> State:
-    """The order-unit-normalized maximally mixed state."""
-    if model.kind == QUANTUM:
-        return state_from_matrix(model, np.eye(model.size, dtype=complex) / model.size)
-    return validate_state(model, np.full(model.size, 1.0 / model.size))
-
-
 def pure_ket(state: State) -> np.ndarray:
     """Extract the underlying unit vector of a pure quantum state.
 
@@ -671,10 +664,6 @@ class Ensemble:
 
     def __iter__(self):
         return zip(self.weights, self.states)
-
-    @property
-    def all_pure(self) -> bool:
-        return all(s.pure for s in self.states)
 
     def to_dict(self) -> dict:
         return {"type": "ensemble",

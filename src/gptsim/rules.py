@@ -308,11 +308,6 @@ def _merge_segments(grid, labels) -> tuple[tuple[float, float, str], ...]:
 # Prediction maps
 # ---------------------------------------------------------------------------
 
-def predict_pure(rule: ProbabilityRule, psi: gm.State, phi: gm.State) -> float:
-    """Predicted probability of passing phi's test given pure psi."""
-    return eval_rule(rule, tr.tau(psi, phi))
-
-
 def predict_ensemble(rule: ProbabilityRule, ens: gm.Ensemble,
                      phi: gm.State) -> float:
     """Prediction when the pure-state decomposition is known: the
@@ -329,8 +324,8 @@ def predict_average(rule: ProbabilityRule, omega: gm.State,
                     phi: gm.State) -> float:
     """Prediction from the average state alone (no decomposition known):
     the rule applied to the mixed-state overlap."""
-    lone = np.ones((1, 1))
-    return float(_predict(rule, lone, np.array([[tr.mixed_tau(omega, phi)]]),
+    tau = gm.evaluate(tr.accept_effect(phi), omega)
+    return float(_predict(rule, np.ones((1, 1)), np.array([[tau]]),
                           np.zeros((1, 1), dtype=bool))[0])
 
 

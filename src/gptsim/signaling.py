@@ -391,13 +391,11 @@ def max_gap_search(rule: rl.ProbabilityRule, grid: int = 101,
     """
     axis, _, _, gaps = gap_surface(rule, grid)
     magnitude = np.abs(gaps)
-    best = float(magnitude.max())
-    ties = np.argwhere(magnitude == best)
-    i, j, k = min(map(tuple, ties))
+    i, j, k = np.unravel_index(np.argmax(magnitude), magnitude.shape)
     point = np.array([axis[i], axis[j], axis[k]])
 
     step = 1.0 / (grid - 1)
-    value = best
+    value = float(magnitude[i, j, k])
     for _ in range(refine):
         moved = False
         for dim in range(3):

@@ -245,6 +245,10 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
 
     # Schmidt form: amplitudes = sum_k s_k |u_k>_A |w_k>_B where u_k are the
     # left singular vectors and w_k[b] = vh[k, b] (the conjugated right ones).
+    # The HJW coefficients conj(beta) / s have orthonormal columns in exact
+    # arithmetic, but 1/s amplifies round-off. Their polar factor (Higham
+    # 1986) has orthonormal columns to round-off, so the members' effects
+    # sum to the support projector.
     u, svals, vh = np.linalg.svd(joints)
     rank = (svals > 1e-12).sum(axis=-1)
     alphas = np.empty((n, slots, dim_a), dtype=complex)
@@ -259,53 +263,27 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
         if np.count_nonzero(off):
             raise MarginalMismatchError(
                 "Target member leaves the support of the B marginal.")
-        alphas[rows] = (u_r[:, None] @ (beta.conj() / s_r)[..., None])[..., 0]
+        left, _, right = np.linalg.svd(beta.conj() / s_r, full_matrices=False)
+        alphas[rows] = left @ right @ u_r.swapaxes(-1, -2)
         support[rows] = u_r @ u_r.conj().swapaxes(-1, -2)
     outer = alphas[..., :, None] * alphas.conj()[..., None, :]
 
-    # Split the deficit of the members' effects (symmetrized, as the check
-    # leaves them) into the genuine part (orthogonal to the Schmidt
-    # support, nonzero when the purifier exceeds the rank) and conditioning
-    # noise, which is folded back into the heaviest element so the
-    # completeness identity holds at linear tolerance.
-    symmetric = 0.5 * (outer + gm._dagger(outer))
-    total = symmetric[:, 0]
-    for k in range(1, slots):
-        total = total + symmetric[:, k]
-    eye = gm._eye(dim_a)
-    deficit = eye - total
-    complement = eye - support
-    genuine = complement @ deficit @ complement
-    has_genuine = abs(genuine).max(axis=(-2, -1)) > STEERING_TOL
-    noise = deficit
-    if np.count_nonzero(has_genuine):
-        noise = np.where(has_genuine[:, None, None], deficit - genuine, deficit)
-    fold = abs(noise).max(axis=(-2, -1)) > 0
-    heavy = (np.arange(n), np.argmax(weights, axis=1))
-    # One check covers the members' effects, the heaviest with the noise
-    # folded in (used where there is noise) and the genuine deficit (used
-    # where it is above STEERING_TOL, and always a valid effect).
-    checked, checked_cov = gm._check_effects(model_a, np.concatenate(
-        [outer, (symmetric[heavy] + noise)[:, None], genuine[:, None]], axis=1))
-    kept = [*range(slots), slots + 1]
-    effects, covectors = checked[:, kept], checked_cov[:, kept]
-    if np.count_nonzero(fold):
-        effects[heavy[0][fold], heavy[1][fold]] = checked[fold, slots]
-        covectors[heavy[0][fold], heavy[1][fold]] = checked_cov[fold, slots]
-    if np.count_nonzero(has_genuine) < n:
-        effects[~has_genuine, slots] = 0.0
-        covectors[~has_genuine, slots] = 0.0
-    if np.count_nonzero(has_genuine):
-        with_deficit = np.flatnonzero(has_genuine)
-        joint = joints[with_deficit]
+    # The deficit effect completes the measurement off the Schmidt support,
+    # where the purifier is larger than the rank.
+    deficient = rank < dim_a
+    deficit = np.where(deficient[:, None, None], gm._eye(dim_a) - support, 0.0)
+    effects, covectors = gm._check_effects(
+        model_a, np.concatenate([outer, deficit[:, None]], axis=1))
+    if np.count_nonzero(deficient):
+        joint = joints[deficient]
         rho_a = gm._check_states(
             model_a, joint @ joint.conj().swapaxes(-1, -2))[0]
-        leak = abs(genuine[with_deficit] @ rho_a).max(axis=(-2, -1))
+        leak = abs(deficit[deficient] @ rho_a).max(axis=(-2, -1))
         if np.count_nonzero(leak > STEERING_TOL):
             gm._fail(ContractError,
                      "Deficit effect overlaps the A marginal by {}.",
                      leak > STEERING_TOL, leak)
-    live = np.concatenate([present, has_genuine[:, None]], axis=1)
+    live = np.concatenate([present, deficient[:, None]], axis=1)
 
     total = covectors[:, 0]
     for k in range(1, slots + 1):
@@ -314,7 +292,6 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
     if np.count_nonzero(residual > gm.LINEAR_TOL):
         gm._fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
                  residual > gm.LINEAR_TOL, residual)
-    effects.flags.writeable = covectors.flags.writeable = False
     return effects, covectors, live
 
 

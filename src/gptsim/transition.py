@@ -109,12 +109,6 @@ def tau(psi: gm.State, phi: gm.State) -> float:
     return gm.evaluate(accept_effect(phi), psi)
 
 
-def mixed_tau(omega: gm.State, phi: gm.State) -> float:
-    """Transition probability extended to a mixed state: accept(omega)."""
-    _require_same_model(omega, phi)
-    return gm.evaluate(accept_effect(phi), omega)
-
-
 def state_with_tau(model: gm.SystemModel, phi: gm.State, p: float,
                    seed) -> gm.State:
     """Pure state psi with tau(psi, phi) = p.

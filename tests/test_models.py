@@ -25,6 +25,10 @@ PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
+def maximally_mixed(model):
+    return gm.state_from_matrix(model, np.eye(model.size) / model.size)
+
+
 def random_mixed_state(model, rng):
     g = rng.normal(size=(model.size, model.size)) + 1j * rng.normal(size=(model.size, model.size))
     rho = g @ g.conj().T
@@ -89,7 +93,7 @@ def test_validate_state_roundtrip_through_coeffs():
 
 def test_purity_flags():
     assert gm.ket_state(QUBIT, PLUS).pure
-    assert not gm.maximally_mixed(QUBIT).pure
+    assert not maximally_mixed(QUBIT).pure
     assert gm.point_state(BIT, 1).pure
     assert not gm.validate_state(BIT, np.array([0.5, 0.5])).pure
 
@@ -117,7 +121,7 @@ def test_evaluate_rejects_model_mismatch():
     with pytest.raises(ModelMismatchError):
         gm.evaluate(gm.unit_effect(QUBIT), gm.point_state(BIT, 0))
     with pytest.raises(ModelMismatchError):
-        gm.evaluate(gm.unit_effect(QUBIT), gm.maximally_mixed(QUTRIT))
+        gm.evaluate(gm.unit_effect(QUBIT), maximally_mixed(QUTRIT))
 
 
 def test_evaluate_in_range_random_sweep():
@@ -198,9 +202,9 @@ def test_ensemble_invariants():
     with pytest.raises(NotNormalizedError):
         gm.ensemble([(0.5, s)])
     with pytest.raises(NotPureError):
-        gm.ensemble([(1.0, gm.maximally_mixed(QUBIT))])
-    mixed_ok = gm.ensemble([(1.0, gm.maximally_mixed(QUBIT))], require_pure=False)
-    assert not mixed_ok.all_pure
+        gm.ensemble([(1.0, maximally_mixed(QUBIT))])
+    mixed_ok = gm.ensemble([(1.0, maximally_mixed(QUBIT))], require_pure=False)
+    assert not any(s.pure for s in mixed_ok.states)
 
 
 def test_mix_commutes_with_evaluate():
@@ -296,7 +300,7 @@ def test_pure_ket_roundtrip_and_phase_convention():
         first = ket[np.argmax(np.abs(ket) > 1e-12)]
         assert abs(first.imag) <= 1e-12 and first.real > 0
     with pytest.raises(NotPureError):
-        gm.pure_ket(gm.maximally_mixed(QUBIT))
+        gm.pure_ket(maximally_mixed(QUBIT))
 
 
 def test_point_state_and_unsupported_kind_errors():

@@ -16,6 +16,7 @@ KET0 = gm.point_state(QUBIT, 0)
 KET1 = gm.point_state(QUBIT, 1)
 PLUS = gm.ket_state(QUBIT, np.array([1, 1]) / np.sqrt(2))
 MINUS = gm.ket_state(QUBIT, np.array([1, -1]) / np.sqrt(2))
+MIXED = gm.state_from_matrix(QUBIT, np.eye(2) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +199,14 @@ def test_check_constraints_rejects_tiny_grid():
 # ---------------------------------------------------------------------------
 
 def test_predict_pure_examples():
-    assert rl.predict_pure(rl.identity_rule(), PLUS, KET0) == pytest.approx(
-        0.5, abs=1e-15)
-    assert rl.predict_pure(rl.power_rule(1.5), PLUS, KET0) == pytest.approx(
-        0.3536, abs=1e-4)
+    def predict(rule, psi):
+        return rl.predict_ensemble(rule, gm.ensemble([(1.0, psi)]), KET0)
+
+    assert predict(rl.identity_rule(), PLUS) == pytest.approx(0.5, abs=1e-15)
+    assert predict(rl.power_rule(1.5), PLUS) == pytest.approx(0.3536, abs=1e-4)
     for rule in (rl.identity_rule(), rl.power_rule(1.5),
                  rl.piecewise_quadratic_rule()):
-        assert rl.predict_pure(rule, KET0, KET0) == 1.0
+        assert predict(rule, KET0) == 1.0
 
 
 def test_predict_ensemble_computational_mixture():
@@ -239,9 +241,8 @@ def test_predict_average_piecewise_at_03():
 
 def test_predict_average_identity_equals_mixed_tau():
     rule = rl.identity_rule()
-    omega = gm.maximally_mixed(QUBIT)
-    assert rl.predict_average(rule, omega, KET0) == pytest.approx(
-        tr.mixed_tau(omega, KET0), abs=1e-15)
+    assert rl.predict_average(rule, MIXED, KET0) == pytest.approx(
+        gm.evaluate(tr.accept_effect(KET0), MIXED), abs=1e-15)
 
 
 def test_predict_boundary_any_rule_on_reference_state():
@@ -254,7 +255,7 @@ def test_predict_ensemble_errors():
     rule = rl.identity_rule()
     with pytest.raises(EmptyEnsembleError):
         rl.predict_ensemble(rule, gm.Ensemble(np.zeros(0), ()), KET0)
-    mixed = gm.ensemble([(1.0, gm.maximally_mixed(QUBIT))], require_pure=False)
+    mixed = gm.ensemble([(1.0, MIXED)], require_pure=False)
     with pytest.raises(NotPureError):
         rl.predict_ensemble(rule, mixed, KET0)
 

@@ -22,6 +22,7 @@ BELL = gm.bipartite_from_ket(QUBIT, QUBIT,
 Z_BASIS = gm.measurement([gm.projector_effect(KET0), gm.projector_effect(KET1)])
 X_BASIS = gm.measurement([gm.projector_effect(PLUS), gm.projector_effect(MINUS)])
 TRIVIAL = gm.measurement([gm.unit_effect(QUBIT)])
+MIXED = gm.state_from_matrix(QUBIT, np.eye(2) / 2)
 
 
 def random_mixed(rng, model=QUBIT):
@@ -54,7 +55,7 @@ def random_decomposition(omega, members, rng):
 # ---------------------------------------------------------------------------
 
 def test_purify_maximally_mixed_is_bell_like():
-    psi = ss.purify(gm.maximally_mixed(QUBIT))
+    psi = ss.purify(MIXED)
     schmidt = np.linalg.svd(psi.joint_matrix, compute_uv=False)
     np.testing.assert_allclose(schmidt, [1 / np.sqrt(2)] * 2, atol=1e-12)
     red = gm.marginal(psi, "B")
@@ -88,11 +89,11 @@ def test_purify_marginal_roundtrip_random():
 
 
 def test_purify_requested_dimension():
-    psi = ss.purify(gm.maximally_mixed(QUBIT), purifier_dim=3)
+    psi = ss.purify(MIXED, purifier_dim=3)
     assert psi.model_a.size == 3
     assert np.max(np.abs(gm.marginal(psi, "B").matrix - np.eye(2) / 2)) <= 1e-12
     with pytest.raises(ValueError):
-        ss.purify(gm.maximally_mixed(QUBIT), purifier_dim=1)
+        ss.purify(MIXED, purifier_dim=1)
 
 
 def test_purify_rejects_classical():
@@ -125,7 +126,7 @@ def test_steer_bell_with_z_basis():
     np.testing.assert_allclose(ens.weights, [0.5, 0.5], atol=1e-15)
     assert np.max(np.abs(ens.states[0].matrix - KET0.matrix)) <= 1e-12
     assert np.max(np.abs(ens.states[1].matrix - KET1.matrix)) <= 1e-12
-    assert ens.all_pure
+    assert all(s.pure for s in ens.states)
 
 
 def test_steer_bell_with_x_basis():
@@ -161,11 +162,11 @@ def test_steer_rank1_measurements_give_pure_members():
     rng = np.random.default_rng(3)
     psi = ss.purify(random_mixed(rng), purifier_dim=2)
     ens = ss.steer(psi, X_BASIS)
-    assert ens.all_pure
+    assert all(s.pure for s in ens.states)
 
 
 def test_steer_rejects_wrong_side_model():
-    psi = ss.purify(gm.maximally_mixed(QUBIT), purifier_dim=3)
+    psi = ss.purify(MIXED, purifier_dim=3)
     with pytest.raises(ModelMismatchError):
         ss.steer(psi, Z_BASIS)  # qubit measurement, qutrit purifier
 
@@ -235,6 +236,23 @@ def test_synthesize_completeness_and_deficit_annihilation():
     assert np.max(np.abs(total - psi.model_a.unit_covector)) <= 1e-10
 
 
+def test_synthesize_deficit_is_the_complement_of_the_support():
+    # The purifier exceeds the rank: the members' effects sum to the
+    # Schmidt-support projector, and the deficit effect completes them.
+    psi = ss.purify(MIXED, purifier_dim=3)
+    eigvals, eigvecs = np.linalg.eigh(gm.marginal(psi, "A").matrix)
+    span = eigvecs[:, eigvals > 1e-12]
+    complement = np.eye(3) - span @ span.conj().T
+    for target in (gm.ensemble([(0.5, KET0), (0.5, KET1)]),
+                   gm.ensemble([(0.5, PLUS), (0.5, MINUS)])):
+        effects = ss.synthesize_steering_measurement(
+            psi, target).measurement.effects
+        assert len(effects) == 3
+        total = np.sum([e.covector for e in effects], axis=0)
+        assert np.max(np.abs(total - psi.model_a.unit_covector)) <= gm.LINEAR_TOL
+        assert np.max(np.abs(effects[-1].matrix - complement)) <= gm.LINEAR_TOL
+
+
 def test_synthesize_rejects_marginal_mismatch():
     target = gm.ensemble([(0.5, KET0), (0.5, PLUS)])  # averages off I/2
     with pytest.raises(MarginalMismatchError):
@@ -252,7 +270,7 @@ def test_synthesize_rank_deficit_instructs_repurification():
         ss.synthesize_steering_measurement(BELL, trine)
     assert info.value.required_dimension == 3
 
-    bigger = ss.purify(gm.maximally_mixed(QUBIT), purifier_dim=3)
+    bigger = ss.purify(MIXED, purifier_dim=3)
     result = ss.synthesize_steering_measurement(bigger, trine)
     steered = ss.steer(bigger, result.measurement)
     np.testing.assert_allclose(steered.weights, trine.weights, atol=1e-9)

@@ -18,6 +18,7 @@ TRIT = gm.classical(3)
 KET0 = gm.point_state(QUBIT, 0)
 KET1 = gm.point_state(QUBIT, 1)
 PLUS = gm.ket_state(QUBIT, np.array([1, 1]) / np.sqrt(2))
+MIXED = gm.state_from_matrix(QUBIT, np.eye(2) / 2)
 
 
 def random_pure(model, rng):
@@ -64,9 +65,9 @@ def test_tau_classical_kronecker_match():
 
 def test_tau_rejects_mixed_and_mismatched():
     with pytest.raises(NotPureError):
-        tr.tau(gm.maximally_mixed(QUBIT), KET0)
+        tr.tau(MIXED, KET0)
     with pytest.raises(NotPureError):
-        tr.tau(KET0, gm.maximally_mixed(QUBIT))
+        tr.tau(KET0, MIXED)
     with pytest.raises(ModelMismatchError):
         tr.tau(KET0, gm.point_state(QUTRIT, 0))
 
@@ -146,12 +147,15 @@ def test_tau_complement_normalization():
 
 
 # ---------------------------------------------------------------------------
-# mixed_tau
+# mixed-state overlap: the accepting effect's value on a mixed state
 # ---------------------------------------------------------------------------
 
+def mixed_tau(omega, phi):
+    return gm.evaluate(tr.accept_effect(phi), omega)
+
+
 def test_mixed_tau_maximally_mixed():
-    assert tr.mixed_tau(gm.maximally_mixed(QUBIT), KET0) == pytest.approx(
-        0.5, abs=1e-12)
+    assert mixed_tau(MIXED, KET0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mixed_tau_equal_weight_mixture_of_02_04():
@@ -159,14 +163,14 @@ def test_mixed_tau_equal_weight_mixture_of_02_04():
     psi1 = tr.state_with_tau(QUBIT, KET0, 0.2, rng)
     psi2 = tr.state_with_tau(QUBIT, KET0, 0.4, rng)
     omega = gm.mix(gm.ensemble([(0.5, psi1), (0.5, psi2)]))
-    assert tr.mixed_tau(omega, KET0) == pytest.approx(0.3, abs=1e-12)
+    assert mixed_tau(omega, KET0) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_mixed_tau_consistent_with_pure_tau():
     rng = np.random.default_rng(7)
     for _ in range(50):
         psi, phi = random_pure(QUBIT, rng), random_pure(QUBIT, rng)
-        assert tr.mixed_tau(psi, phi) == pytest.approx(tr.tau(psi, phi), abs=1e-15)
+        assert mixed_tau(psi, phi) == pytest.approx(tr.tau(psi, phi), abs=1e-15)
 
 
 def test_mixed_tau_is_linear_in_the_state():
@@ -178,7 +182,7 @@ def test_mixed_tau_is_linear_in_the_state():
         members = [random_pure(QUBIT, rng) for _ in range(k)]
         omega = gm.mix(gm.ensemble(zip(w, members)))
         expected = float(np.dot(w, [tr.tau(m, phi) for m in members]))
-        assert tr.mixed_tau(omega, phi) == pytest.approx(expected, abs=1e-12)
+        assert mixed_tau(omega, phi) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
