@@ -380,9 +380,9 @@ def _report_row(report: sg.SignalingReport) -> str:
 
 def _cmd_scan(args) -> int:
     rule = _load_rule(args)
-    axis, prob_1, prob_2, gaps = sg.gap_surface(rule, args.grid)
-    witness = sg.max_gap_search(rule, grid=args.grid, refine=args.refine,
-                                seed=args.seed)
+    surface = sg.gap_surface(rule, args.grid)
+    witness = sg._witness(rule, surface, args.refine, args.seed)
+    axis, prob_1, prob_2, gaps = surface
 
     if args.format == "json":
         payload = {"seed": args.seed, "grid": args.grid,

@@ -28,8 +28,9 @@ STEERED_UNIFORM = "steered-uniform"
 
 _FORMULA_TOL = 1e-12
 _MARGINAL_TOL = 1e-10
-# Scenarios per batch of a certificate: a batch's arrays take about 4.5 KB
-# per scenario, so this bounds a certificate's memory at any sample count.
+# Scenarios per batch of a certificate. A batch peaks at about 4 KB per
+# scenario (1.0 MB at 256, by tracemalloc), so a certificate's memory is
+# bounded at any sample count: 1.6 MB with the worst witness's batch kept.
 _CERTIFICATE_BATCH = 256
 
 
@@ -121,50 +122,18 @@ def run_scenario(scenario: Scenario) -> SignalingReport:
 def run_scenarios(scenarios) -> list[SignalingReport]:
     """Run a batch of scenarios through the full pipeline at once.
 
-    Each quantity of the pipeline is one stacked array over the batch, and
-    every check of a stage is made on the whole stack; each report is
+    The scenarios on one model with one rule object run as one group of
+    stacked arrays, each check made on the whole stack; each report is
     bitwise what the scenario gives in a batch of its own. If a check
     fails, the scenarios are run again one at a time, in order, and the
     first one that fails alone raises: the error's ``index`` and
     ``scenario`` name it, and so does its message.
     """
-    runs = _Runs(list(scenarios))
-    return [runs.report(i) for i in range(len(runs.scenarios))]
-
-
-class _Runs:
-    """The arrays of a batch run: per scenario the two predictions, the gap
-    and both residuals, and the steered ensembles behind them. A failure
-    names its scenario by its position in the batch plus ``start``."""
-
-    def __init__(self, scenarios: list, start: int = 0):
-        self.scenarios = scenarios
-        n = len(scenarios)
-        self.prob_1, self.prob_2 = np.empty(n), np.empty(n)
-        self.marginal, self.formula = np.empty(n), np.empty(n)
-        self._ensembles = [None] * n
-        try:
-            self._check_models()
-            sizes = np.array([s.phi.model.size for s in scenarios])
-            for d in sorted(set(sizes.tolist())):
-                self._run_group(gm.quantum(d), np.flatnonzero(sizes == d))
-        except GptError as exc:
-            index, error = 0, exc
-            if n > 1:  # the first scenario that fails when run alone
-                for index, scenario in enumerate(scenarios):
-                    try:
-                        run_scenario(scenario)
-                    except GptError as alone:
-                        error = alone
-                        break
-                else:
-                    raise
-            error.index, error.scenario = start + index, scenarios[index]
-            raise error from None
-        self.gap = self.prob_1 - self.prob_2
-
-    def _check_models(self) -> None:
-        for s in self.scenarios:
+    scenarios = list(scenarios)
+    reports = [None] * len(scenarios)
+    try:
+        groups = {}
+        for i, s in enumerate(scenarios):
             if s.phi.model.kind != gm.QUANTUM:
                 raise UnsupportedModelError(
                     "Signaling scenarios require a quantum model.")
@@ -172,145 +141,149 @@ class _Runs:
                 raise NotPureError("phi must be a pure state.")
             if s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
                 raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
+            groups.setdefault((s.phi.model.size, id(s.rule)), []).append(i)
+        for rows in groups.values():
+            group = [scenarios[i] for i in rows]
+            model = gm.quantum(group[0].phi.model.size)
+            run = _run(
+                group[0].rule, model,
+                np.array([gm.pure_ket(s.phi) for s in group]),
+                np.array([s.phi.matrix for s in group]),
+                np.array([(s.p1, s.p2) for s in group], dtype=float),
+                np.array([s.lam for s in group], dtype=float),
+                [s.seed for s in group],
+                np.array([s.mode == STEERED_UNIFORM for s in group]))
+            for j, s in enumerate(group):
+                reports[rows[j]] = _report(s, model, run, j)
+    except GptError as exc:
+        _raise_named(exc, scenarios)
+    return reports
 
-    def _run_group(self, model: gm.SystemModel, rows: np.ndarray) -> None:
-        """Run the scenarios ``rows``, all on ``model``.
 
-        Protocol 1 of every scenario and the steered protocol 2 of those in
-        steered-uniform mode are synthesized as one stack of targets; those
-        measurements and the trivial ones of trivial-average mode are then
-        steered as one stack, whose rows the two protocols share.
-        """
-        scenarios = [self.scenarios[i] for i in rows]
-        n, d = len(rows), model.size
-        phi_m = np.array([s.phi.matrix for s in scenarios])
-        phi_k = np.array([gm.pure_ket(s.phi) for s in scenarios])
-        p = np.array([(s.p1, s.p2) for s in scenarios])
-        weights = np.array([(s.lam, 1.0 - s.lam) for s in scenarios])
-        lam = weights[:, 0]
-        present = weights > 0.0  # a member of weight 0 drops out
-        lone = [j for j, s in enumerate(scenarios) if s.lam in (0.0, 1.0)]
+def _raise_named(error: GptError, scenarios: list, start: int = 0):
+    """Raise the error of a failed batch: that of the first scenario that
+    fails when run alone through :func:`run_scenario` (the batch's own for
+    a batch of one), named by its position in the batch plus ``start``."""
+    index = 0
+    if len(scenarios) > 1:
+        for index, scenario in enumerate(scenarios):
+            try:
+                run_scenario(scenario)
+            except GptError as alone:
+                error = alone
+                break
+        else:
+            raise error
+    error.index, error.scenario = start + index, scenarios[index]
+    raise error from None
 
-        # Protocol 1's members: states with overlaps p1 and p2 with phi,
-        # their residual directions drawn from the scenario's seed.
-        draws = np.ones((n, 2, d - 1), dtype=complex)
-        for j, s in enumerate(scenarios):
-            mixed = [0.0 < s.p1 < 1.0, 0.0 < s.p2 < 1.0]
-            if any(mixed):
-                draws[j, mixed] = tr._tau_draws(
-                    np.random.default_rng(s.seed), d - 1, sum(mixed))
-        kets, members, _, pure, clipped = gm._ket_states(
-            model, tr._kets_with_tau(phi_k[:, None], p, draws))
-        if np.count_nonzero(clipped):
-            kets = np.where(clipped[..., None], gm._pure_kets(members), kets)
-        is_phi = p == 1.0  # the reference state itself
-        if np.count_nonzero(is_phi):
-            kets = np.where(is_phi[..., None], phi_k[:, None], kets)
-            members = np.where(is_phi[..., None, None], phi_m[:, None], members)
-            pure = pure | is_phi
-        if np.count_nonzero(present & ~pure):
+
+def _report(scenario: Scenario, model: gm.SystemModel, run: tuple,
+            j: int) -> SignalingReport:
+    """Report of scenario ``j`` of a :func:`_run` on ``model``."""
+    prob_1, prob_2, marginal, formula, steered = run
+    return SignalingReport(
+        scenario, float(prob_1[j]), float(prob_2[j]),
+        float(prob_1[j] - prob_2[j]), steered.ensemble(model, j),
+        steered.ensemble(model, len(prob_1) + j), float(marginal[j]),
+        float(formula[j]))
+
+
+def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
+         phi_m: np.ndarray, p: np.ndarray, lam: np.ndarray, seeds: list,
+         uniform: np.ndarray) -> tuple:
+    """Run ``n`` scenarios of one rule on one quantum model: scenario j
+    has phi's ket ``phi_k[j]`` and checked matrix ``phi_m[j]``, overlaps
+    ``p[j]``, weight ``lam[j]``, draw seed ``seeds[j]`` and, where
+    ``uniform[j]``, the steered-uniform protocol 2. Returns the arrays
+    ``(P1, P2, marginal residual, formula residual)`` and the steered
+    stack: protocol 1 of scenario j at row j, its protocol 2 at row n + j.
+    """
+    n, d = len(p), model.size
+    weights = np.stack([lam, 1.0 - lam], axis=1)
+    present = weights > 0.0  # a member of weight 0 drops out
+
+    # Protocol 1's members: states with overlaps p1 and p2 with phi,
+    # their residual directions drawn from the scenario's seed.
+    inner = (0.0 < p) & (p < 1.0)
+    draws = np.ones((n, 2, d - 1), dtype=complex)
+    if np.count_nonzero(inner):
+        draws[inner] = np.concatenate([
+            tr._tau_draws(np.random.default_rng(seeds[j]), d - 1, count)
+            for j, count in enumerate(inner.sum(axis=1).tolist()) if count])
+    kets, members, _, pure, clipped = gm._ket_states(
+        model, tr._kets_with_tau(phi_k[:, None], p, draws))
+    if np.count_nonzero(clipped):
+        kets = np.where(clipped[..., None], gm._pure_kets(members), kets)
+    is_phi = p == 1.0  # the reference state itself
+    if np.count_nonzero(is_phi):
+        kets = np.where(is_phi[..., None], phi_k[:, None], kets)
+        members = np.where(is_phi[..., None, None], phi_m[:, None], members)
+        pure = pure | is_phi
+    if np.count_nonzero(present & ~pure):
+        raise NotPureError("Ensemble members must be pure states.")
+
+    # The average state (a lone member is its own) and its purification.
+    average = (weights[:, 0, None, None] * members[:, 0]
+               + weights[:, 1, None, None] * members[:, 1])
+    average[lam == 1.0] = members[lam == 1.0, 0]
+    average[lam == 0.0] = members[lam == 0.0, 1]
+    omega = gm._check_states(model, average)[0]
+    joints = ss._purify(omega, present.sum(axis=1))
+
+    # Synthesis targets, as one stack: protocol 1 of every scenario, then
+    # protocol 2 of the steered-uniform ones.
+    trivial = np.flatnonzero(~uniform)
+    uniform = np.flatnonzero(uniform)
+    targets = np.concatenate([np.arange(n), uniform])
+    if len(uniform):
+        u_members, _, u_pure, _ = gm._check_states(
+            model, _uniform_members(omega[uniform], phi_m[uniform]))
+        if np.count_nonzero(u_pure) < u_pure.size:
             raise NotPureError("Ensemble members must be pure states.")
+        weights = np.concatenate([weights, np.full((len(uniform), 2), 0.5)])
+        members = np.concatenate([members, u_members])
+        kets = np.concatenate([kets, gm._pure_kets(u_members)])
+        pure = np.concatenate([pure, u_pure])
+        present = np.concatenate([present, np.ones_like(present[uniform])])
+    model_a = gm.quantum(joints.shape[1])
+    effects, _, live = ss._synthesize(
+        model_a, joints[targets], weights, members, kets, pure, present)
 
-        # The average state (a lone member is its own) and its purification.
-        average = (weights[:, 0, None, None] * members[:, 0]
-                   + weights[:, 1, None, None] * members[:, 1])
-        for j in lone:
-            average[j] = members[j, 0 if scenarios[j].lam == 1.0 else 1]
-        omega = gm._check_states(model, average)[0]
-        joints = ss._purify(omega, present.sum(axis=1))
+    # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
+    # row n + j, the trivial measurement's or the synthesized one.
+    effects_2 = np.zeros((n,) + effects.shape[1:], dtype=complex)
+    live_2 = np.zeros((n, live.shape[1]), dtype=bool)
+    effects_2[trivial, 0], live_2[trivial, 0] = np.eye(model_a.size), True
+    effects_2[uniform], live_2[uniform] = effects[n:], live[n:]
+    effects = np.concatenate([effects[:n], effects_2])
+    live = np.concatenate([live[:n], live_2])
+    both = np.concatenate([np.arange(n), np.arange(n)])
+    steered = ss._steer(model, joints[both], effects, live)
+    rows_t = np.concatenate([np.arange(n), n + uniform])
+    ss._check_targets(steered.subs[rows_t], weights, members, present)
 
-        # Synthesis targets: protocol 1 of every scenario, then protocol 2
-        # of the steered-uniform ones.
-        steered = np.array([s.mode == STEERED_UNIFORM for s in scenarios])
-        uniform = np.flatnonzero(steered)
-        trivial = np.flatnonzero(~steered)
-        targets = np.concatenate([np.arange(n), uniform])
-        if len(uniform):
-            u_members, _, u_pure, _ = gm._check_states(
-                model, _uniform_members(omega[uniform], phi_m[uniform]))
-            if np.count_nonzero(u_pure) < u_pure.size:
-                raise NotPureError("Ensemble members must be pure states.")
-            m = len(uniform)
-            weights = np.concatenate([weights, np.full((m, 2), 0.5)])
-            members = np.concatenate([members, u_members])
-            kets = np.concatenate([kets, gm._pure_kets(u_members)])
-            pure = np.concatenate([pure, u_pure])
-            present = np.concatenate([present, np.ones((m, 2), dtype=bool)])
-        model_a = gm.quantum(joints.shape[1])
-        effects, _, live = ss._synthesize(
-            model_a, joints[targets], weights, members, kets, pure, present)
-
-        # Steered rows: protocol 1 of scenario j at row j, protocol 2 at
-        # row n + j, the trivial measurement's or the synthesized one.
-        if len(trivial):
-            unit = np.zeros((n,) + effects.shape[1:], dtype=complex)
-            unit[:, 0] = np.eye(model_a.size)
-            unit_live = np.zeros((n, live.shape[1]), dtype=bool)
-            unit_live[:, 0] = True
-            unit[uniform], unit_live[uniform] = effects[n:], live[n:]
-            effects = np.concatenate([effects[:n], unit])
-            live = np.concatenate([live[:n], unit_live])
-        both = np.concatenate([np.arange(n), np.arange(n)])
-        steered = ss._steer(model, joints[both], effects, live)
-        rows_t = np.concatenate([np.arange(n), n + uniform])
-        ss._check_targets(steered.subs[rows_t], weights, members, present)
-
-        # Predictions: from the known decomposition, or (trivial protocol 2,
-        # the lone unit outcome of weight 1) the rule at the average state's
-        # overlap.
-        accepts = np.array([tr.accept_effect(s.phi).matrix for s in scenarios])
-        taus = gm._pairings(steered.matrices, accepts[both, None])
-        mixed = steered.keep & ~steered.pure
-        mixed[n + trivial] = False
-        known = np.empty(2 * n)
-        for rule, at in self._rule_rows(rows[both]):
-            known[at] = rl._predict(rule, steered.weights[at], taus[at],
-                                    mixed[at])
-        prob_1, prob_2 = known[:n], known[n:]
-        marginal = ss._marginal_residuals(
-            steered.weights[:n], steered.coeffs[:n],
-            steered.weights[n:], steered.coeffs[n:])
-        for j, i in enumerate(rows):
-            self._ensembles[i] = (model, steered, j, n + j)
-
-        if np.count_nonzero(marginal > _MARGINAL_TOL):
-            gm._fail(ContractError,
-                     "Protocols disagree on the distant marginal by {}.",
-                     marginal > _MARGINAL_TOL, marginal)
-        expected_1, expected_2 = np.empty(n), np.empty(n)
-        for rule, at in self._rule_rows(rows):
-            expected_1[at], expected_2[at] = closed_form(
-                rule, p[at, 0], p[at, 1], lam[at])
-        formula = np.maximum(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
-        if np.count_nonzero(formula > _FORMULA_TOL):
-            gm._fail(ContractError,
-                     "Pipeline deviates from the closed form by {}.",
-                     formula > _FORMULA_TOL, formula)
-        self.prob_1[rows], self.prob_2[rows] = prob_1, prob_2
-        self.marginal[rows], self.formula[rows] = marginal, formula
-
-    def _rule_rows(self, rows: np.ndarray) -> list:
-        """(rule, positions in ``rows``) for each distinct rule object."""
-        rules = [self.scenarios[i].rule for i in rows]
-        if all(rule is rules[0] for rule in rules):
-            return [(rules[0], slice(None))]
-        groups = {}
-        for j, rule in enumerate(rules):
-            groups.setdefault(id(rule), (rule, []))[1].append(j)
-        return [(rule, np.array(at)) for rule, at in groups.values()]
-
-    def report(self, i: int) -> SignalingReport:
-        model, steered, j_1, j_2 = self._ensembles[i]
-        return SignalingReport(
-            scenario=self.scenarios[i],
-            prob_1=float(self.prob_1[i]),
-            prob_2=float(self.prob_2[i]),
-            gap=float(self.gap[i]),
-            ensemble_1=steered.ensemble(model, j_1),
-            ensemble_2=steered.ensemble(model, j_2),
-            marginal_residual=float(self.marginal[i]),
-            formula_residual=float(self.formula[i]),
-        )
+    # Predictions: from the known decomposition, or (trivial protocol 2,
+    # the lone unit outcome of weight 1) the rule at the average state's
+    # overlap. phi's accepting effect is its own matrix.
+    taus = gm._pairings(steered.matrices, phi_m[both, None])
+    mixed = steered.keep & ~steered.pure
+    mixed[n + trivial] = False
+    known = rl._predict(rule, steered.weights, taus, mixed)
+    prob_1, prob_2 = known[:n], known[n:]
+    marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
+                                      steered.weights[n:], steered.coeffs[n:])
+    if np.count_nonzero(marginal > _MARGINAL_TOL):
+        gm._fail(ContractError,
+                 "Protocols disagree on the distant marginal by {}.",
+                 marginal > _MARGINAL_TOL, marginal)
+    expected_1, expected_2 = closed_form(rule, p[:, 0], p[:, 1], lam)
+    formula = np.maximum(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
+    if np.count_nonzero(formula > _FORMULA_TOL):
+        gm._fail(ContractError,
+                 "Pipeline deviates from the closed form by {}.",
+                 formula > _FORMULA_TOL, formula)
+    return prob_1, prob_2, marginal, formula, steered
 
 
 _UNIFORM_QUBITS_ONLY = (
@@ -389,12 +362,18 @@ def max_gap_search(rule: rl.ProbabilityRule, grid: int = 101,
     descent with shrinking steps, then runs the full steering scenario at
     the winning point. Deterministic for fixed grid and seed.
     """
-    axis, _, _, gaps = gap_surface(rule, grid)
+    return _witness(rule, gap_surface(rule, grid), refine, seed, phi)
+
+
+def _witness(rule: rl.ProbabilityRule, surface: tuple, refine: int,
+             seed: int, phi: gm.State | None = None) -> SignalingReport:
+    """:func:`max_gap_search` on the ``surface`` from :func:`gap_surface`."""
+    axis, _, _, gaps = surface
     magnitude = np.abs(gaps)
     i, j, k = np.unravel_index(np.argmax(magnitude), magnitude.shape)
     point = np.array([axis[i], axis[j], axis[k]])
 
-    step = 1.0 / (grid - 1)
+    step = 1.0 / (len(axis) - 1)
     value = float(magnitude[i, j, k])
     for _ in range(refine):
         moved = False
@@ -442,10 +421,13 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     """Sample random scenarios through the full pipeline; pass iff every
     |gap| stays within tolerance. The worst witness is returned either way.
 
-    The scenarios run in batches of up to ``_CERTIFICATE_BATCH``; only the
-    worst witness's report outlives its batch. A failing sample surfaces
-    from :func:`run_scenario` on it (see :func:`run_scenarios`), and the
-    error raised names its place among the certificate's samples.
+    Sample i draws phi's ket (two real parts, then two imaginary parts),
+    then (p1, p2, lambda), then its scenario's seed. The samples run in
+    batches of up to ``_CERTIFICATE_BATCH`` as arrays through the core of
+    :func:`run_scenarios`, with no object per sample; a report is made
+    only for the worst witness. A failing batch is run again as
+    scenarios, so a failing sample surfaces from :func:`run_scenario` on
+    it, and the error raised names its place among the samples.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}.")
@@ -453,36 +435,55 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         raise ValueError(f"tol must be positive and finite, got {tol}.")
     rng = np.random.default_rng(seed)
     model = gm.quantum(2)
-    worst = None  # (|gap|, report); the first maximum wins
+    worst = None  # (|gap|, its row, its batch's arrays); the first wins
     for start in range(0, samples, _CERTIFICATE_BATCH):
         count = min(_CERTIFICATE_BATCH, samples - start)
-        kets = np.empty((count, 2), dtype=complex)
+        normals = np.empty((count, 4))
         params = np.empty((count, 3))
         seeds = []
-        for index in range(count):
-            kets[index] = rng.normal(size=2) + 1j * rng.normal(size=2)
-            params[index] = rng.random(3)
+        for i in range(count):
+            normals[i] = rng.normal(size=4)
+            rng.random(out=params[i])
             seeds.append(int(rng.integers(2**31)))
+        kets = normals[:, :2] + 1j * normals[:, 2:]
         unit, matrices, coeffs, pure, clipped = gm._ket_states(
             model, kets / gm._norm(kets)[:, None])
-        phis = gm._states(model, matrices, coeffs, pure, unit, pure & ~clipped)
-        scenarios = [Scenario(rule, phi, float(p1), float(p2), float(lam),
-                              seed=s)
-                     for phi, (p1, p2, lam), s in zip(phis, params, seeds)]
-        runs = _Runs(scenarios, start)
-        magnitudes = np.abs(runs.gap)
+        phis = (matrices, coeffs, pure, unit, pure & ~clipped)
+        phi_k = unit  # a clipped phi's ket is its matrix's top eigenvector
+        if np.count_nonzero(clipped):
+            phi_k = np.where(clipped[:, None], gm._pure_kets(matrices), unit)
+        try:
+            if np.count_nonzero(~pure):
+                raise NotPureError("phi must be a pure state.")
+            run = _run(rule, model, phi_k, matrices, params[:, :2],
+                       params[:, 2], seeds, np.zeros(count, dtype=bool))
+        except GptError as exc:
+            _raise_named(exc, _samples(rule, model, phis, params, seeds,
+                                       slice(None)), start)
+        magnitudes = np.abs(run[0] - run[1])  # |P1 - P2|
         k = int(np.argmax(magnitudes))
         if worst is None or magnitudes[k] > worst[0]:
-            worst = (float(magnitudes[k]), runs.report(k))
-    worst_value, report = worst
+            worst = (float(magnitudes[k]), k, run, phis, params, seeds)
+    worst_value, k, run, phis, params, seeds = worst
+    witness = _samples(rule, model, phis, params, seeds, slice(k, k + 1))[0]
     return CertificateResult(
         passed=worst_value <= tol,
         samples=samples,
         tolerance=tol,
         seed=seed,
         max_abs_gap=worst_value,
-        worst=report,
+        worst=_report(witness, model, run, k),
     )
+
+
+def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel, phis: tuple,
+             params: np.ndarray, seeds: list, rows: slice) -> list:
+    """Scenarios of the certificate samples ``rows``, from phi's checked
+    arrays ``phis`` (matrices, coeffs, purity, kets, where a phi keeps its
+    ket), the (p1, p2, lambda) ``params`` and the ``seeds``."""
+    states = gm._states(model, *(a[rows] for a in phis))
+    return [Scenario(rule, phi, p1, p2, lam, seed=s) for phi, (p1, p2, lam), s
+            in zip(states, params[rows].tolist(), seeds[rows])]
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,7 @@ def state_with_tau(model: gm.SystemModel, phi: gm.State, p: float,
         return phi
     draws = np.ones(model.size - 1, dtype=complex)
     if p != 0.0:
-        rng = np.random.default_rng(seed) if not isinstance(
-            seed, np.random.Generator) else seed
-        draws = _tau_draws(rng, model.size - 1, 1)[0]
+        draws = _tau_draws(np.random.default_rng(seed), model.size - 1, 1)[0]
     return gm.ket_state(model, _kets_with_tau(ket, p, draws))
 
 
@@ -148,8 +146,8 @@ def _tau_draws(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
     """``(count, size)`` complex residual weights for ``count`` states with
     an intermediate overlap, drawn one state after another: real parts,
     then imaginary parts."""
-    pairs = rng.normal(size=2 * size * count).reshape(count, 2, size)
-    return pairs[:, 0] + 1j * pairs[:, 1]
+    pairs = rng.normal(size=(count, 2, size))
+    return pairs.transpose(0, 2, 1).copy().view(complex)[..., 0]
 
 
 def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:

@@ -273,6 +273,22 @@ def test_scan_byte_identical_reruns(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_computes_the_gap_surface_once(capsys, monkeypatch, fmt):
+    real, calls = sg.gap_surface, []
+
+    def counting(rule, grid):
+        calls.append(grid)
+        return real(rule, grid)
+
+    monkeypatch.setattr(sg, "gap_surface", counting)
+    code, _, _ = run_cli(capsys, "scan", "--family", "power", "--alpha",
+                         "1.5", "--grid", "9", "--refine", "3", "--format",
+                         fmt)
+    assert code == 0
+    assert calls == [9]
+
+
 def test_scan_io_failure(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "identity",
                            "--grid", "3", "--out",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,8 +183,10 @@ def test_report_serializes():
 
 # Rules with a finite slope everywhere: a steep rule amplifies round-off
 # past the 1e-12 closed-form contract (see the failure test below).
-SMOOTH_RULES = (rl.identity_rule(), rl.power_rule(1.5), rl.power_rule(2.5),
-                rl.piecewise_quadratic_rule())
+# One rule of each family, none steep.
+FAMILY_RULES = (rl.identity_rule(), rl.power_rule(1.5),
+                rl.piecewise_quadratic_rule(),
+                rl.tabulated_rule([[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]))
 
 
 @st.composite
@@ -204,13 +207,18 @@ def scenarios(draw):
     mode = sg.TRIVIAL_AVERAGE
     if d == 2 and draw(st.booleans()):
         mode = sg.STEERED_UNIFORM
-    return sg.Scenario(draw(st.sampled_from(SMOOTH_RULES)), phi, p1, p2, lam,
+    return sg.Scenario(draw(st.sampled_from(FAMILY_RULES)), phi, p1, p2, lam,
                        mode=mode, seed=draw(st.integers(0, 2**31 - 1)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(batch=st.lists(scenarios(), min_size=1, max_size=8))
-def test_batch_equals_single_runs(batch):
+@given(batch=st.lists(scenarios(), min_size=1, max_size=8),
+       one_rule=st.booleans())
+def test_batch_equals_single_runs(batch, one_rule):
+    # The batch runs one group per (dimension, rule object): with one rule
+    # object, scenarios of one dimension share one group.
+    if one_rule:
+        batch = [replace(s, rule=batch[0].rule) for s in batch]
     singles = []
     for scenario in batch:
         try:
@@ -230,12 +238,6 @@ def test_batch_equals_single_runs(batch):
         for field in ("prob_1", "prob_2", "gap"):
             assert getattr(many, field).hex() == getattr(one, field).hex()
         assert many.to_json() == one.to_json()
-
-
-# One rule of each family, none steep.
-FAMILY_RULES = (rl.identity_rule(), rl.power_rule(1.5),
-                rl.piecewise_quadratic_rule(),
-                rl.tabulated_rule([[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -417,6 +419,36 @@ def test_batch_reports_match_per_scenario_pipeline():
         assert report.prob_2 == pytest.approx(prob_2, rel=0, abs=1e-14)
         assert (len(report.ensemble_1), len(report.ensemble_2)) == (size_1,
                                                                     size_2)
+
+
+def certificate_scenarios(rule, samples, seed):
+    """The certificate's samples as scenarios, in its documented draw
+    order: phi's ket (real parts, then imaginary parts), then (p1, p2,
+    lambda), then the scenario's seed."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for _ in range(samples):
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        phi = gm.ket_state(QUBIT, ket / np.linalg.norm(ket))
+        p1, p2, lam = (float(x) for x in rng.random(3))
+        batch.append(sg.Scenario(rule, phi, p1, p2, lam,
+                                 seed=int(rng.integers(2**31))))
+    return batch
+
+
+@pytest.mark.parametrize("seed", [3, 2026])
+@pytest.mark.parametrize("rule", [rl.identity_rule(), rl.power_rule(1.5)],
+                         ids=["identity", "power1.5"])
+@pytest.mark.parametrize("samples", [1, 255, 256, 257, 600])
+def test_certificate_equals_runs_of_its_scenarios(rule, samples, seed):
+    # The certificate draws and runs arrays in batches of 256; the same
+    # samples built as objects and run as one batch give the same witness.
+    cert = sg.affinity_certificate(rule, samples=samples, tol=1e-3, seed=seed)
+    reports = sg.run_scenarios(certificate_scenarios(rule, samples, seed))
+    gaps = [abs(report.gap) for report in reports]
+    worst = reports[int(np.argmax(gaps))]
+    assert cert.max_abs_gap == max(gaps)
+    assert cert.worst.to_json() == worst.to_json()
 
 
 def test_certificate_worst_witness_is_its_single_run():
