@@ -34,6 +34,7 @@ QUANTUM = "quantum"
 CLASSICAL = "classical"
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_OFF_SCALE = np.array([2.0, -2.0])  # Re m01, Im m01 to the X, Y coefficients
 _CLIP_FLOOR = -1e-14  # below this, negatives are projected; above, passed through
 
 
@@ -89,12 +90,17 @@ class SystemModel:
         """Expand a Hermitian matrix, or a ``(..., d, d)`` stack of them, in
         the orthonormal basis; each row is its own matrix's expansion."""
         if self.size == 2:  # closed form in the {I, X, Y, Z}/sqrt(2) basis
-            parts, trace, diff = _qubit_parts(
-                np.ascontiguousarray(matrix, dtype=complex))
-            return _qubit_coeffs(trace, diff, parts)
+            # Float view: row 0 is Re m00, Im m00, Re m01, Im m01.
+            parts = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
+            m00, m11 = parts[..., 0, 0], parts[..., 1, 2]
+            coeffs = np.empty(parts.shape[:-2] + (4,))
+            coeffs[..., 0] = (m00 + m11) * _INV_SQRT2
+            coeffs[..., 1:3] = _OFF_SCALE * parts[..., 0, 2:] * _INV_SQRT2
+            coeffs[..., 3] = (m00 - m11) * _INV_SQRT2
+            return coeffs
         d2 = self.size * self.size
         flat = matrix.reshape(*matrix.shape[:-2], 1, d2)
-        return np.real(flat @ self._coeff_map)[..., 0, :]
+        return np.ascontiguousarray(np.real(flat @ self._coeff_map)[..., 0, :])
 
     def matrix_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Reconstruct the Hermitian matrix from its coefficient vector."""
@@ -246,18 +252,6 @@ def _fail(error: type, message, bad: np.ndarray, *values):
     raise error(message.format(*(np.asarray(v)[at] for v in values)))
 
 
-def _qubit_parts(matrices: np.ndarray):
-    """Float view ``(..., 2, 4)`` of a C-contiguous ``(..., 2, 2)`` complex
-    stack (row 0: Re m00, Im m00, Re m01, Im m01), with each matrix's
-    m00 + m11 and m00 - m11 (real parts)."""
-    parts = matrices.view(np.float64)
-    m00, m11 = parts[..., 0, 0], parts[..., 1, 2]
-    return parts, m00 + m11, m00 - m11
-
-
-_OFF_SCALE = np.array([2.0, -2.0])
-
-
 @lru_cache(maxsize=None)
 def _eye(d: int) -> np.ndarray:
     """Read-only complex identity of size d."""
@@ -266,63 +260,69 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def _qubit_coeffs(trace, diff, parts) -> np.ndarray:
-    """Coefficients ``(..., 4)`` in the {I, X, Y, Z}/sqrt(2) basis."""
-    coeffs = np.empty(trace.shape + (4,))
-    coeffs[..., 0] = trace * _INV_SQRT2
-    coeffs[..., 1:3] = _OFF_SCALE * parts[..., 0, 2:] * _INV_SQRT2
-    coeffs[..., 3] = diff * _INV_SQRT2
-    return coeffs
-
-
-def _spectrum_bounds(matrices: np.ndarray, trace=None, diff=None):
+def _spectrum_bounds(matrices: np.ndarray):
     """Smallest and largest eigenvalue of each Hermitian matrix.
 
     2x2 matrices use the closed form (exact at the arithmetic level, which
-    keeps projector spectra at exactly {0, 1}) on their ``trace`` and
-    ``diff`` (see :func:`_qubit_parts`); larger ones use the eigensolver.
+    keeps projector spectra at exactly {0, 1}); larger ones use the
+    eigensolver.
     """
     if matrices.shape[-1] == 2:
-        half_trace = 0.5 * trace
-        radius = np.sqrt((0.5 * diff) ** 2 + abs(matrices[..., 0, 1]) ** 2)
+        m00, m11 = matrices[..., 0, 0].real, matrices[..., 1, 1].real
+        half_trace = 0.5 * (m00 + m11)
+        radius = np.sqrt((0.5 * (m00 - m11)) ** 2 + abs(matrices[..., 0, 1]) ** 2)
         return half_trace - radius, half_trace + radius
     eigvals = np.linalg.eigvalsh(matrices)
     return eigvals[..., 0], eigvals[..., -1]
 
 
-def _check_states(model: SystemModel, matrices: np.ndarray):
-    """Validate a ``(..., d, d)`` stack of density matrices.
-
-    Each must be Hermitian within SPECTRAL_TOL (round-off asymmetry is
-    symmetrized away), have unit trace within LINEAR_TOL and no eigenvalue
-    below -SPECTRAL_TOL. Eigenvalues between that and the clip floor are
-    projected away. Returns ``(matrices, coeffs, pure, clipped)``, read-only.
-    """
-    m = np.ascontiguousarray(matrices, dtype=complex)
+def _check_hermitian(model: SystemModel, matrices: np.ndarray,
+                     not_hermitian: str):
+    """Core of the state and effect checks on a ``(..., d, d)`` stack: each
+    member's skew, the largest entry of ``|m - m^dagger|``, must be at most
+    SPECTRAL_TOL (else ``OutsideConeError(not_hermitian)``), and a member
+    with any skew is replaced by its Hermitian part. Returns a C-contiguous
+    copy of the stack, which callers may freeze, and each member's smallest
+    and largest eigenvalue."""
+    m = np.array(matrices, dtype=complex, order="C")
     if m.shape[-2:] != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    qubit = model.size == 2
-    if qubit:
-        parts, trace, diff = _qubit_parts(m)
-        skew = np.maximum(np.maximum(abs(parts[..., 0, 1]), abs(parts[..., 1, 3])),
-                          abs(m[..., 0, 1] - m[..., 1, 0].conj()))
+    if model.size == 2:  # the same value in closed form
+        diagonal = np.maximum(abs(m[..., 0, 0].imag), abs(m[..., 1, 1].imag))
+        skew = np.maximum(2.0 * diagonal, abs(m[..., 0, 1] - m[..., 1, 0].conj()))
     else:
         skew = abs(m - _dagger(m)).max(axis=(-2, -1))
-        trace, diff = np.trace(m, axis1=-2, axis2=-1).real, None
+    if np.count_nonzero(skew > SPECTRAL_TOL):
+        _fail(OutsideConeError, not_hermitian, skew > SPECTRAL_TOL)
     asym = skew > 0.0
     if np.count_nonzero(asym):
         m = np.where(asym[..., None, None], 0.5 * (m + _dagger(m)), m)
-        if qubit:
-            parts, _, diff = _qubit_parts(m)
-    low = _spectrum_bounds(m, trace, diff)[0]
-    if np.count_nonzero((skew > SPECTRAL_TOL) | (abs(trace - 1.0) > LINEAR_TOL)
-                        | (low < -SPECTRAL_TOL)):
-        if np.count_nonzero(skew > SPECTRAL_TOL):
-            _fail(OutsideConeError, "Matrix is not Hermitian within tolerance.",
-                  skew > SPECTRAL_TOL)
-        if np.count_nonzero(abs(trace - 1.0) > LINEAR_TOL):
-            _fail(NotNormalizedError, "Trace is {}, expected 1.",
-                  abs(trace - 1.0) > LINEAR_TOL, trace)
+    return (m, *_spectrum_bounds(m))
+
+
+def _frozen(model: SystemModel, matrices: np.ndarray):
+    """Checked ``matrices`` and their coefficient rows, both read-only."""
+    coeffs = model.coeffs_from_matrix(matrices)
+    coeffs.flags.writeable = False
+    matrices.flags.writeable = False
+    return matrices, coeffs
+
+
+def _check_states(model: SystemModel, matrices: np.ndarray):
+    """Validate a ``(..., d, d)`` stack of density matrices.
+
+    Each must pass :func:`_check_hermitian`, have unit trace within
+    LINEAR_TOL and no eigenvalue below -SPECTRAL_TOL. Eigenvalues between
+    that and the clip floor are projected away. Returns
+    ``(matrices, coeffs, pure, clipped)``, read-only.
+    """
+    m, low, _ = _check_hermitian(
+        model, matrices, "Matrix is not Hermitian within tolerance.")
+    trace = m.real.trace(axis1=-2, axis2=-1)
+    if np.count_nonzero(abs(trace - 1.0) > LINEAR_TOL):
+        _fail(NotNormalizedError, "Trace is {}, expected 1.",
+              abs(trace - 1.0) > LINEAR_TOL, trace)
+    if np.count_nonzero(low < -SPECTRAL_TOL):
         _fail(OutsideConeError, "Negative eigenvalue {} beyond tolerance.",
               low < -SPECTRAL_TOL, low)
 
@@ -336,19 +336,10 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
             _dagger(eigvecs)
         fixed = 0.5 * (fixed + _dagger(fixed))
         fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
-        m = m.copy()
         m[clipped] = fixed
-        if qubit:
-            parts, trace, diff = _qubit_parts(m)
 
     pure = abs(_vdot(m, m) - 1.0) <= SPECTRAL_TOL
-    if qubit:
-        coeffs = _qubit_coeffs(trace, diff, parts)
-    else:
-        coeffs = np.ascontiguousarray(model.coeffs_from_matrix(m))
-    coeffs.flags.writeable = False
-    m.flags.writeable = False
-    return m, coeffs, pure, clipped
+    return (*_frozen(model, m), pure, clipped)
 
 
 def _states(model: SystemModel, matrices, coeffs, pure, kets=None,
@@ -369,17 +360,15 @@ def _groups(values: np.ndarray) -> list:
     return [(v, np.flatnonzero(values == v)) for v in distinct]
 
 
-def state_from_matrix(model: SystemModel, matrix: np.ndarray,
-                      ket: np.ndarray | None = None) -> State:
+def state_from_matrix(model: SystemModel, matrix: np.ndarray) -> State:
     """Validate a density matrix and wrap it as a State."""
     if model.kind != QUANTUM:
         raise UnsupportedModelError("Matrix states require a quantum model.")
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    matrix, coeffs, pure, clipped = _check_states(model, matrix)
-    return State(model, coeffs, matrix, bool(pure),
-                 ket if pure and not clipped else None)
+    matrix, coeffs, pure, _ = _check_states(model, matrix)
+    return State(model, coeffs, matrix, bool(pure))
 
 
 def _ket_states(model: SystemModel, kets: np.ndarray):
@@ -478,32 +467,15 @@ class Effect:
 
 
 def _check_effects(model: SystemModel, matrices: np.ndarray):
-    """Validate a ``(..., d, d)`` stack of effect operators: Hermitian within
-    SPECTRAL_TOL, spectrum inside [0, 1] within SPECTRAL_TOL. Returns the
-    symmetrized matrices and their covectors, read-only."""
-    m = np.asarray(matrices, dtype=complex)
-    dagger = _dagger(m)
-    skew = abs(m - dagger).max(axis=(-2, -1))
-    m = 0.5 * (m + dagger)
-    if model.size == 2:
-        parts, trace, diff = _qubit_parts(m)
-        low, high = _spectrum_bounds(m, trace, diff)
-    else:
-        low, high = _spectrum_bounds(m)
-    if np.count_nonzero((skew > SPECTRAL_TOL) | (low < -SPECTRAL_TOL)
-                        | (high > 1.0 + SPECTRAL_TOL)):
-        if np.count_nonzero(skew > SPECTRAL_TOL):
-            _fail(OutsideConeError, "Effect operator is not Hermitian.",
-                  skew > SPECTRAL_TOL)
+    """Validate a ``(..., d, d)`` stack of effect operators: they must pass
+    :func:`_check_hermitian` with spectrum inside [0, 1] within
+    SPECTRAL_TOL. Returns the matrices and their covectors, read-only."""
+    m, low, high = _check_hermitian(
+        model, matrices, "Effect operator is not Hermitian.")
+    if np.count_nonzero((low < -SPECTRAL_TOL) | (high > 1.0 + SPECTRAL_TOL)):
         _fail(OutsideConeError, "Effect spectrum [{}, {}] escapes [0, 1].",
               (low < -SPECTRAL_TOL) | (high > 1.0 + SPECTRAL_TOL), low, high)
-    if model.size == 2:
-        covectors = _qubit_coeffs(trace, diff, parts)
-    else:
-        covectors = np.ascontiguousarray(model.coeffs_from_matrix(m))
-    covectors.flags.writeable = False
-    m.flags.writeable = False
-    return m, covectors
+    return _frozen(model, m)
 
 
 def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
@@ -596,12 +568,20 @@ def measurement(effects) -> Measurement:
     for e in effects:
         if e.model != model:
             raise ModelMismatchError("Measurement mixes different models.")
-    total = np.sum([e.covector for e in effects], axis=0)
-    residual = float(np.max(np.abs(total - model.unit_covector)))
-    if residual > LINEAR_TOL:
-        raise OutsideConeError(
-            f"Effects sum deviates from the unit by {residual}.")
+    _check_complete(model, np.stack([e.covector for e in effects]))
     return Measurement(effects)
+
+
+def _check_complete(model: SystemModel, covectors: np.ndarray) -> None:
+    """Each ``(..., K, m)`` stack of effect covectors, added in order, must
+    sum to the order unit within LINEAR_TOL."""
+    total = covectors[..., 0, :]
+    for k in range(1, covectors.shape[-2]):
+        total = total + covectors[..., k, :]
+    residual = abs(total - model.unit_covector).max(axis=-1)
+    if np.count_nonzero(residual > LINEAR_TOL):
+        _fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
+              residual > LINEAR_TOL, residual)
 
 
 def measurement_from_dict(data: dict) -> Measurement:
@@ -702,6 +682,15 @@ def ensemble_from_dict(data: dict) -> Ensemble:
     )
 
 
+def _average(weights: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Weighted sums ``(n, d, d)`` of ``n`` stacks of ``K`` member matrices
+    ``(n, K, d, d)`` with weights ``(n, K)``, added in member order."""
+    avg = weights[:, 0, None, None] * matrices[:, 0]
+    for k in range(1, weights.shape[1]):
+        avg = avg + weights[:, k, None, None] * matrices[:, k]
+    return avg
+
+
 def mix(ens: Ensemble) -> State:
     """Average state of an ensemble."""
     if len(ens) == 0:
@@ -710,10 +699,8 @@ def mix(ens: Ensemble) -> State:
     if len(ens) == 1 and ens.weights[0] == 1.0:
         return ens.states[0]
     if model.kind == QUANTUM:
-        avg = ens.weights[0] * ens.states[0].matrix
-        for w, s in zip(ens.weights[1:], ens.states[1:]):
-            avg = avg + w * s.matrix
-        return state_from_matrix(model, avg)
+        return state_from_matrix(model, _average(
+            ens.weights[None], np.stack([s.matrix for s in ens.states])[None])[0])
     avg = ens.weights @ np.stack([s.coeffs for s in ens.states])
     return validate_state(model, avg)
 

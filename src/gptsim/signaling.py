@@ -224,8 +224,7 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
         raise NotPureError("Ensemble members must be pure states.")
 
     # The average state (a lone member is its own) and its purification.
-    average = (weights[:, 0, None, None] * members[:, 0]
-               + weights[:, 1, None, None] * members[:, 1])
+    average = gm._average(weights, members)
     average[lam == 1.0] = members[lam == 1.0, 0]
     average[lam == 0.0] = members[lam == 0.0, 1]
     omega = gm._check_states(model, average)[0]
@@ -353,20 +352,20 @@ def gap_surface(rule: rl.ProbabilityRule, grid: int):
 
 
 def max_gap_search(rule: rl.ProbabilityRule, grid: int = 101,
-                   refine: int = 40, seed: int = 0,
-                   phi: gm.State | None = None) -> SignalingReport:
+                   refine: int = 40, seed: int = 0) -> SignalingReport:
     """Largest |gap| witness over the parameter cube.
 
     Scans the closed-form surface on a grid (ties broken toward the
     lexicographically smallest (p1, p2, lambda)), refines by coordinate
     descent with shrinking steps, then runs the full steering scenario at
-    the winning point. Deterministic for fixed grid and seed.
+    the winning point, with phi = |0>. Deterministic for fixed grid and
+    seed.
     """
-    return _witness(rule, gap_surface(rule, grid), refine, seed, phi)
+    return _witness(rule, gap_surface(rule, grid), refine, seed)
 
 
 def _witness(rule: rl.ProbabilityRule, surface: tuple, refine: int,
-             seed: int, phi: gm.State | None = None) -> SignalingReport:
+             seed: int) -> SignalingReport:
     """:func:`max_gap_search` on the ``surface`` from :func:`gap_surface`."""
     axis, _, _, gaps = surface
     magnitude = np.abs(gaps)
@@ -391,10 +390,9 @@ def _witness(rule: rl.ProbabilityRule, surface: tuple, refine: int,
             if step < 1e-12:
                 break
 
-    if phi is None:
-        phi = gm.point_state(gm.quantum(2), 0)
-    scenario = Scenario(rule, phi, float(point[0]), float(point[1]),
-                        float(point[2]), seed=seed)
+    scenario = Scenario(rule, gm.point_state(gm.quantum(2), 0),
+                        float(point[0]), float(point[1]), float(point[2]),
+                        seed=seed)
     return run_scenario(scenario)
 
 
@@ -525,6 +523,8 @@ def simulate_runs(report: SignalingReport, runs: int = 10_000,
     predicted probability; the empirical gap concentrates around the true
     one with standard error sqrt(P1(1-P1)/N + P2(1-P2)/N).
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}.")
     rng = np.random.default_rng(seed)
     k1 = int(rng.binomial(runs, report.prob_1))
     k2 = int(rng.binomial(runs, report.prob_2))

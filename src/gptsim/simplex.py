@@ -66,13 +66,18 @@ def _iterate(table, basis, cost):
         if stall > _STALL_LIMIT:
             bland = True
 
-        pivot = table[row, col]
-        table[row] /= pivot
-        rest = np.arange(m) != row
-        table[rest] -= np.outer(table[rest, col], table[row])
-        basis[row] = col
+        _pivot(table, basis, row, col)
         iterations += 1
     raise UnboundedError("Simplex iteration limit exceeded; malformed cone.")
+
+
+def _pivot(table, basis, row, col):
+    """Pivot the tableau in place on ``(row, col)``: ``col`` enters the
+    basis at ``row``."""
+    table[row] /= table[row, col]
+    rest = np.arange(table.shape[0]) != row
+    table[rest] -= np.outer(table[rest, col], table[row])
+    basis[row] = col
 
 
 def _pivot_out_artificials(table, basis, n_struct):
@@ -82,12 +87,7 @@ def _pivot_out_artificials(table, basis, n_struct):
         if candidates.size == 0:
             # Redundant row: harmless, leave the zero-level artificial basic.
             continue
-        col = int(candidates[0])
-        pivot = table[row, col]
-        table[row] /= pivot
-        rest = np.arange(table.shape[0]) != row
-        table[rest] -= np.outer(table[rest, col], table[row])
-        basis[row] = col
+        _pivot(table, basis, row, int(candidates[0]))
 
 
 def solve_nonneg(c, a_eq, b_eq) -> LpResult:

@@ -22,7 +22,6 @@ from .errors import (
     ModelMismatchError,
     NotNormalizedError,
     NotPureError,
-    OutsideConeError,
     RankDeficitError,
     UnsupportedModelError,
 )
@@ -222,10 +221,7 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
     n, dim_a, _ = joints.shape
     slots = weights.shape[1]
     marginal_b = (joints.conj().swapaxes(-1, -2) @ joints).swapaxes(-1, -2)
-    avg = weights[:, 0, None, None] * members[:, 0]
-    for k in range(1, slots):
-        avg = avg + weights[:, k, None, None] * members[:, k]
-    residual = abs(avg - marginal_b).max(axis=(-2, -1))
+    residual = abs(gm._average(weights, members) - marginal_b).max(axis=(-2, -1))
     if np.count_nonzero(residual > 1e-9):
         gm._fail(MarginalMismatchError,
                  "Target ensemble averages {} away from the B marginal.",
@@ -284,14 +280,7 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
                      "Deficit effect overlaps the A marginal by {}.",
                      leak > STEERING_TOL, leak)
     live = np.concatenate([present, deficient[:, None]], axis=1)
-
-    total = covectors[:, 0]
-    for k in range(1, slots + 1):
-        total = total + covectors[:, k]
-    residual = abs(total - model_a.unit_covector).max(axis=-1)
-    if np.count_nonzero(residual > gm.LINEAR_TOL):
-        gm._fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
-                 residual > gm.LINEAR_TOL, residual)
+    gm._check_complete(model_a, covectors)
     return effects, covectors, live
 
 

@@ -62,6 +62,26 @@ def test_validate_state_rejects_negative_eigenvalue():
         gm.state_from_matrix(QUBIT, np.diag([1.2, -0.2]))
 
 
+@pytest.mark.parametrize("model", [QUBIT, QUTRIT])
+def test_states_and_effects_share_the_hermitian_check(model):
+    # The skew is the largest entry of |m - m^dagger|, so an imaginary part
+    # on the diagonal counts twice, for states and effects alike; a small
+    # skew is symmetrized away.
+    base = np.eye(model.size, dtype=complex) / model.size
+    for imag in (0.4e-9, 0.6e-9):
+        m = base.copy()
+        m[0, 0] += 1j * imag
+        if imag < 0.5e-9:
+            assert np.array_equal(gm.state_from_matrix(model, m).matrix, base)
+            assert np.array_equal(gm.effect_from_matrix(model, m).matrix, base)
+            assert m.flags.writeable  # the caller's array is not frozen
+            continue
+        with pytest.raises(OutsideConeError, match="^Matrix is not Hermitian"):
+            gm.state_from_matrix(model, m)
+        with pytest.raises(OutsideConeError, match="^Effect operator is not"):
+            gm.effect_from_matrix(model, m)
+
+
 def test_validate_state_classical_probability_vector():
     s = gm.validate_state(BIT, np.array([0.3, 0.7]))
     assert not s.pure

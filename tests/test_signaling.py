@@ -585,6 +585,9 @@ def test_simulate_runs_deterministic_and_serializable():
     b = sg.simulate_runs(report, runs=1000, seed=9)
     assert a.successes_1 == b.successes_1
     assert a.to_dict()["runs"] == 1000
+    for runs in (0, -5):
+        with pytest.raises(ValueError, match=f"runs must be at least 1, got {runs}"):
+            sg.simulate_runs(report, runs=runs)
 
 
 def test_simulate_runs_gap_grows_detectable():
