@@ -228,7 +228,7 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
     average[lam == 1.0] = members[lam == 1.0, 0]
     average[lam == 0.0] = members[lam == 0.0, 1]
     omega = gm._check_states(model, average)[0]
-    joints = ss._purify(omega, present.sum(axis=1))
+    joints, schmidt = ss._purify(omega, present.sum(axis=1))
 
     # Synthesis targets, as one stack: protocol 1 of every scenario, then
     # protocol 2 of the steered-uniform ones.
@@ -246,8 +246,10 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
         pure = np.concatenate([pure, u_pure])
         present = np.concatenate([present, np.ones_like(present[uniform])])
     model_a = gm.quantum(joints.shape[1])
-    effects, _, live = ss._synthesize(
-        model_a, joints[targets], weights, members, kets, pure, present)
+    effects, live = ss._synthesize(
+        joints[targets], ss._Schmidt(*(a[targets] for a in schmidt)), weights,
+        members, kets, pure, present)
+    effects, _ = ss._check_synthesized(model_a, joints[targets], effects, live)
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
     # row n + j, the trivial measurement's or the synthesized one.

@@ -27,7 +27,7 @@ from .errors import (
 )
 
 STEERING_TOL = 1e-10
-RANK_TOL = 1e-12  # eigenvalues of a purified state at or below this are zero
+RANK_TOL = 1e-12  # squared Schmidt values at or below this are zero
 _DROP_TOL = 1e-14  # conditional outcomes below this weight are numerical zeros
 
 
@@ -38,6 +38,16 @@ class SteeringMeasurement:
 
     measurement: gm.Measurement
     ensemble: gm.Ensemble
+
+
+class _Schmidt(NamedTuple):
+    """Schmidt form of ``n`` joint matrices: joint i is the sum over
+    k < rank[i] of values[i, k] |k>_A |vectors[i, k]>_B, |k>_A its A-side
+    Schmidt basis; the squared values past the rank are at most RANK_TOL."""
+
+    values: np.ndarray   # (n, r), descending
+    vectors: np.ndarray  # (n, r, d)
+    rank: np.ndarray     # (n,)
 
 
 class _Steered(NamedTuple):
@@ -78,27 +88,28 @@ def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteStat
             "Classical mixed states have no purification; steering scenarios "
             "require a quantum model.")
     dims = None if purifier_dim is None else np.array([int(purifier_dim)])
-    amplitudes = _purify(omega.matrix[None], dims)[0]
+    amplitudes = _purify(omega.matrix[None], dims)[0][0]
     return gm.BipartiteState(gm.quantum(len(amplitudes)), omega.model,
                              amplitudes.reshape(-1))
 
 
-def _purify(matrices: np.ndarray, purifier_dims=None) -> np.ndarray:
+def _purify(matrices: np.ndarray, purifier_dims=None):
     """Purifications of an ``(n, d, d)`` stack of density matrices.
 
     ``purifier_dims`` holds each one's requested purifier dimension (None:
     its rank); all share dimension max(2, largest request). Returns the
-    ``(n, dim_a, d)`` joint matrices, read-only: row k is the k-th
-    eigenvector, phase-fixed, times the square root of its eigenvalue, in
-    descending order, with rows at or below RANK_TOL zero.
+    ``(n, dim_a, d)`` joints, read-only, and their :class:`_Schmidt` form in
+    the standard A basis: the square roots of the eigenvalues above
+    RANK_TOL, descending, and the eigenvectors, phase-fixed, as B vectors.
     """
     eigvals, eigvecs = np.linalg.eigh(matrices)
     n, d = eigvals.shape
     order = (-eigvals).argsort(axis=-1, kind="stable")
     items = np.arange(n)[:, None]
-    eigvals = np.maximum(eigvals[items, order], 0.0)
-    rows = eigvecs.swapaxes(-1, -2)[items, order]  # row k: eigenvector k
+    eigvals = eigvals[items, order]
+    rows = gm._fix_phase(eigvecs.swapaxes(-1, -2)[items, order])
     rank = (eigvals > RANK_TOL).sum(axis=-1)
+    values = np.sqrt(np.where(eigvals > RANK_TOL, eigvals, 0.0))
     dims = rank if purifier_dims is None else purifier_dims
     if np.count_nonzero(dims < rank):
         gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
@@ -106,10 +117,7 @@ def _purify(matrices: np.ndarray, purifier_dims=None) -> np.ndarray:
     dim_a = max(int(dims.max()), 2)
     top = min(dim_a, d)
     amplitudes = np.zeros((n, dim_a, d), dtype=complex)
-    amplitudes[:, :top] = (np.sqrt(eigvals[:, :top])[..., None]
-                           * gm._fix_phase(rows[:, :top]))
-    if np.count_nonzero(rank < top):
-        amplitudes[np.arange(top) >= rank[:, None]] = 0.0
+    amplitudes[:, :top] = values[:, :top, None] * rows[:, :top]
     norm = gm._norm(amplitudes.reshape(n, -1))
     if np.count_nonzero(abs(norm - 1.0) > gm.LINEAR_TOL):
         gm._fail(NotNormalizedError, "Joint norm is {}, expected 1.",
@@ -121,7 +129,7 @@ def _purify(matrices: np.ndarray, purifier_dims=None) -> np.ndarray:
     if np.count_nonzero(roundtrip > STEERING_TOL):
         gm._fail(ContractError, "Purification marginal residual {}.",
                  roundtrip > STEERING_TOL, roundtrip)
-    return amplitudes
+    return amplitudes, _Schmidt(values, rows, rank)
 
 
 def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
@@ -177,14 +185,13 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
                                     target: gm.Ensemble) -> SteeringMeasurement:
     """Purifier-side measurement steering B to the target decomposition.
 
-    Each target member's subnormalized vector is expressed in the Schmidt
-    basis of the joint state; the corresponding A-side vectors give rank-1
-    measurement elements, completed by the deficit effect (supported off
-    the A-marginal) when the purifier is larger than the Schmidt rank.
-
-    The conditionals of the final measurement are computed once: each is
-    checked against its target member at ``STEERING_TOL`` and together they
-    form the returned ensemble, identical to ``steer(psi, measurement)``.
+    :func:`_synthesize` builds it in the Schmidt basis of psi's SVD, cut
+    where :func:`purify` cuts (squared Schmidt values above RANK_TOL): one
+    rank-1 effect per member, completed by the deficit effect where the
+    purifier is larger than the Schmidt rank. It is rotated back to psi's
+    A basis before it is checked and steers. Each conditional is checked against its target member at
+    ``STEERING_TOL``; together they form the returned ensemble, identical
+    to ``steer(psi, measurement)``.
     """
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")
@@ -195,9 +202,14 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     weights = target.weights[None]
     members = np.stack([s.matrix for s in states])[None]
     present = np.ones((1, len(states)), dtype=bool)
-    effects, covectors, live = _synthesize(
-        psi.model_a, joints, weights, members, kets[None].astype(complex),
+    basis, values, vectors = np.linalg.svd(joints)
+    effects, live = _synthesize(
+        joints, _Schmidt(values, vectors, (values ** 2 > RANK_TOL).sum(axis=-1)),
+        weights, members, kets[None].astype(complex),
         np.array([[s.pure for s in states]]), present)
+    effects, covectors = _check_synthesized(
+        psi.model_a, joints, basis[:, None] @ effects @ gm._dagger(basis)[:, None],
+        live)
     steered = _steer(psi.model_b, joints, effects, live)
     _check_targets(steered.subs, weights, members, present)
     alice = gm.Measurement(tuple(
@@ -206,17 +218,17 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     return SteeringMeasurement(alice, steered.ensemble(psi.model_b, 0))
 
 
-def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
-                weights: np.ndarray, members: np.ndarray, kets: np.ndarray,
-                pure: np.ndarray, present: np.ndarray):
+def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
+                members: np.ndarray, kets: np.ndarray, pure: np.ndarray,
+                present: np.ndarray):
     """Synthesize the steering measurements of ``n`` joint states.
 
-    ``joints`` is ``(n, A, d)``; each target has ``K`` member slots: weights
-    ``(n, K)``, matrices ``(n, K, d, d)``, kets ``(n, K, d)`` and purity.
-    A slot that is not ``present`` must have weight 0 and a unit ket; it
-    gets the zero effect. Returns ``(effects, covectors, live)`` with
-    ``K + 1`` effect slots, the last one the deficit effect where it is
-    ``live``. :func:`_check_targets` checks what they steer to.
+    ``joints`` is ``(n, A, d)``, ``schmidt`` its Schmidt form; each target
+    has ``K`` member slots: weights ``(n, K)``, matrices ``(n, K, d, d)``,
+    kets ``(n, K, d)`` and purity. A slot that is not ``present`` must have
+    weight 0 and a unit ket; it gets the zero effect. Returns ``(effects,
+    live)``: ``(n, K + 1, A, A)`` unchecked effects in the A-side Schmidt
+    basis, the last the deficit effect where ``live``.
     """
     n, dim_a, _ = joints.shape
     slots = weights.shape[1]
@@ -239,49 +251,53 @@ def _synthesize(model_a: gm.SystemModel, joints: np.ndarray,
                  "Steering targets must decompose into pure states.",
                  (present & ~pure).any(axis=1))
 
-    # Schmidt form: amplitudes = sum_k s_k |u_k>_A |w_k>_B where u_k are the
-    # left singular vectors and w_k[b] = vh[k, b] (the conjugated right ones).
-    # The HJW coefficients conj(beta) / s have orthonormal columns in exact
+    # In the Schmidt form sum_k s_k |k>_A |w_k>_B, the HJW coefficients
+    # conj(beta) / s of the members have orthonormal columns in exact
     # arithmetic, but 1/s amplifies round-off. Their polar factor (Higham
     # 1986) has orthonormal columns to round-off, so the members' effects
-    # sum to the support projector.
-    u, svals, vh = np.linalg.svd(joints)
-    rank = (svals > 1e-12).sum(axis=-1)
-    alphas = np.empty((n, slots, dim_a), dtype=complex)
-    support = np.empty((n, dim_a, dim_a), dtype=complex)
+    # sum to the projector onto the first rank basis vectors.
+    alphas = np.zeros((n, slots, dim_a), dtype=complex)
     roots = np.sqrt(weights)[..., None]
-    for r, rows in gm._groups(rank):  # the Schmidt slices differ per rank
-        u_r, s_r, vh_r = u[rows][..., :r], svals[rows][:, None, :r], vh[rows][:, :r]
+    for r, rows in gm._groups(schmidt.rank):  # the Schmidt slices differ per rank
+        s_r = schmidt.values[rows][:, None, :r]
+        w_r = schmidt.vectors[rows][:, :r]
         root, ket = roots[rows], kets[rows]
-        beta = root * (vh_r.conj()[:, None] @ ket[..., None])[..., 0]
-        rebuilt = (vh_r.swapaxes(-1, -2)[:, None] @ beta[..., None])[..., 0]
+        beta = root * (w_r.conj()[:, None] @ ket[..., None])[..., 0]
+        rebuilt = (w_r.swapaxes(-1, -2)[:, None] @ beta[..., None])[..., 0]
         off = (gm._norm(root * ket - rebuilt) > 1e-8) & present[rows]
         if np.count_nonzero(off):
             raise MarginalMismatchError(
                 "Target member leaves the support of the B marginal.")
         left, _, right = np.linalg.svd(beta.conj() / s_r, full_matrices=False)
-        alphas[rows] = left @ right @ u_r.swapaxes(-1, -2)
-        support[rows] = u_r @ u_r.conj().swapaxes(-1, -2)
+        alphas[rows, :, :r] = left @ right
     outer = alphas[..., :, None] * alphas.conj()[..., None, :]
 
-    # The deficit effect completes the measurement off the Schmidt support,
-    # where the purifier is larger than the rank.
-    deficient = rank < dim_a
-    deficit = np.where(deficient[:, None, None], gm._eye(dim_a) - support, 0.0)
-    effects, covectors = gm._check_effects(
-        model_a, np.concatenate([outer, deficit[:, None]], axis=1))
+    # The deficit effect completes the measurement past the rank, where the
+    # purifier is larger than it.
+    past = np.arange(dim_a) >= schmidt.rank[:, None]
+    deficit = gm._eye(dim_a) * past[:, None, :]
+    effects = np.concatenate([outer, deficit[:, None]], axis=1)
+    return effects, np.concatenate([present, past[:, -1:]], axis=1)
+
+
+def _check_synthesized(model_a: gm.SystemModel, joints: np.ndarray,
+                       effects: np.ndarray, live: np.ndarray):
+    """Check synthesized ``effects`` in the A basis of ``joints``: valid
+    effects, the deficit effect (last, where ``live``) off the A marginal,
+    together complete. Returns them checked, with their covectors."""
+    effects, covectors = gm._check_effects(model_a, effects)
+    deficient = live[:, -1]
     if np.count_nonzero(deficient):
         joint = joints[deficient]
         rho_a = gm._check_states(
             model_a, joint @ joint.conj().swapaxes(-1, -2))[0]
-        leak = abs(deficit[deficient] @ rho_a).max(axis=(-2, -1))
+        leak = abs(effects[deficient, -1] @ rho_a).max(axis=(-2, -1))
         if np.count_nonzero(leak > STEERING_TOL):
             gm._fail(ContractError,
                      "Deficit effect overlaps the A marginal by {}.",
                      leak > STEERING_TOL, leak)
-    live = np.concatenate([present, deficient[:, None]], axis=1)
     gm._check_complete(model_a, covectors)
-    return effects, covectors, live
+    return effects, covectors
 
 
 def _check_targets(subs: np.ndarray, weights: np.ndarray,

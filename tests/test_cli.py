@@ -227,7 +227,7 @@ def test_gap_csv_format(capsys):
 
 def test_gap_contract_failure_is_an_error_line(capsys):
     # power(0.5) has infinite slope at 0: round-off in a zero overlap takes
-    # the prediction 1.1e-9 off the closed form, past the 1e-12 contract.
+    # the prediction 7.7e-10 off the closed form, past the 1e-12 contract.
     code, out, err = run_cli(capsys, "gap", "--family", "power", "--alpha",
                              "0.5", "--p1", "0", "--p2", "0.5", "--lambda",
                              "0.5", "--seed", "3")

@@ -270,8 +270,8 @@ def test_near_pure_mixtures_pass(d, uniform, rule, p1, p2, decades,
 
 def steep_scenario():
     """power(0.5) has infinite slope at 0: round-off in this scenario's zero
-    overlap takes its prediction 3.3e-9 off the closed form."""
-    return sg.Scenario(rl.power_rule(0.5), PHI, 0.0, 0.5, 0.5, seed=4)
+    overlap takes its prediction 7.7e-10 off the closed form."""
+    return sg.Scenario(rl.power_rule(0.5), PHI, 0.0, 0.5, 0.5, seed=3)
 
 
 def test_batch_failure_names_its_scenario():

@@ -37,13 +37,23 @@ def random_pure(rng, model=QUBIT):
     return gm.ket_state(model, ket / np.linalg.norm(ket))
 
 
+def haar_unitary(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
 def random_decomposition(omega, members, rng):
     """Random pure decomposition of omega with the given member count,
     generated by steering a purification with a Haar-random projective
-    measurement (the independent route used to cross-check synthesis)."""
+    measurement (the independent route used to cross-check synthesis).
+    Half the purifications get a Haar-random unitary on side A, so that
+    their A basis is not their Schmidt basis."""
     psi = ss.purify(omega, purifier_dim=members)
-    g = rng.normal(size=(members, members)) + 1j * rng.normal(size=(members, members))
-    q, _ = np.linalg.qr(g)
+    if rng.integers(2):
+        psi = gm.bipartite_from_ket(psi.model_a, psi.model_b, (
+            haar_unitary(rng, members) @ psi.joint_matrix).reshape(-1))
+    q = haar_unitary(rng, members)
     basis = gm.measurement([
         gm.effect_from_matrix(psi.model_a, np.outer(q[:, k], q[:, k].conj()))
         for k in range(members)])
@@ -231,9 +241,31 @@ def test_synthesize_completeness_and_deficit_annihilation():
         gm.effect_from_matrix(psi.model_a, np.outer(q[:, k], q[:, k].conj()))
         for k in range(3)])
     target = ss.steer(psi, probe)
-    result = ss.synthesize_steering_measurement(psi, target)
-    total = np.sum([e.covector for e in result.measurement.effects], axis=0)
+    effects = ss.synthesize_steering_measurement(psi, target).measurement.effects
+    total = np.sum([e.covector for e in effects], axis=0)
     assert np.max(np.abs(total - psi.model_a.unit_covector)) <= 1e-10
+    assert len(effects) == len(target) + 1
+    rho_a = gm.marginal(psi, "A").matrix
+    assert np.max(np.abs(effects[-1].matrix @ rho_a)) <= 1e-12
+
+
+def test_synthesize_cuts_the_rank_where_purify_does():
+    # A squared Schmidt value at or below RANK_TOL is zero for synthesis as
+    # for purify: the target's effect and the deficit effect complete the
+    # measurement, and the deficit outcome keeps its tiny weight.
+    eps = 5e-13
+    assert eps <= ss.RANK_TOL
+    psi = gm.bipartite_from_ket(
+        QUBIT, QUBIT, np.array([np.sqrt(1 - eps), 0, 0, np.sqrt(eps)]))
+    result = ss.synthesize_steering_measurement(psi, gm.ensemble([(1.0, KET0)]))
+    effects = [e.matrix for e in result.measurement.effects]
+    assert len(effects) == 2
+    assert np.max(np.abs(effects[0] - KET0.matrix)) <= 1e-12
+    assert np.max(np.abs(effects[1] - KET1.matrix)) <= 1e-12
+    np.testing.assert_allclose(result.ensemble.weights, [1 - eps, eps],
+                               rtol=0, atol=1e-15)
+    for got, want in zip(result.ensemble.states, (KET0, KET1), strict=True):
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
 
 
 def test_synthesize_deficit_is_the_complement_of_the_support():
