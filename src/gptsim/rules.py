@@ -55,7 +55,7 @@ class ProbabilityRule:
 def _audit_range(family: str, fn) -> None:
     grid = np.linspace(0.0, 1.0, _AUDIT_GRID)
     values = np.asarray(fn(grid), dtype=float)
-    if values.min() < 0.0 or values.max() > 1.0:
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails
         raise ValueError(
             f"{family} evaluator escapes [0, 1]: range "
             f"[{values.min()}, {values.max()}].")
@@ -102,9 +102,9 @@ def tabulated_rule(samples) -> ProbabilityRule:
         raise ValueError("samples must be an (n >= 2, 2) array of (p, value).")
     order = np.argsort(pts[:, 0], kind="stable")
     xs, ys = pts[order, 0], pts[order, 1]
-    if xs[0] > 0.0 or xs[-1] < 1.0:
+    if not (xs[0] <= 0.0 and xs[-1] >= 1.0):  # NaN fails
         raise ValueError("samples must cover [0, 1].")
-    if np.any(np.diff(xs) <= 0):
+    if not np.all(np.diff(xs) > 0):
         raise ValueError("sample abscissae must be strictly increasing.")
 
     def fn(p):

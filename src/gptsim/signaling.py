@@ -13,6 +13,7 @@ difference is the signaling gap.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +37,12 @@ _CERTIFICATE_BATCH = 256
 
 @dataclass(frozen=True)
 class Scenario:
-    """One signaling experiment: rule, reference state and decomposition."""
+    """One signaling experiment: rule, reference state and decomposition.
+
+    ``seed``, a non-negative integer, seeds the scenario's own stream,
+    ``np.random.default_rng(seed)``, which draws the members' residual
+    directions.
+    """
 
     rule: rl.ProbabilityRule
     phi: gm.State
@@ -53,6 +59,9 @@ class Scenario:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}.")
         if self.mode not in (TRIVIAL_AVERAGE, STEERED_UNIFORM):
             raise ValueError(f"Unknown protocol-2 mode {self.mode!r}.")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}.")
 
     def to_dict(self) -> dict:
         return {"rule": self.rule.to_dict(), "phi": self.phi.to_dict(),
@@ -208,9 +217,8 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
     inner = (0.0 < p) & (p < 1.0)
     draws = np.ones((n, 2, d - 1), dtype=complex)
     if np.count_nonzero(inner):
-        draws[inner] = np.concatenate([
-            tr._tau_draws(np.random.default_rng(seeds[j]), d - 1, count)
-            for j, count in enumerate(inner.sum(axis=1).tolist()) if count])
+        draws[inner] = tr._seeded_tau_draws(seeds, d - 1,
+                                            inner.sum(axis=1).tolist())
     kets, members, _, pure, clipped = gm._ket_states(
         model, tr._kets_with_tau(phi_k[:, None], p, draws))
     if np.count_nonzero(clipped):
@@ -274,16 +282,17 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
     prob_1, prob_2 = known[:n], known[n:]
     marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
                                       steered.weights[n:], steered.coeffs[n:])
-    if np.count_nonzero(marginal > _MARGINAL_TOL):
+    off = ~(marginal <= _MARGINAL_TOL)  # a NaN residual fails too
+    if np.count_nonzero(off):
         gm._fail(ContractError,
-                 "Protocols disagree on the distant marginal by {}.",
-                 marginal > _MARGINAL_TOL, marginal)
+                 "Protocols disagree on the distant marginal by {}.", off,
+                 marginal)
     expected_1, expected_2 = closed_form(rule, p[:, 0], p[:, 1], lam)
     formula = np.maximum(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
-    if np.count_nonzero(formula > _FORMULA_TOL):
+    off = ~(formula <= _FORMULA_TOL)
+    if np.count_nonzero(off):
         gm._fail(ContractError,
-                 "Pipeline deviates from the closed form by {}.",
-                 formula > _FORMULA_TOL, formula)
+                 "Pipeline deviates from the closed form by {}.", off, formula)
     return prob_1, prob_2, marginal, formula, steered
 
 

@@ -189,9 +189,9 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     where :func:`purify` cuts (squared Schmidt values above RANK_TOL): one
     rank-1 effect per member, completed by the deficit effect where the
     purifier is larger than the Schmidt rank. It is rotated back to psi's
-    A basis before it is checked and steers. Each conditional is checked against its target member at
-    ``STEERING_TOL``; together they form the returned ensemble, identical
-    to ``steer(psi, measurement)``.
+    A basis before it is checked and steers. Each conditional is checked
+    against its target member at ``STEERING_TOL``; together they form the
+    returned ensemble, identical to ``steer(psi, measurement)``.
     """
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")

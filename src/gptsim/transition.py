@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import models as gm
 from .errors import (
@@ -138,16 +139,60 @@ def state_with_tau(model: gm.SystemModel, phi: gm.State, p: float,
         return phi
     draws = np.ones(model.size - 1, dtype=complex)
     if p != 0.0:
-        draws = _tau_draws(np.random.default_rng(seed), model.size - 1, 1)[0]
+        draws = _tau_draws([np.random.default_rng(seed)], model.size - 1,
+                           [1])[0]
     return gm.ket_state(model, _kets_with_tau(ket, p, draws))
 
 
-def _tau_draws(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
-    """``(count, size)`` complex residual weights for ``count`` states with
-    an intermediate overlap, drawn one state after another: real parts,
-    then imaginary parts."""
-    pairs = rng.normal(size=(count, 2, size))
+def _tau_draws(rngs: list, size: int, counts: list) -> np.ndarray:
+    """``(sum(counts), size)`` complex residual weights for states with an
+    intermediate overlap: ``counts[j]`` of them from generator ``rngs[j]``,
+    drawn one state after another: real parts, then imaginary parts."""
+    pairs = np.concatenate([rng.normal(size=(count, 2, size))
+                            for rng, count in zip(rngs, counts)])
     return pairs.transpose(0, 2, 1).copy().view(complex)[..., 0]
+
+
+# numpy's SeedSequence.generate_state output hash: word i mixes pool word
+# i % 4 with the running constant INIT * MULT**i, is multiplied by the next
+# constant and folds its high half down. PCG64 takes eight such words (four
+# uint64), here as two rounds over the four pool words.
+_HASH_INIT, _HASH_MULT = 0x8b51f9dd, 0x58f38ded
+_HASH_CONSTS = np.array([_HASH_INIT * _HASH_MULT**i % 2**32 for i in range(9)],
+                        dtype=np.uint32)
+_HASH_XOR = _HASH_CONSTS[:-1].reshape(2, 4)
+_HASH_MUL = _HASH_CONSTS[1:].reshape(2, 4)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already generated."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seeded_tau_draws(seeds: list, size: int, counts: list) -> np.ndarray:
+    """:func:`_tau_draws` from generator ``np.random.default_rng(seeds[j])``
+    for each ``counts[j] > 0`` (at least one), bit for bit.
+
+    numpy builds each drawing seed's entropy pool, and validates the seed;
+    the output hash that turns the pools into PCG64 states runs once on the
+    whole batch, not once per seed in numpy-scalar arithmetic.
+    """
+    drawing = [j for j, count in enumerate(counts) if count]
+    pools = np.array([np.random.SeedSequence(seeds[j]).pool for j in drawing])
+    words = pools[:, None, :] ^ _HASH_XOR
+    words *= _HASH_MUL
+    words ^= words >> 16
+    # numpy pairs the words little-endian, whatever the platform's order
+    words = (words.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
+             .astype(np.uint64, copy=False))
+    rngs = [np.random.Generator(np.random.PCG64(_StateWords(row)))
+            for row in words]
+    return _tau_draws(rngs, size, [counts[j] for j in drawing])
 
 
 def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:

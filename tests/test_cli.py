@@ -209,6 +209,29 @@ def test_gap_pretty_prints_seed(capsys):
     assert "seed: 7" in out
 
 
+def test_gap_rejects_nan_rule(capsys):
+    code, out, err = run_cli(capsys, "gap", "--family", "power",
+                             "--alpha", "nan", "--p1", "0.2", "--p2", "0.5",
+                             "--lambda", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nan" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "identity", "--grid", "3"],
+    ["gap", "--family", "identity", "--p1", "0", "--p2", "1",
+     "--lambda", "0.5"],
+    ["gap", "--family", "identity", "--p1", "0.3", "--p2", "0.6",
+     "--lambda", "0.5"],
+])
+def test_negative_seed_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err and "-1" in err
+
+
 def test_gap_invalid_flags(capsys):
     code, _, err = run_cli(capsys, "gap", "--family", "identity",
                            "--p1", "1.4", "--p2", "0", "--lambda", "0.5")

@@ -107,6 +107,21 @@ def test_tabulated_rule_preserves_monotonicity():
     assert np.all(np.diff(values) >= -1e-15)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rl.power_rule(NAN),
+    lambda: rl.tabulated_rule([[0, 0], [0.5, NAN], [1, 1]]),
+    lambda: rl.tabulated_rule([[0, NAN], [1, 1]]),
+    lambda: rl.tabulated_rule([[0, 0], [NAN, 0.5], [1, 1]]),
+    lambda: rl.tabulated_rule([[NAN, 0], [0, 0], [1, 1]]),
+])
+def test_nan_rules_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_rule_from_dict_roundtrip():
     for data in ({"family": "identity"},
                  {"family": "power", "alpha": 1.5},

@@ -125,6 +125,22 @@ def test_scenario_rejects_bad_parameters():
         sg.run_scenario(sg.Scenario(rl.identity_rule(), classical_phi, 1.0, 0.0, 0.5))
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3"])
+def test_scenario_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match=f"seed.*{seed!r}"):
+        sg.Scenario(rl.identity_rule(), PHI, 0.0, 1.0, 0.5, seed=seed)
+
+
+def test_nan_residual_fails_the_contract():
+    # A hand-built rule that skips the range audit: NaN above 0.3.
+    rule = rl.ProbabilityRule("custom", {},
+                              lambda p: np.where(p > 0.3, np.nan, p))
+    scenario = sg.Scenario(rule, PHI, 0.5, 0.2, 0.5)
+    with pytest.raises(ContractError, match="closed form by nan") as info:
+        sg.run_scenario(scenario)
+    assert info.value.index == 0 and info.value.scenario is scenario
+
+
 def test_scenario_degenerate_weights():
     report = sg.run_scenario(sg.Scenario(rl.power_rule(1.5), PHI, 0.7, 0.2, 1.0))
     assert report.gap == pytest.approx(0.0, abs=1e-12)
@@ -549,6 +565,22 @@ def test_affinity_certificate_piecewise_fails():
     cert = sg.affinity_certificate(rl.piecewise_quadratic_rule(), samples=300,
                                    tol=1e-3, seed=5)
     assert not cert.passed
+
+
+def test_certificate_seeds_its_scenarios_without_default_rng(monkeypatch):
+    # The scenarios' streams are built from their seeds' pools in one pass
+    # per batch; only the certificate's own stream is a default_rng.
+    calls = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    cert = sg.affinity_certificate(rl.identity_rule(), samples=600, seed=3)
+    assert cert.passed
+    assert calls == [(3,)]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])

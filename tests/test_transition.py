@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gptsim import models as gm
 from gptsim import transition as tr
@@ -234,6 +236,57 @@ def test_state_with_tau_classical_endpoints_only():
 def test_state_with_tau_rejects_out_of_range():
     with pytest.raises(ValueError):
         tr.state_with_tau(QUBIT, KET0, 1.5, 0)
+
+
+# ---------------------------------------------------------------------------
+# Seeded residual draws of a batch
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7, 3**200]
+
+
+def reference_draws(seeds, size, counts):
+    """Each drawing seed's own ``default_rng``, its normals laid out one
+    state after another, real parts then imaginary parts."""
+    return np.concatenate([
+        np.random.default_rng(seed).normal(size=(count, 2, size))
+        .transpose(0, 2, 1).copy().view(complex)[..., 0]
+        for seed, count in zip(seeds, counts) if count])
+
+
+def assert_same_draws(seeds, size, counts):
+    got = tr._seeded_tau_draws(seeds, size, counts)
+    want = reference_draws(seeds, size, counts)
+    assert got.shape == (sum(counts), size)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 256, 257])
+def test_seeded_draws_match_each_seeds_default_rng(n, size):
+    rng = np.random.default_rng(1000 * n + size)
+    seeds = [EDGE_SEEDS[i % len(EDGE_SEEDS)] if i % 3
+             else int(rng.integers(2**62)) << int(rng.integers(70))
+             for i in range(n)]
+    counts = rng.integers(0, 3, size=n).tolist()  # zero-count rows mixed in
+    counts[n // 2] = 1 + n % 2
+    assert_same_draws(seeds, size, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 2**130 - 1),
+                               st.integers(0, 2)), min_size=1, max_size=12),
+       size=st.integers(1, 3))
+def test_seeded_draws_match_default_rng_property(rows, size):
+    seeds, counts = map(list, zip(*rows))
+    assume(any(counts))
+    assert_same_draws(seeds, size, counts)
+
+
+def test_seeded_draws_see_only_the_seeds_that_draw():
+    assert_same_draws([-1, 5, 2**70], 1, [0, 2, 1])
+    with pytest.raises(ValueError):
+        tr._seeded_tau_draws([5, -1], 1, [1, 1])
 
 
 # ---------------------------------------------------------------------------
