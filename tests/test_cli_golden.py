@@ -1,0 +1,399 @@
+"""Golden CLI output: the sha256 of each command's stdout, stderr and exit
+code, over a fixed command set in every output format each command has.
+
+A digest that changes means the CLI's bytes or exit code changed. The
+commands run in this process through ``cli.main``; ``{target}`` stands for
+a steering-target file and ``{out}`` for an ``--out`` file whose contents
+join the digest, both written under a temporary directory that never
+enters the digest.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import shlex
+
+from gptsim.cli import main
+
+TABULATED = ("--family tabulated --rule-samples "
+             "'[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]'")
+RULES = ("--family identity", "--family power --alpha 1.5",
+         "--family piecewise-quadratic", TABULATED)
+FORMATS = ("json", "csv", "pretty")
+
+
+def _commands() -> list:
+    """The command set, each a shell-quoted argument string."""
+    out = []
+    for fmt in FORMATS:
+        tail = f"--format {fmt}"
+        out += [f"rule-check {rule} {tail}" for rule in RULES]
+        for model, pairs in (("quantum:2", ("0 0", "+ 0", "1 +")),
+                             ("classical:3", ("0 0", "1 2"))):
+            out += [f"tau --model {model} --psi {psi} --phi {phi} --lp 360 "
+                    f"--verbose {tail}" for psi, phi in map(str.split, pairs)]
+        out.append(f"tau --psi + --phi 0 {tail}")
+        out += [f"steer --alice x {tail}", f"steer --alice z {tail}",
+                f"steer --target @{{target}} {tail}"]
+        for rule in ("--family power --alpha 1.5", TABULATED):
+            for mode in ("trivial-average", "steered-uniform"):
+                out += [f"gap {rule} --p1 {p1} --p2 {p2} --lambda {lam} "
+                        f"--mode {mode} {tail}"
+                        for p1, p2, lam in ((0.2, 0.7, 0.3), (1, 0, 0.5),
+                                            (0, 0, 1))]
+        out.append("gap --family power --alpha 0.5 --p1 0 --p2 0.5 "
+                   f"--lambda 0.5 --seed 3 {tail}")
+        out += [f"scan {rule} --grid 9 --refine 7 {tail}" for rule in RULES]
+        out += [f"certify {rule} --seed {seed} --samples {samples} {tail}"
+                for rule in RULES for seed in (0, 2026) for samples in (1, 257)]
+        out.append(f"certify --family identity --samples 0 {tail}")
+        out += [f"reproduce {tail}", f"reproduce --tol 1e-9 {tail}"]
+    out += ["scan --family power --alpha 1.5 --grid 9 --refine 7 "
+            "--format csv --out {out}",
+            "reproduce --format csv --out {out}",
+            "certify --family identity --samples 3 --format json --out {out}"]
+    return out
+
+
+def _target() -> dict:
+    """A two-member decomposition of the Bell pair's marginal I/2."""
+    x, z = math.sin(1.0), math.cos(1.0)
+    members = []
+    for sign in (1.0, -1.0):
+        a, b = 0.5 * (1 + sign * z), 0.5 * (1 - sign * z)
+        c = 0.5 * sign * x
+        members.append({"weight": 0.5, "state": {
+            "type": "state", "model": {"kind": "quantum", "d": 2},
+            "matrix": [[[a, 0.0], [c, 0.0]], [[c, 0.0], [b, 0.0]]]}})
+    return {"type": "ensemble", "members": members}
+
+
+def _digest(command: str, tmp_path) -> str:
+    target, out_file = tmp_path / "target.json", tmp_path / "out.txt"
+    target.write_text(json.dumps(_target()))
+    if out_file.exists():
+        out_file.unlink()
+    argv = shlex.split(command.format(target=target, out=out_file))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    written = out_file.read_text() if out_file.exists() else ""
+    record = json.dumps([code, stdout.getvalue(), stderr.getvalue(), written])
+    return hashlib.sha256(record.encode()).hexdigest()[:16]
+
+
+GOLDEN = {
+    'rule-check --family identity --format json':
+        'adcf68ef81d89fe2',
+    'rule-check --family power --alpha 1.5 --format json':
+        'd3578889929ce4b4',
+    'rule-check --family piecewise-quadratic --format json':
+        '4dab51af5718cac4',
+    "rule-check --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --format json":
+        'f59cf4dfeb0a7bf6',
+    'tau --model quantum:2 --psi 0 --phi 0 --lp 360 --verbose --format json':
+        '0f9950d94f467733',
+    'tau --model quantum:2 --psi + --phi 0 --lp 360 --verbose --format json':
+        'a22d9efced4a8fe0',
+    'tau --model quantum:2 --psi 1 --phi + --lp 360 --verbose --format json':
+        'b4e0fcdcdfaf75b8',
+    'tau --model classical:3 --psi 0 --phi 0 --lp 360 --verbose --format json':
+        '02dfda6d0b2af920',
+    'tau --model classical:3 --psi 1 --phi 2 --lp 360 --verbose --format json':
+        '2e0ff405ec5621cb',
+    'tau --psi + --phi 0 --format json':
+        '479e471afd2a7b39',
+    'steer --alice x --format json':
+        'c65c556e5a769760',
+    'steer --alice z --format json':
+        '7d1a8e794cebf5a5',
+    'steer --target @{target} --format json':
+        'c53d81ea695e75ea',
+    'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
+        '2040a50be3f0e5fd',
+    'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
+        'a3a7f4d2ec9d4f09',
+    'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json':
+        '1389c7042990bf89',
+    'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json':
+        'd92a2042869a0b14',
+    'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json':
+        'e0a2cb89ce6f3821',
+    'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json':
+        '581e131f33584f5e',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json":
+        'b89298c3375c88fd',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json":
+        '2c89222ed969af4a',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json":
+        '9b7936cae5e357dd',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json":
+        '88a191e1f84eef27',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json":
+        'c75ef4b13c32ea9a',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json":
+        '4ccbf8b27e866240',
+    'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format json':
+        '24b25fa16639237d',
+    'scan --family identity --grid 9 --refine 7 --format json':
+        '9378f8d87d038dca',
+    'scan --family power --alpha 1.5 --grid 9 --refine 7 --format json':
+        '02adf741661721f4',
+    'scan --family piecewise-quadratic --grid 9 --refine 7 --format json':
+        '2a9a31c95e9a87ab',
+    "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format json":
+        'b3b01803b4f26e04',
+    'certify --family identity --seed 0 --samples 1 --format json':
+        'a1a7d198276c2d6a',
+    'certify --family identity --seed 0 --samples 257 --format json':
+        '58e343b70285deef',
+    'certify --family identity --seed 2026 --samples 1 --format json':
+        'b4a93b6b9163f8d7',
+    'certify --family identity --seed 2026 --samples 257 --format json':
+        '935e033c16e73665',
+    'certify --family power --alpha 1.5 --seed 0 --samples 1 --format json':
+        'fa03e5046b9aa4bb',
+    'certify --family power --alpha 1.5 --seed 0 --samples 257 --format json':
+        'dce422dced8e1964',
+    'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format json':
+        '236ef8d59ec1d0a8',
+    'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format json':
+        '3e4a43e74d88f471',
+    'certify --family piecewise-quadratic --seed 0 --samples 1 --format json':
+        '3696000bc486830c',
+    'certify --family piecewise-quadratic --seed 0 --samples 257 --format json':
+        '30734f3d61093549',
+    'certify --family piecewise-quadratic --seed 2026 --samples 1 --format json':
+        '50463d25b579083b',
+    'certify --family piecewise-quadratic --seed 2026 --samples 257 --format json':
+        'e05b8e097bdcb95d',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format json":
+        'a074cc660ef0e234',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format json":
+        '6305afbef2a92aba',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format json":
+        'c57c4bb793fbdffe',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format json":
+        '56e0488460638ffe',
+    'certify --family identity --samples 0 --format json':
+        '857b9a8f539faf27',
+    'reproduce --format json':
+        'e0043e9f3384b07b',
+    'reproduce --tol 1e-9 --format json':
+        '6c02f81fcb9def3c',
+    'rule-check --family identity --format csv':
+        '989f444c496d8a6f',
+    'rule-check --family power --alpha 1.5 --format csv':
+        'b26ec974705d573d',
+    'rule-check --family piecewise-quadratic --format csv':
+        '989f444c496d8a6f',
+    "rule-check --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --format csv":
+        '01fd38c1cbd898f1',
+    'tau --model quantum:2 --psi 0 --phi 0 --lp 360 --verbose --format csv':
+        'a70eccf4948343d2',
+    'tau --model quantum:2 --psi + --phi 0 --lp 360 --verbose --format csv':
+        '1ba00bf861e3d0fe',
+    'tau --model quantum:2 --psi 1 --phi + --lp 360 --verbose --format csv':
+        'c440b63e64057805',
+    'tau --model classical:3 --psi 0 --phi 0 --lp 360 --verbose --format csv':
+        '682cad6114ff6f15',
+    'tau --model classical:3 --psi 1 --phi 2 --lp 360 --verbose --format csv':
+        'aa8bd634499ca282',
+    'tau --psi + --phi 0 --format csv':
+        'd3a9cf60742ccc48',
+    'steer --alice x --format csv':
+        '1e1e8c278152012c',
+    'steer --alice z --format csv':
+        '1e1e8c278152012c',
+    'steer --target @{target} --format csv':
+        '1e1e8c278152012c',
+    'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
+        '1d5983a0524cdd23',
+    'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
+        '3311f65009994446',
+    'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv':
+        '7386b78d7e405103',
+    'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv':
+        '3ee32bb3a428d10a',
+    'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv':
+        '3311f65009994446',
+    'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv':
+        '7386b78d7e405103',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv":
+        'babb9ee2d990a95d',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv":
+        '1c822b8c62e718b0',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv":
+        '7386b78d7e405103',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv":
+        '9f2d2b3e6a0a8055',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv":
+        '1c822b8c62e718b0',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv":
+        '7386b78d7e405103',
+    'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format csv':
+        '24b25fa16639237d',
+    'scan --family identity --grid 9 --refine 7 --format csv':
+        '8eebac359711e573',
+    'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv':
+        '749194beaeb0efae',
+    'scan --family piecewise-quadratic --grid 9 --refine 7 --format csv':
+        '2826878111d2e863',
+    "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format csv":
+        '6cbbda5c6e470c2a',
+    'certify --family identity --seed 0 --samples 1 --format csv':
+        'f515d3b934fba348',
+    'certify --family identity --seed 0 --samples 257 --format csv':
+        '2bbcefb111368ead',
+    'certify --family identity --seed 2026 --samples 1 --format csv':
+        '763bb56766fc48d5',
+    'certify --family identity --seed 2026 --samples 257 --format csv':
+        'ac6a9ab2658b4838',
+    'certify --family power --alpha 1.5 --seed 0 --samples 1 --format csv':
+        'ad5358dd3e2f4fd9',
+    'certify --family power --alpha 1.5 --seed 0 --samples 257 --format csv':
+        'acdbf75596918de1',
+    'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format csv':
+        '16732521f9311d1b',
+    'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format csv':
+        'c3b51ed107bdea3c',
+    'certify --family piecewise-quadratic --seed 0 --samples 1 --format csv':
+        'ca1dbbafb91c80e7',
+    'certify --family piecewise-quadratic --seed 0 --samples 257 --format csv':
+        '094c0d9a32f15b11',
+    'certify --family piecewise-quadratic --seed 2026 --samples 1 --format csv':
+        '545ba8977372133e',
+    'certify --family piecewise-quadratic --seed 2026 --samples 257 --format csv':
+        '785a6df94036d4c9',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format csv":
+        '0fb552089318a13b',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format csv":
+        '53a3f1ec3b6bfa39',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format csv":
+        'dec979d1f3431c20',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format csv":
+        '8d40c5a2148d4666',
+    'certify --family identity --samples 0 --format csv':
+        '857b9a8f539faf27',
+    'reproduce --format csv':
+        'f08f1e96073cf258',
+    'reproduce --tol 1e-9 --format csv':
+        '7bdaa071b5a23ba7',
+    'rule-check --family identity --format pretty':
+        '782e5bc94024313c',
+    'rule-check --family power --alpha 1.5 --format pretty':
+        'a19323dbf7a6e59a',
+    'rule-check --family piecewise-quadratic --format pretty':
+        '5a45a6cce0cec510',
+    "rule-check --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --format pretty":
+        '5c98744581464408',
+    'tau --model quantum:2 --psi 0 --phi 0 --lp 360 --verbose --format pretty':
+        'eb3e6f56b0c93570',
+    'tau --model quantum:2 --psi + --phi 0 --lp 360 --verbose --format pretty':
+        'b11aa9d6266f18fe',
+    'tau --model quantum:2 --psi 1 --phi + --lp 360 --verbose --format pretty':
+        '1841b16d9d2c020f',
+    'tau --model classical:3 --psi 0 --phi 0 --lp 360 --verbose --format pretty':
+        '2e23ece0dc52603a',
+    'tau --model classical:3 --psi 1 --phi 2 --lp 360 --verbose --format pretty':
+        '86fd3f827184a740',
+    'tau --psi + --phi 0 --format pretty':
+        'ef3f7ddd1774e8ba',
+    'steer --alice x --format pretty':
+        '44e618725e8e054d',
+    'steer --alice z --format pretty':
+        '44e618725e8e054d',
+    'steer --target @{target} --format pretty':
+        '4ead86a2e61865ad',
+    'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
+        '07cc8ba4759e2f95',
+    'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':
+        '841d8dc3abef8bb2',
+    'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty':
+        'dd937f68bb06cac3',
+    'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty':
+        '05b4526c7f76b5e0',
+    'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty':
+        '34d35fd40dc01fd8',
+    'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty':
+        '4d589fa8b7a35f87',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty":
+        '819feb451f57a1c3',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty":
+        '39e360837aacf494',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty":
+        'db1bfd51f4741764',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty":
+        'b0be52185a526a76',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty":
+        '55e3545971a551ff',
+    "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty":
+        '834e3a0b42b92927',
+    'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format pretty':
+        '24b25fa16639237d',
+    'scan --family identity --grid 9 --refine 7 --format pretty':
+        '8eebac359711e573',
+    'scan --family power --alpha 1.5 --grid 9 --refine 7 --format pretty':
+        '749194beaeb0efae',
+    'scan --family piecewise-quadratic --grid 9 --refine 7 --format pretty':
+        '2826878111d2e863',
+    "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format pretty":
+        '6cbbda5c6e470c2a',
+    'certify --family identity --seed 0 --samples 1 --format pretty':
+        'be5c05f4a7982b20',
+    'certify --family identity --seed 0 --samples 257 --format pretty':
+        'f871f41c79cac8c5',
+    'certify --family identity --seed 2026 --samples 1 --format pretty':
+        'b9f17500e13d43bb',
+    'certify --family identity --seed 2026 --samples 257 --format pretty':
+        'aa8521b84c7d7efe',
+    'certify --family power --alpha 1.5 --seed 0 --samples 1 --format pretty':
+        '181f08e9e851d93d',
+    'certify --family power --alpha 1.5 --seed 0 --samples 257 --format pretty':
+        '103b03f248eca1e1',
+    'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format pretty':
+        '959b9a5969e4621b',
+    'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format pretty':
+        'e0bbc80d327effec',
+    'certify --family piecewise-quadratic --seed 0 --samples 1 --format pretty':
+        'e5ff76634fc58753',
+    'certify --family piecewise-quadratic --seed 0 --samples 257 --format pretty':
+        '454da93efa2e230f',
+    'certify --family piecewise-quadratic --seed 2026 --samples 1 --format pretty':
+        'd4f81dba0553ac08',
+    'certify --family piecewise-quadratic --seed 2026 --samples 257 --format pretty':
+        '8c5ea29db5a54148',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format pretty":
+        '91f11a593b162999',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format pretty":
+        '7d9d29015443e7db',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format pretty":
+        '6ee56f0ec88b2d58',
+    "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format pretty":
+        'b0e2a686eac2a43c',
+    'certify --family identity --samples 0 --format pretty':
+        '857b9a8f539faf27',
+    'reproduce --format pretty':
+        '40fdb99510ade64f',
+    'reproduce --tol 1e-9 --format pretty':
+        '4932cfc1b6043476',
+    'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv --out {out}':
+        'fd3ecff6db431329',
+    'reproduce --format csv --out {out}':
+        '9b4c9e184852ea40',
+    'certify --family identity --samples 3 --format json --out {out}':
+        'e6108538f8e74f56',
+
+}
+
+
+def test_golden_set_is_the_command_set():
+    assert list(GOLDEN) == _commands()
+
+
+def test_cli_output_matches_its_golden_digest(tmp_path):
+    changed = [command for command, digest in GOLDEN.items()
+               if _digest(command, tmp_path) != digest]
+    assert not changed, f"{len(changed)} commands changed: {changed}"
