@@ -156,9 +156,15 @@ def _load_rule(args) -> rl.ProbabilityRule:
     return rl.rule_from_dict(data)
 
 
-def _emit(text: str, args) -> None:
+def _write(args, payload, csv=(), pretty=()) -> None:
+    """Write ``payload`` as sorted JSON, or the ``csv`` or ``pretty`` lines,
+    as ``--format`` asks."""
+    if args.format == "json":
+        text = json.dumps(payload, sort_keys=True)
+    else:
+        text = "\n".join(csv if args.format == "csv" else pretty)
     with _output(args) as fh:
-        fh.write(text)
+        fh.write(text + "\n")
 
 
 @contextlib.contextmanager
@@ -207,32 +213,29 @@ def _parse_state(model: gm.SystemModel, token: str) -> gm.State:
 def _cmd_rule_check(args) -> int:
     rule = _load_rule(args)
     report = rl.check_constraints(rule, grid_n=args.grid, tol=args.tol)
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), sort_keys=True) + "\n", args)
-    elif args.format == "csv":
-        lines = ["check,passed,residual",
-                 f"boundary,{report.boundary_ok},{_FMT % report.boundary_residual}",
-                 f"monotonicity,{report.monotone},{report.monotonicity_violations}",
-                 f"normalization,{report.normalization_ok},"
-                 f"{_FMT % report.normalization_residual}",
-                 f"midpoint,{report.midpoint_ok},{_FMT % report.midpoint_residual}"]
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        lines = [f"rule: {report.rule_label}",
-                 f"grid: {report.grid_size}  tolerance: {report.tolerance:g}",
-                 f"boundary:      {_flag(report.boundary_ok)} "
-                 f"(residual {report.boundary_residual:.3g})",
-                 f"monotonicity:  {_flag(report.monotone)} "
-                 f"({report.monotonicity_violations} violations)",
-                 f"normalization: {_flag(report.normalization_ok)} "
-                 f"(residual {report.normalization_residual:.3g})",
-                 f"midpoint:      {_flag(report.midpoint_ok)} "
-                 f"(residual {report.midpoint_residual:.3g})",
-                 "convexity:     " + "; ".join(
-                     f"{label} on [{lo:.4g}, {hi:.4g}]"
-                     for lo, hi, label in report.convexity_segments),
-                 f"overall:       {_flag(report.passed)}"]
-        _emit("\n".join(lines) + "\n", args)
+    _write(args, report.to_dict(), csv=[
+        "check,passed,residual",
+        f"boundary,{report.boundary_ok},{_FMT % report.boundary_residual}",
+        f"monotonicity,{report.monotone},{report.monotonicity_violations}",
+        f"normalization,{report.normalization_ok},"
+        f"{_FMT % report.normalization_residual}",
+        f"midpoint,{report.midpoint_ok},{_FMT % report.midpoint_residual}",
+    ], pretty=[
+        f"rule: {report.rule_label}",
+        f"grid: {report.grid_size}  tolerance: {report.tolerance:g}",
+        f"boundary:      {_flag(report.boundary_ok)} "
+        f"(residual {report.boundary_residual:.3g})",
+        f"monotonicity:  {_flag(report.monotone)} "
+        f"({report.monotonicity_violations} violations)",
+        f"normalization: {_flag(report.normalization_ok)} "
+        f"(residual {report.normalization_residual:.3g})",
+        f"midpoint:      {_flag(report.midpoint_ok)} "
+        f"(residual {report.midpoint_residual:.3g})",
+        "convexity:     " + "; ".join(
+            f"{label} on [{lo:.4g}, {hi:.4g}]"
+            for lo, hi, label in report.convexity_segments),
+        f"overall:       {_flag(report.passed)}",
+    ])
     return 0 if report.passed else 1
 
 
@@ -260,20 +263,11 @@ def _cmd_tau(args) -> int:
             result["lp_iterations"] = report.iterations
             result["lp_phase1_iterations"] = report.phase1_iterations
             result["lp_generators"] = report.generators
-    if args.format == "json":
-        _emit(json.dumps(result, sort_keys=True) + "\n", args)
-    elif args.format == "csv":
-        keys = sorted(result)
-        _emit(",".join(keys) + "\n" +
-              ",".join(_format_cell(result[k]) for k in keys) + "\n", args)
-    else:
-        _emit("\n".join(f"{k}: {_format_cell(v)}"
-                        for k, v in sorted(result.items())) + "\n", args)
+    cells = {k: _FMT % v if isinstance(v, float) else str(v)
+             for k, v in sorted(result.items())}
+    _write(args, result, csv=[",".join(cells), ",".join(cells.values())],
+           pretty=[f"{k}: {v}" for k, v in cells.items()])
     return 0
-
-
-def _format_cell(value) -> str:
-    return _FMT % value if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +302,12 @@ def _cmd_steer(args) -> int:
     payload = {"ensemble": ens.to_dict(),
                "measurement": alice.to_dict(),
                "marginal_residual": residual}
-    if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args)
-    elif args.format == "csv":
-        lines = ["outcome,weight,pure"]
-        for i, (w, s) in enumerate(ens):
-            lines.append(f"{i},{_FMT % w},{s.pure}")
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        lines = [f"outcomes: {len(ens)}"]
-        for i, (w, s) in enumerate(ens):
-            lines.append(f"  outcome {i}: weight {_FMT % w} "
-                         f"({'pure' if s.pure else 'mixed'})")
-        lines.append(f"marginal residual vs trivial: {residual:.3g}")
-        _emit("\n".join(lines) + "\n", args)
+    _write(args, payload, csv=["outcome,weight,pure"] + [
+        f"{i},{_FMT % w},{s.pure}" for i, (w, s) in enumerate(ens)
+    ], pretty=[f"outcomes: {len(ens)}"] + [
+        f"  outcome {i}: weight {_FMT % w} ({'pure' if s.pure else 'mixed'})"
+        for i, (w, s) in enumerate(ens)
+    ] + [f"marginal residual vs trivial: {residual:.3g}"])
     return 0
 
 
@@ -352,19 +338,17 @@ def _cmd_gap(args) -> int:
     scenario = sg.Scenario(rule, phi, args.p1, args.p2, args.lam,
                            mode=args.mode, seed=args.seed)
     report = sg.run_scenario(scenario)
-    if args.format == "json":
-        _emit(report.to_json() + "\n", args)
-    elif args.format == "csv":
-        _emit("p1,p2,lambda,P1,P2,gap\n" + _report_row(report) + "\n", args)
-    else:
-        s = report.scenario
-        lines = [f"rule: {rule.label()}  mode: {s.mode}  seed: {s.seed}",
-                 f"p1={_FMT % s.p1} p2={_FMT % s.p2} lambda={_FMT % s.lam}",
-                 f"P1  = {_FMT % report.prob_1}",
-                 f"P2  = {_FMT % report.prob_2}",
-                 f"gap = {_FMT % report.gap}",
-                 f"marginal residual: {report.marginal_residual:.3g}"]
-        _emit("\n".join(lines) + "\n", args)
+    s = report.scenario
+    _write(args, report.to_dict(), csv=[
+        "p1,p2,lambda,P1,P2,gap", _report_row(report),
+    ], pretty=[
+        f"rule: {rule.label()}  mode: {s.mode}  seed: {s.seed}",
+        f"p1={_FMT % s.p1} p2={_FMT % s.p2} lambda={_FMT % s.lam}",
+        f"P1  = {_FMT % report.prob_1}",
+        f"P2  = {_FMT % report.prob_2}",
+        f"gap = {_FMT % report.gap}",
+        f"marginal residual: {report.marginal_residual:.3g}",
+    ])
     return 0
 
 
@@ -385,9 +369,8 @@ def _cmd_scan(args) -> int:
     axis, prob_1, prob_2, gaps = surface
 
     if args.format == "json":
-        payload = {"seed": args.seed, "grid": args.grid,
-                   "witness": witness.to_dict()}
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args)
+        _write(args, {"seed": args.seed, "grid": args.grid,
+                      "witness": witness.to_dict()})
         return 0
 
     # The axis takes few values: format them once, into row templates for
@@ -418,22 +401,19 @@ def _cmd_certify(args) -> int:
     rule = _load_rule(args)
     cert = sg.affinity_certificate(rule, samples=args.samples, tol=args.tol,
                                    seed=args.seed)
-    if args.format == "json":
-        _emit(json.dumps(cert.to_dict(), sort_keys=True) + "\n", args)
-    elif args.format == "csv":
-        _emit("samples,tol,seed,max_abs_gap,passed\n"
-              f"{cert.samples},{_FMT % cert.tolerance},{cert.seed},"
-              f"{_FMT % cert.max_abs_gap},{cert.passed}\n", args)
-    else:
-        worst = cert.worst.scenario
-        lines = [f"rule: {rule.label()}  samples: {cert.samples}  "
-                 f"seed: {cert.seed}",
-                 f"max |gap| = {_FMT % cert.max_abs_gap} "
-                 f"(tolerance {cert.tolerance:g})",
-                 f"worst witness: p1={_FMT % worst.p1} p2={_FMT % worst.p2} "
-                 f"lambda={_FMT % worst.lam}",
-                 f"result: {_flag(cert.passed)}"]
-        _emit("\n".join(lines) + "\n", args)
+    worst = cert.worst.scenario
+    _write(args, cert.to_dict(), csv=[
+        "samples,tol,seed,max_abs_gap,passed",
+        f"{cert.samples},{_FMT % cert.tolerance},{cert.seed},"
+        f"{_FMT % cert.max_abs_gap},{cert.passed}",
+    ], pretty=[
+        f"rule: {rule.label()}  samples: {cert.samples}  seed: {cert.seed}",
+        f"max |gap| = {_FMT % cert.max_abs_gap} "
+        f"(tolerance {cert.tolerance:g})",
+        f"worst witness: p1={_FMT % worst.p1} p2={_FMT % worst.p2} "
+        f"lambda={_FMT % worst.lam}",
+        f"result: {_flag(cert.passed)}",
+    ])
     return 0 if cert.passed else 1
 
 
@@ -444,24 +424,16 @@ def _cmd_certify(args) -> int:
 def _cmd_reproduce(args) -> int:
     rows = sg.reference_table(tol=args.tol)
     all_pass = all(r.passed for r in rows)
-    if args.format == "json":
-        payload = {"rows": [r.to_dict() for r in rows], "passed": all_pass}
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args)
-    elif args.format == "csv":
-        lines = ["name,value,expected,tolerance,passed"]
-        for r in rows:
-            lines.append(f"{r.name},{_FMT % r.value},{_FMT % r.expected},"
-                         f"{_FMT % r.tolerance},{r.passed}")
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        width = max(len(r.name) for r in rows)
-        lines = []
-        for r in rows:
-            lines.append(f"{r.name:<{width}}  {r.value: .9f}  "
-                         f"expected {r.expected: .9f} +/- {r.tolerance:g}  "
-                         f"{_flag(r.passed)}")
-        lines.append(f"overall: {_flag(all_pass)}")
-        _emit("\n".join(lines) + "\n", args)
+    width = max(len(r.name) for r in rows)
+    _write(args, {"rows": [r.to_dict() for r in rows], "passed": all_pass},
+           csv=["name,value,expected,tolerance,passed"] + [
+               f"{r.name},{_FMT % r.value},{_FMT % r.expected},"
+               f"{_FMT % r.tolerance},{r.passed}" for r in rows
+           ], pretty=[
+               f"{r.name:<{width}}  {r.value: .9f}  expected "
+               f"{r.expected: .9f} +/- {r.tolerance:g}  {_flag(r.passed)}"
+               for r in rows
+           ] + [f"overall: {_flag(all_pass)}"])
     return 0 if all_pass else 1
 
 

@@ -245,9 +245,12 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (flat_a @ b.reshape(*b.shape[:-2], size, 1))[..., 0, 0].real
 
 
-def _fail(error: type, message, bad: np.ndarray, *values):
+def _fail(error: type, message, bad: np.ndarray, *values) -> None:
     """Raise ``error`` for the first True entry of ``bad``, its ``message``
-    formatted with each of ``values`` read at that entry."""
+    formatted with each of ``values`` read at that entry; return if no
+    entry is True."""
+    if not np.count_nonzero(bad):
+        return
     at = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
     raise error(message.format(*(np.asarray(v)[at] for v in values)))
 
@@ -292,8 +295,7 @@ def _check_hermitian(model: SystemModel, matrices: np.ndarray,
         skew = np.maximum(2.0 * diagonal, abs(m[..., 0, 1] - m[..., 1, 0].conj()))
     else:
         skew = abs(m - _dagger(m)).max(axis=(-2, -1))
-    if np.count_nonzero(skew > SPECTRAL_TOL):
-        _fail(OutsideConeError, not_hermitian, skew > SPECTRAL_TOL)
+    _fail(OutsideConeError, not_hermitian, skew > SPECTRAL_TOL)
     asym = skew > 0.0
     if np.count_nonzero(asym):
         m = np.where(asym[..., None, None], 0.5 * (m + _dagger(m)), m)
@@ -319,12 +321,10 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
     m, low, _ = _check_hermitian(
         model, matrices, "Matrix is not Hermitian within tolerance.")
     trace = m.real.trace(axis1=-2, axis2=-1)
-    if np.count_nonzero(abs(trace - 1.0) > LINEAR_TOL):
-        _fail(NotNormalizedError, "Trace is {}, expected 1.",
-              abs(trace - 1.0) > LINEAR_TOL, trace)
-    if np.count_nonzero(low < -SPECTRAL_TOL):
-        _fail(OutsideConeError, "Negative eigenvalue {} beyond tolerance.",
-              low < -SPECTRAL_TOL, low)
+    _fail(NotNormalizedError, "Trace is {}, expected 1.",
+          abs(trace - 1.0) > LINEAR_TOL, trace)
+    _fail(OutsideConeError, "Negative eigenvalue {} beyond tolerance.",
+          low < -SPECTRAL_TOL, low)
 
     clipped = low < _CLIP_FLOOR
     if np.count_nonzero(clipped):
@@ -342,12 +342,11 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
     return (*_frozen(model, m), pure, clipped)
 
 
-def _states(model: SystemModel, matrices, coeffs, pure, kets=None,
-            has_ket=None) -> list:
+def _states(model: SystemModel, matrices, coeffs, pure, kets=None) -> list:
     """States of already-checked stack members, without checking again;
-    member i keeps ``kets[i]`` where ``has_ket[i]``."""
+    a pure member i keeps ``kets[i]`` when ``kets`` is given."""
     return [State(model, coeffs[i], matrices[i], bool(pure[i]),
-                  kets[i] if has_ket is not None and has_ket[i] else None)
+                  kets[i] if kets is not None and pure[i] else None)
             for i in range(len(matrices))]
 
 
@@ -373,15 +372,19 @@ def state_from_matrix(model: SystemModel, matrix: np.ndarray) -> State:
 
 def _ket_states(model: SystemModel, kets: np.ndarray):
     """Check a ``(..., d)`` stack of kets for unit norm and build their
-    projectors: ``(kets, matrices, coeffs, pure, clipped)``, phases fixed."""
+    projectors: ``(kets, matrices, coeffs, pure)``, read-only, phases fixed.
+    A projector that the state check rebuilt gets its top eigenvector as
+    its ket, so each ket is that of its checked matrix."""
     norm = _norm(kets)
-    if np.count_nonzero(abs(norm - 1.0) > SPECTRAL_TOL):
-        _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
-              abs(norm - 1.0) > SPECTRAL_TOL, norm)
+    _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
+          abs(norm - 1.0) > SPECTRAL_TOL, norm)
     unit = _fix_phase(kets / norm[..., None])
+    matrices, coeffs, pure, clipped = _check_states(
+        model, unit[..., :, None] * np.conj(unit)[..., None, :])
+    if np.count_nonzero(clipped):
+        unit = np.where(clipped[..., None], _pure_kets(matrices), unit)
     unit.flags.writeable = False
-    matrices = unit[..., :, None] * np.conj(unit)[..., None, :]
-    return (unit, *_check_states(model, matrices))
+    return unit, matrices, coeffs, pure
 
 
 def ket_state(model: SystemModel, ket: np.ndarray) -> State:
@@ -391,9 +394,8 @@ def ket_state(model: SystemModel, ket: np.ndarray) -> State:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (model.size,):
         raise ValueError(f"Expected a length-{model.size} vector.")
-    unit, matrix, coeffs, pure, clipped = _ket_states(model, ket)
-    return State(model, coeffs, matrix, bool(pure),
-                 unit if pure and not clipped else None)
+    unit, matrix, coeffs, pure = _ket_states(model, ket)
+    return State(model, coeffs, matrix, bool(pure), unit if pure else None)
 
 
 def point_state(model: SystemModel, index: int) -> State:
@@ -472,9 +474,8 @@ def _check_effects(model: SystemModel, matrices: np.ndarray):
     SPECTRAL_TOL. Returns the matrices and their covectors, read-only."""
     m, low, high = _check_hermitian(
         model, matrices, "Effect operator is not Hermitian.")
-    if np.count_nonzero((low < -SPECTRAL_TOL) | (high > 1.0 + SPECTRAL_TOL)):
-        _fail(OutsideConeError, "Effect spectrum [{}, {}] escapes [0, 1].",
-              (low < -SPECTRAL_TOL) | (high > 1.0 + SPECTRAL_TOL), low, high)
+    _fail(OutsideConeError, "Effect spectrum [{}, {}] escapes [0, 1].",
+          (low < -SPECTRAL_TOL) | (high > 1.0 + SPECTRAL_TOL), low, high)
     return _frozen(model, m)
 
 
@@ -579,9 +580,8 @@ def _check_complete(model: SystemModel, covectors: np.ndarray) -> None:
     for k in range(1, covectors.shape[-2]):
         total = total + covectors[..., k, :]
     residual = abs(total - model.unit_covector).max(axis=-1)
-    if np.count_nonzero(residual > LINEAR_TOL):
-        _fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
-              residual > LINEAR_TOL, residual)
+    _fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
+          residual > LINEAR_TOL, residual)
 
 
 def measurement_from_dict(data: dict) -> Measurement:
@@ -614,14 +614,11 @@ def _pairings(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
 def _clamp_pairings(values: np.ndarray) -> np.ndarray:
     """Snap pairings within SPECTRAL_TOL of [0, 1] onto it; farther raises."""
-    below, above = values < 0.0, values > 1.0
-    if np.count_nonzero(below | above):
-        if np.count_nonzero(values < -SPECTRAL_TOL):
-            _fail(OutsideConeError, "Pairing {} below 0 beyond tolerance.",
-                  values < -SPECTRAL_TOL, values)
-        if np.count_nonzero(values > 1.0 + SPECTRAL_TOL):
-            _fail(OutsideConeError, "Pairing {} above 1 beyond tolerance.",
-                  values > 1.0 + SPECTRAL_TOL, values)
+    _fail(OutsideConeError, "Pairing {} below 0 beyond tolerance.",
+          values < -SPECTRAL_TOL, values)
+    _fail(OutsideConeError, "Pairing {} above 1 beyond tolerance.",
+          values > 1.0 + SPECTRAL_TOL, values)
+    if np.count_nonzero((values < 0.0) | (values > 1.0)):
         values = np.clip(values, 0.0, 1.0)
     return values
 

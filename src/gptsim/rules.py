@@ -139,11 +139,12 @@ def rule_from_dict(data: dict) -> ProbabilityRule:
 def eval_rule(rule: ProbabilityRule, p):
     """Apply the rule; scalar in, scalar out (arrays pass through).
 
-    Inputs outside [0, 1] by more than 1e-12 raise ``RuleDomainError``;
-    closer excursions are snapped to the boundary first.
+    Inputs outside [0, 1] by more than 1e-12, and NaN, raise
+    ``RuleDomainError``; closer excursions are snapped to the boundary
+    first.
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and (arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12):
+    if arr.size and not (arr.min() >= -1e-12 and arr.max() <= 1.0 + 1e-12):
         raise RuleDomainError(
             f"Rule input outside [0, 1]: range [{arr.min()}, {arr.max()}].")
     clipped = np.clip(arr, 0.0, 1.0)
@@ -337,10 +338,14 @@ def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
     ``mixed`` marks the mixed members of known decompositions, which have
     no prediction. An average state with no decomposition known is a row
     with one member of weight 1 (other slots of weight 0), whose prediction
-    is the rule at its mixed-state overlap.
+    is the rule at its mixed-state overlap. The rule is evaluated only on
+    members of positive weight: a slot of weight 0 holds a placeholder.
     """
     if np.count_nonzero(mixed):
         raise NotPureError(
             "Ensemble-knowledge prediction needs pure members; "
             "use predict_average for an unresolved mixed state.")
-    return (weights[:, None, :] @ eval_rule(rule, taus)[..., None])[:, 0, 0]
+    live = weights > 0.0
+    values = np.zeros(taus.shape)
+    values[live] = eval_rule(rule, taus[live])
+    return (weights[:, None, :] @ values[..., None])[:, 0, 0]

@@ -219,17 +219,13 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
     if np.count_nonzero(inner):
         draws[inner] = tr._seeded_tau_draws(seeds, d - 1,
                                             inner.sum(axis=1).tolist())
-    kets, members, _, pure, clipped = gm._ket_states(
+    kets, members, _, pure = gm._ket_states(
         model, tr._kets_with_tau(phi_k[:, None], p, draws))
-    if np.count_nonzero(clipped):
-        kets = np.where(clipped[..., None], gm._pure_kets(members), kets)
     is_phi = p == 1.0  # the reference state itself
     if np.count_nonzero(is_phi):
         kets = np.where(is_phi[..., None], phi_k[:, None], kets)
         members = np.where(is_phi[..., None, None], phi_m[:, None], members)
         pure = pure | is_phi
-    if np.count_nonzero(present & ~pure):
-        raise NotPureError("Ensemble members must be pure states.")
 
     # The average state (a lone member is its own) and its purification.
     average = gm._average(weights, members)
@@ -246,8 +242,6 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
     if len(uniform):
         u_members, _, u_pure, _ = gm._check_states(
             model, _uniform_members(omega[uniform], phi_m[uniform]))
-        if np.count_nonzero(u_pure) < u_pure.size:
-            raise NotPureError("Ensemble members must be pure states.")
         weights = np.concatenate([weights, np.full((len(uniform), 2), 0.5)])
         members = np.concatenate([members, u_members])
         kets = np.concatenate([kets, gm._pure_kets(u_members)])
@@ -282,17 +276,12 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
     prob_1, prob_2 = known[:n], known[n:]
     marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
                                       steered.weights[n:], steered.coeffs[n:])
-    off = ~(marginal <= _MARGINAL_TOL)  # a NaN residual fails too
-    if np.count_nonzero(off):
-        gm._fail(ContractError,
-                 "Protocols disagree on the distant marginal by {}.", off,
-                 marginal)
+    gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
+             ~(marginal <= _MARGINAL_TOL), marginal)  # NaN fails too
     expected_1, expected_2 = closed_form(rule, p[:, 0], p[:, 1], lam)
     formula = np.maximum(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
-    off = ~(formula <= _FORMULA_TOL)
-    if np.count_nonzero(off):
-        gm._fail(ContractError,
-                 "Pipeline deviates from the closed form by {}.", off, formula)
+    gm._fail(ContractError, "Pipeline deviates from the closed form by {}.",
+             ~(formula <= _FORMULA_TOL), formula)
     return prob_1, prob_2, marginal, formula, steered
 
 
@@ -455,15 +444,11 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
             rng.random(out=params[i])
             seeds.append(int(rng.integers(2**31)))
         kets = normals[:, :2] + 1j * normals[:, 2:]
-        unit, matrices, coeffs, pure, clipped = gm._ket_states(
+        phi_k, matrices, coeffs, pure = gm._ket_states(
             model, kets / gm._norm(kets)[:, None])
-        phis = (matrices, coeffs, pure, unit, pure & ~clipped)
-        phi_k = unit  # a clipped phi's ket is its matrix's top eigenvector
-        if np.count_nonzero(clipped):
-            phi_k = np.where(clipped[:, None], gm._pure_kets(matrices), unit)
+        phis = (matrices, coeffs, pure, phi_k)
         try:
-            if np.count_nonzero(~pure):
-                raise NotPureError("phi must be a pure state.")
+            gm._fail(NotPureError, "phi must be a pure state.", ~pure)
             run = _run(rule, model, phi_k, matrices, params[:, :2],
                        params[:, 2], seeds, np.zeros(count, dtype=bool))
         except GptError as exc:
@@ -488,8 +473,8 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
 def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel, phis: tuple,
              params: np.ndarray, seeds: list, rows: slice) -> list:
     """Scenarios of the certificate samples ``rows``, from phi's checked
-    arrays ``phis`` (matrices, coeffs, purity, kets, where a phi keeps its
-    ket), the (p1, p2, lambda) ``params`` and the ``seeds``."""
+    arrays ``phis`` (matrices, coeffs, purity, kets), the (p1, p2, lambda)
+    ``params`` and the ``seeds``."""
     states = gm._states(model, *(a[rows] for a in phis))
     return [Scenario(rule, phi, p1, p2, lam, seed=s) for phi, (p1, p2, lam), s
             in zip(states, params[rows].tolist(), seeds[rows])]

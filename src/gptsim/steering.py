@@ -27,8 +27,8 @@ from .errors import (
 )
 
 STEERING_TOL = 1e-10
-RANK_TOL = 1e-12  # squared Schmidt values at or below this are zero
-_DROP_TOL = 1e-14  # conditional outcomes below this weight are numerical zeros
+# Squared Schmidt values and steered outcome weights at or below this are zero.
+RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +53,8 @@ class _Schmidt(NamedTuple):
 class _Steered(NamedTuple):
     """Stacked outcome of steering ``n`` joint states with ``S`` effects
     each: the subnormalized B conditionals ``subs`` and, per outcome kept
-    (probability at least the drop threshold), its normalized weight and
-    checked conditional state; other slots hold weight 0 and a placeholder
-    state."""
+    (probability above RANK_TOL), its normalized weight and checked
+    conditional state; other slots hold weight 0 and a placeholder state."""
 
     subs: np.ndarray      # (n, S, d, d)
     keep: np.ndarray      # (n, S)
@@ -111,24 +110,21 @@ def _purify(matrices: np.ndarray, purifier_dims=None):
     rank = (eigvals > RANK_TOL).sum(axis=-1)
     values = np.sqrt(np.where(eigvals > RANK_TOL, eigvals, 0.0))
     dims = rank if purifier_dims is None else purifier_dims
-    if np.count_nonzero(dims < rank):
-        gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
-                 dims < rank, dims, rank)
+    gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
+             dims < rank, dims, rank)
     dim_a = max(int(dims.max()), 2)
     top = min(dim_a, d)
     amplitudes = np.zeros((n, dim_a, d), dtype=complex)
     amplitudes[:, :top] = values[:, :top, None] * rows[:, :top]
     norm = gm._norm(amplitudes.reshape(n, -1))
-    if np.count_nonzero(abs(norm - 1.0) > gm.LINEAR_TOL):
-        gm._fail(NotNormalizedError, "Joint norm is {}, expected 1.",
-                 abs(norm - 1.0) > gm.LINEAR_TOL, norm)
+    gm._fail(NotNormalizedError, "Joint norm is {}, expected 1.",
+             abs(norm - 1.0) > gm.LINEAR_TOL, norm)
     amplitudes.flags.writeable = False
 
     reduced = (amplitudes.conj().swapaxes(-1, -2) @ amplitudes).swapaxes(-1, -2)
     roundtrip = abs(reduced - matrices).max(axis=(-2, -1))
-    if np.count_nonzero(roundtrip > STEERING_TOL):
-        gm._fail(ContractError, "Purification marginal residual {}.",
-                 roundtrip > STEERING_TOL, roundtrip)
+    gm._fail(ContractError, "Purification marginal residual {}.",
+             roundtrip > STEERING_TOL, roundtrip)
     return amplitudes, _Schmidt(values, rows, rank)
 
 
@@ -136,7 +132,7 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
     """Ensemble prepared on side B by measuring side A.
 
     Outcome weights are the measurement probabilities (renormalized to sum
-    to one exactly); outcomes below the numerical-zero threshold are
+    to one exactly); outcomes of probability at most RANK_TOL are
     dropped. Rank-1 measurements on a pure joint state give pure members;
     coarse effects (e.g. the trivial measurement) give honest mixed members.
     """
@@ -147,7 +143,7 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
         point_a = gm.marginal(psi, "A")
         point_b = gm.marginal(psi, "B")
         members = [(gm.evaluate(e, point_a), point_b) for e in alice.effects]
-        members = [(w, s) for w, s in members if w >= _DROP_TOL]
+        members = [(w, s) for w, s in members if w > RANK_TOL]
         weights = np.array([w for w, _ in members])
         return gm.Ensemble(weights / weights.sum(),
                            tuple(s for _, s in members))
@@ -168,10 +164,9 @@ def _steer(model_b: gm.SystemModel, joints: np.ndarray, effects: np.ndarray,
         probs = subs[..., 0, 0].real + subs[..., 1, 1].real
     else:
         probs = np.trace(subs, axis1=-2, axis2=-1).real
-    keep = live & ~(probs < _DROP_TOL)
-    kept = keep.any(axis=1)
-    if np.count_nonzero(kept) < len(kept):
-        gm._fail(ContractError, "All outcomes had zero probability.", ~kept)
+    keep = live & ~(probs <= RANK_TOL)
+    gm._fail(ContractError, "All outcomes had zero probability.",
+             ~keep.any(axis=1))
     weights = np.where(keep, probs, 0.0)
     conditionals = subs / np.where(keep, probs, 1.0)[..., None, None]
     if np.count_nonzero(keep) < keep.size:  # a valid stand-in for the rest
@@ -234,10 +229,9 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
     slots = weights.shape[1]
     marginal_b = (joints.conj().swapaxes(-1, -2) @ joints).swapaxes(-1, -2)
     residual = abs(gm._average(weights, members) - marginal_b).max(axis=(-2, -1))
-    if np.count_nonzero(residual > 1e-9):
-        gm._fail(MarginalMismatchError,
-                 "Target ensemble averages {} away from the B marginal.",
-                 residual > 1e-9, residual)
+    gm._fail(MarginalMismatchError,
+             "Target ensemble averages {} away from the B marginal.",
+             residual > 1e-9, residual)
     if slots > dim_a:
         count = present.sum(axis=1)
         if np.count_nonzero(count > dim_a):
@@ -246,10 +240,8 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
                 f"Target has {count[i]} members but the purifier has "
                 f"dimension {dim_a}; re-purify with purifier_dim >= "
                 f"{count[i]}.", required_dimension=int(count[i]))
-    if np.count_nonzero(present & ~pure):
-        gm._fail(NotPureError,
-                 "Steering targets must decompose into pure states.",
-                 (present & ~pure).any(axis=1))
+    gm._fail(NotPureError, "Steering targets must decompose into pure states.",
+             present & ~pure)
 
     # In the Schmidt form sum_k s_k |k>_A |w_k>_B, the HJW coefficients
     # conj(beta) / s of the members have orthonormal columns in exact
@@ -264,10 +256,9 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
         root, ket = roots[rows], kets[rows]
         beta = root * (w_r.conj()[:, None] @ ket[..., None])[..., 0]
         rebuilt = (w_r.swapaxes(-1, -2)[:, None] @ beta[..., None])[..., 0]
-        off = (gm._norm(root * ket - rebuilt) > 1e-8) & present[rows]
-        if np.count_nonzero(off):
-            raise MarginalMismatchError(
-                "Target member leaves the support of the B marginal.")
+        gm._fail(MarginalMismatchError,
+                 "Target member leaves the support of the B marginal.",
+                 (gm._norm(root * ket - rebuilt) > 1e-8) & present[rows])
         left, _, right = np.linalg.svd(beta.conj() / s_r, full_matrices=False)
         alphas[rows, :, :r] = left @ right
     outer = alphas[..., :, None] * alphas.conj()[..., None, :]
@@ -292,10 +283,8 @@ def _check_synthesized(model_a: gm.SystemModel, joints: np.ndarray,
         rho_a = gm._check_states(
             model_a, joint @ joint.conj().swapaxes(-1, -2))[0]
         leak = abs(effects[deficient, -1] @ rho_a).max(axis=(-2, -1))
-        if np.count_nonzero(leak > STEERING_TOL):
-            gm._fail(ContractError,
-                     "Deficit effect overlaps the A marginal by {}.",
-                     leak > STEERING_TOL, leak)
+        gm._fail(ContractError, "Deficit effect overlaps the A marginal by {}.",
+                 leak > STEERING_TOL, leak)
     gm._check_complete(model_a, covectors)
     return effects, covectors
 
@@ -306,12 +295,9 @@ def _check_targets(subs: np.ndarray, weights: np.ndarray,
     must equal its target's weighted members within STEERING_TOL."""
     residual = abs(subs[:, :weights.shape[1]]
                    - weights[..., None, None] * members).max(axis=(-2, -1))
-    bad = present & (residual > STEERING_TOL)
-    if np.count_nonzero(bad):
-        first = (np.arange(len(bad)), bad.argmax(axis=1))
-        position = np.cumsum(present, axis=1) - 1  # index among the members
-        gm._fail(ContractError, "Steered conditional {} deviates by {}.",
-                 bad.any(axis=1), position[first], residual[first])
+    position = np.cumsum(present, axis=1) - 1  # index among the members
+    gm._fail(ContractError, "Steered conditional {} deviates by {}.",
+             present & (residual > STEERING_TOL), position, residual)
 
 
 def marginal_residual(ens_1: gm.Ensemble, ens_2: gm.Ensemble) -> float:

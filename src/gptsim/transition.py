@@ -247,9 +247,7 @@ def great_circle_states(phi: gm.State, count: int,
         w = _deterministic_orthogonal(m)
     thetas = 2.0 * np.pi * np.arange(count) / count
     blochs = np.cos(thetas)[:, None] * m + np.sin(thetas)[:, None] * w
-    matrices = 0.5 * (np.eye(2, dtype=complex)
-                      + np.einsum("nk,kij->nij", blochs, gm._PAULIS))
-    return model.coeffs_from_matrix(matrices)
+    return model.coeffs_from_matrix(gm._from_bloch(blochs))
 
 
 def _deterministic_orthogonal(m: np.ndarray) -> np.ndarray:

@@ -50,6 +50,9 @@ def test_eval_rule_domain_errors():
         rl.eval_rule(rule, 1.5)
     with pytest.raises(RuleDomainError):
         rl.eval_rule(rule, -0.1)
+    for nan in (float("nan"), np.array([0.5, np.nan])):
+        with pytest.raises(RuleDomainError):
+            rl.eval_rule(rule, nan)
     # within tolerance: snapped, not raised
     assert rl.eval_rule(rule, 1.0 + 1e-13) == 1.0
     assert rl.eval_rule(rule, -1e-13) == 0.0

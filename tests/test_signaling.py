@@ -141,6 +141,17 @@ def test_nan_residual_fails_the_contract():
     assert info.value.index == 0 and info.value.scenario is scenario
 
 
+@pytest.mark.parametrize("mode", [sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM])
+def test_rule_is_not_evaluated_on_weight_zero_outcomes(mode):
+    # The same rule with every member's overlap below 0.3: a weight-0
+    # outcome's placeholder conditional I/2 has overlap 1/2, out of its reach.
+    rule = rl.ProbabilityRule("custom", {},
+                              lambda p: np.where(p > 0.3, np.nan, p))
+    report = sg.run_scenario(sg.Scenario(rule, PHI, 0.1, 0.2, 0.5, mode=mode))
+    assert report.prob_1 == pytest.approx(0.15, abs=1e-12)
+    assert report.prob_2 == pytest.approx(0.15, abs=1e-12)
+
+
 def test_scenario_degenerate_weights():
     report = sg.run_scenario(sg.Scenario(rl.power_rule(1.5), PHI, 0.7, 0.2, 1.0))
     assert report.gap == pytest.approx(0.0, abs=1e-12)

@@ -252,7 +252,7 @@ def test_synthesize_completeness_and_deficit_annihilation():
 def test_synthesize_cuts_the_rank_where_purify_does():
     # A squared Schmidt value at or below RANK_TOL is zero for synthesis as
     # for purify: the target's effect and the deficit effect complete the
-    # measurement, and the deficit outcome keeps its tiny weight.
+    # measurement, and the deficit outcome, of weight eps, is a zero too.
     eps = 5e-13
     assert eps <= ss.RANK_TOL
     psi = gm.bipartite_from_ket(
@@ -262,10 +262,9 @@ def test_synthesize_cuts_the_rank_where_purify_does():
     assert len(effects) == 2
     assert np.max(np.abs(effects[0] - KET0.matrix)) <= 1e-12
     assert np.max(np.abs(effects[1] - KET1.matrix)) <= 1e-12
-    np.testing.assert_allclose(result.ensemble.weights, [1 - eps, eps],
-                               rtol=0, atol=1e-15)
-    for got, want in zip(result.ensemble.states, (KET0, KET1), strict=True):
-        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+    np.testing.assert_array_equal(result.ensemble.weights, [1.0])
+    (member,) = result.ensemble.states
+    assert np.max(np.abs(member.matrix - KET0.matrix)) <= 1e-12
 
 
 def test_synthesize_deficit_is_the_complement_of_the_support():
