@@ -618,9 +618,7 @@ def _clamp_pairings(values: np.ndarray) -> np.ndarray:
           values < -SPECTRAL_TOL, values)
     _fail(OutsideConeError, "Pairing {} above 1 beyond tolerance.",
           values > 1.0 + SPECTRAL_TOL, values)
-    if np.count_nonzero((values < 0.0) | (values > 1.0)):
-        values = np.clip(values, 0.0, 1.0)
-    return values
+    return np.clip(values, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

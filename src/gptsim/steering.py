@@ -295,7 +295,7 @@ def _check_targets(subs: np.ndarray, weights: np.ndarray,
     must equal its target's weighted members within STEERING_TOL."""
     residual = abs(subs[:, :weights.shape[1]]
                    - weights[..., None, None] * members).max(axis=(-2, -1))
-    position = np.cumsum(present, axis=1) - 1  # index among the members
+    position = present.cumsum(axis=1) - 1  # index among the members
     gm._fail(ContractError, "Steered conditional {} deviates by {}.",
              present & (residual > STEERING_TOL), position, residual)
 
