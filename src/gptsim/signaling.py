@@ -12,9 +12,9 @@ difference is the signaling gap.
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +29,9 @@ STEERED_UNIFORM = "steered-uniform"
 
 _FORMULA_TOL = 1e-12
 _MARGINAL_TOL = 1e-10
-# Scenarios per batch of a certificate. A batch peaks at about 4 KB per
-# scenario (1.0 MB at 256, by tracemalloc), so a certificate's memory is
-# bounded at any sample count: 1.6 MB with the worst witness's batch kept.
+# Scenarios per batch of a certificate. A batch peaks at about 3.6 KB per
+# scenario (0.92 MB at 256, by tracemalloc), so a certificate's memory is
+# bounded at any sample count: 1.5 MB with the worst witness's batch kept.
 _CERTIFICATE_BATCH = 256
 
 
@@ -77,17 +77,29 @@ class SignalingReport:
     full steering pipeline; ``gap`` is their signed difference.
     ``formula_residual`` records the agreement with :func:`closed_form`;
     ``marginal_residual`` certifies both protocols left the same average
-    state on the distant side.
+    state on the distant side. ``ensemble_1`` and ``ensemble_2``, the
+    steered ensembles, are built from the run's steered stack when first
+    read.
     """
 
     scenario: Scenario
     prob_1: float
     prob_2: float
     gap: float
-    ensemble_1: gm.Ensemble
-    ensemble_2: gm.Ensemble
     marginal_residual: float
     formula_residual: float
+    # (model, steered stack, row of protocol 1, row of protocol 2)
+    _steered: tuple = field(repr=False)
+
+    @cached_property
+    def ensemble_1(self) -> gm.Ensemble:
+        model, steered, row, _ = self._steered
+        return steered.ensemble(model, row)
+
+    @cached_property
+    def ensemble_2(self) -> gm.Ensemble:
+        model, steered, _, row = self._steered
+        return steered.ensemble(model, row)
 
     def to_dict(self) -> dict:
         return {
@@ -100,9 +112,6 @@ class SignalingReport:
             "marginal_residual": self.marginal_residual,
             "formula_residual": self.formula_residual,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def closed_form(rule: rl.ProbabilityRule, p1, p2, lam):
@@ -193,9 +202,8 @@ def _report(scenario: Scenario, model: gm.SystemModel, run: tuple,
     prob_1, prob_2, marginal, formula, steered = run
     return SignalingReport(
         scenario, float(prob_1[j]), float(prob_2[j]),
-        float(prob_1[j] - prob_2[j]), steered.ensemble(model, j),
-        steered.ensemble(model, len(prob_1) + j), float(marginal[j]),
-        float(formula[j]))
+        float(prob_1[j] - prob_2[j]), float(marginal[j]), float(formula[j]),
+        (model, steered, j, len(prob_1) + j))
 
 
 def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
@@ -269,8 +277,11 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
     # Predictions: from the known decomposition, or (trivial protocol 2,
     # the lone unit outcome of weight 1) the rule at the average state's
     # overlap. phi's accepting effect is its own matrix.
-    taus = gm._pairings(steered.matrices, phi_m[both, None])
-    mixed = steered.keep & ~steered.pure
+    keep = steered.keep
+    taus = np.zeros(keep.shape)
+    taus[keep] = gm._pairings(steered.matrices[keep],
+                              phi_m[both[np.nonzero(keep)[0]]])
+    mixed = keep & ~steered.pure
     mixed[n + trivial] = False
     known = rl._predict(rule, steered.weights, taus, mixed)
     prob_1, prob_2 = known[:n], known[n:]
@@ -432,17 +443,19 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}.")
     rng = np.random.default_rng(seed)
+    normal, random, integers = rng.standard_normal, rng.random, rng.integers
     model = gm.quantum(2)
     worst = None  # (|gap|, its row, its batch's arrays); the first wins
     for start in range(0, samples, _CERTIFICATE_BATCH):
         count = min(_CERTIFICATE_BATCH, samples - start)
         normals = np.empty((count, 4))
         params = np.empty((count, 3))
-        seeds = []
+        seeds = [0] * count
         for i in range(count):
-            normals[i] = rng.normal(size=4)
-            rng.random(out=params[i])
-            seeds.append(int(rng.integers(2**31)))
+            normal(out=normals[i])
+            random(out=params[i])
+            seeds[i] = int(integers(2**31))
+        normals += 0.0  # as rng.normal(): 0 + 1 * z, so -0.0 reads 0.0
         kets = normals[:, :2] + 1j * normals[:, 2:]
         phi_k, matrices, coeffs, pure = gm._ket_states(
             model, kets / gm._norm(kets)[:, None])

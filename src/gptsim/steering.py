@@ -11,6 +11,7 @@ purifier-side measurement whose outcomes prepare exactly that decomposition
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,18 +44,21 @@ class SteeringMeasurement:
 class _Schmidt(NamedTuple):
     """Schmidt form of ``n`` joint matrices: joint i is the sum over
     k < rank[i] of values[i, k] |k>_A |vectors[i, k]>_B, |k>_A its A-side
-    Schmidt basis; the squared values past the rank are at most RANK_TOL."""
+    Schmidt basis; the squared values past the rank are at most RANK_TOL.
+    ``marginal`` holds each joint's B marginal, by :func:`_marginals_b`."""
 
-    values: np.ndarray   # (n, r), descending
-    vectors: np.ndarray  # (n, r, d)
-    rank: np.ndarray     # (n,)
+    values: np.ndarray    # (n, r), descending
+    vectors: np.ndarray   # (n, r, d)
+    rank: np.ndarray      # (n,)
+    marginal: np.ndarray  # (n, d, d)
 
 
 class _Steered(NamedTuple):
     """Stacked outcome of steering ``n`` joint states with ``S`` effects
-    each: the subnormalized B conditionals ``subs`` and, per outcome kept
-    (probability above RANK_TOL), its normalized weight and checked
-    conditional state; other slots hold weight 0 and a placeholder state."""
+    each: the subnormalized B conditionals ``subs`` (0 where no effect was
+    applied) and, per outcome kept (probability above RANK_TOL), its
+    normalized weight and checked conditional state; other slots hold
+    weight 0 and the placeholder state of :func:`_placeholder`."""
 
     subs: np.ndarray      # (n, S, d, d)
     keep: np.ndarray      # (n, S)
@@ -121,11 +125,16 @@ def _purify(matrices: np.ndarray, purifier_dims=None):
              abs(norm - 1.0) > gm.LINEAR_TOL, norm)
     amplitudes.flags.writeable = False
 
-    reduced = (amplitudes.conj().swapaxes(-1, -2) @ amplitudes).swapaxes(-1, -2)
+    reduced = _marginals_b(amplitudes)
     roundtrip = abs(reduced - matrices).max(axis=(-2, -1))
     gm._fail(ContractError, "Purification marginal residual {}.",
              roundtrip > STEERING_TOL, roundtrip)
-    return amplitudes, _Schmidt(values, rows, rank)
+    return amplitudes, _Schmidt(values, rows, rank, reduced)
+
+
+def _marginals_b(joints: np.ndarray) -> np.ndarray:
+    """B marginals ``(n, d, d)`` of ``(n, A, d)`` joint matrices."""
+    return (joints.conj().swapaxes(-1, -2) @ joints).swapaxes(-1, -2)
 
 
 def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
@@ -157,23 +166,48 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
 def _steer(model_b: gm.SystemModel, joints: np.ndarray, effects: np.ndarray,
            live: np.ndarray) -> _Steered:
     """Steer ``n`` joint matrices ``(n, A, d)`` with ``(n, S, A, A)``
-    effect stacks, of which ``live`` ``(n, S)`` are the measurements'."""
-    subs = (joints.conj().swapaxes(-1, -2)[:, None] @ effects
-            @ joints[:, None]).swapaxes(-1, -2)
+    effect stacks, of which only the ``live`` ``(n, S)`` ones, the
+    measurements', are applied."""
+    joint = joints[np.nonzero(live)[0]]
+    live_subs = (joint.conj().swapaxes(-1, -2) @ effects[live]
+                 @ joint).swapaxes(-1, -2)
     if model_b.size == 2:
-        probs = subs[..., 0, 0].real + subs[..., 1, 1].real
+        probs = live_subs[:, 0, 0].real + live_subs[:, 1, 1].real
     else:
-        probs = np.trace(subs, axis1=-2, axis2=-1).real
-    keep = live & ~(probs <= RANK_TOL)
+        probs = np.trace(live_subs, axis1=-2, axis2=-1).real
+    kept = ~(probs <= RANK_TOL)
+    keep = np.zeros(live.shape, dtype=bool)
+    keep[live] = kept
     gm._fail(ContractError, "All outcomes had zero probability.",
              ~keep.any(axis=1))
-    weights = np.where(keep, probs, 0.0)
-    conditionals = subs / np.where(keep, probs, 1.0)[..., None, None]
-    if np.count_nonzero(keep) < keep.size:  # a valid stand-in for the rest
-        conditionals[~keep] = np.eye(model_b.size) / model_b.size
-    matrices, coeffs, pure, _ = gm._check_states(model_b, conditionals)
+    subs = np.zeros(live.shape + live_subs.shape[1:], dtype=complex)
+    subs[live] = live_subs
+    weights = np.zeros(live.shape)
+    weights[keep] = probs[kept]
     weights = weights / weights.sum(axis=1, keepdims=True)
+    checked = gm._check_states(
+        model_b, live_subs[kept] / probs[kept, None, None])[:3]
+    matrices, coeffs, pure = (_filled(keep, holder, values) for holder, values
+                              in zip(_placeholder(model_b), checked))
     return _Steered(subs, keep, weights, matrices, coeffs, pure)
+
+
+@lru_cache(maxsize=None)
+def _placeholder(model: gm.SystemModel) -> tuple:
+    """The state I/d, checked, that a steered slot without an outcome holds:
+    its matrix, coefficients and purity."""
+    return gm._check_states(model, gm._eye(model.size) / model.size)[:3]
+
+
+def _filled(mask: np.ndarray, holder: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """A read-only ``mask.shape + holder.shape`` array: ``values`` where
+    ``mask``, ``holder`` elsewhere."""
+    out = np.empty(mask.shape + np.shape(holder), dtype=values.dtype)
+    out[...] = holder
+    out[mask] = values
+    out.flags.writeable = False
+    return out
 
 
 def synthesize_steering_measurement(psi: gm.BipartiteState,
@@ -199,7 +233,8 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     present = np.ones((1, len(states)), dtype=bool)
     basis, values, vectors = np.linalg.svd(joints)
     effects, live = _synthesize(
-        joints, _Schmidt(values, vectors, (values ** 2 > RANK_TOL).sum(axis=-1)),
+        joints, _Schmidt(values, vectors, (values ** 2 > RANK_TOL).sum(axis=-1),
+                         _marginals_b(joints)),
         weights, members, kets[None].astype(complex),
         np.array([[s.pure for s in states]]), present)
     effects, covectors = _check_synthesized(
@@ -227,8 +262,8 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
     """
     n, dim_a, _ = joints.shape
     slots = weights.shape[1]
-    marginal_b = (joints.conj().swapaxes(-1, -2) @ joints).swapaxes(-1, -2)
-    residual = abs(gm._average(weights, members) - marginal_b).max(axis=(-2, -1))
+    residual = abs(gm._average(weights, members)
+                   - schmidt.marginal).max(axis=(-2, -1))
     gm._fail(MarginalMismatchError,
              "Target ensemble averages {} away from the B marginal.",
              residual > 1e-9, residual)
@@ -273,10 +308,15 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
 
 def _check_synthesized(model_a: gm.SystemModel, joints: np.ndarray,
                        effects: np.ndarray, live: np.ndarray):
-    """Check synthesized ``effects`` in the A basis of ``joints``: valid
-    effects, the deficit effect (last, where ``live``) off the A marginal,
-    together complete. Returns them checked, with their covectors."""
-    effects, covectors = gm._check_effects(model_a, effects)
+    """Check the ``live`` synthesized ``effects`` in the A basis of
+    ``joints``: valid effects, the deficit effect (last, where live) off
+    the A marginal, together complete. Returns them checked, with their
+    covectors; the other slots keep their effect and get covector 0."""
+    checked, live_covectors = gm._check_effects(model_a, effects[live])
+    effects = effects.copy()
+    effects[live] = checked
+    covectors = np.zeros(live.shape + live_covectors.shape[1:])
+    covectors[live] = live_covectors
     deficient = live[:, -1]
     if np.count_nonzero(deficient):
         joint = joints[deficient]

@@ -10,6 +10,7 @@ an independent cross-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,15 +154,90 @@ def _tau_draws(rngs: list, size: int, counts: list) -> np.ndarray:
     return pairs.transpose(0, 2, 1).copy().view(complex)[..., 0]
 
 
-# numpy's SeedSequence.generate_state output hash: word i mixes pool word
-# i % 4 with the running constant INIT * MULT**i, is multiplied by the next
-# constant and folds its high half down. PCG64 takes eight such words (four
-# uint64), here as two rounds over the four pool words.
-_HASH_INIT, _HASH_MULT = 0x8b51f9dd, 0x58f38ded
-_HASH_CONSTS = np.array([_HASH_INIT * _HASH_MULT**i % 2**32 for i in range(9)],
-                        dtype=np.uint32)
-_HASH_XOR = _HASH_CONSTS[:-1].reshape(2, 4)
-_HASH_MUL = _HASH_CONSTS[1:].reshape(2, 4)
+# numpy's SeedSequence hashes (O'Neill's seed_seq_fe), all in uint32
+# arithmetic modulo 2**32. Call k of a hash XORs its word with the running
+# constant INIT * MULT**k, multiplies it by the next constant and folds its
+# high half down (_hashmix). The entropy hash (INIT_A, MULT_A) builds the
+# four-word pool, with mix(x, y) folding MIX_MULT_L*x - MIX_MULT_R*y down
+# the same way; the output hash (INIT_B, MULT_B) turns the pool into state
+# words: PCG64 takes eight (four uint64), two rounds over the pool.
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_POOL_SIZE = 4
+
+
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The XOR and multiply constants ``(2, count)`` of hash calls
+    ``first`` to ``first + count - 1``."""
+    powers = np.array([init * pow(mult, k, 2**32) % 2**32
+                       for k in range(first, first + count + 1)],
+                      dtype=np.uint32)
+    return np.stack([powers[:-1], powers[1:]])
+
+
+def _cross_consts() -> np.ndarray:
+    """``(4, 2, 4)``: for each pool word, the entropy hash constants of its
+    calls into every other pool word (calls 4 to 15, in numpy's order),
+    and 0 at its own place."""
+    calls = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE,
+                         _POOL_SIZE * (_POOL_SIZE - 1))
+    calls = calls.reshape(2, _POOL_SIZE, _POOL_SIZE - 1)
+    consts = np.zeros((_POOL_SIZE, 2, _POOL_SIZE), dtype=np.uint32)
+    for src in range(_POOL_SIZE):
+        consts[src][:, np.arange(_POOL_SIZE) != src] = calls[:, src]
+    return consts
+
+
+_FILL_CONSTS = _hash_consts(_INIT_A, _MULT_A, 0, _POOL_SIZE)
+_CROSS_CONSTS = _cross_consts()
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE).reshape(
+    2, 2, _POOL_SIZE)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    hashed = words ^ xor
+    hashed *= mul
+    hashed ^= hashed >> 16
+    return hashed
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_MULT_L
+    y *= _MIX_MULT_R
+    mixed -= y
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _seed_pools(seeds: list) -> np.ndarray:
+    """``np.random.SeedSequence(seed).pool`` of each non-negative integer
+    seed, as one ``(n, 4)`` uint32 array, bit for bit.
+
+    A seed's entropy is its little-endian uint32 words (one for 0); the
+    first four, zero-padded, are hashed into the pool, every pool word is
+    mixed with the hash of every other, and each word past the fourth is
+    then hashed into all four pool words. Each step runs on the whole
+    batch at once.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    if min(seeds) < 0:
+        raise ValueError(f"Seeds must be non-negative, got {min(seeds)}.")
+    size = max(_POOL_SIZE, (max(seeds).bit_length() + 31) // 32)
+    words = np.frombuffer(
+        b"".join(seed.to_bytes(4 * size, "little") for seed in seeds),
+        dtype="<u4").reshape(-1, size)
+    pool = _hashmix(words[:, :_POOL_SIZE], *_FILL_CONSTS)
+    for src, consts in enumerate(_CROSS_CONSTS):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], *consts))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for src in range(_POOL_SIZE, size):
+        has_word = (words[:, src:] != 0).any(axis=1)  # its top word is not 0
+        mixed = _mix(pool, _hashmix(words[:, src, None], *_hash_consts(
+            _INIT_A, _MULT_A, _POOL_SIZE * src, _POOL_SIZE)))
+        pool = np.where(has_word[:, None], mixed, pool)
+    return pool
 
 
 class _StateWords(ISeedSequence):
@@ -178,15 +254,13 @@ def _seeded_tau_draws(seeds: list, size: int, counts: list) -> np.ndarray:
     """:func:`_tau_draws` from generator ``np.random.default_rng(seeds[j])``
     for each ``counts[j] > 0`` (at least one), bit for bit.
 
-    numpy builds each drawing seed's entropy pool, and validates the seed;
-    the output hash that turns the pools into PCG64 states runs once on the
-    whole batch, not once per seed in numpy-scalar arithmetic.
+    The drawing seeds' entropy pools (:func:`_seed_pools`) and the output
+    hash that turns them into PCG64 states each run once on the whole
+    batch; a negative drawing seed raises ``ValueError``.
     """
     drawing = [j for j, count in enumerate(counts) if count]
-    pools = np.array([np.random.SeedSequence(seeds[j]).pool for j in drawing])
-    words = pools[:, None, :] ^ _HASH_XOR
-    words *= _HASH_MUL
-    words ^= words >> 16
+    pools = _seed_pools([seeds[j] for j in drawing])
+    words = _hashmix(pools[:, None, :], *_STATE_CONSTS)
     # numpy pairs the words little-endian, whatever the platform's order
     words = (words.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
              .astype(np.uint64, copy=False))

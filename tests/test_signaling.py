@@ -30,6 +30,11 @@ Z_BASIS = gm.measurement([gm.projector_effect(PHI), gm.projector_effect(KET1)])
 X_BASIS = gm.measurement([gm.projector_effect(PLUS), gm.projector_effect(MINUS)])
 
 
+def report_json(report):
+    """A report's JSON; it tells -0.0 from 0.0."""
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
 def brute_force_max_gap(phi_fn, n=201):
     """Independent oracle: densely grid the closed-form gap expression."""
     p = np.linspace(0, 1, n)
@@ -201,7 +206,7 @@ def test_report_serializes():
     data = report.to_dict()
     assert data["P1"] == report.prob_1
     assert "ensemble_1" in data and "scenario" in data
-    assert isinstance(report.to_json(), str)
+    assert isinstance(report_json(report), str)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +269,7 @@ def test_batch_equals_single_runs(batch, one_rule):
         assert many.scenario is one.scenario
         for field in ("prob_1", "prob_2", "gap"):
             assert getattr(many, field).hex() == getattr(one, field).hex()
-        assert many.to_json() == one.to_json()
+        assert report_json(many) == report_json(one)
 
 
 @settings(max_examples=100, deadline=None)
@@ -419,6 +424,55 @@ PER_SCENARIO_REPORTS = (
 )
 
 
+def test_steer_checks_only_the_live_conditionals(monkeypatch):
+    # A trivial-average batch steers each scenario's two members and its
+    # trivial outcome; the deficit and empty slots are not steered.
+    rng, rule = np.random.default_rng(4), rl.power_rule(1.5)
+    batch = [sg.Scenario(rule, PHI, *(float(x) for x in 0.1 + 0.8 * rng.random(3)),
+                         seed=k) for k in range(7)]
+    sg.run_scenarios(batch[:1])  # the placeholder state is checked once
+    checked, steering = [], []
+    check_states, steer = gm._check_states, ss._steer
+
+    def counting_check(model, matrices):
+        if steering:
+            checked.append(int(np.prod(np.shape(matrices)[:-2])))
+        return check_states(model, matrices)
+
+    def marked_steer(*args):
+        steering.append(True)
+        try:
+            return steer(*args)
+        finally:
+            steering.pop()
+
+    monkeypatch.setattr(gm, "_check_states", counting_check)
+    monkeypatch.setattr(ss, "_steer", marked_steer)
+    sg.run_scenarios(batch)
+    assert sum(checked) == 3 * len(batch)
+
+
+def test_report_ensembles_are_built_when_first_read(monkeypatch):
+    calls = []
+    ensemble = ss._Steered.ensemble
+
+    def counting(self, model, i):
+        calls.append(i)
+        return ensemble(self, model, i)
+
+    monkeypatch.setattr(ss._Steered, "ensemble", counting)
+    rng, rule = np.random.default_rng(5), rl.power_rule(1.5)
+    reports = sg.run_scenarios(
+        sg.Scenario(rule, PHI, *(float(x) for x in rng.random(3)), seed=k)
+        for k in range(50))
+    assert calls == []
+    report = reports[3]
+    assert report.ensemble_1 is report.ensemble_1
+    assert calls == [3]
+    assert len(report.to_dict()["ensemble_2"]["members"]) == 1
+    assert calls == [3, 53]
+
+
 def test_batch_reports_match_per_scenario_pipeline():
     # Within 1e-14, not bitwise: another numpy or BLAS build may round the
     # eigh and svd steps differently. The member counts check the masks:
@@ -475,13 +529,14 @@ def test_certificate_equals_runs_of_its_scenarios(rule, samples, seed):
     gaps = [abs(report.gap) for report in reports]
     worst = reports[int(np.argmax(gaps))]
     assert cert.max_abs_gap == max(gaps)
-    assert cert.worst.to_json() == worst.to_json()
+    assert report_json(cert.worst) == report_json(worst)
 
 
 def test_certificate_worst_witness_is_its_single_run():
     cert = sg.affinity_certificate(rl.power_rule(1.5), samples=200, tol=1e-3,
                                    seed=8)
-    assert cert.worst.to_json() == sg.run_scenario(cert.worst.scenario).to_json()
+    assert report_json(cert.worst) == report_json(
+        sg.run_scenario(cert.worst.scenario))
     assert cert.max_abs_gap == abs(cert.worst.gap)
 
 

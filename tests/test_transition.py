@@ -283,6 +283,30 @@ def test_seeded_draws_match_default_rng_property(rows, size):
     assert_same_draws(seeds, size, counts)
 
 
+POOL_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**128 + 1]
+
+
+def assert_same_pools(seeds):
+    want = np.array([np.random.SeedSequence(seed).pool for seed in seeds])
+    got = tr._seed_pools(seeds)
+    assert got.dtype == np.uint32 and got.tobytes() == want.tobytes()
+
+
+def test_seed_pools_match_numpy_where_the_entropy_grows():
+    # the number of entropy words changes at each of these seeds
+    assert_same_pools(POOL_SEEDS)
+    for seed in POOL_SEEDS:
+        assert_same_pools([seed])
+    with pytest.raises(ValueError):
+        tr._seed_pools([3, -1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**200 - 1), min_size=1, max_size=6))
+def test_seed_pools_match_numpy_property(seeds):
+    assert_same_pools(seeds)
+
+
 def test_seeded_draws_see_only_the_seeds_that_draw():
     assert_same_draws([-1, 5, 2**70], 1, [0, 2, 1])
     with pytest.raises(ValueError):
