@@ -163,7 +163,10 @@ def _tau_draws(rngs: list, size: int, counts: list) -> np.ndarray:
 # words: PCG64 takes eight (four uint64), two rounds over the pool.
 _INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
 _INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+# 0-d arrays: as operands they cost numpy less than Python or numpy scalars
+_MIX_MULT_L = np.array(0xca01f9dd, dtype=np.uint32)
+_MIX_MULT_R = np.array(0x4973f715, dtype=np.uint32)
+_HALF = np.array(16, dtype=np.uint32)
 _POOL_SIZE = 4
 
 
@@ -198,7 +201,7 @@ _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE).reshape(
 def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     hashed = words ^ xor
     hashed *= mul
-    hashed ^= hashed >> 16
+    hashed ^= hashed >> _HALF
     return hashed
 
 
@@ -206,7 +209,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     mixed = x * _MIX_MULT_L
     y *= _MIX_MULT_R
     mixed -= y
-    mixed ^= mixed >> 16
+    mixed ^= mixed >> _HALF
     return mixed
 
 
