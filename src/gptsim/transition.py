@@ -236,7 +236,7 @@ def _seed_pools(seeds: list) -> np.ndarray:
         mixed[:, src] = pool[:, src]
         pool = mixed
     for src in range(_POOL_SIZE, size):
-        has_word = (words[:, src:] != 0).any(axis=1)  # its top word is not 0
+        has_word = (words[:, src:] != 0).any(axis=1)  # a seed's top word is not 0
         mixed = _mix(pool, _hashmix(words[:, src, None], *_hash_consts(
             _INIT_A, _MULT_A, _POOL_SIZE * src, _POOL_SIZE)))
         pool = np.where(has_word[:, None], mixed, pool)
