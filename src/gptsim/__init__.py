@@ -67,7 +67,6 @@ from .rules import (
     identity_rule,
     piecewise_quadratic_rule,
     power_rule,
-    predict_average,
     predict_ensemble,
     rule_from_dict,
     tabulated_rule,

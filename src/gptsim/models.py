@@ -198,10 +198,10 @@ def validate_state(model: SystemModel, coeffs: np.ndarray) -> State:
         return state_from_matrix(model, model.matrix_from_coeffs(coeffs))
 
     total = float(coeffs.sum())
-    if abs(total - 1.0) > LINEAR_TOL:
+    if not abs(total - 1.0) <= LINEAR_TOL:  # NaN fails too
         raise NotNormalizedError(f"Probabilities sum to {total}, expected 1.")
     low = float(coeffs.min())
-    if low < -LINEAR_TOL:
+    if not low >= -LINEAR_TOL:
         raise OutsideConeError(f"Negative probability {low} beyond tolerance.")
     if low < 0.0:
         coeffs = np.clip(coeffs, 0.0, None)
@@ -295,7 +295,7 @@ def _check_hermitian(model: SystemModel, matrices: np.ndarray,
         skew = np.maximum(2.0 * diagonal, abs(m[..., 0, 1] - m[..., 1, 0].conj()))
     else:
         skew = abs(m - _dagger(m)).max(axis=(-2, -1))
-    _fail(OutsideConeError, not_hermitian, skew > SPECTRAL_TOL)
+    _fail(OutsideConeError, not_hermitian, ~(skew <= SPECTRAL_TOL))
     asym = skew > 0.0
     if np.count_nonzero(asym):
         m = np.where(asym[..., None, None], 0.5 * (m + _dagger(m)), m)
@@ -322,9 +322,9 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
         model, matrices, "Matrix is not Hermitian within tolerance.")
     trace = m.real.trace(axis1=-2, axis2=-1)
     _fail(NotNormalizedError, "Trace is {}, expected 1.",
-          abs(trace - 1.0) > LINEAR_TOL, trace)
+          ~(abs(trace - 1.0) <= LINEAR_TOL), trace)  # NaN fails too
     _fail(OutsideConeError, "Negative eigenvalue {} beyond tolerance.",
-          low < -SPECTRAL_TOL, low)
+          ~(low >= -SPECTRAL_TOL), low)
 
     clipped = low < _CLIP_FLOOR
     if np.count_nonzero(clipped):
@@ -377,7 +377,7 @@ def _ket_states(model: SystemModel, kets: np.ndarray):
     its ket, so each ket is that of its checked matrix."""
     norm = _norm(kets)
     _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
-          abs(norm - 1.0) > SPECTRAL_TOL, norm)
+          ~(abs(norm - 1.0) <= SPECTRAL_TOL), norm)  # NaN fails too
     unit = _fix_phase(kets / norm[..., None])
     matrices, coeffs, pure, clipped = _check_states(
         model, unit[..., :, None] * np.conj(unit)[..., None, :])
@@ -475,7 +475,7 @@ def _check_effects(model: SystemModel, matrices: np.ndarray):
     m, low, high = _check_hermitian(
         model, matrices, "Effect operator is not Hermitian.")
     _fail(OutsideConeError, "Effect spectrum [{}, {}] escapes [0, 1].",
-          (low < -SPECTRAL_TOL) | (high > 1.0 + SPECTRAL_TOL), low, high)
+          ~((low >= -SPECTRAL_TOL) & (high <= 1.0 + SPECTRAL_TOL)), low, high)
     return _frozen(model, m)
 
 
@@ -503,7 +503,7 @@ def effect_from_covector(model: SystemModel, covector: np.ndarray) -> Effect:
             f"Expected {model.ambient_dimension} components, got {covector.shape}.")
     if model.kind == QUANTUM:
         return effect_from_matrix(model, model.matrix_from_coeffs(covector))
-    if covector.min() < -LINEAR_TOL or covector.max() > 1.0 + LINEAR_TOL:
+    if not -LINEAR_TOL <= covector.min() <= covector.max() <= 1.0 + LINEAR_TOL:
         raise OutsideConeError(
             f"Effect values [{covector.min()}, {covector.max()}] escape [0, 1].")
     covector = np.clip(covector, 0.0, 1.0)
@@ -581,7 +581,7 @@ def _check_complete(model: SystemModel, covectors: np.ndarray) -> None:
         total = total + covectors[..., k, :]
     residual = abs(total - model.unit_covector).max(axis=-1)
     _fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
-          residual > LINEAR_TOL, residual)
+          ~(residual <= LINEAR_TOL), residual)
 
 
 def measurement_from_dict(data: dict) -> Measurement:
@@ -657,9 +657,9 @@ def ensemble(members, require_pure: bool = True) -> Ensemble:
     for s in states:
         if s.model != model:
             raise ModelMismatchError("Ensemble mixes different models.")
-    if weights.min() < -LINEAR_TOL:
+    if not weights.min() >= -LINEAR_TOL:  # NaN fails too
         raise ValueError(f"Negative ensemble weight {weights.min()}.")
-    if abs(weights.sum() - 1.0) > LINEAR_TOL:
+    if not abs(weights.sum() - 1.0) <= LINEAR_TOL:
         raise NotNormalizedError(f"Weights sum to {weights.sum()}, expected 1.")
     if require_pure:
         for s in states:
@@ -740,7 +740,7 @@ def bipartite_from_ket(model_a: SystemModel, model_b: SystemModel,
     if amplitudes.shape != (expected,):
         raise ValueError(f"Expected {expected} amplitudes.")
     norm = float(np.linalg.norm(amplitudes))
-    if abs(norm - 1.0) > LINEAR_TOL:
+    if not abs(norm - 1.0) <= LINEAR_TOL:  # NaN fails too
         raise NotNormalizedError(f"Joint norm is {norm}, expected 1.")
     amplitudes.flags.writeable = False
     # Marginals of a unit vector are Gram matrices: positive semidefinite

@@ -321,18 +321,9 @@ def predict_ensemble(rule: ProbabilityRule, ens: gm.Ensemble,
     return float(_predict(rule, ens.weights[None], taus[None], mixed[None])[0])
 
 
-def predict_average(rule: ProbabilityRule, omega: gm.State,
-                    phi: gm.State) -> float:
-    """Prediction from the average state alone (no decomposition known):
-    the rule applied to the mixed-state overlap."""
-    tau = gm.evaluate(tr.accept_effect(phi), omega)
-    return float(_predict(rule, np.ones((1, 1)), np.array([[tau]]),
-                          np.zeros((1, 1), dtype=bool))[0])
-
-
 def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
              mixed: np.ndarray) -> np.ndarray:
-    """Predictions of a stack of ensembles, one per row of ``(n, K)``
+    """Predictions of a stack of ensembles, one per row of ``(..., K)``
     member weights and overlaps with phi: the weight-averaged rule values.
 
     ``mixed`` marks the mixed members of known decompositions, which have
@@ -342,10 +333,8 @@ def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
     members of positive weight: a slot of weight 0 holds a placeholder.
     """
     if np.count_nonzero(mixed):
-        raise NotPureError(
-            "Ensemble-knowledge prediction needs pure members; "
-            "use predict_average for an unresolved mixed state.")
+        raise NotPureError("Ensemble-knowledge prediction needs pure members.")
     live = weights > 0.0
     values = np.zeros(taus.shape)
     values[live] = eval_rule(rule, taus[live])
-    return (weights[:, None, :] @ values[..., None])[:, 0, 0]
+    return (weights[..., None, :] @ values[..., None])[..., 0, 0]

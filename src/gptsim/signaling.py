@@ -140,9 +140,9 @@ def run_scenario(scenario: Scenario) -> SignalingReport:
 def run_scenarios(scenarios) -> list[SignalingReport]:
     """Run a batch of scenarios through the full pipeline at once.
 
-    The scenarios on one model with one rule object run as one group of
-    stacked arrays, each check made on the whole stack; each report is
-    bitwise what the scenario gives in a batch of its own. If a check
+    The scenarios on one model size run as one group of stacked arrays,
+    whatever their rules, each check made on the whole stack; each report
+    is bitwise what the scenario gives in a batch of its own. If a check
     fails, the scenarios are run again one at a time, in order, and the
     first one that fails alone raises: the error's ``index`` and
     ``scenario`` name it, and so does its message.
@@ -150,8 +150,7 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
     scenarios = list(scenarios)
     reports = [None] * len(scenarios)
     try:
-        groups = {}
-        for i, s in enumerate(scenarios):
+        for s in scenarios:
             if s.phi.model.kind != gm.QUANTUM:
                 raise UnsupportedModelError(
                     "Signaling scenarios require a quantum model.")
@@ -159,12 +158,13 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
                 raise NotPureError("phi must be a pure state.")
             if s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
                 raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
-            groups.setdefault((s.phi.model.size, id(s.rule)), []).append(i)
-        for rows in groups.values():
+        sizes = np.array([s.phi.model.size for s in scenarios])
+        for d, rows in gm._groups(sizes):
+            rows = np.arange(len(scenarios))[rows].tolist()
             group = [scenarios[i] for i in rows]
-            model = gm.quantum(group[0].phi.model.size)
+            model = gm.quantum(d)
             run = _run(
-                group[0].rule, model,
+                [s.rule for s in group], model,
                 np.array([gm.pure_ket(s.phi) for s in group]),
                 np.array([s.phi.matrix for s in group]),
                 np.array([(s.p1, s.p2) for s in group], dtype=float),
@@ -206,13 +206,14 @@ def _report(scenario: Scenario, model: gm.SystemModel, run: tuple,
         (model, steered, j, len(prob_1) + j))
 
 
-def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
+def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
          phi_m: np.ndarray, p: np.ndarray, lam: np.ndarray, seeds: list,
          uniform: np.ndarray) -> tuple:
-    """Run ``n`` scenarios of one rule on one quantum model: scenario j
-    has phi's ket ``phi_k[j]`` and checked matrix ``phi_m[j]``, overlaps
-    ``p[j]``, weight ``lam[j]``, draw seed ``seeds[j]`` and, where
-    ``uniform[j]``, the steered-uniform protocol 2. Returns the arrays
+    """Run ``n`` scenarios on one quantum model: scenario j has rule
+    ``rules[j]``, phi's ket ``phi_k[j]`` and checked matrix ``phi_m[j]``,
+    overlaps ``p[j]``, weight ``lam[j]``, draw seed ``seeds[j]`` and, where
+    ``uniform[j]``, the steered-uniform protocol 2. Only the predictions
+    and the closed-form check depend on the rule. Returns the arrays
     ``(P1, P2, marginal residual, formula residual)`` and the steered
     stack: protocol 1 of scenario j at row j, its protocol 2 at row n + j.
     """
@@ -283,17 +284,23 @@ def _run(rule: rl.ProbabilityRule, model: gm.SystemModel, phi_k: np.ndarray,
                               phi_m[both[np.nonzero(keep)[0]]])
     mixed = keep & ~steered.pure
     mixed[n + trivial] = False
-    known = rl._predict(rule, steered.weights, taus, mixed)
-    prob_1, prob_2 = known[:n], known[n:]
+    # The rule's two steps, once per rule object (hashed by identity) on
+    # its rows of both protocols; rules are coded 0, 1, ... as first seen.
+    codes = {}
+    keys = np.array([codes.setdefault(rule, len(codes)) for rule in rules])
+    stacks = [a.reshape(2, n, -1) for a in (steered.weights, taus, mixed)]
+    known, expected = np.empty((2, n)), np.empty((2, n))
+    for rule, (_, rows) in zip(codes, gm._groups(keys)):
+        known[:, rows] = rl._predict(rule, *(a[:, rows] for a in stacks))
+        expected[:, rows] = closed_form(rule, p[rows, 0], p[rows, 1], lam[rows])
     marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
                                       steered.weights[n:], steered.coeffs[n:])
     gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
              ~(marginal <= _MARGINAL_TOL), marginal)  # NaN fails too
-    expected_1, expected_2 = closed_form(rule, p[:, 0], p[:, 1], lam)
-    formula = np.maximum(abs(prob_1 - expected_1), abs(prob_2 - expected_2))
+    formula = abs(known - expected).max(axis=0)
     gm._fail(ContractError, "Pipeline deviates from the closed form by {}.",
              ~(formula <= _FORMULA_TOL), formula)
-    return prob_1, prob_2, marginal, formula, steered
+    return (*known, marginal, formula, steered)
 
 
 _UNIFORM_QUBITS_ONLY = (
@@ -462,7 +469,7 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         phis = (matrices, coeffs, pure, phi_k)
         try:
             gm._fail(NotPureError, "phi must be a pure state.", ~pure)
-            run = _run(rule, model, phi_k, matrices, params[:, :2],
+            run = _run([rule] * count, model, phi_k, matrices, params[:, :2],
                        params[:, 2], seeds, np.zeros(count, dtype=bool))
         except GptError as exc:
             _raise_named(exc, _samples(rule, model, phis, params, seeds,
@@ -513,6 +520,8 @@ class DetectionStats:
 
     @property
     def z_score(self) -> float:
+        if self.sigma == 0.0:  # both outcomes certain
+            return 0.0
         return (self.gap_estimate - self.gap_true) / self.sigma
 
     def to_dict(self) -> dict:
@@ -530,17 +539,19 @@ def simulate_runs(report: SignalingReport, runs: int = 10_000,
 
     Each protocol is sampled ``runs`` times from a binomial with its
     predicted probability; the empirical gap concentrates around the true
-    one with standard error sqrt(P1(1-P1)/N + P2(1-P2)/N).
+    one with standard error sqrt(P1(1-P1)/N + P2(1-P2)/N). Both read the
+    predictions clamped to [0, 1], which round-off may leave by 2**-52.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}.")
+    prob_1, prob_2 = np.clip([report.prob_1, report.prob_2], 0.0, 1.0).tolist()
     rng = np.random.default_rng(seed)
-    k1 = int(rng.binomial(runs, report.prob_1))
-    k2 = int(rng.binomial(runs, report.prob_2))
+    k1 = int(rng.binomial(runs, prob_1))
+    k2 = int(rng.binomial(runs, prob_2))
     est_1 = k1 / runs
     est_2 = k2 / runs
-    sigma = float(np.sqrt(report.prob_1 * (1 - report.prob_1) / runs
-                          + report.prob_2 * (1 - report.prob_2) / runs))
+    sigma = float(np.sqrt(prob_1 * (1 - prob_1) / runs
+                          + prob_2 * (1 - prob_2) / runs))
     return DetectionStats(runs=runs, seed=seed, successes_1=k1,
                           successes_2=k2, estimate_1=est_1, estimate_2=est_2,
                           gap_estimate=est_1 - est_2, gap_true=report.gap,

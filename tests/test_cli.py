@@ -165,6 +165,19 @@ def test_steer_synthesize_target(tmp_path, capsys):
     assert len(data["measurement"]["effects"]) == 2
 
 
+def test_steer_target_with_nan_weights_fails_its_weight_check(tmp_path,
+                                                               capsys):
+    data = gm.ensemble([(0.5, gm.point_state(QUBIT, 0)),
+                        (0.5, gm.point_state(QUBIT, 1))]).to_dict()
+    for member in data["members"]:
+        member["weight"] = float("nan")
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "steer", "--target", f"@{path}")
+    assert code == 2
+    assert "ensemble weight nan" in err
+
+
 def test_steer_requires_exactly_one_protocol_source(capsys):
     code, _, err = run_cli(capsys, "steer")
     assert code == 2

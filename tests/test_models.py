@@ -82,6 +82,40 @@ def test_states_and_effects_share_the_hermitian_check(model):
             gm.effect_from_matrix(model, m)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: gm.state_from_matrix(QUBIT, np.full((2, 2), NAN)),
+     OutsideConeError),
+    (lambda: gm.state_from_matrix(QUBIT, np.diag([NAN, 0.5])),
+     NotNormalizedError),
+    (lambda: gm.state_from_matrix(QUTRIT, np.full((3, 3), NAN)),
+     OutsideConeError),
+    (lambda: gm.effect_from_matrix(QUBIT, np.full((2, 2), NAN)),
+     OutsideConeError),
+    (lambda: gm.effect_from_matrix(QUBIT, np.diag([NAN, 0.5])),
+     OutsideConeError),
+    (lambda: gm.validate_state(QUBIT, np.full(4, NAN)), OutsideConeError),
+    (lambda: gm.validate_state(BIT, np.array([NAN, 1.0])), NotNormalizedError),
+    (lambda: gm.effect_from_covector(BIT, np.array([NAN, 0.5])),
+     OutsideConeError),
+    (lambda: gm.ket_state(QUBIT, [NAN, 0]), NotNormalizedError),
+    (lambda: gm.bipartite_from_ket(QUBIT, QUBIT, [NAN, 0, 0, 0]),
+     NotNormalizedError),
+    (lambda: gm.ensemble([(NAN, gm.ket_state(QUBIT, KET0)),
+                          (NAN, gm.ket_state(QUBIT, KET1))]), ValueError),
+], ids=["state-2", "state-2-diagonal", "state-3", "effect-2",
+        "effect-2-diagonal", "validate-quantum", "validate-classical",
+        "covector-classical", "ket", "bipartite", "ensemble-weights"])
+def test_nan_input_fails_its_check(make, error):
+    # Each check fails unless its value is within bounds, so a NaN fails
+    # the check that reads it (not a later eigensolver or SVD).
+    with pytest.raises(error) as info:
+        make()
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 def test_validate_state_classical_probability_vector():
     s = gm.validate_state(BIT, np.array([0.3, 0.7]))
     assert not s.pure

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gptsim import models as gm
 from gptsim import rules as rl
+from gptsim import signaling as sg
 from gptsim import transition as tr
 from gptsim.errors import EmptyEnsembleError, NotPureError, RuleDomainError
 
@@ -249,24 +250,26 @@ def test_predict_ensemble_piecewise_on_02_04():
 
 
 def test_predict_average_piecewise_at_03():
+    # Protocol 2 of the trivial average predicts the rule at the average
+    # state's overlap, 0.5 * 0.2 + 0.5 * 0.4.
     rule = rl.piecewise_quadratic_rule()
-    rng = np.random.default_rng(1)
-    psi1 = tr.state_with_tau(QUBIT, KET0, 0.2, rng)
-    psi2 = tr.state_with_tau(QUBIT, KET0, 0.4, rng)
-    omega = gm.mix(gm.ensemble([(0.5, psi1), (0.5, psi2)]))
-    assert rl.predict_average(rule, omega, KET0) == pytest.approx(0.18, abs=1e-12)
+    report = sg.run_scenario(sg.Scenario(rule, KET0, 0.2, 0.4, 0.5, seed=1))
+    assert report.prob_2 == pytest.approx(0.18, abs=1e-12)
 
 
 def test_predict_average_identity_equals_mixed_tau():
     rule = rl.identity_rule()
-    assert rl.predict_average(rule, MIXED, KET0) == pytest.approx(
-        gm.evaluate(tr.accept_effect(KET0), MIXED), abs=1e-15)
+    report = sg.run_scenario(sg.Scenario(rule, KET0, 1.0, 0.0, 0.5))
+    omega = gm.mix(report.ensemble_1)
+    assert np.allclose(omega.matrix, MIXED.matrix, rtol=0, atol=1e-15)
+    assert report.prob_2 == pytest.approx(
+        gm.evaluate(tr.accept_effect(KET0), omega), abs=1e-15)
 
 
 def test_predict_boundary_any_rule_on_reference_state():
     for rule in (rl.identity_rule(), rl.piecewise_quadratic_rule(),
                  rl.power_rule(2.5)):
-        assert rl.predict_average(rule, KET0, KET0) == 1.0
+        assert rl.eval_rule(rule, tr.tau(KET0, KET0)) == 1.0
 
 
 def test_predict_ensemble_errors():
@@ -296,8 +299,9 @@ def test_identity_rule_ensemble_average_agree(seed):
     ens = gm.ensemble(zip(weights, members))
     phi_ket = rng.normal(size=2) + 1j * rng.normal(size=2)
     phi = gm.ket_state(QUBIT, phi_ket / np.linalg.norm(phi_ket))
+    overlap = gm.evaluate(tr.accept_effect(phi), gm.mix(ens))
     assert rl.predict_ensemble(rule, ens, phi) == pytest.approx(
-        rl.predict_average(rule, gm.mix(ens), phi), abs=1e-12)
+        rl.eval_rule(rule, overlap), abs=1e-12)
 
 
 def test_jensen_direction_for_strictly_convex_rule():
@@ -311,7 +315,8 @@ def test_jensen_direction_for_strictly_convex_rule():
         psi1 = tr.state_with_tau(QUBIT, KET0, p1, rng)
         psi2 = tr.state_with_tau(QUBIT, KET0, p2, rng)
         ens = gm.ensemble([(lam, psi1), (1 - lam, psi2)])
-        avg = rl.predict_average(rule, gm.mix(ens), KET0)
+        avg = rl.eval_rule(
+            rule, gm.evaluate(tr.accept_effect(KET0), gm.mix(ens)))
         ens_pred = rl.predict_ensemble(rule, ens, KET0)
         assert avg < ens_pred
 

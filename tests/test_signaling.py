@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -64,7 +66,9 @@ def test_steered_prediction_trivial_collapses_for_identity():
     rule = rl.identity_rule()
     values = [rl.predict_ensemble(rule, ss.steer(BELL, basis), PHI)
               for basis in (Z_BASIS, X_BASIS)]
-    values.append(rl.predict_average(rule, gm.marginal(BELL, "B"), PHI))
+    # Protocol 2 of the trivial average: the rule at the overlap of the
+    # Bell marginal I/2, steered from a purification of its own.
+    values.append(sg.run_scenario(sg.Scenario(rule, PHI, 1.0, 0.0, 0.5)).prob_2)
     for value in values:
         assert value == pytest.approx(0.5, abs=1e-12)
 
@@ -247,8 +251,9 @@ def scenarios(draw):
 @given(batch=st.lists(scenarios(), min_size=1, max_size=8),
        one_rule=st.booleans())
 def test_batch_equals_single_runs(batch, one_rule):
-    # The batch runs one group per (dimension, rule object): with one rule
-    # object, scenarios of one dimension share one group.
+    # The batch runs one group per dimension, whatever the rules; within
+    # it each rule object predicts on its own rows. With one rule object,
+    # every row of a group shares one prediction.
     if one_rule:
         batch = [replace(s, rule=batch[0].rule) for s in batch]
     singles = []
@@ -270,6 +275,75 @@ def test_batch_equals_single_runs(batch, one_rule):
         for field in ("prob_1", "prob_2", "gap"):
             assert getattr(many, field).hex() == getattr(one, field).hex()
         assert report_json(many) == report_json(one)
+
+
+def test_rules_do_not_split_the_pipeline(monkeypatch):
+    # Twenty scenarios, each with a power(1.5) rule object of its own, are
+    # purified and steered in one pass, and each report is its single run's.
+    rng = np.random.default_rng(12)
+    batch = [sg.Scenario(rl.power_rule(1.5), PHI,
+                         *(float(x) for x in rng.random(3)), seed=k,
+                         mode=(sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM)[k % 2])
+             for k in range(20)]
+    singles = [report_json(sg.run_scenario(s)) for s in batch]
+    calls = []
+
+    def counted(name):
+        real = getattr(ss, name)
+
+        def counting(*args):
+            calls.append(name)
+            return real(*args)
+        return counting
+
+    for name in ("_purify", "_steer"):
+        monkeypatch.setattr(ss, name, counted(name))
+    reports = sg.run_scenarios(batch)
+    assert sorted(calls) == ["_purify", "_steer"]
+    assert [report_json(r) for r in reports] == singles
+
+
+def test_rules_shared_across_threads():
+    # Four threads run rotated copies of one batch (d = 2, 3, 4; three rule
+    # objects shared by all) and each gets the serial run's reports.
+    rules = (rl.power_rule(1.5), rl.piecewise_quadratic_rule(),
+             rl.tabulated_rule([[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]))
+    rng = np.random.default_rng(13)
+    batch = []
+    for k in range(24):
+        d = (2, 3, 4)[k % 3]
+        ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
+        mode = sg.STEERED_UNIFORM if d == 2 and k % 2 else sg.TRIVIAL_AVERAGE
+        batch.append(sg.Scenario(rules[k % 3 if k % 4 else 0], phi,
+                                 *(float(x) for x in rng.random(3)),
+                                 mode=mode, seed=k))
+    serial = [report_json(r) for r in sg.run_scenarios(batch)]
+    results = {}
+
+    def run(shift):
+        rotated = batch[shift:] + batch[:shift]
+        outputs = []
+        for _ in range(5):
+            outputs.append([report_json(r) for r in sg.run_scenarios(rotated)])
+        results[shift] = outputs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(shift,))
+                   for shift in (0, 5, 11, 17)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 5, 11, 17]  # no thread raised
+    for shift, outputs in results.items():
+        expected = serial[shift:] + serial[:shift]
+        assert all(output == expected for output in outputs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -686,6 +760,20 @@ def test_simulate_runs_deterministic_and_serializable():
     for runs in (0, -5):
         with pytest.raises(ValueError, match=f"runs must be at least 1, got {runs}"):
             sg.simulate_runs(report, runs=runs)
+
+
+@pytest.mark.parametrize("lam, prob_1", [(0.38077050831088943, 1 + 2**-52),
+                                          (0.5, 1.0)], ids=["above-1", "at-1"])
+def test_simulate_runs_at_certain_outcomes(lam, prob_1):
+    # Both members are phi: the pipeline's P1 can round to just above 1,
+    # which is sampled as 1, and sigma is 0.
+    report = sg.run_scenario(sg.Scenario(rl.identity_rule(), PHI, 1.0, 1.0, lam))
+    assert (report.prob_1, report.prob_2) == (prob_1, 1.0)
+    stats = sg.simulate_runs(report, runs=100, seed=1)
+    assert (stats.successes_1, stats.successes_2) == (100, 100)
+    assert stats.sigma == 0.0 and stats.z_score == 0.0
+    assert stats.gap_true == report.gap  # the report's own value
+    assert stats.to_dict()["z_score"] == 0.0
 
 
 def test_simulate_runs_gap_grows_detectable():
