@@ -54,6 +54,7 @@ def _commands() -> list:
             "--format csv --out {out}",
             "reproduce --format csv --out {out}",
             "certify --family identity --samples 3 --format json --out {out}"]
+    out += [f"scan {rule} --grid 41 --format csv --out {{out}}" for rule in RULES]
     return out
 
 
@@ -385,6 +386,14 @@ GOLDEN = {
         '9b4c9e184852ea40',
     'certify --family identity --samples 3 --format json --out {out}':
         'e6108538f8e74f56',
+    'scan --family identity --grid 41 --format csv --out {out}':
+        '2040ccc022c7febd',
+    'scan --family power --alpha 1.5 --grid 41 --format csv --out {out}':
+        'f08647e2f198a24d',
+    'scan --family piecewise-quadratic --grid 41 --format csv --out {out}':
+        '463ca08052ffba1f',
+    "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 41 --format csv --out {out}":
+        '5cccd027cfd3f621',
 
 }
 
