@@ -657,7 +657,10 @@ def ensemble(members, require_pure: bool = True) -> Ensemble:
     for s in states:
         if s.model != model:
             raise ModelMismatchError("Ensemble mixes different models.")
-    if not weights.min() >= -LINEAR_TOL:  # NaN fails too
+    non_finite = weights[~np.isfinite(weights)]
+    if non_finite.size:
+        raise ValueError(f"Non-finite ensemble weight {non_finite[0]}.")
+    if not weights.min() >= -LINEAR_TOL:
         raise ValueError(f"Negative ensemble weight {weights.min()}.")
     if not abs(weights.sum() - 1.0) <= LINEAR_TOL:
         raise NotNormalizedError(f"Weights sum to {weights.sum()}, expected 1.")

@@ -144,11 +144,13 @@ def eval_rule(rule: ProbabilityRule, p):
     first.
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and not (arr.min() >= -1e-12 and arr.max() <= 1.0 + 1e-12):
-        raise RuleDomainError(
-            f"Rule input outside [0, 1]: range [{arr.min()}, {arr.max()}].")
-    clipped = np.clip(arr, 0.0, 1.0)
-    out = rule._fn(clipped)
+    if arr.size:
+        lo = np.minimum.reduce(arr, axis=None)
+        hi = np.maximum.reduce(arr, axis=None)
+        if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+            raise RuleDomainError(
+                f"Rule input outside [0, 1]: range [{lo}, {hi}].")
+    out = rule._fn(arr.clip(0.0, 1.0))
     if np.ndim(p) == 0:
         return float(out)
     return np.asarray(out, dtype=float)

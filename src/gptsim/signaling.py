@@ -333,7 +333,11 @@ def _uniform_members(omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
     in_plane = r - height[:, None] * m
     radial = gm._norm(in_plane)
     flat = ~(radial > 1e-12)
-    w = np.cross(m, in_plane / np.where(flat, 1.0, radial)[:, None])
+    # m x u as numpy's cross computes it, bit for bit, minus its call overhead
+    m0, m1, m2 = m.T
+    u0, u1, u2 = (in_plane / np.where(flat, 1.0, radial)[:, None]).T
+    w = np.stack([m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0],
+                 axis=-1)
     if np.count_nonzero(flat):
         w[flat] = tr._deterministic_orthogonal(m[flat])
         in_plane[flat] = 0.0

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -47,16 +48,22 @@ def test_identity_rule_is_identity():
 
 def test_eval_rule_domain_errors():
     rule = rl.identity_rule()
-    with pytest.raises(RuleDomainError):
+    with pytest.raises(RuleDomainError, match=r"^Rule input outside "
+                       r"\[0, 1\]: range \[1.5, 1.5\]\.$"):
         rl.eval_rule(rule, 1.5)
     with pytest.raises(RuleDomainError):
         rl.eval_rule(rule, -0.1)
+    with pytest.raises(RuleDomainError, match=r"range \[-0.1, 0.5\]\.$"):
+        rl.eval_rule(rule, [-0.1, 0.5])
     for nan in (float("nan"), np.array([0.5, np.nan])):
-        with pytest.raises(RuleDomainError):
+        with pytest.raises(RuleDomainError, match=r"range \[nan, nan\]\.$"):
             rl.eval_rule(rule, nan)
     # within tolerance: snapped, not raised
     assert rl.eval_rule(rule, 1.0 + 1e-13) == 1.0
     assert rl.eval_rule(rule, -1e-13) == 0.0
+    # scalar in, scalar out; the snap keeps the sign of zero
+    assert type(rl.eval_rule(rule, np.array(0.3))) is float
+    assert math.copysign(1.0, rl.eval_rule(rule, -0.0)) == -1.0
 
 
 def test_eval_rule_vectorized():
