@@ -15,6 +15,8 @@ import json
 import math
 import shlex
 
+import numpy as np
+
 from gptsim.cli import main
 
 TABULATED = ("--family tabulated --rule-samples "
@@ -22,6 +24,33 @@ TABULATED = ("--family tabulated --rule-samples "
 RULES = ("--family identity", "--family power --alpha 1.5",
          "--family piecewise-quadratic", TABULATED)
 FORMATS = ("json", "csv", "pretty")
+# Two Haar-random qubit pairs, (psi ket, phi ket) as [re, im] pairs.
+HAAR_PAIRS = (
+    ([[-0.3139570219808913, -0.8631397040352776],
+      [-0.1079323867912975, 0.38048842235778657]],
+     [[0.6466454444581169, -0.47935720061298426],
+      [0.593348676091668, -0.0019214479729313515]]),
+    ([[-0.27607222173392626, 0.23785912806759676],
+      [-0.34384186649381887, -0.8654362682646616]],
+     [[-0.6785183588461484, -0.4979103599316397],
+      [-0.364403498236096, 0.39863291466557316]]),
+)
+
+
+def _haar_tau(pair: int, lp: int) -> str:
+    """``tau --lp`` on Haar pair ``pair``, each state given as the JSON
+    matrix of its projector, the shape of the benchmark's lp inputs."""
+    states = []
+    for ket in HAAR_PAIRS[pair]:
+        ket = np.array([complex(*c) for c in ket])
+        matrix = [[[float(c.real), float(c.imag)] for c in row]
+                  for row in np.outer(ket, ket.conj())]
+        text = json.dumps({"model": {"kind": "quantum", "d": 2},
+                           "matrix": matrix})
+        # doubled braces: _digest fills the command in with str.format
+        states.append(shlex.quote(text.replace("{", "{{").replace("}", "}}")))
+    return (f"tau --model quantum:2 --psi {states[0]} --phi {states[1]} "
+            f"--lp {lp} --verbose --format json")
 
 
 def _commands() -> list:
@@ -55,6 +84,9 @@ def _commands() -> list:
             "reproduce --format csv --out {out}",
             "certify --family identity --samples 3 --format json --out {out}"]
     out += [f"scan {rule} --grid 41 --format csv --out {{out}}" for rule in RULES]
+    out += [_haar_tau(0, 720), _haar_tau(1, 720), _haar_tau(0, 3),
+            "tau --model quantum:2 --psi + --phi 0 --lp 3 --verbose --format json",
+            "tau --model classical:3 --psi 0 --phi 2 --lp 9 --verbose --format json"]
     return out
 
 
@@ -394,7 +426,16 @@ GOLDEN = {
         '463ca08052ffba1f',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 41 --format csv --out {out}":
         '5cccd027cfd3f621',
-
+    _haar_tau(0, 720):
+        '637c98e1171ccac0',
+    _haar_tau(1, 720):
+        'c61d3d5d31c6baee',
+    _haar_tau(0, 3):
+        'dbea2270a2b821da',
+    'tau --model quantum:2 --psi + --phi 0 --lp 3 --verbose --format json':
+        'b5c4407808a46a92',
+    'tau --model classical:3 --psi 0 --phi 2 --lp 9 --verbose --format json':
+        '2e0ff405ec5621cb',
 }
 
 

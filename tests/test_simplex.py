@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gptsim import simplex
 from gptsim.simplex import solve_nonneg
 
 
@@ -103,6 +104,32 @@ def test_degenerate_lp_terminates():
     res, x = solve_general(c=[1.0, 1.0], a_ub=a, b_ub=b, maximize=True)
     assert res.status == "optimal"
     assert float(np.sum(x)) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_beale_cycling_program():
+    # Beale's example, which cycles under the textbook most-negative rule
+    # with largest-coefficient row choice: min -3/4 x4 + 150 x5 - x6/50 + 6 x7.
+    a = [[1, 0, 0, 0.25, -60, -1 / 25, 9],
+         [0, 1, 0, 0.5, -90, -1 / 50, 3],
+         [0, 0, 1, 0, 0, 1, 0]]
+    res = solve_nonneg([0, 0, 0, -0.75, 150, -1 / 50, 6], a, [0, 0, 1])
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(-0.05, abs=1e-12)
+    assert (res.iterations, res.phase1_iterations) == (6, 3)
+    assert np.allclose(res.x, [0.03, 0, 0, 0.04, 0, 1, 0], atol=1e-12)
+
+
+def test_bland_fallback_solves_a_degenerate_program(monkeypatch):
+    # With no stall allowed, the first degenerate pivot switches the solve
+    # to Bland's rule for the rest of its phase.
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+    a = np.array([[1, 0], [0, 1], [1, 1], [1, 1], [2, 2], [-1, 0], [0, -1]],
+                 dtype=float)
+    b = np.array([1, 1, 2, 2, 4, 0, 0], dtype=float)
+    res, x = solve_general(c=[1.0, 1.0], a_ub=a, b_ub=b, maximize=True)
+    assert res.status == "optimal"
+    assert (res.iterations, res.phase1_iterations) == (13, 9)
+    assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
 def test_redundant_equalities():

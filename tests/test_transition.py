@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gptsim import errors
 from gptsim import models as gm
 from gptsim import transition as tr
 from gptsim.errors import (
@@ -375,6 +379,43 @@ def test_tau_lp_detects_unbounding_generator_set():
     psi_y = gm.ket_state(QUBIT, np.array([1, 1j]) / np.sqrt(2))
     with pytest.raises(UnboundedError):
         tr.tau_lp_report(QUBIT, psi_y, KET0, generators=grid)
+
+
+LP_PINS = Path(__file__).resolve().parent / "tau_lp_pins.json"
+PRESET_KETS = {"0": [1, 0], "1": [0, 1], "+": [1, 1], "-": [1, -1],
+               "+i": [1, 1j]}
+
+
+def test_tau_lp_report_matches_its_pinned_kernel_results():
+    # Every case of tau_lp_pins.json: preset pairs as kets, Haar pairs as
+    # validated matrices (the CLI's JSON input), on great circles of 3 to
+    # 1001 points with and without ``through``. Iteration counts and error
+    # classes are pinned exactly, values to 1e-14.
+    pins = json.loads(LP_PINS.read_text())
+    haar = [np.array([complex(*c) for c in ket]) for ket in pins["haar_kets"]]
+
+    def state(name):
+        if name in PRESET_KETS:
+            ket = np.array(PRESET_KETS[name], dtype=complex)
+            return gm.ket_state(QUBIT, ket / np.linalg.norm(ket))
+        ket = haar[int(name.removeprefix("haar"))]
+        return gm.state_from_matrix(QUBIT, np.outer(ket, ket.conj()))
+
+    assert len(pins["cases"]) == 372
+    for psi_name, phi_name, count, through, pinned in pins["cases"]:
+        psi, phi = state(psi_name), state(phi_name)
+        grid = tr.great_circle_states(phi, count,
+                                      through=psi if through else None)
+        case = (psi_name, phi_name, count, through)
+        if isinstance(pinned, str):
+            with pytest.raises(getattr(errors, pinned)):
+                tr.tau_lp_report(QUBIT, psi, phi, generators=grid)
+            continue
+        report = tr.tau_lp_report(QUBIT, psi, phi, generators=grid)
+        assert (report.iterations, report.phase1_iterations) == tuple(
+            pinned[1:]), case
+        assert abs(report.value - pinned[0]) <= 1e-14, case
+        assert report.generators == count
 
 
 # ---------------------------------------------------------------------------
