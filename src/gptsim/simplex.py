@@ -3,11 +3,12 @@
 Solves  min c.x  subject to  a_eq.x = b_eq  and  x >= 0. Phase 1 starts from
 an artificial basis on every row and drives it to zero; rows that stay
 basic in an artificial are redundant and dropped before phase 2. Pivoting
-uses the most-negative reduced cost with smallest-index tie-breaking and
-falls back to Bland's rule after a run of degenerate pivots, so the solve is
-deterministic and cannot cycle. The tableau is dense, which suits programs
-with few rows and many columns, such as the duals the LP cross-check of
-``transition`` builds.
+uses the most-negative reduced cost (first index on ties) and the smallest
+ratio (smallest basic index on ties), and falls back to Bland's rule after
+a run of degenerate pivots, so the solve is deterministic and cannot cycle.
+The tableau is dense, which suits programs with few rows and many columns,
+such as the duals the LP cross-check of ``transition`` builds: a pivot's
+ratio test runs over its m rows in Python floats.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class LpResult:
 
 def _iterate(table, basis, cost):
     """Run simplex pivots in place; returns (status, iterations)."""
-    m = table.shape[0]
+    rhs = table[:, -1]
     iterations = 0
     stall = 0
     bland = False
@@ -48,20 +49,22 @@ def _iterate(table, basis, cost):
                 return "optimal", iterations
             col = int(candidates[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -_EPS:
                 return "optimal", iterations
-        column = table[:, col]
-        positive = column > _PIVOT_EPS
-        if not positive.any():
+        # Ratio test on the m-entry pivot column, in Python floats.
+        level = rhs.tolist()
+        ratios = {i: level[i] / entry
+                  for i, entry in enumerate(table[:, col].tolist())
+                  if entry > _PIVOT_EPS}
+        if not ratios:
             return "unbounded", iterations
-        ratios = np.full(m, np.inf)
-        ratios[positive] = table[positive, -1] / column[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + _PIVOT_EPS)
-        row = int(ties[np.argmin(basis[ties])])  # Bland-style: smallest basis index
+        bound = min(ratios.values()) + _PIVOT_EPS
+        # Bland-style tie break: the smallest basis index
+        row = min((i for i, ratio in ratios.items() if ratio <= bound),
+                  key=basis.__getitem__)
 
-        degenerate = table[row, -1] <= _PIVOT_EPS
+        degenerate = level[row] <= _PIVOT_EPS
         stall = stall + 1 if degenerate else 0
         if stall > _STALL_LIMIT:
             bland = True
@@ -75,8 +78,9 @@ def _pivot(table, basis, row, col):
     """Pivot the tableau in place on ``(row, col)``: ``col`` enters the
     basis at ``row``."""
     table[row] /= table[row, col]
-    rest = np.arange(table.shape[0]) != row
-    table[rest] -= np.outer(table[rest, col], table[row])
+    for i, factor in enumerate(table[:, col].tolist()):
+        if i != row:
+            table[i] -= factor * table[row]
     basis[row] = col
 
 
@@ -97,29 +101,27 @@ def solve_nonneg(c, a_eq, b_eq) -> LpResult:
     "unbounded"; ``x`` and ``value`` are set only when optimal.
     """
     c = np.asarray(c, dtype=float)
-    a = np.atleast_2d(np.asarray(a_eq, dtype=float)).copy()
-    b = np.atleast_1d(np.asarray(b_eq, dtype=float)).copy()
+    a = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b = np.atleast_1d(np.asarray(b_eq, dtype=float))
     m, n = a.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("Inconsistent standard-form shapes.")
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] = -b[neg]
-
-    art = np.eye(m)
-    table = np.hstack([a, art, b[:, None]])
+    table = np.zeros((m, n + m + 1))  # [a | I | b], b >= 0
+    table[:, :n], table[:, -1] = a, b
+    table[b < 0] *= -1.0
+    table[:, n:-1] = np.eye(m)
     basis = n + np.arange(m)
 
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
+    cost1 = np.concatenate((np.zeros(n), np.ones(m)))
     status, phase1_iters = _iterate(table, basis, cost1)
     if status == "unbounded" or float(np.sum(table[basis >= n, -1])) > _EPS:
         return LpResult("infeasible", None, None, phase1_iters, phase1_iters)
     _pivot_out_artificials(table, basis, n)
     keep = basis < n
-    table = np.hstack([table[keep][:, :n], table[keep][:, -1:]])
+    table = np.concatenate((table[keep, :n], table[keep, -1:]), axis=1)
     basis = basis[keep]
 
-    status, iters = _iterate(table, basis, c.copy())
+    status, iters = _iterate(table, basis, c)
     total = phase1_iters + iters
     if status == "unbounded":
         return LpResult("unbounded", None, None, total, phase1_iters)

@@ -310,6 +310,7 @@ def great_circle_states(phi: gm.State, count: int,
     model = phi.model
     if model.kind != gm.QUANTUM or model.size != 2:
         raise UnsupportedModelError("Great-circle grids are a qubit construction.")
+    count = operator.index(count)
     if count < 3:
         raise ValueError("Need at least 3 grid points.")
     m = gm.bloch_vector(phi)
@@ -323,8 +324,17 @@ def great_circle_states(phi: gm.State, count: int,
     if w is None:
         w = _deterministic_orthogonal(m)
     thetas = 2.0 * np.pi * np.arange(count) / count
-    blochs = np.cos(thetas)[:, None] * m + np.sin(thetas)[:, None] * w
-    return model.coeffs_from_matrix(gm._from_bloch(blochs))
+    x, y, z = m[:, None] * np.cos(thetas) + w[:, None] * np.sin(thetas)
+    # coeffs_from_matrix(_from_bloch(...)) in the same float operations; the
+    # halving and doubling of x and y there cancel (above 2**-1021), and
+    # their sums with m01's zero make a zero x or y +0 before the scaling.
+    m00, m11 = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
+    rows = np.empty((count, 4))
+    rows[:, 0] = (m00 + m11) * gm._INV_SQRT2
+    rows[:, 1] = (0.0 + x) * gm._INV_SQRT2
+    rows[:, 2] = (0.0 - y) * -gm._INV_SQRT2
+    rows[:, 3] = (m00 - m11) * gm._INV_SQRT2
+    return rows
 
 
 def _deterministic_orthogonal(m: np.ndarray) -> np.ndarray:
@@ -384,8 +394,8 @@ def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
             f"Generators must be an (m, {model.ambient_dimension}) array of "
             f"coefficient rows, got shape {gen_rows.shape}.")
 
-    pinned = np.vstack([phi.coeffs] + rejected)
-    targets = np.concatenate([[1.0], np.zeros(len(rejected))])
+    pinned = np.array([phi.coeffs, *rejected])
+    targets = np.array([1.0] + [0.0] * len(rejected))
 
     # Particular solution: the distinguishing accept effect, corrected onto
     # the equality manifold; nullspace basis spans the remaining freedom.
@@ -393,7 +403,7 @@ def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
     correction = np.linalg.lstsq(pinned, pinned @ accept - targets, rcond=None)[0]
     e0 = accept - correction
     _, svals, vt = np.linalg.svd(pinned)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
+    rank = np.count_nonzero(svals > 1e-10 * svals[0])
     nullspace = vt[rank:].T  # (ambient, k)
 
     base = gen_rows @ e0
@@ -408,8 +418,8 @@ def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
 
     reduced_obj = nullspace.T @ psi.coeffs
     rows = gen_rows @ nullspace  # (m, k)
-    a_ub = np.vstack([rows, -rows])
-    b_ub = np.concatenate([1.0 - base, base])
+    a_ub = np.concatenate((rows, -rows))
+    b_ub = np.concatenate((1.0 - base, base))
 
     # Primal: max reduced_obj . z  s.t.  a_ub z <= b_ub, z free.
     # Dual:   min b_ub . y  s.t.  a_ub^T y = reduced_obj, y >= 0.

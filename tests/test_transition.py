@@ -430,6 +430,14 @@ def test_great_circle_first_point_is_phi():
     np.testing.assert_allclose(np.sum(rows ** 2, axis=1), 1.0, atol=1e-12)
 
 
+def test_great_circle_count_must_be_integral():
+    # 3.5 points would be 4 angles 2*pi*k/3.5, not equally spaced.
+    with pytest.raises(TypeError):
+        tr.great_circle_states(PLUS, 3.5)
+    assert np.array_equal(tr.great_circle_states(PLUS, np.int64(12)),
+                          tr.great_circle_states(PLUS, 12))
+
+
 def test_great_circle_contains_through_state_plane():
     rng = np.random.default_rng(12)
     psi, phi = random_pure(QUBIT, rng), random_pure(QUBIT, rng)
