@@ -3,8 +3,9 @@ code, over a fixed command set in every output format each command has.
 
 A digest that changes means the CLI's bytes or exit code changed. The
 commands run in this process through ``cli.main``; ``{target}`` stands for
-a steering-target file and ``{out}`` for an ``--out`` file whose contents
-join the digest, both written under a temporary directory that never
+a steering-target file, ``{alice}`` for a measurement file, ``{bipartite}``
+for a joint-state file and ``{out}`` for an ``--out`` file whose contents
+join the digest, all written under a temporary directory that never
 enters the digest.
 """
 
@@ -37,6 +38,25 @@ HAAR_PAIRS = (
 )
 
 
+def _quoted(data) -> str:
+    """``data`` as a shell-quoted JSON argument, braces doubled because
+    _digest fills the command in with str.format."""
+    text = json.dumps(data).replace("{", "{{").replace("}", "}}")
+    return shlex.quote(text)
+
+
+QUBIT_DICT = {"kind": "quantum", "d": 2}
+# The y-basis measurement of a qubit, as an inline --alice argument.
+Y_BASIS = _quoted({"type": "measurement", "effects": [
+    {"model": QUBIT_DICT, "matrix": [[[0.5, 0.0], [0.0, -0.5 * sign]],
+                                     [[0.0, 0.5 * sign], [0.5, 0.0]]]}
+    for sign in (1.0, -1.0)]})
+# Three classical:2 effects; the first has weight 0 at the product point.
+CLASSICAL_ALICE = _quoted({"type": "measurement", "effects": [
+    {"model": {"kind": "classical", "n": 2}, "coeffs": coeffs}
+    for coeffs in ([1.0, 0.0], [0.0, 0.25], [0.0, 0.75])]})
+
+
 def _haar_tau(pair: int, lp: int) -> str:
     """``tau --lp`` on Haar pair ``pair``, each state given as the JSON
     matrix of its projector, the shape of the benchmark's lp inputs."""
@@ -65,7 +85,11 @@ def _commands() -> list:
                     f"--verbose {tail}" for psi, phi in map(str.split, pairs)]
         out.append(f"tau --psi + --phi 0 {tail}")
         out += [f"steer --alice x {tail}", f"steer --alice z {tail}",
-                f"steer --target @{{target}} {tail}"]
+                f"steer --target @{{target}} {tail}",
+                f"steer --alice @{{alice}} {tail}",
+                f"steer --alice {Y_BASIS} {tail}",
+                f"steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} "
+                f"{tail}"]
         for rule in ("--family power --alpha 1.5", TABULATED):
             for mode in ("trivial-average", "steered-uniform"):
                 out += [f"gap {rule} --p1 {p1} --p2 {p2} --lambda {lam} "
@@ -86,7 +110,8 @@ def _commands() -> list:
     out += [f"scan {rule} --grid 41 --format csv --out {{out}}" for rule in RULES]
     out += [_haar_tau(0, 720), _haar_tau(1, 720), _haar_tau(0, 3),
             "tau --model quantum:2 --psi + --phi 0 --lp 3 --verbose --format json",
-            "tau --model classical:3 --psi 0 --phi 2 --lp 9 --verbose --format json"]
+            "tau --model classical:3 --psi 0 --phi 2 --lp 9 --verbose --format json",
+            "tau --model quantum --psi 0 --phi 0"]
     return out
 
 
@@ -103,12 +128,35 @@ def _target() -> dict:
     return {"type": "ensemble", "members": members}
 
 
+def _alice() -> dict:
+    """A three-outcome qubit POVM: half of each z projector, and I/2."""
+    halves = ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+              [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+              [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])
+    return {"type": "measurement",
+            "effects": [{"model": QUBIT_DICT, "matrix": m} for m in halves]}
+
+
+def _bipartite() -> dict:
+    """The classical product point (1, 1) of classical:2 and classical:3."""
+    amplitudes = [[0.0, 0.0]] * 6
+    amplitudes[4] = [1.0, 0.0]
+    return {"type": "bipartite_state",
+            "model_a": {"kind": "classical", "n": 2},
+            "model_b": {"kind": "classical", "n": 3},
+            "amplitudes": amplitudes}
+
+
 def _digest(command: str, tmp_path) -> str:
-    target, out_file = tmp_path / "target.json", tmp_path / "out.txt"
-    target.write_text(json.dumps(_target()))
+    files = {"target": _target(), "alice": _alice(),
+             "bipartite": _bipartite()}
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    out_file = tmp_path / "out.txt"
     if out_file.exists():
         out_file.unlink()
-    argv = shlex.split(command.format(target=target, out=out_file))
+    argv = shlex.split(command.format(out=out_file, **paths))
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -144,6 +192,12 @@ GOLDEN = {
         '7d1a8e794cebf5a5',
     'steer --target @{target} --format json':
         'c53d81ea695e75ea',
+    'steer --alice @{alice} --format json':
+        '5cd58e7ff2b09695',
+    f'steer --alice {Y_BASIS} --format json':
+        'e5c62fa60f9b2b37',
+    f'steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} --format json':
+        'd1d77306b63a719f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
         '2040a50be3f0e5fd',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
@@ -242,6 +296,12 @@ GOLDEN = {
         '1e1e8c278152012c',
     'steer --target @{target} --format csv':
         '1e1e8c278152012c',
+    'steer --alice @{alice} --format csv':
+        'f93b0eef619abdd2',
+    f'steer --alice {Y_BASIS} --format csv':
+        '1e1e8c278152012c',
+    f'steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} --format csv':
+        '6bd4106ce112fd49',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
         '1d5983a0524cdd23',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
@@ -340,6 +400,12 @@ GOLDEN = {
         '44e618725e8e054d',
     'steer --target @{target} --format pretty':
         '4ead86a2e61865ad',
+    'steer --alice @{alice} --format pretty':
+        'acda937cd1e4c05d',
+    f'steer --alice {Y_BASIS} --format pretty':
+        '44e618725e8e054d',
+    f'steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} --format pretty':
+        '18728c7101b75a9c',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
         '07cc8ba4759e2f95',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':
@@ -436,6 +502,8 @@ GOLDEN = {
         'b5c4407808a46a92',
     'tau --model classical:3 --psi 0 --phi 2 --lp 9 --verbose --format json':
         '2e0ff405ec5621cb',
+    'tau --model quantum --psi 0 --phi 0':
+        'aa1480544198abea',
 }
 
 

@@ -208,6 +208,26 @@ def test_power_rule_classified_convex():
     assert all(seg[2] == "concave" for seg in report.convexity_segments)
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+       grid_n=st.integers(3, 40))
+def test_convexity_segments_tile_the_unit_interval(values, grid_n):
+    # A random tabulated rule on evenly spaced knots, audited on a grid
+    # coarse enough to leave short curvature runs to merge.
+    xs = np.linspace(0.0, 1.0, len(values) + 2)
+    rule = rl.tabulated_rule(np.column_stack([xs, [0.0, *values, 1.0]]))
+    segments = rl.check_constraints(rule, grid_n=grid_n).convexity_segments
+    grid = np.linspace(0.0, 1.0, grid_n)
+    index = {float(g): k for k, g in enumerate(grid)}
+    assert segments[0][0] == 0.0 and segments[-1][1] == 1.0
+    for (_, hi, label), (lo, _, next_label) in zip(segments, segments[1:]):
+        assert hi == lo and label != next_label
+    if len(segments) > 1:
+        for lo, hi, _ in segments:
+            # the interior grid points in (lo, hi]
+            assert min(index[hi], grid_n - 2) - index[lo] >= 3
+
+
 def test_constraint_report_serializes():
     report = rl.check_constraints(rl.identity_rule(), grid_n=129)
     data = report.to_dict()

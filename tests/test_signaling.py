@@ -12,6 +12,7 @@ from gptsim import models as gm
 from gptsim import rules as rl
 from gptsim import signaling as sg
 from gptsim import steering as ss
+from gptsim import transition as tr
 from gptsim.errors import (
     ContractError,
     GptError,
@@ -816,3 +817,30 @@ def test_reference_table_values():
 def test_reference_table_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         sg.reference_table(tol=tol)
+
+
+@pytest.mark.parametrize("p1, p2, lam", [(0.2, 0.7, 0.3), (0.9, 0.1, 0.6),
+                                         (0.5, 0.5, 0.5)])
+def test_uniform_overlap_decomposition_is_the_steered_uniform_target(p1, p2, lam):
+    ket = np.array([0.6, 0.8j])
+    phi = gm.ket_state(QUBIT, ket)
+    report = sg.run_scenario(sg.Scenario(rl.identity_rule(), phi, p1, p2, lam,
+                                         mode=sg.STEERED_UNIFORM, seed=3))
+    omega = gm.mix(report.ensemble_1)
+    ens = sg.uniform_overlap_decomposition(omega, phi)
+    overlap = gm.evaluate(tr.accept_effect(phi), omega)
+    assert len(ens) == 2 and np.all(ens.weights == 0.5)
+    for member in ens.states:
+        assert abs(tr.tau(member, phi) - overlap) <= 1e-12
+    assert abs(gm.mix(ens).matrix - omega.matrix).max() <= 1e-12
+    steered = report.ensemble_2.states
+    assert len(steered) == 2
+    for member, target in zip(steered, ens.states):
+        assert abs(member.matrix - target.matrix).max() <= 1e-12
+
+
+def test_uniform_overlap_decomposition_is_a_qubit_construction():
+    qutrit = gm.quantum(3)
+    omega = gm.state_from_matrix(qutrit, np.eye(3) / 3)
+    with pytest.raises(UnsupportedModelError):
+        sg.uniform_overlap_decomposition(omega, gm.point_state(qutrit, 0))
