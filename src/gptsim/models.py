@@ -288,8 +288,6 @@ def _check_hermitian(model: SystemModel, matrices: np.ndarray,
     copy of the stack, which callers may freeze, and each member's smallest
     and largest eigenvalue."""
     m = np.array(matrices, dtype=complex, order="C")
-    if m.shape[-2:] != (model.size, model.size):
-        raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
     if model.size == 2:  # the same value in closed form
         diagonal = np.maximum(abs(m[..., 0, 0].imag), abs(m[..., 1, 1].imag))
         skew = np.maximum(2.0 * diagonal, abs(m[..., 0, 1] - m[..., 1, 0].conj()))
@@ -316,7 +314,7 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
     Each must pass :func:`_check_hermitian`, have unit trace within
     LINEAR_TOL and no eigenvalue below -SPECTRAL_TOL. Eigenvalues between
     that and the clip floor are projected away. Returns
-    ``(matrices, coeffs, pure, clipped)``, read-only.
+    ``(matrices, coeffs, pure)``, read-only.
     """
     m, low, _ = _check_hermitian(
         model, matrices, "Matrix is not Hermitian within tolerance.")
@@ -339,7 +337,7 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
         m[clipped] = fixed
 
     pure = abs(_vdot(m, m) - 1.0) <= SPECTRAL_TOL
-    return (*_frozen(model, m), pure, clipped)
+    return (*_frozen(model, m), pure)
 
 
 def _states(model: SystemModel, matrices, coeffs, pure, kets=None) -> list:
@@ -366,23 +364,21 @@ def state_from_matrix(model: SystemModel, matrix: np.ndarray) -> State:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    matrix, coeffs, pure, _ = _check_states(model, matrix)
+    matrix, coeffs, pure = _check_states(model, matrix)
     return State(model, coeffs, matrix, bool(pure))
 
 
 def _ket_states(model: SystemModel, kets: np.ndarray):
     """Check a ``(..., d)`` stack of kets for unit norm and build their
     projectors: ``(kets, matrices, coeffs, pure)``, read-only, phases fixed.
-    A projector that the state check rebuilt gets its top eigenvector as
-    its ket, so each ket is that of its checked matrix."""
+    The projector of a unit ket has no eigenvalue below the clip floor, so
+    the state check passes it through and each ket is its matrix's."""
     norm = _norm(kets)
     _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
           ~(abs(norm - 1.0) <= SPECTRAL_TOL), norm)  # NaN fails too
     unit = _fix_phase(kets / norm[..., None])
-    matrices, coeffs, pure, clipped = _check_states(
+    matrices, coeffs, pure = _check_states(
         model, unit[..., :, None] * np.conj(unit)[..., None, :])
-    if np.count_nonzero(clipped):
-        unit = np.where(clipped[..., None], _pure_kets(matrices), unit)
     unit.flags.writeable = False
     return unit, matrices, coeffs, pure
 

@@ -36,9 +36,6 @@ class ProbabilityRule:
     params: dict
     _fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, p):
-        return eval_rule(self, p)
-
     def label(self) -> str:
         if self.family == "power":
             return f"power({self.params['alpha']:g})"
@@ -266,33 +263,22 @@ def _merge_segments(grid, labels) -> tuple[tuple[float, float, str], ...]:
 
     Runs shorter than three grid points are below the audit's resolution
     (for instance the exactly-cancelling second difference at a junction of
-    two curved branches) and are absorbed into their neighbor.
+    two curved branches) and are absorbed into a neighbor, in one pass
+    from the left: a short first run is carried into the next run, and a
+    later run that is short or has the last kept run's label extends it.
     """
-    runs = []  # (start_index, end_index_exclusive, label)
+    runs = []  # [start_index, end_index_exclusive, label], kept so far
     start = 0
     for i in range(1, len(labels) + 1):
         if i == len(labels) or labels[i] != labels[start]:
-            runs.append([start, i, int(labels[start])])
+            run = [start, i, int(labels[start])]
             start = i
-    changed = True
-    while changed and len(runs) > 1:
-        changed = False
-        for idx, run in enumerate(runs):
-            if run[1] - run[0] < 3:
-                neighbor = idx - 1 if idx > 0 else idx + 1
-                runs[neighbor][0] = min(runs[neighbor][0], run[0])
-                runs[neighbor][1] = max(runs[neighbor][1], run[1])
-                del runs[idx]
-                changed = True
-                break
-        # re-merge adjacent runs that now share a label
-        i = 0
-        while i + 1 < len(runs):
-            if runs[i][2] == runs[i + 1][2]:
-                runs[i][1] = runs[i + 1][1]
-                del runs[i + 1]
-            else:
-                i += 1
+            if runs and runs[-1][1] - runs[-1][0] < 3:
+                run[0] = runs.pop()[0]  # the first run, carried into this one
+            elif runs and (run[1] - run[0] < 3 or run[2] == runs[-1][2]):
+                runs[-1][1] = run[1]
+                continue
+            runs.append(run)
 
     segments = []
     for start, end, label in runs:
@@ -332,7 +318,7 @@ def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
     no prediction. An average state with no decomposition known is a row
     with one member of weight 1 (other slots of weight 0), whose prediction
     is the rule at its mixed-state overlap. The rule is evaluated only on
-    members of positive weight: a slot of weight 0 holds a placeholder.
+    members of positive weight: a slot of weight 0 holds no outcome.
     """
     if np.count_nonzero(mixed):
         raise NotPureError("Ensemble-knowledge prediction needs pure members.")

@@ -241,7 +241,7 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     average[lam == 1.0] = members[lam == 1.0, 0]
     average[lam == 0.0] = members[lam == 0.0, 1]
     omega = gm._check_states(model, average)[0]
-    joints, schmidt = ss._purify(omega, present.sum(axis=1))
+    joints, schmidt = ss._purify(omega)
 
     # Synthesis targets, as one stack: protocol 1 of every scenario, then
     # protocol 2 of the steered-uniform ones.
@@ -249,7 +249,7 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     uniform = np.flatnonzero(uniform)
     targets = np.concatenate([np.arange(n), uniform])
     if len(uniform):
-        u_members, _, u_pure, _ = gm._check_states(
+        u_members, _, u_pure = gm._check_states(
             model, _uniform_members(omega[uniform], phi_m[uniform]))
         weights = np.concatenate([weights, np.full((len(uniform), 2), 0.5)])
         members = np.concatenate([members, u_members])

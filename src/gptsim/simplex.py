@@ -98,7 +98,8 @@ def solve_nonneg(c, a_eq, b_eq) -> LpResult:
     """Solve the standard form  min c.x  s.t.  a_eq.x = b_eq, x >= 0.
 
     Returns an :class:`LpResult` whose status is "optimal", "infeasible" or
-    "unbounded"; ``x`` and ``value`` are set only when optimal.
+    "unbounded"; ``x`` and ``value`` are set only when optimal. A NaN or
+    infinite entry in any argument raises ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a_eq, dtype=float))
@@ -106,6 +107,9 @@ def solve_nonneg(c, a_eq, b_eq) -> LpResult:
     m, n = a.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("Inconsistent standard-form shapes.")
+    for name, values in (("c", c), ("a_eq", a), ("b_eq", b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"Standard-form {name} has a non-finite entry.")
     table = np.zeros((m, n + m + 1))  # [a | I | b], b >= 0
     table[:, :n], table[:, -1] = a, b
     table[b < 0] *= -1.0

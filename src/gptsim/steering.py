@@ -11,7 +11,6 @@ purifier-side measurement whose outcomes prepare exactly that decomposition
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +57,7 @@ class _Steered(NamedTuple):
     each: the subnormalized B conditionals ``subs`` (0 where no effect was
     applied) and, per outcome kept (probability above RANK_TOL), its
     normalized weight and checked conditional state; other slots hold
-    weight 0 and the placeholder state of :func:`_placeholder`."""
+    zeros, which no stage reads."""
 
     subs: np.ndarray      # (n, S, d, d)
     keep: np.ndarray      # (n, S)
@@ -186,25 +185,14 @@ def _steer(model_b: gm.SystemModel, joints: np.ndarray, effects: np.ndarray,
     weights[keep] = probs[kept]
     weights = weights / weights.sum(axis=1, keepdims=True)
     checked = gm._check_states(
-        model_b, live_subs[kept] / probs[kept, None, None])[:3]
-    matrices, coeffs, pure = (_filled(keep, holder, values) for holder, values
-                              in zip(_placeholder(model_b), checked))
+        model_b, live_subs[kept] / probs[kept, None, None])
+    matrices, coeffs, pure = (_filled(keep, values) for values in checked)
     return _Steered(subs, keep, weights, matrices, coeffs, pure)
 
 
-@lru_cache(maxsize=None)
-def _placeholder(model: gm.SystemModel) -> tuple:
-    """The state I/d, checked, that a steered slot without an outcome holds:
-    its matrix, coefficients and purity."""
-    return gm._check_states(model, gm._eye(model.size) / model.size)[:3]
-
-
-def _filled(mask: np.ndarray, holder: np.ndarray,
-            values: np.ndarray) -> np.ndarray:
-    """A read-only ``mask.shape + holder.shape`` array: ``values`` where
-    ``mask``, ``holder`` elsewhere."""
-    out = np.empty(mask.shape + np.shape(holder), dtype=values.dtype)
-    out[...] = holder
+def _filled(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A read-only array of ``values`` where ``mask``, zeros elsewhere."""
+    out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
     out[mask] = values
     out.flags.writeable = False
     return out

@@ -393,6 +393,8 @@ def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,
         raise ValueError(
             f"Generators must be an (m, {model.ambient_dimension}) array of "
             f"coefficient rows, got shape {gen_rows.shape}.")
+    if not np.isfinite(gen_rows).all():
+        raise ValueError("Generators must be finite.")
 
     pinned = np.array([phi.coeffs, *rejected])
     targets = np.array([1.0] + [0.0] * len(rejected))

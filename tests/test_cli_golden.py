@@ -65,10 +65,7 @@ def _haar_tau(pair: int, lp: int) -> str:
         ket = np.array([complex(*c) for c in ket])
         matrix = [[[float(c.real), float(c.imag)] for c in row]
                   for row in np.outer(ket, ket.conj())]
-        text = json.dumps({"model": {"kind": "quantum", "d": 2},
-                           "matrix": matrix})
-        # doubled braces: _digest fills the command in with str.format
-        states.append(shlex.quote(text.replace("{", "{{").replace("}", "}}")))
+        states.append(_quoted({"model": QUBIT_DICT, "matrix": matrix}))
     return (f"tau --model quantum:2 --psi {states[0]} --phi {states[1]} "
             f"--lp {lp} --verbose --format json")
 

@@ -154,7 +154,7 @@ def test_nan_residual_fails_the_contract():
 @pytest.mark.parametrize("mode", [sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM])
 def test_rule_is_not_evaluated_on_weight_zero_outcomes(mode):
     # The same rule with every member's overlap below 0.3: a weight-0
-    # outcome's placeholder conditional I/2 has overlap 1/2, out of its reach.
+    # outcome's slot holds zeros, and the rule is not evaluated there.
     rule = rl.ProbabilityRule("custom", {},
                               lambda p: np.where(p > 0.3, np.nan, p))
     report = sg.run_scenario(sg.Scenario(rule, PHI, 0.1, 0.2, 0.5, mode=mode))
@@ -505,7 +505,7 @@ def test_steer_checks_only_the_live_conditionals(monkeypatch):
     rng, rule = np.random.default_rng(4), rl.power_rule(1.5)
     batch = [sg.Scenario(rule, PHI, *(float(x) for x in 0.1 + 0.8 * rng.random(3)),
                          seed=k) for k in range(7)]
-    sg.run_scenarios(batch[:1])  # the placeholder state is checked once
+    sg.run_scenarios(batch[:1])  # a warm-up run, outside the count
     checked, steering = [], []
     check_states, steer = gm._check_states, ss._steer
 
@@ -844,3 +844,14 @@ def test_uniform_overlap_decomposition_is_a_qubit_construction():
     omega = gm.state_from_matrix(qutrit, np.eye(3) / 3)
     with pytest.raises(UnsupportedModelError):
         sg.uniform_overlap_decomposition(omega, gm.point_state(qutrit, 0))
+
+
+@pytest.mark.parametrize("mode", [sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM])
+def test_rule_is_not_evaluated_on_empty_slots(mode):
+    # An empty slot reads overlap 0, where this rule is NaN; every member
+    # has overlap at least 0.1, so only an evaluation there yields NaN.
+    rule = rl.ProbabilityRule("custom", {},
+                              lambda p: np.where(p < 0.05, np.nan, p))
+    report = sg.run_scenario(sg.Scenario(rule, PHI, 0.1, 0.2, 0.5, mode=mode))
+    assert report.prob_1 == pytest.approx(0.15, abs=1e-12)
+    assert report.prob_2 == pytest.approx(0.15, abs=1e-12)

@@ -96,6 +96,26 @@ def test_unbounded_detected():
     assert res.x is None and res.value is None
 
 
+TEXTBOOK = ([-3.0, -5.0, 0, 0, 0],
+            [[1, 0, 1, 0, 0], [0, 2, 0, 1, 0], [3, 2, 0, 0, 1]],
+            [4, 12, 18])
+
+
+@pytest.mark.parametrize("arg, index, value", [
+    (0, (1,), np.nan),      # would run to the pivot limit
+    (2, (0,), np.nan),      # would break the ratio test
+    (2, (2,), np.inf),      # would read as optimal with an infinite value
+    (1, (1, 1), -np.inf),
+], ids=["nan-cost", "nan-rhs", "inf-rhs", "inf-matrix"])
+def test_non_finite_data_is_rejected_before_phase_one(arg, index, value):
+    args = [np.array(a, dtype=float) for a in TEXTBOOK]
+    args[arg][index] = value
+    name = ("c", "a_eq", "b_eq")[arg]
+    with pytest.raises(ValueError, match=f"^Standard-form {name} has a "
+                                         "non-finite entry"):
+        solve_nonneg(*args)
+
+
 def test_degenerate_lp_terminates():
     # Many redundant constraints meeting at the optimum.
     a = np.array([[1, 0], [0, 1], [1, 1], [1, 1], [2, 2], [-1, 0], [0, -1]],

@@ -477,3 +477,11 @@ def test_tau_lp_rejects_misshapen_generators():
     for bad in (rows[:, :3], rows[0], rows[None]):
         with pytest.raises(ValueError):
             tr.tau_lp_report(QUBIT, PLUS, KET0, generators=bad)
+
+
+def test_tau_lp_rejects_non_finite_generators():
+    # A NaN row is malformed input, not a generator set that fails to bound.
+    rows = tr.great_circle_states(KET0, 30, through=PLUS).copy()
+    rows[4, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        tr.tau_lp_report(QUBIT, PLUS, KET0, generators=rows)
