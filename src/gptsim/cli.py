@@ -314,7 +314,7 @@ def _cmd_steer(args) -> int:
 
 def _parse_measurement(model: gm.SystemModel, token: str) -> gm.Measurement:
     if token == "z":
-        return gm.measurement([gm.projector_effect(gm.point_state(model, i))
+        return gm.measurement([tr.accept_effect(gm.point_state(model, i))
                                for i in range(model.size)])
     if token == "x" and model.size == 2:
         plus = gm.ket_state(model, np.array([1, 1]) / np.sqrt(2))

@@ -74,9 +74,8 @@ class ContractError(GptError):
     """Raised when a steering run breaks one of its numerical contracts.
 
     The contracts are the purification round-trip, steered conditionals
-    equal to their targets, a deficit effect off the purifier's support, a
-    distant marginal shared by both protocols within 1e-10 and predictions
-    within 1e-12 of the closed form.
+    equal to their targets, a distant marginal shared by both protocols
+    within 1e-10 and predictions within 1e-12 of the closed form.
     """
 
 

@@ -12,7 +12,7 @@ basis is the model-agnostic view used by the cone abstraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -125,12 +125,26 @@ def classical(n: int) -> SystemModel:
 
 
 def model_from_dict(data: dict) -> SystemModel:
-    kind = data["kind"]
+    kind = _read(data, "kind")
     if kind == QUANTUM:
-        return quantum(int(data["d"]))
+        return quantum(_read(data, "d", int))
     if kind == CLASSICAL:
-        return classical(int(data["n"]))
+        return classical(_read(data, "n", int))
     raise ValueError(f"Unknown model kind {kind!r}.")
+
+
+def _read(data, key: str, convert=lambda value: value):
+    """``convert(data[key])`` of parsed JSON; ``ValueError`` if ``data`` is
+    not an object with ``key`` or ``convert`` rejects the value's type."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"Expected a JSON object with key {key!r}.")
+    try:
+        return convert(data[key])
+    except TypeError as exc:
+        raise ValueError(f"Key {key!r}: {exc}.") from None
+
+
+_floats = partial(np.asarray, dtype=float)
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -372,7 +386,8 @@ def _ket_states(model: SystemModel, kets: np.ndarray):
     """Check a ``(..., d)`` stack of kets for unit norm and build their
     projectors: ``(kets, matrices, coeffs, pure)``, read-only, phases fixed.
     The projector of a unit ket has no eigenvalue below the clip floor, so
-    the state check passes it through and each ket is its matrix's."""
+    each ket is its matrix's; the state check stays, as it symmetrizes the
+    skew (about 1e-18) that numpy's complex outer product leaves."""
     norm = _norm(kets)
     _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
           ~(abs(norm - 1.0) <= SPECTRAL_TOL), norm)  # NaN fails too
@@ -525,17 +540,17 @@ def projector_effect(state: State) -> Effect:
 
 
 def effect_from_dict(data: dict) -> Effect:
-    model = model_from_dict(data["model"])
+    model = model_from_dict(_read(data, "model"))
     if model.kind == QUANTUM and "matrix" in data:
-        return effect_from_matrix(model, _matrix_from_pairs(data["matrix"]))
-    return effect_from_covector(model, np.asarray(data["coeffs"], dtype=float))
+        return effect_from_matrix(model, _read(data, "matrix", _from_pairs))
+    return effect_from_covector(model, _read(data, "coeffs", _floats))
 
 
 def state_from_dict(data: dict) -> State:
-    model = model_from_dict(data["model"])
+    model = model_from_dict(_read(data, "model"))
     if model.kind == QUANTUM and "matrix" in data:
-        return state_from_matrix(model, _matrix_from_pairs(data["matrix"]))
-    return validate_state(model, np.asarray(data["coeffs"], dtype=float))
+        return state_from_matrix(model, _read(data, "matrix", _from_pairs))
+    return validate_state(model, _read(data, "coeffs", _floats))
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,7 +596,7 @@ def _check_complete(model: SystemModel, covectors: np.ndarray) -> None:
 
 
 def measurement_from_dict(data: dict) -> Measurement:
-    return measurement(effect_from_dict(e) for e in data["effects"])
+    return measurement(effect_from_dict(e) for e in _read(data, "effects", list))
 
 
 # ============================================================================
@@ -671,7 +686,8 @@ def ensemble(members, require_pure: bool = True) -> Ensemble:
 
 def ensemble_from_dict(data: dict) -> Ensemble:
     return ensemble(
-        ((m["weight"], state_from_dict(m["state"])) for m in data["members"]),
+        ((_read(m, "weight", float), state_from_dict(_read(m, "state")))
+         for m in _read(data, "members", list)),
         require_pure=False,
     )
 
@@ -762,10 +778,9 @@ def product_point(model_a: SystemModel, model_b: SystemModel,
 
 
 def bipartite_from_dict(data: dict) -> BipartiteState:
-    model_a = model_from_dict(data["model_a"])
-    model_b = model_from_dict(data["model_b"])
-    pairs = np.asarray(data["amplitudes"], dtype=float)
-    amplitudes = pairs[:, 0] + 1j * pairs[:, 1]
+    model_a = model_from_dict(_read(data, "model_a"))
+    model_b = model_from_dict(_read(data, "model_b"))
+    amplitudes = _read(data, "amplitudes", _from_pairs)
     if model_a.kind == CLASSICAL:
         if np.max(np.abs(amplitudes.imag)) > 0:
             raise ValueError("Classical joint states must be real.")
@@ -831,6 +846,8 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in matrix]
 
 
-def _matrix_from_pairs(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+def _from_pairs(data) -> np.ndarray:
+    pairs = np.asarray(data, dtype=float)
+    if pairs.shape[-1:] != (2,):
+        raise ValueError("Complex entries must be [re, im] pairs.")
+    return pairs[..., 0] + 1j * pairs[..., 1]

@@ -67,9 +67,10 @@ def identity_rule() -> ProbabilityRule:
 
 def power_rule(alpha: float) -> ProbabilityRule:
     """p**alpha. Satisfies the boundary conditions but not normalization;
-    provided because the signaling demos need constraint-violating rules."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive.")
+    provided because the signaling demos need constraint-violating rules.
+    ``alpha`` must be positive and finite."""
+    if not 0 < alpha < np.inf:  # NaN fails
+        raise ValueError(f"alpha must be positive and finite, got {alpha}.")
     fn = lambda p, a=float(alpha): np.power(p, a)
     _audit_range("power", fn)
     return ProbabilityRule("power", {"alpha": float(alpha)}, fn)
@@ -116,20 +117,18 @@ def tabulated_rule(samples) -> ProbabilityRule:
 def rule_from_dict(data: dict) -> ProbabilityRule:
     """Rule from its JSON form, e.g. {"family": "power", "alpha": 1.5}.
 
-    A family's missing parameter raises ``ValueError`` naming the key.
+    A missing key or a value of the wrong type raises ``ValueError``
+    naming the key.
     """
-    family = data.get("family")
-    key = {"power": "alpha", "tabulated": "samples"}.get(family)
-    if key is not None and key not in data:
-        raise ValueError(f"The {family} rule family needs {key!r}.")
+    family = gm._read(data, "family")
     if family == "identity":
         return identity_rule()
     if family == "power":
-        return power_rule(float(data["alpha"]))
+        return power_rule(gm._read(data, "alpha", float))
     if family == "piecewise-quadratic":
         return piecewise_quadratic_rule()
     if family == "tabulated":
-        return tabulated_rule(data["samples"])
+        return tabulated_rule(gm._read(data, "samples", gm._floats))
     raise ValueError(f"Unknown rule family {family!r}; expected one of {FAMILIES}.")
 
 

@@ -237,6 +237,8 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
         pure = pure | is_phi
 
     # The average state (a lone member is its own) and its purification.
+    # Its check can clip: with phi's own matrix as a member (p = 1),
+    # round-off can take the average below the clip floor.
     average = gm._average(weights, members)
     average[lam == 1.0] = members[lam == 1.0, 0]
     average[lam == 0.0] = members[lam == 0.0, 1]
@@ -260,7 +262,7 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     effects, live = ss._synthesize(
         joints[targets], ss._Schmidt(*(a[targets] for a in schmidt)), weights,
         members, kets, pure, present)
-    effects, _ = ss._check_synthesized(model_a, joints[targets], effects, live)
+    effects, _ = ss._check_synthesized(model_a, effects, live)
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
     # row n + j, the trivial measurement's or the synthesized one.
@@ -472,7 +474,6 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
             model, kets / gm._norm(kets)[:, None])
         phis = (matrices, coeffs, pure, phi_k)
         try:
-            gm._fail(NotPureError, "phi must be a pure state.", ~pure)
             run = _run([rule] * count, model, phi_k, matrices, params[:, :2],
                        params[:, 2], seeds, np.zeros(count, dtype=bool))
         except GptError as exc:

@@ -177,8 +177,6 @@ def _steer(model_b: gm.SystemModel, joints: np.ndarray, effects: np.ndarray,
     kept = ~(probs <= RANK_TOL)
     keep = np.zeros(live.shape, dtype=bool)
     keep[live] = kept
-    gm._fail(ContractError, "All outcomes had zero probability.",
-             ~keep.any(axis=1))
     subs = np.zeros(live.shape + live_subs.shape[1:], dtype=complex)
     subs[live] = live_subs
     weights = np.zeros(live.shape)
@@ -226,8 +224,7 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
         weights, members, kets[None].astype(complex),
         np.array([[s.pure for s in states]]), present)
     effects, covectors = _check_synthesized(
-        psi.model_a, joints, basis[:, None] @ effects @ gm._dagger(basis)[:, None],
-        live)
+        psi.model_a, basis[:, None] @ effects @ gm._dagger(basis)[:, None], live)
     steered = _steer(psi.model_b, joints, effects, live)
     _check_targets(steered.subs, weights, members, present)
     alice = gm.Measurement(tuple(
@@ -294,27 +291,15 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
     return effects, np.concatenate([present, past[:, -1:]], axis=1)
 
 
-def _check_synthesized(model_a: gm.SystemModel, joints: np.ndarray,
-                       effects: np.ndarray, live: np.ndarray):
-    """Check the ``live`` synthesized ``effects`` in the A basis of
-    ``joints``: valid effects, the deficit effect (last, where live) off
-    the A marginal, together complete. Returns them checked, with their
-    covectors; the other slots keep their effect and get covector 0."""
-    checked, live_covectors = gm._check_effects(model_a, effects[live])
-    effects = effects.copy()
-    effects[live] = checked
-    covectors = np.zeros(live.shape + live_covectors.shape[1:])
-    covectors[live] = live_covectors
-    deficient = live[:, -1]
-    if np.count_nonzero(deficient):
-        joint = joints[deficient]
-        rho_a = gm._check_states(
-            model_a, joint @ joint.conj().swapaxes(-1, -2))[0]
-        leak = abs(effects[deficient, -1] @ rho_a).max(axis=(-2, -1))
-        gm._fail(ContractError, "Deficit effect overlaps the A marginal by {}.",
-                 leak > STEERING_TOL, leak)
+def _check_synthesized(model_a: gm.SystemModel, effects: np.ndarray,
+                       live: np.ndarray):
+    """Check the ``live`` synthesized ``effects``: valid effects, together
+    complete. Returns them checked, with their covectors, both read-only
+    and zero in the other slots (which hold zero effects)."""
+    checked, covectors = gm._check_effects(model_a, effects[live])
+    covectors = _filled(live, covectors)
     gm._check_complete(model_a, covectors)
-    return effects, covectors
+    return _filled(live, checked), covectors
 
 
 def _check_targets(subs: np.ndarray, weights: np.ndarray,

@@ -224,8 +224,6 @@ def _seed_pools(seeds: list) -> np.ndarray:
     batch at once.
     """
     seeds = [operator.index(seed) for seed in seeds]
-    if min(seeds) < 0:
-        raise ValueError(f"Seeds must be non-negative, got {min(seeds)}.")
     size = max(_POOL_SIZE, (max(seeds).bit_length() + 31) // 32)
     words = np.frombuffer(
         b"".join(seed.to_bytes(4 * size, "little") for seed in seeds),
@@ -258,8 +256,7 @@ def _seeded_tau_draws(seeds: list, size: int, counts: list) -> np.ndarray:
     for each ``counts[j] > 0`` (at least one), bit for bit.
 
     The drawing seeds' entropy pools (:func:`_seed_pools`) and the output
-    hash that turns them into PCG64 states each run once on the whole
-    batch; a negative drawing seed raises ``ValueError``.
+    hash that turns them into PCG64 states each run once on the batch.
     """
     drawing = [j for j, count in enumerate(counts) if count]
     pools = _seed_pools([seeds[j] for j in drawing])

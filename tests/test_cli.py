@@ -233,6 +233,50 @@ def test_gap_rejects_nan_rule(capsys):
     assert err.startswith("error:") and "nan" in err
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["gap", "--p1", "0.2", "--p2", "0.7", "--lambda", "0.3"],
+    ["certify", "--samples", "3"],
+])
+def test_non_finite_alpha_is_usage_error(capsys, argv, alpha):
+    # An infinite alpha used to be accepted and written as JSON Infinity.
+    code, out, err = run_cli(capsys, *argv, "--family", "power", "--alpha",
+                             alpha, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: alpha must be positive and finite, got {alpha}.\n"
+
+
+def test_gap_at_the_rank_cut_is_the_documented_error(capsys):
+    # README's first known limit: the members are 1e-13 apart, so the
+    # average sits at the rank cut and a member leaves its support.
+    code, out, err = run_cli(capsys, "gap", "--family", "identity", "--p1",
+                             "1", "--p2", "0.9999999999999", "--lambda", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Scenario 0 of the batch {")
+    assert err.endswith(": Target member leaves the support of the B "
+                        "marginal.\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rule-check", "--rule-file", "{list}"],
+     "Expected a JSON object with key 'family'."),
+    (["tau", "--psi", "{}", "--phi", "0"],
+     "Expected a JSON object with key 'model'."),
+    (["tau", "--psi", '{"model": {"kind": "quantum"}}', "--phi", "0"],
+     "Expected a JSON object with key 'd'."),
+    (["steer", "--bipartite", "@{list}", "--alice", "z"],
+     "Expected a JSON object with key 'model_a'."),
+    (["steer", "--alice", "y"], "Cannot parse measurement token 'y'."),
+])
+def test_json_of_the_wrong_shape_is_usage_error(tmp_path, capsys, argv,
+                                                message):
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    argv = [arg.replace("{list}", str(listing)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--family", "identity", "--grid", "3"],
     ["gap", "--family", "identity", "--p1", "0", "--p2", "1",

@@ -86,7 +86,7 @@ def _commands() -> list:
                 f"steer --alice @{{alice}} {tail}",
                 f"steer --alice {Y_BASIS} {tail}",
                 f"steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} "
-                f"{tail}"]
+                f"{tail}", f"steer --bipartite @{{bipartite}} --alice z {tail}"]
         for rule in ("--family power --alpha 1.5", TABULATED):
             for mode in ("trivial-average", "steered-uniform"):
                 out += [f"gap {rule} --p1 {p1} --p2 {p2} --lambda {lam} "
@@ -195,6 +195,8 @@ GOLDEN = {
         'e5c62fa60f9b2b37',
     f'steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} --format json':
         'd1d77306b63a719f',
+    'steer --bipartite @{bipartite} --alice z --format json':
+        '2717ba6503597666',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
         '2040a50be3f0e5fd',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
@@ -299,6 +301,8 @@ GOLDEN = {
         '1e1e8c278152012c',
     f'steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} --format csv':
         '6bd4106ce112fd49',
+    'steer --bipartite @{bipartite} --alice z --format csv':
+        '7e09010a2d461b8f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
         '1d5983a0524cdd23',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
@@ -403,6 +407,8 @@ GOLDEN = {
         '44e618725e8e054d',
     f'steer --bipartite @{{bipartite}} --alice {CLASSICAL_ALICE} --format pretty':
         '18728c7101b75a9c',
+    'steer --bipartite @{bipartite} --alice z --format pretty':
+        '15216c3d72370f31',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
         '07cc8ba4759e2f95',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':

@@ -413,3 +413,128 @@ def test_model_serialization():
     assert gm.model_from_dict({"kind": "quantum", "d": 2}) == QUBIT
     assert gm.model_from_dict({"kind": "classical", "n": 2}) == BIT
     assert QUBIT.to_dict() == {"kind": "quantum", "d": 2}
+
+
+# ---------------------------------------------------------------------------
+# every input check fires on the input it guards against
+# ---------------------------------------------------------------------------
+
+# A state whose least eigenvalue sits just above the clip floor, and effects
+# whose spectra sit just inside their tolerance band: paired, they leave
+# [0, 1] by more than the pairing tolerance.
+def edge_state():
+    return gm.state_from_matrix(QUBIT, np.diag([1 + 9e-15, -9e-15]))
+
+
+CLASSICAL_JOINT = {"model_a": BIT.to_dict(), "model_b": BIT.to_dict(),
+                   "amplitudes": [[0.0, 1.0], [0, 0], [0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: gm.SystemModel("qutrit", 3), ValueError,
+     "Unknown model kind 'qutrit'."),
+    (lambda: gm.quantum(1), ValueError, "Model size must be at least 2."),
+    (lambda: BIT.hermitian_basis, UnsupportedModelError,
+     "Classical models have no matrix basis."),
+    (lambda: gm.model_from_dict({"kind": "qutrit", "d": 3}), ValueError,
+     "Unknown model kind 'qutrit'."),
+    (lambda: gm.validate_state(QUBIT, [1.0]), ValueError,
+     "Expected 4 coefficients, got (1,)."),
+    (lambda: gm.validate_state(BIT, [1.5, -0.5]), OutsideConeError,
+     "Negative probability -0.5 beyond tolerance."),
+    (lambda: gm.state_from_matrix(BIT, np.eye(2)), UnsupportedModelError,
+     "Matrix states require a quantum model."),
+    (lambda: gm.state_from_matrix(QUBIT, np.eye(3)), ValueError,
+     "Expected a 2x2 matrix."),
+    (lambda: gm.ket_state(QUBIT, [1, 0, 0]), ValueError,
+     "Expected a length-2 vector."),
+    (lambda: gm.point_state(QUBIT, 2), ValueError,
+     "Index 2 out of range for size 2."),
+    (lambda: gm.pure_ket(gm.point_state(BIT, 0)), UnsupportedModelError,
+     "Only quantum states have kets."),
+    (lambda: gm.effect_from_matrix(BIT, np.eye(2)), UnsupportedModelError,
+     "Matrix effects require a quantum model."),
+    (lambda: gm.effect_from_matrix(QUBIT, np.eye(3)), ValueError,
+     "Expected a 2x2 matrix."),
+    (lambda: gm.effect_from_covector(QUBIT, [1.0, 0.0]), ValueError,
+     "Expected 4 components, got (2,)."),
+    (lambda: gm.projector_effect(gm.point_state(BIT, 0)),
+     UnsupportedModelError, "Projector effects require a quantum model."),
+    (lambda: gm.projector_effect(maximally_mixed(QUBIT)), NotPureError,
+     "Projector effects require a pure state."),
+    (lambda: gm.measurement([]), ValueError,
+     "A measurement needs at least one effect."),
+    (lambda: gm.measurement([gm.unit_effect(QUBIT), gm.unit_effect(BIT)]),
+     ModelMismatchError, "Measurement mixes different models."),
+    (lambda: gm.evaluate(gm.effect_from_matrix(
+        QUBIT, np.diag([-1e-9 + 2e-15, 1.0])), edge_state()),
+     OutsideConeError, "Pairing -1.00000700000000"),
+    (lambda: gm.evaluate(gm.effect_from_matrix(
+        QUBIT, np.diag([1 + 1e-9 - 2e-15, 0.0])), edge_state()),
+     OutsideConeError, "Pairing 1.00000000100000"),
+    (lambda: gm.ensemble([(0.5, gm.point_state(QUBIT, 0)),
+                          (0.5, gm.point_state(BIT, 0))]),
+     ModelMismatchError, "Ensemble mixes different models."),
+    (lambda: gm.ensemble([(1.5, gm.point_state(QUBIT, 0)),
+                          (-0.5, gm.point_state(QUBIT, 1))]),
+     ValueError, "Negative ensemble weight -0.5."),
+    (lambda: gm.mix(gm.Ensemble(np.zeros(0), ())), EmptyEnsembleError,
+     "Cannot mix an empty ensemble."),
+    (lambda: gm.bipartite_from_ket(BIT, BIT, [1, 0, 0, 0]),
+     UnsupportedModelError, "Amplitude vectors require quantum models."),
+    (lambda: gm.bipartite_from_ket(QUBIT, QUBIT, [1, 0]), ValueError,
+     "Expected 4 amplitudes."),
+    (lambda: gm.product_point(QUBIT, QUBIT, 0, 0), UnsupportedModelError,
+     "Product points require classical models."),
+    (lambda: gm.product_point(BIT, BIT, 2, 0), ValueError,
+     "Point indices out of range."),
+    (lambda: gm.bipartite_from_dict(CLASSICAL_JOINT), ValueError,
+     "Classical joint states must be real."),
+    (lambda: gm.marginal(gm.bipartite_from_ket(QUBIT, QUBIT, BELL), "C"),
+     ValueError, "Side must be 'A' or 'B', got 'C'."),
+    (lambda: gm.state_from_bloch(QUTRIT, [0, 0, 1]), UnsupportedModelError,
+     "Bloch construction is defined for qubits."),
+])
+def test_input_checks_fire(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("parse, data, message", [
+    (gm.state_from_dict, {}, "Expected a JSON object with key 'model'."),
+    (gm.state_from_dict, [1, 2], "Expected a JSON object with key 'model'."),
+    (gm.model_from_dict, {"kind": "quantum"},
+     "Expected a JSON object with key 'd'."),
+    (gm.model_from_dict, {"kind": "classical", "n": [2]},
+     "Key 'n': int() argument *, not 'list'."),
+    (gm.state_from_dict, {"model": QUBIT.to_dict(), "coeffs": {"x": 1}},
+     "Key 'coeffs': float() argument *, not 'dict'."),
+    (gm.effect_from_dict, {"model": QUBIT.to_dict(), "coeffs": [None, {}]},
+     "Key 'coeffs': float() argument *, not 'dict'."),
+    (gm.state_from_dict,
+     {"model": QUBIT.to_dict(), "matrix": [[[1], [0]], [[0], [0]]]},
+     "Complex entries must be [re, im] pairs."),
+    (gm.effect_from_dict, {"model": QUBIT.to_dict(), "matrix": {}},
+     "Key 'matrix': float() argument *, not 'dict'."),
+    (gm.measurement_from_dict, {"effects": 5},
+     "Key 'effects': 'int' object is not iterable."),
+    (gm.measurement_from_dict, {"effects": [[]]},
+     "Expected a JSON object with key 'model'."),
+    (gm.ensemble_from_dict, {"members": [{"weight": [1], "state": {}}]},
+     "Key 'weight': float() argument *, not 'list'."),
+    (gm.ensemble_from_dict, {"members": [{"weight": 1}]},
+     "Expected a JSON object with key 'state'."),
+    (gm.bipartite_from_dict, [], "Expected a JSON object with key 'model_a'."),
+    (gm.bipartite_from_dict, {**CLASSICAL_JOINT, "amplitudes": [1, 0, 0, 0]},
+     "Complex entries must be [re, im] pairs."),
+    (gm.bipartite_from_dict, {**CLASSICAL_JOINT, "amplitudes": []},
+     "Complex entries must be [re, im] pairs."),
+])
+def test_json_of_the_wrong_shape_raises_value_error(parse, data, message):
+    with pytest.raises(ValueError) as info:
+        parse(data)
+    assert type(info.value) is ValueError
+    head, _, tail = message.partition("*")  # *: Python's TypeError wording
+    assert str(info.value).startswith(head) and str(info.value).endswith(tail)

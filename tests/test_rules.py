@@ -133,6 +133,30 @@ def test_nan_rules_are_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: rl.power_rule(0.0), "alpha must be positive and finite, got 0.0."),
+    (lambda: rl.power_rule(math.inf),
+     "alpha must be positive and finite, got inf."),
+    (lambda: rl.power_rule(NAN), "alpha must be positive and finite, got nan."),
+    (lambda: rl.tabulated_rule([[0, 0, 1]]),
+     "samples must be an (n >= 2, 2) array of (p, value)."),
+    (lambda: rl.tabulated_rule([[0, 0], [0.5, 0.2], [0.5, 0.3], [1, 1]]),
+     "sample abscissae must be strictly increasing."),
+    (lambda: rl.rule_from_dict([1, 2]),
+     "Expected a JSON object with key 'family'."),
+    (lambda: rl.rule_from_dict({"family": "power", "alpha": [1.5]}),
+     "Key 'alpha': float() argument *, not 'list'."),
+    (lambda: rl.rule_from_dict({"family": "tabulated", "samples": {"0": 0}}),
+     "Key 'samples': float() argument *, not 'dict'."),
+])
+def test_rule_arguments_are_checked(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError
+    head, _, tail = message.partition("*")  # *: Python's TypeError wording
+    assert str(info.value).startswith(head) and str(info.value).endswith(tail)
+
+
 def test_rule_from_dict_roundtrip():
     for data in ({"family": "identity"},
                  {"family": "power", "alpha": 1.5},

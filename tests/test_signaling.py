@@ -410,6 +410,52 @@ def test_batch_failure_names_the_first_scenario_failing_alone():
     assert info.value.index == 1 and info.value.scenario is bad
 
 
+def test_batch_failure_no_scenario_reproduces_alone_is_raised_unnamed():
+    # A rule whose values depend on how many overlaps it is given at once
+    # breaks the closed form only in a batch, so no scenario fails alone.
+    rule = rl.ProbabilityRule(
+        "identity", {}, lambda p: p if np.size(p) <= 3 else 0.5 * p)
+    batch = [sg.Scenario(rule, PHI, 0.2, 0.7, 0.3, seed=i) for i in range(3)]
+    for scenario in batch:
+        sg.run_scenario(scenario)
+    with pytest.raises(ContractError) as info:
+        sg.run_scenarios(batch)
+    assert info.value.index is None and info.value.scenario is None
+    assert str(info.value).startswith("Pipeline deviates from the closed form")
+
+
+def test_steered_uniform_needs_a_qubit():
+    phi = gm.point_state(gm.quantum(3), 0)
+    scenario = sg.Scenario(rl.identity_rule(), phi, 0.2, 0.7, 0.3,
+                           mode=sg.STEERED_UNIFORM)
+    with pytest.raises(UnsupportedModelError) as info:
+        sg.run_scenario(scenario)
+    assert type(info.value) is UnsupportedModelError
+    assert str(info.value).endswith(
+        ": The uniform-overlap construction is a qubit protocol; use the "
+        "trivial-average mode for other models.")
+
+
+def test_marginal_contract_fires_on_a_corrupted_steered_stack(monkeypatch):
+    # Shift protocol 2's lone (trivial) outcome by 1e-9 in one coefficient
+    # after steering: only the marginal contract reads it.
+    steer = ss._steer
+
+    def corrupted(*args):
+        steered = steer(*args)
+        coeffs = steered.coeffs.copy()
+        coeffs[len(coeffs) // 2:, 0, 0] += 1e-9
+        return steered._replace(coeffs=coeffs)
+
+    monkeypatch.setattr(ss, "_steer", corrupted)
+    with pytest.raises(ContractError) as info:
+        sg.run_scenario(sg.Scenario(rl.identity_rule(), PHI, 0.2, 0.7, 0.3))
+    assert info.value.index == 0
+    named, by = str(info.value).rsplit(" by ", 1)
+    assert named.endswith(": Protocols disagree on the distant marginal")
+    assert abs(float(by.rstrip(".")) - 1e-9) <= 1e-15
+
+
 def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
     # Certificate seed 1555123228 draws a near-pure mixture at sample 609
     # (lambda = 0.99994), which synthesis once failed; it passes.

@@ -152,6 +152,23 @@ def test_bland_fallback_solves_a_degenerate_program(monkeypatch):
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
+def test_iteration_limit_raises(monkeypatch):
+    # No program of the package's comes near the limit; a lowered one
+    # stops Beale's program, which needs 3 pivots in phase 1.
+    monkeypatch.setattr(simplex, "_MAX_ITER", 2)
+    a = [[1, 0, 0, 0.25, -60, -1 / 25, 9],
+         [0, 1, 0, 0.5, -90, -1 / 50, 3],
+         [0, 0, 1, 0, 0, 1, 0]]
+    with pytest.raises(simplex.UnboundedError) as info:
+        solve_nonneg([0, 0, 0, -0.75, 150, -1 / 50, 6], a, [0, 0, 1])
+    assert str(info.value) == "Simplex iteration limit exceeded; malformed cone."
+
+
+def test_inconsistent_shapes_are_rejected():
+    with pytest.raises(ValueError, match="^Inconsistent standard-form shapes"):
+        solve_nonneg([1.0, 2.0], [[1.0, 1.0]], [1.0, 2.0])
+
+
 def test_redundant_equalities():
     # Second row is twice the first; phase 1 drops it.
     res = solve_nonneg(c=[-1.0, -1.0], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])

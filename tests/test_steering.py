@@ -4,8 +4,11 @@ import pytest
 from gptsim import models as gm
 from gptsim import steering as ss
 from gptsim.errors import (
+    ContractError,
     MarginalMismatchError,
     ModelMismatchError,
+    NotNormalizedError,
+    NotPureError,
     RankDeficitError,
     UnsupportedModelError,
 )
@@ -347,3 +350,52 @@ def test_marginal_residual_rejects_mismatched_models():
     with pytest.raises(ModelMismatchError):
         ss.marginal_residual(ss.steer(BELL, Z_BASIS),
                              gm.ensemble([(1.0, point)]))
+
+
+def test_purify_rejects_a_state_whose_cut_spectrum_breaks_the_norm():
+    # Three eigenvalues at the rank cut drop 3e-12 of the trace, so the
+    # purification's norm is 1 - 1.5e-12, outside the 1e-12 tolerance.
+    omega = gm.state_from_matrix(
+        gm.quantum(4), np.diag([1 - 3e-12, 1e-12, 1e-12, 1e-12]))
+    with pytest.raises(NotNormalizedError,
+                       match=r"^Joint norm is 0\.9999999999985, expected 1\.$"):
+        ss.purify(omega)
+
+
+def test_purification_round_trip_fires_on_a_non_hermitian_stack():
+    # eigh reads the lower triangle, so the upper one does not round-trip.
+    stack = np.array([[[0.5, 0.3], [0.0, 0.5]]], dtype=complex)
+    with pytest.raises(ContractError,
+                       match=r"^Purification marginal residual 0\.3"):
+        ss._purify(stack)
+
+
+def test_synthesize_rejects_a_mixed_target_member():
+    target = gm.ensemble_from_dict({"members": [
+        {"weight": 1.0, "state": MIXED.to_dict()}]})
+    with pytest.raises(NotPureError, match="^Steering targets must "
+                                           "decompose into pure states\\.$"):
+        ss.synthesize_steering_measurement(BELL, target)
+
+
+def test_steered_conditional_check_fires_on_swapped_effects():
+    target = gm.ensemble([(0.5, KET0), (0.5, KET1)])
+    synthesized = ss.synthesize_steering_measurement(BELL, target)
+    effects = np.stack([e.matrix for e in synthesized.measurement.effects])
+    live = np.ones((1, 2), dtype=bool)
+    steered = ss._steer(QUBIT, BELL.joint_matrix[None], effects[None, ::-1],
+                        live)
+    members = np.stack([KET0.matrix, KET1.matrix])[None]
+    with pytest.raises(ContractError,
+                       match=r"^Steered conditional 0 deviates by 0\.5\.$"):
+        ss._check_targets(steered.subs, target.weights[None], members, live)
+
+
+def test_synthesize_accepts_a_joint_at_the_norm_tolerance_with_a_deficit():
+    # The squared norm of this joint is 1 + 1.8e-12; its deficit effect
+    # (rank 1 in a qubit purifier) overlaps its A marginal by exactly 0.
+    psi = gm.bipartite_from_ket(QUBIT, QUBIT,
+                                np.array([1 + 0.9e-12, 0, 0, 0]))
+    result = ss.synthesize_steering_measurement(psi, gm.ensemble([(1.0, KET0)]))
+    assert len(result.measurement) == 2
+    np.testing.assert_array_equal(result.ensemble.weights, [1.0])

@@ -301,8 +301,6 @@ def test_seed_pools_match_numpy_where_the_entropy_grows():
     assert_same_pools(POOL_SEEDS)
     for seed in POOL_SEEDS:
         assert_same_pools([seed])
-    with pytest.raises(ValueError):
-        tr._seed_pools([3, -1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,8 +311,6 @@ def test_seed_pools_match_numpy_property(seeds):
 
 def test_seeded_draws_see_only_the_seeds_that_draw():
     assert_same_draws([-1, 5, 2**70], 1, [0, 2, 1])
-    with pytest.raises(ValueError):
-        tr._seeded_tau_draws([5, -1], 1, [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +481,27 @@ def test_tau_lp_rejects_non_finite_generators():
     rows[4, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         tr.tau_lp_report(QUBIT, PLUS, KET0, generators=rows)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: tr.state_with_tau(QUTRIT, KET0, 0.5, 0), ModelMismatchError,
+     "phi does not belong to the given model."),
+    (lambda: tr.great_circle_states(gm.point_state(QUTRIT, 0), 8),
+     UnsupportedModelError, "Great-circle grids are a qubit construction."),
+    (lambda: tr.great_circle_states(KET0, 2), ValueError,
+     "Need at least 3 grid points."),
+    (lambda: tr.tau_lp_report(QUTRIT, PLUS, KET0), ModelMismatchError,
+     "States do not belong to the given model."),
+    # A generator that the accepting effect must take to 2: with the
+    # equalities pinning the whole effect (classical) or through the dual.
+    (lambda: tr.tau_lp_report(BIT, gm.point_state(BIT, 1), gm.point_state(BIT, 0),
+                              generators=np.array([[2.0, 0.0], [0.0, 1.0]])),
+     InfeasibleError, "No effect in the generator polytope attains"),
+    (lambda: tr.tau_lp_report(QUBIT, PLUS, KET0, generators=np.vstack(
+        [tr.great_circle_states(KET0, 8, through=PLUS), 2.0 * KET0.coeffs])),
+     InfeasibleError, "No effect in the generator polytope attains"),
+])
+def test_argument_and_feasibility_checks_fire(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value).startswith(message)
