@@ -309,17 +309,19 @@ def _check_hermitian(model: SystemModel, matrices: np.ndarray,
         skew = abs(m - _dagger(m)).max(axis=(-2, -1))
     _fail(OutsideConeError, not_hermitian, ~(skew <= SPECTRAL_TOL))
     asym = skew > 0.0
-    if np.count_nonzero(asym):
-        m = np.where(asym[..., None, None], 0.5 * (m + _dagger(m)), m)
+    count = np.count_nonzero(asym)
+    if count:
+        hermitian = 0.5 * (m + _dagger(m))
+        m = hermitian if count == asym.size else np.where(
+            asym[..., None, None], hermitian, m)
     return (m, *_spectrum_bounds(m))
 
 
-def _frozen(model: SystemModel, matrices: np.ndarray):
-    """Checked ``matrices`` and their coefficient rows, both read-only."""
+def _coeffs(model: SystemModel, matrices: np.ndarray) -> np.ndarray:
+    """Read-only coefficient rows of checked ``matrices``."""
     coeffs = model.coeffs_from_matrix(matrices)
     coeffs.flags.writeable = False
-    matrices.flags.writeable = False
-    return matrices, coeffs
+    return coeffs
 
 
 def _check_states(model: SystemModel, matrices: np.ndarray):
@@ -327,8 +329,8 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
 
     Each must pass :func:`_check_hermitian`, have unit trace within
     LINEAR_TOL and no eigenvalue below -SPECTRAL_TOL. Eigenvalues between
-    that and the clip floor are projected away. Returns
-    ``(matrices, coeffs, pure)``, read-only.
+    that and the clip floor are projected away. Returns the checked
+    matrices, read-only; :func:`_coeffs` and :func:`_pure` read them.
     """
     m, low, _ = _check_hermitian(
         model, matrices, "Matrix is not Hermitian within tolerance.")
@@ -350,13 +352,19 @@ def _check_states(model: SystemModel, matrices: np.ndarray):
         fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
         m[clipped] = fixed
 
-    pure = abs(_vdot(m, m) - 1.0) <= SPECTRAL_TOL
-    return (*_frozen(model, m), pure)
+    m.flags.writeable = False
+    return m
 
 
-def _states(model: SystemModel, matrices, coeffs, pure, kets=None) -> list:
+def _pure(matrices: np.ndarray) -> np.ndarray:
+    """Whether each checked density matrix is pure (its purity is 1)."""
+    return abs(_vdot(matrices, matrices) - 1.0) <= SPECTRAL_TOL
+
+
+def _states(model: SystemModel, matrices, pure, kets=None) -> list:
     """States of already-checked stack members, without checking again;
     a pure member i keeps ``kets[i]`` when ``kets`` is given."""
+    coeffs = _coeffs(model, matrices)
     return [State(model, coeffs[i], matrices[i], bool(pure[i]),
                   kets[i] if kets is not None and pure[i] else None)
             for i in range(len(matrices))]
@@ -378,13 +386,13 @@ def state_from_matrix(model: SystemModel, matrix: np.ndarray) -> State:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    matrix, coeffs, pure = _check_states(model, matrix)
-    return State(model, coeffs, matrix, bool(pure))
+    matrix = _check_states(model, matrix)
+    return State(model, _coeffs(model, matrix), matrix, bool(_pure(matrix)))
 
 
 def _ket_states(model: SystemModel, kets: np.ndarray):
     """Check a ``(..., d)`` stack of kets for unit norm and build their
-    projectors: ``(kets, matrices, coeffs, pure)``, read-only, phases fixed.
+    projectors: ``(kets, matrices, pure)``, read-only, phases fixed.
     The projector of a unit ket has no eigenvalue below the clip floor, so
     each ket is its matrix's; the state check stays, as it symmetrizes the
     skew (about 1e-18) that numpy's complex outer product leaves."""
@@ -392,10 +400,10 @@ def _ket_states(model: SystemModel, kets: np.ndarray):
     _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
           ~(abs(norm - 1.0) <= SPECTRAL_TOL), norm)  # NaN fails too
     unit = _fix_phase(kets / norm[..., None])
-    matrices, coeffs, pure = _check_states(
+    matrices = _check_states(
         model, unit[..., :, None] * np.conj(unit)[..., None, :])
     unit.flags.writeable = False
-    return unit, matrices, coeffs, pure
+    return unit, matrices, _pure(matrices)
 
 
 def ket_state(model: SystemModel, ket: np.ndarray) -> State:
@@ -405,8 +413,9 @@ def ket_state(model: SystemModel, ket: np.ndarray) -> State:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (model.size,):
         raise ValueError(f"Expected a length-{model.size} vector.")
-    unit, matrix, coeffs, pure = _ket_states(model, ket)
-    return State(model, coeffs, matrix, bool(pure), unit if pure else None)
+    unit, matrix, pure = _ket_states(model, ket)
+    return State(model, _coeffs(model, matrix), matrix, bool(pure),
+                 unit if pure else None)
 
 
 def point_state(model: SystemModel, index: int) -> State:
@@ -445,14 +454,12 @@ def _pure_kets(matrices: np.ndarray) -> np.ndarray:
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     """Each ``(..., d)`` row times the phase making its first component
     larger than 1e-12 in modulus real and positive."""
-    leading = abs(vecs) > 1e-12
-    if np.count_nonzero(leading[..., 0]) == leading[..., 0].size:
-        pivot = vecs[..., 0]
-    else:
-        idx = np.argmax(leading, axis=-1)
+    pivot = vecs[..., 0]
+    if np.count_nonzero(abs(pivot) > 1e-12) < pivot.size:
+        idx = np.argmax(abs(vecs) > 1e-12, axis=-1)
         pivot = np.take_along_axis(vecs, idx[..., None], axis=-1)[..., 0]
     keep = (pivot.imag == 0.0) & (pivot.real > 0.0)
-    if np.count_nonzero(keep) == np.size(keep):
+    if np.count_nonzero(keep) == keep.size:
         return vecs
     fixed = vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))[..., None]
     np.copyto(fixed, vecs, where=keep[..., None])
@@ -482,12 +489,13 @@ class Effect:
 def _check_effects(model: SystemModel, matrices: np.ndarray):
     """Validate a ``(..., d, d)`` stack of effect operators: they must pass
     :func:`_check_hermitian` with spectrum inside [0, 1] within
-    SPECTRAL_TOL. Returns the matrices and their covectors, read-only."""
+    SPECTRAL_TOL. Returns the checked matrices, read-only."""
     m, low, high = _check_hermitian(
         model, matrices, "Effect operator is not Hermitian.")
     _fail(OutsideConeError, "Effect spectrum [{}, {}] escapes [0, 1].",
           ~((low >= -SPECTRAL_TOL) & (high <= 1.0 + SPECTRAL_TOL)), low, high)
-    return _frozen(model, m)
+    m.flags.writeable = False
+    return m
 
 
 def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
@@ -501,8 +509,8 @@ def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    matrix, covector = _check_effects(model, matrix)
-    return Effect(model, covector, matrix)
+    matrix = _check_effects(model, matrix)
+    return Effect(model, _coeffs(model, matrix), matrix)
 
 
 def effect_from_covector(model: SystemModel, covector: np.ndarray) -> Effect:
@@ -782,11 +790,15 @@ def bipartite_from_dict(data: dict) -> BipartiteState:
     model_b = model_from_dict(_read(data, "model_b"))
     amplitudes = _read(data, "amplitudes", _from_pairs)
     if model_a.kind == CLASSICAL:
+        if amplitudes.shape != (model_a.size * model_b.size,):
+            raise ValueError(f"Expected {model_a.size * model_b.size} amplitudes.")
         if np.max(np.abs(amplitudes.imag)) > 0:
             raise ValueError("Classical joint states must be real.")
-        idx = int(np.argmax(amplitudes.real))
+        point = np.flatnonzero(amplitudes)
+        if len(point) != 1 or amplitudes[point[0]] != 1.0:
+            raise ValueError("Classical joint states must be one-hot.")
         return product_point(model_a, model_b,
-                             idx // model_b.size, idx % model_b.size)
+                             *divmod(int(point[0]), model_b.size))
     return bipartite_from_ket(model_a, model_b, amplitudes)
 
 
@@ -827,8 +839,7 @@ def _bloch(matrices: np.ndarray) -> np.ndarray:
 
 def _from_bloch(vecs: np.ndarray) -> np.ndarray:
     """Qubit matrices ``(..., 2, 2)`` of a ``(..., 3)`` Bloch vector stack."""
-    return 0.5 * (np.eye(2, dtype=complex)
-                  + np.einsum("...k,kij->...ij", vecs, _PAULIS))
+    return 0.5 * (_eye(2) + np.einsum("...k,kij->...ij", vecs, _PAULIS))
 
 
 def state_from_bloch(model: SystemModel, vec: np.ndarray) -> State:

@@ -305,13 +305,16 @@ def predict_ensemble(rule: ProbabilityRule, ens: gm.Ensemble,
     accept = tr.accept_effect(phi)
     taus = np.array([gm.evaluate(accept, s) for s in ens.states])
     mixed = np.array([not s.pure for s in ens.states])
-    return float(_predict(rule, ens.weights[None], taus[None], mixed[None])[0])
+    return float(_predict(rule, ens.weights[None], taus[None],
+                          mixed[None])[0][0])
 
 
 def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
-             mixed: np.ndarray) -> np.ndarray:
+             mixed: np.ndarray, at=()) -> tuple:
     """Predictions of a stack of ensembles, one per row of ``(..., K)``
-    member weights and overlaps with phi: the weight-averaged rule values.
+    member weights and overlaps with phi: the weight-averaged rule values,
+    and the rule's values at the overlaps ``at``, from the same
+    :func:`eval_rule` call.
 
     ``mixed`` marks the mixed members of known decompositions, which have
     no prediction. An average state with no decomposition known is a row
@@ -322,6 +325,9 @@ def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
     if np.count_nonzero(mixed):
         raise NotPureError("Ensemble-knowledge prediction needs pure members.")
     live = weights > 0.0
+    members = taus[live]
+    evaluated = eval_rule(rule, np.concatenate([members, np.ravel(at)]))
     values = np.zeros(taus.shape)
-    values[live] = eval_rule(rule, taus[live])
-    return (weights[..., None, :] @ values[..., None])[..., 0, 0]
+    values[live] = evaluated[:len(members)]
+    return ((weights[..., None, :] @ values[..., None])[..., 0, 0],
+            evaluated[len(members):].reshape(np.shape(at)))

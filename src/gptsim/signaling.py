@@ -158,9 +158,9 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
                 raise NotPureError("phi must be a pure state.")
             if s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
                 raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
-        sizes = np.array([s.phi.model.size for s in scenarios])
-        for d, rows in gm._groups(sizes):
-            rows = np.arange(len(scenarios))[rows].tolist()
+        sizes = [s.phi.model.size for s in scenarios]
+        for d in sorted(set(sizes)):
+            rows = [i for i, size in enumerate(sizes) if size == d]
             group = [scenarios[i] for i in rows]
             model = gm.quantum(d)
             run = _run(
@@ -218,7 +218,8 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     stack: protocol 1 of scenario j at row j, its protocol 2 at row n + j.
     """
     n, d = len(p), model.size
-    weights = np.stack([lam, 1.0 - lam], axis=1)
+    weights = np.empty((n, 2))
+    weights[:, 0], weights[:, 1] = lam, 1.0 - lam
     present = weights > 0.0  # a member of weight 0 drops out
 
     # Protocol 1's members: states with overlaps p1 and p2 with phi,
@@ -228,7 +229,7 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     if np.count_nonzero(inner):
         draws[inner] = tr._seeded_tau_draws(seeds, d - 1,
                                             inner.sum(axis=1).tolist())
-    kets, members, _, pure = gm._ket_states(
+    kets, members, pure = gm._ket_states(
         model, tr._kets_with_tau(phi_k[:, None], p, draws))
     is_phi = p == 1.0  # the reference state itself
     if np.count_nonzero(is_phi):
@@ -236,65 +237,71 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
         members = np.where(is_phi[..., None, None], phi_m[:, None], members)
         pure = pure | is_phi
 
-    # The average state (a lone member is its own) and its purification.
-    # Its check can clip: with phi's own matrix as a member (p = 1),
-    # round-off can take the average below the clip floor.
+    # The average state (at lambda 0 or 1 the lone member is its own) and
+    # its purification. Its check can clip: with phi's own matrix as a
+    # member (p = 1), round-off can take the average below the clip floor.
     average = gm._average(weights, members)
-    average[lam == 1.0] = members[lam == 1.0, 0]
-    average[lam == 0.0] = members[lam == 0.0, 1]
-    omega = gm._check_states(model, average)[0]
+    if np.count_nonzero(~present):
+        average[~present[:, 1]] = members[~present[:, 1], 0]
+        average[~present[:, 0]] = members[~present[:, 0], 1]
+    omega = gm._check_states(model, average)
     joints, schmidt = ss._purify(omega)
 
     # Synthesis targets, as one stack: protocol 1 of every scenario, then
-    # protocol 2 of the steered-uniform ones.
-    trivial = np.flatnonzero(~uniform)
-    uniform = np.flatnonzero(uniform)
-    targets = np.concatenate([np.arange(n), uniform])
-    if len(uniform):
-        u_members, _, u_pure = gm._check_states(
-            model, _uniform_members(omega[uniform], phi_m[uniform]))
-        weights = np.concatenate([weights, np.full((len(uniform), 2), 0.5)])
+    # protocol 2 of the rows modes[1] (steered-uniform; modes[0]: trivial).
+    modes = dict(gm._groups(uniform.view(np.int8)))
+    if 1 in modes:
+        rows = modes[1]
+        u_members = gm._check_states(
+            model, _uniform_members(omega[rows], phi_m[rows]))
+        joints = np.concatenate([joints, joints[rows]])
+        schmidt = ss._Schmidt(*(np.concatenate([a, a[rows]]) for a in schmidt))
+        weights = np.concatenate([weights, np.full(u_members.shape[:2], 0.5)])
         members = np.concatenate([members, u_members])
         kets = np.concatenate([kets, gm._pure_kets(u_members)])
-        pure = np.concatenate([pure, u_pure])
-        present = np.concatenate([present, np.ones_like(present[uniform])])
-    model_a = gm.quantum(joints.shape[1])
-    effects, live = ss._synthesize(
-        joints[targets], ss._Schmidt(*(a[targets] for a in schmidt)), weights,
-        members, kets, pure, present)
-    effects, _ = ss._check_synthesized(model_a, effects, live)
+        pure = np.concatenate([pure, gm._pure(u_members)])
+        present = np.concatenate([present, np.ones(u_members.shape[:2], bool)])
+    effects, live = ss._synthesize(joints, schmidt, weights, members, kets,
+                                   pure, present)
+    dim_a = joints.shape[1]
+    effects = ss._check_synthesized(gm.quantum(dim_a), effects, live)[0]
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
-    # row n + j, the trivial measurement's or the synthesized one.
-    effects_2 = np.zeros((n,) + effects.shape[1:], dtype=complex)
-    live_2 = np.zeros((n, live.shape[1]), dtype=bool)
-    effects_2[trivial, 0], live_2[trivial, 0] = np.eye(model_a.size), True
-    effects_2[uniform], live_2[uniform] = effects[n:], live[n:]
-    effects = np.concatenate([effects[:n], effects_2])
-    live = np.concatenate([live[:n], live_2])
-    both = np.concatenate([np.arange(n), np.arange(n)])
-    steered = ss._steer(model, joints[both], effects, live)
-    rows_t = np.concatenate([np.arange(n), n + uniform])
-    ss._check_targets(steered.subs[rows_t], weights, members, present)
+    # row n + j, the trivial measurement's or the synthesized one. With no
+    # trivial row, the synthesized stack is already laid out so.
+    synthesized = slice(None)  # its rows in the steered stack
+    if 0 in modes:
+        effects_2 = np.zeros((n,) + effects.shape[1:], dtype=complex)
+        live_2 = np.zeros((n, live.shape[1]), dtype=bool)
+        effects_2[modes[0], 0], live_2[modes[0], 0] = gm._eye(dim_a), True
+        effects_2[uniform], live_2[uniform] = effects[n:], live[n:]
+        effects = np.concatenate([effects[:n], effects_2])
+        live = np.concatenate([live[:n], live_2])
+        synthesized = np.concatenate([np.arange(n), n + np.flatnonzero(uniform)])
+    steered = ss._steer(model, np.concatenate([joints[:n]] * 2), effects, live)
+    ss._check_targets(steered.subs[synthesized], weights, members, present)
 
     # Predictions: from the known decomposition, or (trivial protocol 2,
     # the lone unit outcome of weight 1) the rule at the average state's
-    # overlap. phi's accepting effect is its own matrix.
-    keep = steered.keep
-    taus = np.zeros(keep.shape)
-    taus[keep] = gm._pairings(steered.matrices[keep],
-                              phi_m[both[np.nonzero(keep)[0]]])
-    mixed = keep & ~steered.pure
-    mixed[n + trivial] = False
-    # The rule's two steps, once per rule object (hashed by identity) on
-    # its rows of both protocols; rules are coded 0, 1, ... as first seen.
+    # overlap, in stacks (protocol, scenario, outcome). phi's accepting
+    # effect is its own matrix.
+    taus = gm._pairings(steered.matrices.reshape(2, n, -1, d, d),
+                        phi_m[:, None])
+    mixed = (steered.keep & ~steered.pure).reshape(taus.shape)
+    if 0 in modes:
+        mixed[1, modes[0]] = False
+    stacks = (steered.weights.reshape(taus.shape), taus, mixed)
+    at = np.concatenate([p.T, (lam * p[:, 0] + (1 - lam) * p[:, 1])[None]])
+    # The rule's steps, once per rule object (hashed by identity) on its
+    # rows, with the closed form's overlaps ``at`` (p1, p2 and the average
+    # state's); rules are coded 0, 1, ... as first seen.
     codes = {}
     keys = np.array([codes.setdefault(rule, len(codes)) for rule in rules])
-    stacks = [a.reshape(2, n, -1) for a in (steered.weights, taus, mixed)]
     known, expected = np.empty((2, n)), np.empty((2, n))
     for rule, (_, rows) in zip(codes, gm._groups(keys)):
-        known[:, rows] = rl._predict(rule, *(a[:, rows] for a in stacks))
-        expected[:, rows] = closed_form(rule, p[rows, 0], p[rows, 1], lam[rows])
+        known[:, rows], (at_1, at_2, expected[1, rows]) = rl._predict(
+            rule, *(a[:, rows] for a in stacks), at[:, rows])
+        expected[0, rows] = lam[rows] * at_1 + (1 - lam[rows]) * at_2
     marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
                                       steered.weights[n:], steered.coeffs[n:])
     gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
@@ -338,8 +345,9 @@ def _uniform_members(omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
     # m x u as numpy's cross computes it, bit for bit, minus its call overhead
     m0, m1, m2 = m.T
     u0, u1, u2 = (in_plane / np.where(flat, 1.0, radial)[:, None]).T
-    w = np.stack([m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0],
-                 axis=-1)
+    w = np.empty(m.shape)
+    w[:, 0], w[:, 1], w[:, 2] = (m1 * u2 - m2 * u1, m2 * u0 - m0 * u2,
+                                 m0 * u1 - m1 * u0)
     if np.count_nonzero(flat):
         w[flat] = tr._deterministic_orthogonal(m[flat])
         in_plane[flat] = 0.0
@@ -470,9 +478,9 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
             seeds[i] = int(integers(2**31))
         normals += 0.0  # as rng.normal(): 0 + 1 * z, so -0.0 reads 0.0
         kets = normals[:, :2] + 1j * normals[:, 2:]
-        phi_k, matrices, coeffs, pure = gm._ket_states(
+        phi_k, matrices, pure = gm._ket_states(
             model, kets / gm._norm(kets)[:, None])
-        phis = (matrices, coeffs, pure, phi_k)
+        phis = (matrices, pure, phi_k)
         try:
             run = _run([rule] * count, model, phi_k, matrices, params[:, :2],
                        params[:, 2], seeds, np.zeros(count, dtype=bool))
@@ -498,7 +506,7 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
 def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel, phis: tuple,
              params: np.ndarray, seeds: list, rows: slice) -> list:
     """Scenarios of the certificate samples ``rows``, from phi's checked
-    arrays ``phis`` (matrices, coeffs, purity, kets), the (p1, p2, lambda)
+    arrays ``phis`` (matrices, purity, kets), the (p1, p2, lambda)
     ``params`` and the ``seeds``."""
     states = gm._states(model, *(a[rows] for a in phis))
     return [Scenario(rule, phi, p1, p2, lam, seed=s) for phi, (p1, p2, lam), s

@@ -56,8 +56,8 @@ class _Steered(NamedTuple):
     """Stacked outcome of steering ``n`` joint states with ``S`` effects
     each: the subnormalized B conditionals ``subs`` (0 where no effect was
     applied) and, per outcome kept (probability above RANK_TOL), its
-    normalized weight and checked conditional state; other slots hold
-    zeros, which no stage reads."""
+    normalized weight and checked conditional state; other slots hold the
+    zero matrix at weight 0, which no stage reads."""
 
     subs: np.ndarray      # (n, S, d, d)
     keep: np.ndarray      # (n, S)
@@ -72,8 +72,7 @@ class _Steered(NamedTuple):
         weights = self.weights[i][kept]
         weights.flags.writeable = False
         return gm.Ensemble(weights, tuple(gm._states(
-            model, self.matrices[i][kept], self.coeffs[i][kept],
-            self.pure[i][kept])))
+            model, self.matrices[i][kept], self.pure[i][kept])))
 
 
 def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteState:
@@ -106,12 +105,18 @@ def _purify(matrices: np.ndarray, purifier_dims=None):
     """
     eigvals, eigvecs = np.linalg.eigh(matrices)
     n, d = eigvals.shape
-    order = (-eigvals).argsort(axis=-1, kind="stable")
-    items = np.arange(n)[:, None]
-    eigvals = eigvals[items, order]
-    rows = gm._fix_phase(eigvecs.swapaxes(-1, -2)[items, order])
-    rank = (eigvals > RANK_TOL).sum(axis=-1)
-    values = np.sqrt(np.where(eigvals > RANK_TOL, eigvals, 0.0))
+    rows = eigvecs.swapaxes(-1, -2)
+    if np.count_nonzero(eigvals[:, 1:] == eigvals[:, :-1]):
+        # a stable sort keeps tied eigenvalues in eigh's order
+        order = (-eigvals).argsort(axis=-1, kind="stable")
+        items = np.arange(n)[:, None]
+        eigvals, rows = eigvals[items, order], rows[items, order]
+    else:  # eigh's ascending order, reversed
+        eigvals, rows = eigvals[:, ::-1], np.ascontiguousarray(rows[:, ::-1])
+    rows = gm._fix_phase(rows)
+    above = eigvals > RANK_TOL
+    rank = above.sum(axis=-1)
+    values = np.sqrt(np.where(above, eigvals, 0.0))
     dims = rank if purifier_dims is None else purifier_dims
     gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
              dims < rank, dims, rank)
@@ -182,10 +187,10 @@ def _steer(model_b: gm.SystemModel, joints: np.ndarray, effects: np.ndarray,
     weights = np.zeros(live.shape)
     weights[keep] = probs[kept]
     weights = weights / weights.sum(axis=1, keepdims=True)
-    checked = gm._check_states(
-        model_b, live_subs[kept] / probs[kept, None, None])
-    matrices, coeffs, pure = (_filled(keep, values) for values in checked)
-    return _Steered(subs, keep, weights, matrices, coeffs, pure)
+    matrices = _filled(keep, gm._check_states(
+        model_b, live_subs[kept] / probs[kept, None, None]))
+    return _Steered(subs, keep, weights, matrices,
+                    gm._coeffs(model_b, matrices), gm._pure(matrices))
 
 
 def _filled(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -294,12 +299,12 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
 def _check_synthesized(model_a: gm.SystemModel, effects: np.ndarray,
                        live: np.ndarray):
     """Check the ``live`` synthesized ``effects``: valid effects, together
-    complete. Returns them checked, with their covectors, both read-only
-    and zero in the other slots (which hold zero effects)."""
-    checked, covectors = gm._check_effects(model_a, effects[live])
-    covectors = _filled(live, covectors)
+    complete. Returns them checked, zero in the other slots, with the
+    covectors of the stack, both read-only."""
+    checked = _filled(live, gm._check_effects(model_a, effects[live]))
+    covectors = gm._coeffs(model_a, checked)
     gm._check_complete(model_a, covectors)
-    return _filled(live, checked), covectors
+    return checked, covectors
 
 
 def _check_targets(subs: np.ndarray, weights: np.ndarray,

@@ -277,6 +277,23 @@ def test_json_of_the_wrong_shape_is_usage_error(tmp_path, capsys, argv,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("amplitudes, message", [
+    ([0, 0, 0, 1], "Expected 6 amplitudes."),
+    ([0.5, 0.5, 0, 0, 0, 0], "Classical joint states must be one-hot."),
+    ([0] * 6, "Classical joint states must be one-hot."),
+])
+def test_classical_joint_state_not_one_point_is_usage_error(
+        tmp_path, capsys, amplitudes, message):
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps({
+        "model_a": {"kind": "classical", "n": 2},
+        "model_b": {"kind": "classical", "n": 3},
+        "amplitudes": [[a, 0.0] for a in amplitudes]}))
+    code, out, err = run_cli(capsys, "steer", "--bipartite", f"@{joint}",
+                             "--alice", "z")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--family", "identity", "--grid", "3"],
     ["gap", "--family", "identity", "--p1", "0", "--p2", "1",

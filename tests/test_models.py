@@ -428,6 +428,9 @@ def edge_state():
 
 CLASSICAL_JOINT = {"model_a": BIT.to_dict(), "model_b": BIT.to_dict(),
                    "amplitudes": [[0.0, 1.0], [0, 0], [0, 0], [0, 0]]}
+# classical:2 x classical:3 with 4 amplitudes, peaking where (1, 0) would be
+CLASSICAL_2X3 = {"model_a": BIT.to_dict(), "model_b": gm.classical(3).to_dict(),
+                 "amplitudes": [[0.0, 0.0]] * 3 + [[1.0, 0.0]]}
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -490,6 +493,15 @@ CLASSICAL_JOINT = {"model_a": BIT.to_dict(), "model_b": BIT.to_dict(),
      "Point indices out of range."),
     (lambda: gm.bipartite_from_dict(CLASSICAL_JOINT), ValueError,
      "Classical joint states must be real."),
+    (lambda: gm.bipartite_from_dict(CLASSICAL_2X3), ValueError,
+     "Expected 6 amplitudes."),
+    (lambda: gm.bipartite_from_dict({**CLASSICAL_2X3, "amplitudes": [
+        [1.0, 0.0]] * 7}), ValueError, "Expected 6 amplitudes."),
+    *((lambda amplitudes=amplitudes: gm.bipartite_from_dict(
+        {**CLASSICAL_2X3, "amplitudes": [[a, 0.0] for a in amplitudes]}),
+       ValueError, "Classical joint states must be one-hot.")
+      for amplitudes in ([0.5, 0.5, 0, 0, 0, 0], [0] * 6, [0, 0, 0.9, 0, 0, 0],
+                         [1, 0, 0, 0, 0, 1e-300], [1, 0, 0, float("nan"), 0, 0])),
     (lambda: gm.marginal(gm.bipartite_from_ket(QUBIT, QUBIT, BELL), "C"),
      ValueError, "Side must be 'A' or 'B', got 'C'."),
     (lambda: gm.state_from_bloch(QUTRIT, [0, 0, 1]), UnsupportedModelError,

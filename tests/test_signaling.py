@@ -2,12 +2,14 @@ import json
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gptsim import errors
 from gptsim import models as gm
 from gptsim import rules as rl
 from gptsim import signaling as sg
@@ -410,11 +412,42 @@ def test_batch_failure_names_the_first_scenario_failing_alone():
     assert info.value.index == 1 and info.value.scenario is bad
 
 
+SCENARIO_PINS = Path(__file__).resolve().parent / "scenario_pins.json"
+
+
+def test_run_scenario_matches_its_pinned_results():
+    # Every case of scenario_pins.json, one run_scenario each: Haar phi at
+    # d = 2..4, both modes, overlaps and weights at 0 and 1, near-pure
+    # mixtures, the power, piecewise-quadratic and tabulated rules (a steep
+    # one too). Member counts and error classes are pinned exactly,
+    # probabilities and residuals to 1e-14.
+    pins = json.loads(SCENARIO_PINS.read_text())
+    rules = [rl.rule_from_dict(data) for data in pins["rules"]]
+    assert len(pins["cases"]) == 232
+    for case in pins["cases"]:
+        d, mode, k, ket, p1, p2, lam, seed, pinned = case
+        phi = gm.ket_state(gm.quantum(d), np.array([complex(*z) for z in ket]))
+        scenario = sg.Scenario(rules[k], phi, p1, p2, lam, mode=mode, seed=seed)
+        if isinstance(pinned, str):
+            with pytest.raises(GptError) as info:
+                sg.run_scenario(scenario)
+            assert type(info.value) is getattr(errors, pinned), case
+            continue
+        report = sg.run_scenario(scenario)
+        values = (report.prob_1, report.prob_2, report.gap,
+                  report.marginal_residual, report.formula_residual)
+        assert max(abs(a - b) for a, b in zip(values, pinned)) <= 1e-14, case
+        assert [len(report.ensemble_1), len(report.ensemble_2)] == pinned[5:], case
+
+
 def test_batch_failure_no_scenario_reproduces_alone_is_raised_unnamed():
     # A rule whose values depend on how many overlaps it is given at once
-    # breaks the closed form only in a batch, so no scenario fails alone.
+    # breaks the closed form only in a batch, so no scenario fails alone:
+    # one scenario's call sees six (its three live members, p1, p2 and the
+    # average's), and past the sixth the rule halves its input.
     rule = rl.ProbabilityRule(
-        "identity", {}, lambda p: p if np.size(p) <= 3 else 0.5 * p)
+        "identity", {},
+        lambda p: np.where(np.arange(np.size(p)) < 6, p, 0.5 * p))
     batch = [sg.Scenario(rule, PHI, 0.2, 0.7, 0.3, seed=i) for i in range(3)]
     for scenario in batch:
         sg.run_scenario(scenario)
