@@ -29,10 +29,10 @@ STEERED_UNIFORM = "steered-uniform"
 
 _FORMULA_TOL = 1e-12
 _MARGINAL_TOL = 1e-10
-# Scenarios per batch of a certificate. A batch peaks at about 3.6 KB per
-# scenario (0.92 MB at 256, by tracemalloc), so a certificate's memory is
-# bounded at any sample count: 1.5 MB with the worst witness's batch kept.
-_CERTIFICATE_BATCH = 256
+# Scenarios per batch of a certificate. A batch peaks at about 3.5 KB per
+# scenario (1.78 MB at 512, by tracemalloc), so a certificate's memory is
+# bounded at any sample count: 3.0 MB with the worst witness's batch kept.
+_CERTIFICATE_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -452,8 +452,12 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     |gap| stays within tolerance. The worst witness is returned either way.
 
     Sample i draws phi's ket (two real parts, then two imaginary parts),
-    then (p1, p2, lambda), then its scenario's seed. The samples run in
-    batches of up to ``_CERTIFICATE_BATCH`` as arrays through the core of
+    then (p1, p2, lambda), then its scenario's seed: ``integers(2**31)``
+    bit for bit, one 32-bit draw ``>> 1`` (Lemire's method never rejects
+    at this bound). PCG64 serves 32-bit draws as the low half of a fresh
+    raw word, then its high half, which whole-word draws leave buffered;
+    so even samples read a raw word. The samples run in batches of up to
+    ``_CERTIFICATE_BATCH`` as arrays through the core of
     :func:`run_scenarios`, with no object per sample; a report is made
     only for the worst witness. A failing batch is run again as
     scenarios, so a failing sample surfaces from :func:`run_scenario` on
@@ -464,9 +468,11 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}.")
     rng = np.random.default_rng(seed)
-    normal, random, integers = rng.standard_normal, rng.random, rng.integers
+    normal, random = rng.standard_normal, rng.random
+    raw = rng.bit_generator.random_raw
     model = gm.quantum(2)
     worst = None  # (|gap|, its row, its batch's arrays); the first wins
+    word = 0  # the raw word of the last even sample, kept across batches
     for start in range(0, samples, _CERTIFICATE_BATCH):
         count = min(_CERTIFICATE_BATCH, samples - start)
         normals = np.empty((count, 4))
@@ -475,7 +481,11 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         for i in range(count):
             normal(out=normals[i])
             random(out=params[i])
-            seeds[i] = int(integers(2**31))
+            if (start + i) % 2:
+                seeds[i] = word >> 33
+            else:
+                word = raw()
+                seeds[i] = (word & 0xffffffff) >> 1
         normals += 0.0  # as rng.normal(): 0 + 1 * z, so -0.0 reads 0.0
         kets = normals[:, :2] + 1j * normals[:, 2:]
         phi_k, matrices, pure = gm._ket_states(

@@ -149,8 +149,12 @@ def _tau_draws(rngs: list, size: int, counts: list) -> np.ndarray:
     """``(sum(counts), size)`` complex residual weights for states with an
     intermediate overlap: ``counts[j]`` of them from generator ``rngs[j]``,
     drawn one state after another: real parts, then imaginary parts."""
-    pairs = np.concatenate([rng.normal(size=(count, 2, size))
-                            for rng, count in zip(rngs, counts)])
+    pairs = np.empty((sum(counts), 2, size))
+    end = 0
+    for rng, count in zip(rngs, counts):
+        rng.standard_normal(out=pairs[end:end + count])
+        end += count
+    pairs += 0.0  # as rng.normal(): 0 + 1 * z, so -0.0 reads 0.0
     return pairs.transpose(0, 2, 1).copy().view(complex)[..., 0]
 
 

@@ -104,6 +104,10 @@ def _commands() -> list:
             "--format csv --out {out}",
             "reproduce --format csv --out {out}",
             "certify --family identity --samples 3 --format json --out {out}"]
+    # 1025 samples cross the certificate's batch boundaries at 256 and 512
+    # and end on an odd sample
+    out += [f"certify {rule} --samples 1025 --seed 2026 --format json"
+            for rule in RULES[:2]]
     out += [f"scan {rule} --grid 41 --format csv --out {{out}}" for rule in RULES]
     out += [_haar_tau(0, 720), _haar_tau(1, 720), _haar_tau(0, 3),
             "tau --model quantum:2 --psi + --phi 0 --lp 3 --verbose --format json",
@@ -487,6 +491,10 @@ GOLDEN = {
         '9b4c9e184852ea40',
     'certify --family identity --samples 3 --format json --out {out}':
         'e6108538f8e74f56',
+    'certify --family identity --samples 1025 --seed 2026 --format json':
+        '26e854c56e17327c',
+    'certify --family power --alpha 1.5 --samples 1025 --seed 2026 --format json':
+        '62f2184e2b1f6135',
     'scan --family identity --grid 41 --format csv --out {out}':
         '2040ccc022c7febd',
     'scan --family power --alpha 1.5 --grid 41 --format csv --out {out}':

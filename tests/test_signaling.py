@@ -489,6 +489,11 @@ def test_marginal_contract_fires_on_a_corrupted_steered_stack(monkeypatch):
     assert abs(float(by.rstrip(".")) - 1e-9) <= 1e-15
 
 
+# A rule rising from 0 to 1 over [0.5, 0.5 + 3e-5]: steep enough that
+# round-off in an overlap on the ramp breaks the closed-form contract.
+RAMP = rl.tabulated_rule([[0, 0], [0.5, 0], [0.5 + 3e-5, 1], [1, 1]])
+
+
 def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
     # Certificate seed 1555123228 draws a near-pure mixture at sample 609
     # (lambda = 0.99994), which synthesis once failed; it passes.
@@ -496,12 +501,11 @@ def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
                                      seed=1555123228)
     assert defect.passed and defect.max_abs_gap <= 1e-10
 
-    # A rule rising from 0 to 1 over [0.5, 0.5 + 3e-5] turns round-off in an
-    # overlap on that ramp into a 4.6e-12 closed-form deviation at sample
-    # 376 of seed 54, in the certificate's second batch. The failure also
-    # surfaces from run_scenario on that scenario, where a per-scenario
+    # RAMP turns round-off in an overlap on its ramp into a 4.6e-12
+    # closed-form deviation at sample 376 of seed 54, in the certificate's
+    # first batch, so all 377 samples up to it run again alone. The failure
+    # also surfaces from run_scenario on that scenario, where a per-scenario
     # wrapper (the benchmark's defect probe) finds it.
-    ramp = rl.tabulated_rule([[0, 0], [0.5, 0], [0.5 + 3e-5, 1], [1, 1]])
     real = sg.run_scenario
     raised = []
 
@@ -514,7 +518,7 @@ def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
 
     monkeypatch.setattr(sg, "run_scenario", catching)
     with pytest.raises(ContractError) as info:
-        sg.affinity_certificate(ramp, samples=1000, seed=54)
+        sg.affinity_certificate(RAMP, samples=1000, seed=54)
     assert info.value.index == 376
     assert str(info.value).startswith("Scenario 376 of the batch {")
     assert "Pipeline deviates from the closed form by " in str(info.value)
@@ -676,7 +680,7 @@ def certificate_scenarios(rule, samples, seed):
                          ids=["identity", "power1.5"])
 @pytest.mark.parametrize("samples", [1, 255, 256, 257, 600])
 def test_certificate_equals_runs_of_its_scenarios(rule, samples, seed):
-    # The certificate draws and runs arrays in batches of 256; the same
+    # The certificate draws and runs arrays in batches of 512; the same
     # samples built as objects and run as one batch give the same witness.
     cert = sg.affinity_certificate(rule, samples=samples, tol=1e-3, seed=seed)
     reports = sg.run_scenarios(certificate_scenarios(rule, samples, seed))
@@ -684,6 +688,39 @@ def test_certificate_equals_runs_of_its_scenarios(rule, samples, seed):
     worst = reports[int(np.argmax(gaps))]
     assert cert.max_abs_gap == max(gaps)
     assert report_json(cert.worst) == report_json(worst)
+
+
+def test_certificate_is_batch_invariant(monkeypatch):
+    # Odd batch sizes start batches on odd samples, whose seeds are the high
+    # halves of raw words read in the batch before.
+    by_batch = {}
+    for batch in (1, 3, 256, 512):
+        monkeypatch.setattr(sg, "_CERTIFICATE_BATCH", batch)
+        by_batch[batch] = [json.dumps(sg.affinity_certificate(
+            rl.identity_rule(), samples=samples, seed=2026).to_dict(),
+            sort_keys=True) for samples in (1, 2, 511, 512, 513, 1025)]
+        with pytest.raises(ContractError) as info:
+            sg.affinity_certificate(RAMP, samples=1000, seed=54)
+        assert info.value.index == 376
+    assert all(out == by_batch[512] for out in by_batch.values())
+
+
+@pytest.mark.parametrize("seed", [0, 5, 54, 2026, 2**31 - 1])
+def test_certificate_seeds_are_halves_of_raw_words(seed):
+    # The numpy behaviour affinity_certificate's seeds rely on: between
+    # whole-word draws, integers(2**31) is the low half of a fresh raw PCG64
+    # word >> 1, then that word's high half >> 1.
+    drawn, read = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(9):
+        for rng in (drawn, read):
+            rng.standard_normal(4)
+            rng.random(3)
+        if i % 2 == 0:
+            word = read.bit_generator.random_raw()
+        half = word >> 32 if i % 2 else word & 0xffffffff
+        assert int(drawn.integers(2**31)) == half >> 1
+    assert (drawn.bit_generator.state["state"]
+            == read.bit_generator.state["state"])
 
 
 def test_certificate_worst_witness_is_its_single_run():
