@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import json
-import operator
 import sys
 
 import numpy as np
@@ -149,6 +148,10 @@ def _load_rule(args) -> rl.ProbabilityRule:
     if args.rule_file:
         with open(args.rule_file) as fh:
             return rl.rule_from_dict(json.load(fh))
+    if args.family == "power" and args.alpha is None:
+        raise ValueError("--family power needs --alpha.")
+    if args.family == "tabulated" and args.rule_samples is None:
+        raise ValueError("--family tabulated needs --rule-samples.")
     data = {"family": args.family}
     if args.alpha is not None:
         data["alpha"] = args.alpha
@@ -374,21 +377,29 @@ def _cmd_scan(args) -> int:
                       "witness": witness.to_dict()})
         return 0
 
-    # Each distinct value is formatted once: the axis into row templates for
-    # one p1 slab, and P1, P2 and gap into a table of texts (P2 depends on a
-    # cell only through the average overlap, so values repeat). Each slab
-    # takes its cells' texts from the table and is written on its own, so
-    # the CSV is never held whole. At grid 41 the table holds up to 97k
-    # strings (about 6 MB), and the op's traced peak is about 11 MiB.
+    # Each distinct value is formatted once: the axis values, and P1, P2 and
+    # gap into a table of texts (P2 depends on a cell only through the
+    # average overlap, so values repeat). One list holds a slab's rows as 8
+    # pieces each: p1, ",p2,lambda,", P1, ",", P2, ",", gap and "\n". The
+    # (p2, lambda) pieces and the separators are set once per scan. Each p1
+    # slab sets p1 and its three text columns, gathered from the table by
+    # one indexing, and is written as one join, so the CSV is never held
+    # whole. At grid 41 the table holds up to 97k strings (about 6 MB), and
+    # the op's traced peak is about 11 MiB.
     cells = [_FMT % v for v in axis.tolist()]
-    rows = [f"{p2},{lam},%s,%s,%s\n" for p2 in cells for lam in cells]
+    count = len(cells) ** 2  # rows per slab
+    pieces = [","] * (8 * count)
+    pieces[1::8] = [f",{p2},{lam}," for p2 in cells for lam in cells]
+    pieces[7::8] = ["\n"] * count
     texts, codes = _format_distinct(prob_1, prob_2, gaps)
     with _output(args) as fh:
         fh.write(f"# gptsim scan seed={args.seed} grid={args.grid} "
                  f"rule={rule.label()}\np1,p2,lambda,P1,P2,gap\n")
         for p1, slab in zip(cells, codes):
-            take = operator.itemgetter(*slab.ravel().tolist())
-            fh.write("".join([f"{p1},{row}" for row in rows]) % take(texts))
+            pieces[0::8] = [p1] * count
+            pieces[2::8], pieces[4::8], pieces[6::8] = (
+                texts[slab.reshape(-1, 3).T].tolist())
+            fh.write("".join(pieces))
         fh.write("# witness " + _report_row(witness) + "\n")
     if args.out:
         # CSV went to the file; surface the witness on stdout as well.
@@ -401,8 +412,9 @@ _FORMAT_CHUNK = 4096  # values per % call, bounding what one call holds
 
 def _format_distinct(*arrays: np.ndarray):
     """``_FMT`` texts of the distinct float64 values of ``arrays``, told
-    apart by their bits (so 0.0 and -0.0 stay apart), and the index of each
-    value's text, in the shape of the arrays stacked on a last axis."""
+    apart by their bits (so 0.0 and -0.0 stay apart), as an object array,
+    and the index of each value's text, in the shape of the arrays stacked
+    on a last axis."""
     # np.unique(return_inverse=True) finds the same table but holds twice
     # the memory at its peak; here each array is freed once used. int32
     # codes cover any grid that fits in memory (2**31 float64 are 16 GiB).
@@ -420,10 +432,11 @@ def _format_distinct(*arrays: np.ndarray):
     codes = np.empty(shape, dtype=np.int32)
     codes.reshape(-1)[order] = np.cumsum(first, dtype=np.int32) - 1
     del order, first
-    texts = []
+    texts = np.empty(len(distinct), dtype=object)
     for start in range(0, len(distinct), _FORMAT_CHUNK):
         chunk = distinct[start:start + _FORMAT_CHUNK].tolist()
-        texts += ("\n".join([_FMT] * len(chunk)) % tuple(chunk)).split("\n")
+        texts[start:start + len(chunk)] = (
+            "\n".join([_FMT] * len(chunk)) % tuple(chunk)).split("\n")
     return texts, codes
 
 

@@ -35,6 +35,13 @@ _MARGINAL_TOL = 1e-10
 _CERTIFICATE_BATCH = 512
 
 
+def _check_seed(seed) -> None:
+    """Require a non-negative integer seed, with one message for every
+    seeded entry point."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}.")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One signaling experiment: rule, reference state and decomposition.
@@ -59,9 +66,7 @@ class Scenario:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}.")
         if self.mode not in (TRIVIAL_AVERAGE, STEERED_UNIFORM):
             raise ValueError(f"Unknown protocol-2 mode {self.mode!r}.")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}.")
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {"rule": self.rule.to_dict(), "phi": self.phi.to_dict(),
@@ -467,6 +472,7 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         raise ValueError(f"samples must be at least 1, got {samples}.")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}.")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     normal, random = rng.standard_normal, rng.random
     raw = rng.bit_generator.random_raw
@@ -567,6 +573,7 @@ def simulate_runs(report: SignalingReport, runs: int = 10_000,
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}.")
+    _check_seed(seed)
     prob_1, prob_2 = np.clip([report.prob_1, report.prob_2], 0.0, 1.0).tolist()
     rng = np.random.default_rng(seed)
     k1 = int(rng.binomial(runs, prob_1))

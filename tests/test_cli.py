@@ -300,12 +300,12 @@ def test_classical_joint_state_not_one_point_is_usage_error(
      "--lambda", "0.5"],
     ["gap", "--family", "identity", "--p1", "0.3", "--p2", "0.6",
      "--lambda", "0.5"],
+    ["certify", "--family", "identity", "--samples", "3"],
 ])
 def test_negative_seed_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "seed" in err and "-1" in err
+    assert (code, out, err) == (
+        2, "", "error: seed must be a non-negative integer, got -1.\n")
 
 
 def test_gap_invalid_flags(capsys):
@@ -404,35 +404,54 @@ SCAN_RULES = {
 }
 
 
-@pytest.mark.parametrize("grid", [3, 41])
-@pytest.mark.parametrize("family", sorted(SCAN_RULES))
-def test_scan_csv_rows_match_cellwise_reference(tmp_path, capsys, family,
-                                                grid):
+def cellwise_csv_rows(family, grid):
+    """The scan CSV's header and grid rows, every cell formatted on its own,
+    in (p1, p2, lambda) order."""
+    axis, prob_1, prob_2, gaps = sg.gap_surface(
+        rl.rule_from_dict({"family": family, **SCAN_RULES[family]}), grid)
+    axis, prob_1, prob_2, gaps = (a.tolist() for a in (axis, prob_1, prob_2,
+                                                       gaps))
+    return ["p1,p2,lambda,P1,P2,gap"] + [
+        ",".join("%.17g" % x for x in (axis[i], axis[j], axis[k],
+                                       prob_1[i][j][k], prob_2[i][j][k],
+                                       gaps[i][j][k]))
+        for i in range(grid) for j in range(grid) for k in range(grid)]
+
+
+def scan_rule_flags(family):
     params = SCAN_RULES[family]
     flags = ["--family", family]
     if "alpha" in params:
         flags += ["--alpha", str(params["alpha"])]
     if "samples" in params:
         flags += ["--rule-samples", json.dumps(params["samples"])]
+    return flags
+
+
+def grid_rows(text):
+    return [line for line in text.split("\n")[:-1]
+            if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("grid", [3, 4, 41])
+@pytest.mark.parametrize("family", sorted(SCAN_RULES))
+def test_scan_csv_rows_match_cellwise_reference(tmp_path, capsys, family,
+                                                grid):
     path = tmp_path / "scan.csv"
-    code, _, _ = run_cli(capsys, "scan", *flags, "--grid", str(grid),
-                         "--refine", "1", "--format", "csv",
+    code, _, _ = run_cli(capsys, "scan", *scan_rule_flags(family), "--grid",
+                         str(grid), "--refine", "1", "--format", "csv",
                          "--out", str(path))
     assert code == 0
+    assert grid_rows(path.read_text()) == cellwise_csv_rows(family, grid)
 
-    # Every cell formatted on its own, in (p1, p2, lambda) order.
-    axis, prob_1, prob_2, gaps = sg.gap_surface(
-        rl.rule_from_dict({"family": family, **params}), grid)
-    axis, prob_1, prob_2, gaps = (a.tolist() for a in (axis, prob_1, prob_2,
-                                                       gaps))
-    expected = ["p1,p2,lambda,P1,P2,gap"] + [
-        ",".join("%.17g" % x for x in (axis[i], axis[j], axis[k],
-                                       prob_1[i][j][k], prob_2[i][j][k],
-                                       gaps[i][j][k]))
-        for i in range(grid) for j in range(grid) for k in range(grid)]
-    rows = [line for line in path.read_text().split("\n")[:-1]
-            if not line.startswith("#")]
-    assert rows == expected
+
+@pytest.mark.parametrize("family", sorted(SCAN_RULES))
+def test_scan_csv_on_stdout_matches_cellwise_reference(capsys, family):
+    code, out, _ = run_cli(capsys, "scan", *scan_rule_flags(family),
+                           "--grid", "4", "--refine", "1", "--format", "csv")
+    assert code == 0
+    assert grid_rows(out) == cellwise_csv_rows(family, 4)
+    assert out.count("\n# witness ") == 1 and out.endswith("\n")
 
 
 def test_format_distinct_keeps_signed_zeros_apart():
@@ -444,9 +463,10 @@ def test_format_distinct_keeps_signed_zeros_apart():
         ["0", "-0"], ["-0", "0.25"], ["0.5", "0.5"], ["0", "0"]]
 
 
-# The power(1.5) scan below traced a 10.8 MiB peak, most of it the table of
-# distinct texts: 96,698 of its 206,763 values differ, the most of the four
-# benchmark families. The bound leaves about 30% for other numpy releases.
+# The power(1.5) scan below traced a 10.8 MiB peak (10.79 MiB, run first in
+# a fresh process), most of it the table of distinct texts: 96,698 of its
+# 206,763 values differ, the most of the four benchmark families. The bound
+# leaves about 30% for other numpy releases.
 SCAN_PEAK_BOUND_MIB = 14
 
 
@@ -495,16 +515,25 @@ def test_certify_rejects_empty_sample(capsys, fmt, samples):
     assert err.startswith("error:") and "samples" in err
 
 
+MISSING_RULE_FLAG = {
+    "alpha": "error: --family power needs --alpha.\n",
+    "samples": "error: --family tabulated needs --rule-samples.\n",
+}
+
+
 @pytest.mark.parametrize("argv, key", [
     (["gap", "--family", "power", "--p1", "1", "--p2", "0",
       "--lambda", "0.5"], "alpha"),
     (["rule-check", "--family", "tabulated"], "samples"),
+    (["rule-check", "--family", "power"], "alpha"),
+    (["scan", "--family", "power"], "alpha"),
+    (["scan", "--family", "tabulated"], "samples"),
+    (["certify", "--family", "power"], "alpha"),
+    (["certify", "--family", "tabulated"], "samples"),
 ])
 def test_missing_rule_parameter_is_usage_error(capsys, argv, key):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and key in err
+    assert (code, out, err) == (2, "", MISSING_RULE_FLAG[key])
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])

@@ -143,6 +143,19 @@ def test_scenario_rejects_bad_seed(seed):
         sg.Scenario(rl.identity_rule(), PHI, 0.0, 1.0, 0.5, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("call", [
+    lambda seed: sg.affinity_certificate(rl.identity_rule(), samples=1,
+                                         seed=seed),
+    lambda seed: sg.simulate_runs(sg.run_scenario(sg.Scenario(
+        rl.identity_rule(), PHI, 0.2, 0.7, 0.3)), runs=10, seed=seed),
+], ids=["affinity_certificate", "simulate_runs"])
+def test_seeded_entry_points_reject_bad_seed_as_scenario_does(call, seed):
+    with pytest.raises(ValueError, match=(
+            rf"^seed must be a non-negative integer, got {seed!r}\.$")):
+        call(seed)
+
+
 def test_nan_residual_fails_the_contract():
     # A hand-built rule that skips the range audit: NaN above 0.3.
     rule = rl.ProbabilityRule("custom", {},
