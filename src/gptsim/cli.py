@@ -379,13 +379,12 @@ def _cmd_scan(args) -> int:
 
     # Each distinct value is formatted once: the axis values, and P1, P2 and
     # gap into a table of texts (P2 depends on a cell only through the
-    # average overlap, so values repeat). One list holds a slab's rows as 8
-    # pieces each: p1, ",p2,lambda,", P1, ",", P2, ",", gap and "\n". The
-    # (p2, lambda) pieces and the separators are set once per scan. Each p1
-    # slab sets p1 and its three text columns, gathered from the table by
-    # one indexing, and is written as one join, so the CSV is never held
-    # whole. At grid 41 the table holds up to 97k strings (about 6 MB), and
-    # the op's traced peak is about 11 MiB.
+    # average overlap, so values repeat). A slab's rows are 8 pieces each in
+    # one list: p1, ",p2,lambda,", P1, ",", P2, ",", gap, "\n". Only p1 and
+    # the three texts change per slab; they are gathered by one indexing and
+    # the slab is written as one join, so the CSV is never held whole. At
+    # grid 41 the table holds up to 97k strings (about 6 MB), and the op's
+    # traced peak is about 11 MiB.
     cells = [_FMT % v for v in axis.tolist()]
     count = len(cells) ** 2  # rows per slab
     pieces = [","] * (8 * count)
@@ -435,7 +434,7 @@ def _format_distinct(*arrays: np.ndarray):
     texts = np.empty(len(distinct), dtype=object)
     for start in range(0, len(distinct), _FORMAT_CHUNK):
         chunk = distinct[start:start + _FORMAT_CHUNK].tolist()
-        texts[start:start + len(chunk)] = (
+        texts[start:start + _FORMAT_CHUNK] = (
             "\n".join([_FMT] * len(chunk)) % tuple(chunk)).split("\n")
     return texts, codes
 
