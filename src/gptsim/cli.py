@@ -74,11 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     steer_cmd = sub.add_parser(
         "steer", help="steer one side of a joint pure state")
     steer_cmd.add_argument("--bipartite", default="bell",
-                           help="joint state: 'bell' or @file")
+                           help="joint state: 'bell', @file or JSON")
     steer_cmd.add_argument("--alice", default=None,
-                           help="purifier-side measurement: z, x or @file")
+                           help="purifier-side measurement: z, x, @file or "
+                                "JSON")
     steer_cmd.add_argument("--target", default=None,
-                           help="@file with an ensemble to synthesize toward")
+                           help="ensemble to synthesize toward: @file or JSON")
     _add_output(steer_cmd)
     steer_cmd.set_defaults(handler=_cmd_steer)
 
@@ -197,17 +198,23 @@ _QUBIT_PRESETS = {
 }
 
 
-def _parse_state(model: gm.SystemModel, token: str) -> gm.State:
+def _read_json(token: str, kind: str):
+    """The JSON of an argument given as ``@file`` or inline; any other
+    token is an error that names it as a ``kind`` token."""
     if token.startswith("@"):
         with open(token[1:]) as fh:
-            return gm.state_from_dict(json.load(fh))
+            return json.load(fh)
     if token.startswith("{"):
-        return gm.state_from_dict(json.loads(token))
+        return json.loads(token)
+    raise ValueError(f"Cannot parse {kind} token {token!r}.")
+
+
+def _parse_state(model: gm.SystemModel, token: str) -> gm.State:
     if model.kind == gm.QUANTUM and model.size == 2 and token in _QUBIT_PRESETS:
         return gm.ket_state(model, _QUBIT_PRESETS[token])
     if token.isdigit():
         return gm.point_state(model, int(token))
-    raise ValueError(f"Cannot parse state token {token!r}.")
+    return gm.state_from_dict(_read_json(token, "state"))
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +293,13 @@ def _cmd_steer(args) -> int:
         qubit = gm.quantum(2)
         psi = gm.bipartite_from_ket(qubit, qubit, _BELL_AMPLITUDES)
     else:
-        with open(args.bipartite.lstrip("@")) as fh:
-            psi = gm.bipartite_from_dict(json.load(fh))
+        psi = gm.bipartite_from_dict(_read_json(args.bipartite, "joint state"))
 
     if (args.alice is None) == (args.target is None):
         raise ValueError("Provide exactly one of --alice or --target.")
 
     if args.target:
-        with open(args.target.lstrip("@")) as fh:
-            target = gm.ensemble_from_dict(json.load(fh))
+        target = gm.ensemble_from_dict(_read_json(args.target, "ensemble"))
         synthesized = ss.synthesize_steering_measurement(psi, target)
         alice, ens = synthesized.measurement, synthesized.ensemble
     else:
@@ -324,12 +329,7 @@ def _parse_measurement(model: gm.SystemModel, token: str) -> gm.Measurement:
         minus = gm.ket_state(model, np.array([1, -1]) / np.sqrt(2))
         return gm.measurement([gm.projector_effect(plus),
                                gm.projector_effect(minus)])
-    if token.startswith("@") or token.startswith("{"):
-        if token.startswith("@"):
-            with open(token[1:]) as fh:
-                return gm.measurement_from_dict(json.load(fh))
-        return gm.measurement_from_dict(json.loads(token))
-    raise ValueError(f"Cannot parse measurement token {token!r}.")
+    return gm.measurement_from_dict(_read_json(token, "measurement"))
 
 
 # ---------------------------------------------------------------------------

@@ -145,12 +145,12 @@ def run_scenario(scenario: Scenario) -> SignalingReport:
 def run_scenarios(scenarios) -> list[SignalingReport]:
     """Run a batch of scenarios through the full pipeline at once.
 
-    The scenarios on one model size run as one group of stacked arrays,
-    whatever their rules, each check made on the whole stack; each report
-    is bitwise what the scenario gives in a batch of its own. If a check
-    fails, the scenarios are run again one at a time, in order, and the
-    first one that fails alone raises: the error's ``index`` and
-    ``scenario`` name it, and so does its message.
+    The scenarios on one model size and protocol-2 mode run as one group
+    of stacked arrays, whatever their rules, each check made on the whole
+    stack; each report is bitwise what the scenario gives in a batch of its
+    own. If a check fails, the scenarios are run again one at a time, in
+    order, and the first one that fails alone raises: the error's ``index``
+    and ``scenario`` name it, and so does its message.
     """
     scenarios = list(scenarios)
     reports = [None] * len(scenarios)
@@ -163,9 +163,10 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
                 raise NotPureError("phi must be a pure state.")
             if s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
                 raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
-        sizes = [s.phi.model.size for s in scenarios]
-        for d in sorted(set(sizes)):
-            rows = [i for i, size in enumerate(sizes) if size == d]
+        keys = [(s.phi.model.size, s.mode == STEERED_UNIFORM)
+                for s in scenarios]
+        for d, uniform in sorted(set(keys)):
+            rows = [i for i, key in enumerate(keys) if key == (d, uniform)]
             group = [scenarios[i] for i in rows]
             model = gm.quantum(d)
             run = _run(
@@ -174,8 +175,7 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
                 np.array([s.phi.matrix for s in group]),
                 np.array([(s.p1, s.p2) for s in group], dtype=float),
                 np.array([s.lam for s in group], dtype=float),
-                [s.seed for s in group],
-                np.array([s.mode == STEERED_UNIFORM for s in group]))
+                [s.seed for s in group], uniform)
             for j, s in enumerate(group):
                 reports[rows[j]] = _report(s, model, run, j)
     except GptError as exc:
@@ -213,14 +213,15 @@ def _report(scenario: Scenario, model: gm.SystemModel, run: tuple,
 
 def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
          phi_m: np.ndarray, p: np.ndarray, lam: np.ndarray, seeds: list,
-         uniform: np.ndarray) -> tuple:
+         uniform: bool) -> tuple:
     """Run ``n`` scenarios on one quantum model: scenario j has rule
     ``rules[j]``, phi's ket ``phi_k[j]`` and checked matrix ``phi_m[j]``,
-    overlaps ``p[j]``, weight ``lam[j]``, draw seed ``seeds[j]`` and, where
-    ``uniform[j]``, the steered-uniform protocol 2. Only the predictions
-    and the closed-form check depend on the rule. Returns the arrays
-    ``(P1, P2, marginal residual, formula residual)`` and the steered
-    stack: protocol 1 of scenario j at row j, its protocol 2 at row n + j.
+    overlaps ``p[j]``, weight ``lam[j]`` and draw seed ``seeds[j]``; all
+    share protocol 2, the steered-uniform one if ``uniform``, else the
+    trivial measurement. Only the predictions and the closed-form check
+    depend on the rule. Returns the arrays ``(P1, P2, marginal residual,
+    formula residual)`` and the steered stack: protocol 1 of scenario j at
+    row j, its protocol 2 at row n + j.
     """
     n, d = len(p), model.size
     weights = np.empty((n, 2))
@@ -242,49 +243,38 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
         members = np.where(is_phi[..., None, None], phi_m[:, None], members)
         pure = pure | is_phi
 
-    # The average state (at lambda 0 or 1 the lone member is its own) and
-    # its purification. Its check can clip: with phi's own matrix as a
-    # member (p = 1), round-off can take the average below the clip floor.
-    average = gm._average(weights, members)
-    if np.count_nonzero(~present):
-        average[~present[:, 1]] = members[~present[:, 1], 0]
-        average[~present[:, 0]] = members[~present[:, 0], 1]
-    omega = gm._check_states(model, average)
+    # The average state (at lambda 0 or 1, the lone member up to the sign
+    # of a zero) and its purification. Its check can clip: with phi's own
+    # matrix as a member (p = 1), round-off can take the average below the
+    # clip floor.
+    omega = gm._check_states(model, gm._average(weights, members))
     joints, schmidt = ss._purify(omega)
 
     # Synthesis targets, as one stack: protocol 1 of every scenario, then
-    # protocol 2 of the rows modes[1] (steered-uniform; modes[0]: trivial).
-    modes = dict(gm._groups(uniform.view(np.int8)))
-    if 1 in modes:
-        rows = modes[1]
-        u_members = gm._check_states(
-            model, _uniform_members(omega[rows], phi_m[rows]))
-        joints = np.concatenate([joints, joints[rows]])
-        schmidt = ss._Schmidt(*(np.concatenate([a, a[rows]]) for a in schmidt))
-        weights = np.concatenate([weights, np.full(u_members.shape[:2], 0.5)])
+    # in uniform mode its protocol 2, the equal-overlap members.
+    joints = np.concatenate([joints] * 2)
+    if uniform:
+        u_members = gm._check_states(model, _uniform_members(omega, phi_m))
+        schmidt = ss._Schmidt(*(np.concatenate([a] * 2) for a in schmidt))
+        weights = np.concatenate([weights, np.full((n, 2), 0.5)])
         members = np.concatenate([members, u_members])
         kets = np.concatenate([kets, gm._pure_kets(u_members)])
         pure = np.concatenate([pure, gm._pure(u_members)])
-        present = np.concatenate([present, np.ones(u_members.shape[:2], bool)])
-    effects, live = ss._synthesize(joints, schmidt, weights, members, kets,
-                                   pure, present)
+        present = np.concatenate([present, np.ones((n, 2), bool)])
+    targets = len(weights)
+    effects, live = ss._synthesize(joints[:targets], schmidt, weights,
+                                   members, kets, pure, present)
     dim_a = joints.shape[1]
     effects = ss._check_synthesized(gm.quantum(dim_a), effects, live)[0]
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
-    # row n + j, the trivial measurement's or the synthesized one. With no
-    # trivial row, the synthesized stack is already laid out so.
-    synthesized = slice(None)  # its rows in the steered stack
-    if 0 in modes:
-        effects_2 = np.zeros((n,) + effects.shape[1:], dtype=complex)
-        live_2 = np.zeros((n, live.shape[1]), dtype=bool)
-        effects_2[modes[0], 0], live_2[modes[0], 0] = gm._eye(dim_a), True
-        effects_2[uniform], live_2[uniform] = effects[n:], live[n:]
-        effects = np.concatenate([effects[:n], effects_2])
-        live = np.concatenate([live[:n], live_2])
-        synthesized = np.concatenate([np.arange(n), n + np.flatnonzero(uniform)])
-    steered = ss._steer(model, np.concatenate([joints[:n]] * 2), effects, live)
-    ss._check_targets(steered.subs[synthesized], weights, members, present)
+    # row n + j. In trivial mode protocol 2 is the lone unit effect.
+    if not uniform:
+        effects = np.concatenate([effects, np.zeros_like(effects)])
+        live = np.concatenate([live, np.zeros_like(live)])
+        effects[n:, 0], live[n:, 0] = gm._eye(dim_a), True
+    steered = ss._steer(model, joints, effects, live)
+    ss._check_targets(steered.subs[:targets], weights, members, present)
 
     # Predictions: from the known decomposition, or (trivial protocol 2,
     # the lone unit outcome of weight 1) the rule at the average state's
@@ -293,8 +283,8 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     taus = gm._pairings(steered.matrices.reshape(2, n, -1, d, d),
                         phi_m[:, None])
     mixed = (steered.keep & ~steered.pure).reshape(taus.shape)
-    if 0 in modes:
-        mixed[1, modes[0]] = False
+    if not uniform:
+        mixed[1] = False
     stacks = (steered.weights.reshape(taus.shape), taus, mixed)
     at = np.concatenate([p.T, (lam * p[:, 0] + (1 - lam) * p[:, 1])[None]])
     # The rule's steps, once per rule object (hashed by identity) on its
@@ -404,6 +394,8 @@ def max_gap_search(rule: rl.ProbabilityRule, grid: int = 101,
 def _witness(rule: rl.ProbabilityRule, surface: tuple, refine: int,
              seed: int) -> SignalingReport:
     """:func:`max_gap_search` on the ``surface`` from :func:`gap_surface`."""
+    if refine < 0:
+        raise ValueError(f"refine must be non-negative, got {refine}.")
     axis, _, _, gaps = surface
     magnitude = np.abs(gaps)
     i, j, k = np.unravel_index(np.argmax(magnitude), magnitude.shape)
@@ -499,7 +491,7 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         phis = (matrices, pure, phi_k)
         try:
             run = _run([rule] * count, model, phi_k, matrices, params[:, :2],
-                       params[:, 2], seeds, np.zeros(count, dtype=bool))
+                       params[:, 2], seeds, False)
         except GptError as exc:
             _raise_named(exc, _samples(rule, model, phis, params, seeds,
                                        slice(None)), start)

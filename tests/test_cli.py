@@ -180,6 +180,43 @@ def test_steer_target_with_nan_weights_fails_its_weight_check(tmp_path,
     assert "Negative" not in err
 
 
+@pytest.mark.parametrize("flag, data", [
+    ("--target", gm.ensemble([(0.5, gm.point_state(QUBIT, 0)),
+                              (0.5, gm.point_state(QUBIT, 1))]).to_dict()),
+    ("--bipartite", {"model_a": {"kind": "classical", "n": 2},
+                     "model_b": {"kind": "classical", "n": 2},
+                     "amplitudes": [[0.0, 0.0], [1.0, 0.0],
+                                    [0.0, 0.0], [0.0, 0.0]]}),
+])
+def test_steer_json_argument_inline_reads_as_its_file(tmp_path, capsys, flag,
+                                                      data):
+    # --target inline used to fail with "File name too long".
+    path = tmp_path / "arg.json"
+    path.write_text(json.dumps(data))
+    extra = ["--alice", "z"] if flag == "--bipartite" else []
+    outputs = [run_cli(capsys, "steer", flag, token, *extra, "--format",
+                       "json") for token in (f"@{path}", json.dumps(data))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["tau", "--phi", "0", "--psi"], "state"),
+    (["tau", "--psi", "0", "--phi"], "state"),
+    (["steer", "--alice"], "measurement"),
+    (["steer", "--alice", "z", "--bipartite"], "joint state"),
+    (["steer", "--target"], "ensemble")])
+def test_json_argument_given_as_bare_path_is_usage_error(tmp_path, capsys,
+                                                         argv, kind):
+    # A bare path is neither @file nor inline JSON, even where it exists;
+    # --bipartite and --target used to open it.
+    path = tmp_path / "arg.json"
+    path.write_text("{}")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, err) == (
+        2, "", f"error: Cannot parse {kind} token {str(path)!r}.\n")
+
+
 def test_steer_requires_exactly_one_protocol_source(capsys):
     code, _, err = run_cli(capsys, "steer")
     assert code == 2
@@ -386,6 +423,13 @@ def test_scan_computes_the_gap_surface_once(capsys, monkeypatch, fmt):
                          fmt)
     assert code == 0
     assert calls == [9]
+
+
+def test_negative_refine_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "scan", "--family", "identity",
+                             "--grid", "3", "--refine", "-1")
+    assert (code, out, err) == (
+        2, "", "error: refine must be non-negative, got -1.\n")
 
 
 def test_scan_io_failure(tmp_path, capsys):

@@ -295,7 +295,8 @@ def test_batch_equals_single_runs(batch, one_rule):
 
 def test_rules_do_not_split_the_pipeline(monkeypatch):
     # Twenty scenarios, each with a power(1.5) rule object of its own, are
-    # purified and steered in one pass, and each report is its single run's.
+    # purified and steered in one pass per protocol-2 mode, ten scenarios
+    # each, and each report is its single run's.
     rng = np.random.default_rng(12)
     batch = [sg.Scenario(rl.power_rule(1.5), PHI,
                          *(float(x) for x in rng.random(3)), seed=k,
@@ -308,14 +309,14 @@ def test_rules_do_not_split_the_pipeline(monkeypatch):
         real = getattr(ss, name)
 
         def counting(*args):
-            calls.append(name)
+            calls.append((name, len(args[-1])))  # the pass's stack rows
             return real(*args)
         return counting
 
     for name in ("_purify", "_steer"):
         monkeypatch.setattr(ss, name, counted(name))
     reports = sg.run_scenarios(batch)
-    assert sorted(calls) == ["_purify", "_steer"]
+    assert sorted(calls) == [("_purify", 10)] * 2 + [("_steer", 20)] * 2
     assert [report_json(r) for r in reports] == singles
 
 
@@ -793,6 +794,13 @@ def test_max_gap_piecewise_quadratic_matches_brute_force():
     # analytic optimum 3 - 2*sqrt(2) at p's straddling the curvature split
     assert abs(report.gap) == pytest.approx(3 - 2 * np.sqrt(2), abs=1e-8)
     assert abs(report.gap) >= 0.02
+
+
+def test_max_gap_search_rejects_negative_refine():
+    # It used to return a witness with no refinement.
+    with pytest.raises(ValueError,
+                       match=r"^refine must be non-negative, got -3\.$"):
+        sg.max_gap_search(rl.power_rule(1.5), grid=5, refine=-3)
 
 
 def test_max_gap_search_deterministic():
