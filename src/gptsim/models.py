@@ -443,12 +443,7 @@ def pure_ket(state: State) -> np.ndarray:
         raise NotPureError("State is mixed; no ket representation exists.")
     if state.ket is not None:
         return state.ket
-    return _pure_kets(state.matrix)
-
-
-def _pure_kets(matrices: np.ndarray) -> np.ndarray:
-    """Phase-fixed top eigenvectors ``(..., d)`` of a ``(..., d, d)`` stack."""
-    return _fix_phase(np.linalg.eigh(matrices)[1][..., :, -1])
+    return _fix_phase(np.linalg.eigh(state.matrix)[1][:, -1])
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -829,24 +824,16 @@ def bloch_vector(state: State) -> np.ndarray:
     """Bloch vector (x, y, z) of a qubit state."""
     if state.model.kind != QUANTUM or state.model.size != 2:
         raise UnsupportedModelError("Bloch vectors are defined for qubits.")
-    return _bloch(state.matrix)
-
-
-def _bloch(matrices: np.ndarray) -> np.ndarray:
-    """Bloch vectors ``(..., 3)`` of a ``(..., 2, 2)`` stack."""
-    return np.real(np.einsum("kij,...ji->...k", _PAULIS, matrices))
-
-
-def _from_bloch(vecs: np.ndarray) -> np.ndarray:
-    """Qubit matrices ``(..., 2, 2)`` of a ``(..., 3)`` Bloch vector stack."""
-    return 0.5 * (_eye(2) + np.einsum("...k,kij->...ij", vecs, _PAULIS))
+    return np.real(np.einsum("kij,ji->k", _PAULIS, state.matrix))
 
 
 def state_from_bloch(model: SystemModel, vec: np.ndarray) -> State:
     """Qubit state with the given Bloch vector (|vec| <= 1)."""
     if model.kind != QUANTUM or model.size != 2:
         raise UnsupportedModelError("Bloch construction is defined for qubits.")
-    return state_from_matrix(model, _from_bloch(np.asarray(vec, dtype=float)))
+    vec = np.asarray(vec, dtype=float)
+    return state_from_matrix(
+        model, 0.5 * (_eye(2) + np.einsum("k,kij->ij", vec, _PAULIS)))
 
 
 # ============================================================================

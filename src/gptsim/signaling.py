@@ -4,10 +4,11 @@ A scenario fixes a probability rule, a reference state phi, and a two-member
 decomposition parameterized by overlaps (p1, p2) and weight lambda. Protocol
 1 steers the shared purification to exactly that decomposition; protocol 2
 delivers the same average state either as an unresolved mixture (trivial
-measurement) or as a steered ensemble whose members all share the average
-overlap. Nonlinear rules predict different outcome rates for the two
-protocols even though the distant average state is identical; the signed
-difference is the signaling gap.
+measurement) or as a steered ensemble of two members that share the average
+overlap, built from the purification's Schmidt form in any dimension.
+Nonlinear rules predict different outcome rates for the two protocols even
+though the distant average state is identical; the signed difference is the
+signaling gap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import models as gm
 from . import rules as rl
 from . import steering as ss
 from . import transition as tr
-from .errors import ContractError, GptError, NotPureError, UnsupportedModelError
+from .errors import ContractError, GptError
 
 TRIVIAL_AVERAGE = "trivial-average"
 STEERED_UNIFORM = "steered-uniform"
@@ -46,9 +47,11 @@ def _check_seed(seed) -> None:
 class Scenario:
     """One signaling experiment: rule, reference state and decomposition.
 
-    ``seed``, a non-negative integer, seeds the scenario's own stream,
-    ``np.random.default_rng(seed)``, which draws the members' residual
-    directions.
+    ``phi`` is a pure quantum state of any dimension. ``mode`` picks
+    protocol 2: the trivial measurement, or steering to the equal-overlap
+    pair of :func:`uniform_overlap_decomposition`. ``seed``, a non-negative
+    integer, seeds the scenario's own stream, ``np.random.default_rng(seed)``,
+    which draws the members' residual directions.
     """
 
     rule: rl.ProbabilityRule
@@ -155,14 +158,6 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
     scenarios = list(scenarios)
     reports = [None] * len(scenarios)
     try:
-        for s in scenarios:
-            if s.phi.model.kind != gm.QUANTUM:
-                raise UnsupportedModelError(
-                    "Signaling scenarios require a quantum model.")
-            if not s.phi.pure:
-                raise NotPureError("phi must be a pure state.")
-            if s.mode == STEERED_UNIFORM and s.phi.model.size != 2:
-                raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
         keys = [(s.phi.model.size, s.mode == STEERED_UNIFORM)
                 for s in scenarios]
         for d, uniform in sorted(set(keys)):
@@ -254,12 +249,13 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     # in uniform mode its protocol 2, the equal-overlap members.
     joints = np.concatenate([joints] * 2)
     if uniform:
-        u_members = gm._check_states(model, _uniform_members(omega, phi_m))
+        u_kets, u_members, u_pure = gm._ket_states(
+            model, _uniform_kets(schmidt, phi_k))
         schmidt = ss._Schmidt(*(np.concatenate([a] * 2) for a in schmidt))
         weights = np.concatenate([weights, np.full((n, 2), 0.5)])
         members = np.concatenate([members, u_members])
-        kets = np.concatenate([kets, gm._pure_kets(u_members)])
-        pure = np.concatenate([pure, gm._pure(u_members)])
+        kets = np.concatenate([kets, u_kets])
+        pure = np.concatenate([pure, u_pure])
         present = np.concatenate([present, np.ones((n, 2), bool)])
     targets = len(weights)
     effects, live = ss._synthesize(joints[:targets], schmidt, weights,
@@ -307,56 +303,40 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     return (*known, marginal, formula, steered)
 
 
-_UNIFORM_QUBITS_ONLY = (
-    "The uniform-overlap construction is a qubit protocol; use the "
-    "trivial-average mode for other models.")
-
-
 def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble:
-    """Two-member pure decomposition of omega whose members share the same
-    overlap with phi (equal to the mixed-state overlap).
-
-    Geometrically: both Bloch vectors sit on the circle at phi's latitude
-    through omega, symmetric about omega's in-plane offset. Defined for
-    qubits; this is the steered-uniform protocol-2 construction.
+    """Two pure members of weight 1/2 that average to omega, each with
+    overlap <phi|omega|phi> with the pure state phi: the steered-uniform
+    protocol-2 target, built by :func:`_uniform_kets` in any dimension.
+    omega must have rank at most 2, as an average of two pure states does;
+    a higher rank raises ``ValueError`` naming it.
     """
-    model = omega.model
-    if model.kind != gm.QUANTUM or model.size != 2:
-        raise UnsupportedModelError(_UNIFORM_QUBITS_ONLY)
-    members = _uniform_members(omega.matrix[None], phi.matrix[None])[0]
-    return gm.ensemble([(0.5, gm.state_from_matrix(model, m)) for m in members])
+    tr._require_same_model(omega, phi)
+    phi_k = gm.pure_ket(phi)  # a quantum model, so omega has a matrix
+    schmidt = ss._purify(omega.matrix[None])[1]
+    rank = int(schmidt.rank[0])
+    if rank > 2:
+        raise ValueError(
+            f"omega has rank {rank}; two pure members average to rank 2 at most.")
+    kets, members, pure = gm._ket_states(
+        omega.model, _uniform_kets(schmidt, phi_k[None]))
+    states = gm._states(omega.model, members[0], pure[0], kets[0])
+    return gm.ensemble([(0.5, state) for state in states])
 
 
-def _uniform_members(omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Matrices ``(n, 2, 2, 2)`` of the uniform-overlap decompositions of
-    ``(n, 2, 2)`` qubit stacks ``omega`` against ``phi``."""
-    r = gm._bloch(omega)
-    m = gm._bloch(phi)
-    m = m / gm._norm(m)[:, None]
-    height = gm._dot(r, m)
-    in_plane = r - height[:, None] * m
-    radial = gm._norm(in_plane)
-    flat = ~(radial > 1e-12)
-    # m x u as numpy's cross computes it, bit for bit, minus its call overhead
-    m0, m1, m2 = m.T
-    u0, u1, u2 = (in_plane / np.where(flat, 1.0, radial)[:, None]).T
-    w = np.empty(m.shape)
-    w[:, 0], w[:, 1], w[:, 2] = (m1 * u2 - m2 * u1, m2 * u0 - m0 * u2,
-                                 m0 * u1 - m1 * u0)
-    if np.count_nonzero(flat):
-        w[flat] = tr._deterministic_orthogonal(m[flat])
-        in_plane[flat] = 0.0
-    length = gm._dot(r, r)
-    spread = np.sqrt(np.maximum(1.0 - length, 0.0))
-    # omega is pure to purify's rank cut; a round-off spread (~1e-8)
-    # would put the members outside the purification's support.
-    spread[(1.0 - np.sqrt(length)) / 2 <= ss.RANK_TOL] = 0.0
-    centre = height[:, None] * m + in_plane
-    offset = spread[:, None] * w
-    blochs = np.empty((len(r), 2, 3))
-    blochs[:, 0] = centre + offset
-    blochs[:, 1] = centre - offset
-    return gm._from_bloch(blochs)
+def _uniform_kets(schmidt: ss._Schmidt, phi_k: np.ndarray) -> np.ndarray:
+    """Kets ``(n, 2, d)`` of the equal-overlap pairs of ``n`` states of rank
+    at most 2, from their :class:`_Schmidt` form, against phi's kets
+    ``phi_k``. The kets s_0 v_0 +- t s_1 v_1, |t| = 1, average to omega at
+    weight 1/2; with b_k = s_k <v_k|phi> and z = conj(b_0) b_1, t = -i z/|z|
+    (1 if z = 0) zeroes the cross term of their overlaps with phi, so both
+    are <phi|omega|phi>. A pure omega (s_1 = 0) gives v_0 twice."""
+    scaled = schmidt.values[:, :2, None] * schmidt.vectors[:, :2]
+    b = (scaled.conj() @ phi_k[..., None])[..., 0]
+    z = b[:, 0].conj() * b[:, 1]
+    size = abs(z)
+    t = np.where(size > 0.0, -1j * z / np.where(size > 0.0, size, 1.0), 1.0)
+    swing = t[:, None] * scaled[:, 1]
+    return np.stack([scaled[:, 0] + swing, scaled[:, 0] - swing], axis=1)
 
 
 # ---------------------------------------------------------------------------

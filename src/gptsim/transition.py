@@ -326,9 +326,10 @@ def great_circle_states(phi: gm.State, count: int,
         w = _deterministic_orthogonal(m)
     thetas = 2.0 * np.pi * np.arange(count) / count
     x, y, z = m[:, None] * np.cos(thetas) + w[:, None] * np.sin(thetas)
-    # coeffs_from_matrix(_from_bloch(...)) in the same float operations; the
-    # halving and doubling of x and y there cancel (above 2**-1021), and
-    # their sums with m01's zero make a zero x or y +0 before the scaling.
+    # coeffs_from_matrix of state_from_bloch's matrix in the same float
+    # operations; the halving and doubling of x and y there cancel (above
+    # 2**-1021), and their sums with m01's zero make a zero x or y +0
+    # before the scaling.
     m00, m11 = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
     rows = np.empty((count, 4))
     rows[:, 0] = (m00 + m11) * gm._INV_SQRT2
@@ -339,20 +340,14 @@ def great_circle_states(phi: gm.State, count: int,
 
 
 def _deterministic_orthogonal(m: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to the unit ``m``, or one per row of a
-    ``(..., 3)`` stack: the first coordinate axis at more than 30 degrees
-    from it (one always is), with its component along m removed."""
-    out = np.zeros(m.shape)
-    found = np.zeros(m.shape[:-1], dtype=bool)
+    """Unit vector orthogonal to the unit 3-vector ``m``: the first
+    coordinate axis at more than 30 degrees from it (one always is), with
+    its component along m removed."""
     for axis in np.eye(3):
-        axis = np.broadcast_to(axis, m.shape)
-        cand = axis - gm._dot(axis, m)[..., None] * m
+        cand = axis - gm._dot(axis, m) * m
         norm = gm._norm(cand)
-        take = ~found & (norm > 0.5)
-        out = np.where(take[..., None],
-                       cand / np.where(take, norm, 1.0)[..., None], out)
-        found = found | take
-    return out
+        if norm > 0.5:
+            return cand / norm
 
 
 def tau_lp_report(model: gm.SystemModel, psi: gm.State, phi: gm.State,

@@ -213,15 +213,15 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json':
         '6580294ed3c9cc62',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json':
-        'd92a2042869a0b14',
+        'c7056621c3086766',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json':
         'e0a2cb89ce6f3821',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json':
         '581e131f33584f5e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json':
-        '6d1632662b7d8d10',
+        'b30843f0e26dcc1b',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json':
-        'dba1e35af53db349',
+        'a6e48ab01944fdf3',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json":
         'b89298c3375c88fd',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json":
@@ -233,15 +233,15 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json":
         '39ac309df411748f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json":
-        '88a191e1f84eef27',
+        '3af2783569d8c340',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json":
         'c75ef4b13c32ea9a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json":
         '4ccbf8b27e866240',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json":
-        '4d81c8618773c827',
+        '38c341dc234b8708',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json":
-        '575334d9ab7f2491',
+        'cdf3371b4403c2cf',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format json':
         '24b25fa16639237d',
     'scan --family identity --grid 9 --refine 7 --format json':
@@ -335,13 +335,13 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv':
         '28d78716ed94de59',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv':
-        '3ee32bb3a428d10a',
+        '6d2f24d81fd1eab1',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv':
         '7386b78d7e405103',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv':
-        '2854f526bf572263',
+        'f171c33679a90cf5',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv':
         'a00b5754e0b71eda',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv":
@@ -355,13 +355,13 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv":
         '483a889df5e1a44b',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv":
-        '9f2d2b3e6a0a8055',
+        '0e3125dfa24a3615',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv":
         '7386b78d7e405103',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv":
-        '2179f54242989884',
+        '161d8ab4a683c11a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv":
         '483a889df5e1a44b',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format csv':
@@ -457,13 +457,13 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty':
         'f0475333e87aab97',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty':
-        '05b4526c7f76b5e0',
+        'e95962170d7b3db2',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty':
         '34d35fd40dc01fd8',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty':
         '4d589fa8b7a35f87',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty':
-        '4ea0a02ca2328cb6',
+        '17a45d3b1e48eb3d',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty':
         '30e1eb8f67255a9e',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty":
@@ -477,13 +477,13 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty":
         '94680641e3a9d466',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty":
-        'b0be52185a526a76',
+        '9a337c6d7bddb862',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty":
         '55e3545971a551ff',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty":
         '834e3a0b42b92927',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty":
-        '126a81ca2d874ce4',
+        'a1db91f86bff9b86',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty":
         '1ee2dbb2327bf2aa',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format pretty':

@@ -133,8 +133,9 @@ def test_scenario_rejects_bad_parameters():
     with pytest.raises(ValueError):
         sg.Scenario(rl.identity_rule(), PHI, 0.5, 0.0, 0.5, mode="other")
     classical_phi = gm.point_state(gm.classical(2), 0)
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(UnsupportedModelError) as info:
         sg.run_scenario(sg.Scenario(rl.identity_rule(), classical_phi, 1.0, 0.0, 0.5))
+    assert info.value.index == 0
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3"])
@@ -256,9 +257,7 @@ def scenarios(draw):
         # average state
         p1, p2 = 1.0, 0.0
         lam = 0.5 + draw(st.sampled_from([0.0, 1e-12, 1e-9, -1e-9]))
-    mode = sg.TRIVIAL_AVERAGE
-    if d == 2 and draw(st.booleans()):
-        mode = sg.STEERED_UNIFORM
+    mode = (sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM)[draw(st.booleans())]
     return sg.Scenario(draw(st.sampled_from(FAMILY_RULES)), phi, p1, p2, lam,
                        mode=mode, seed=draw(st.integers(0, 2**31 - 1)))
 
@@ -383,7 +382,7 @@ def test_near_pure_mixtures_pass(d, uniform, rule, p1, p2, decades,
     rng = np.random.default_rng(seed)
     ket = rng.normal(size=d) + 1j * rng.normal(size=d)
     phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
-    mode = sg.STEERED_UNIFORM if d == 2 and uniform else sg.TRIVIAL_AVERAGE
+    mode = sg.STEERED_UNIFORM if uniform else sg.TRIVIAL_AVERAGE
     report = sg.run_scenario(sg.Scenario(
         rule, phi, p1, p2, light if light_first else 1.0 - light, mode=mode,
         seed=seed))
@@ -419,8 +418,9 @@ def test_batch_failure_names_the_first_scenario_failing_alone():
     bad = steep_scenario()
     fine = sg.Scenario(rl.power_rule(1.5), PHI, 0.2, 0.7, 0.4)
     mixed_phi = sg.Scenario(rl.power_rule(1.5), MIXED, 0.2, 0.7, 0.4)
-    with pytest.raises(NotPureError):
+    with pytest.raises(NotPureError) as info:
         sg.run_scenarios([fine, mixed_phi])
+    assert info.value.index == 1
     with pytest.raises(ContractError) as info:
         sg.run_scenarios([fine, bad, mixed_phi])
     assert info.value.index == 1 and info.value.scenario is bad
@@ -471,16 +471,47 @@ def test_batch_failure_no_scenario_reproduces_alone_is_raised_unnamed():
     assert str(info.value).startswith("Pipeline deviates from the closed form")
 
 
-def test_steered_uniform_needs_a_qubit():
-    phi = gm.point_state(gm.quantum(3), 0)
-    scenario = sg.Scenario(rl.identity_rule(), phi, 0.2, 0.7, 0.3,
-                           mode=sg.STEERED_UNIFORM)
-    with pytest.raises(UnsupportedModelError) as info:
-        sg.run_scenario(scenario)
-    assert type(info.value) is UnsupportedModelError
-    assert str(info.value).endswith(
-        ": The uniform-overlap construction is a qubit protocol; use the "
-        "trivial-average mode for other models.")
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.999))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), p1=UNIT, p2=UNIT,
+       lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+       alpha=st.sampled_from([1.0, 0.9, 1.5, 3.0]),
+       seed=st.integers(0, 2**31 - 1))
+def test_steered_uniform_in_every_dimension(d, p1, p2, lam, alpha, seed):
+    # Members at least 1e-3 rad apart in Fubini-Study angle keep the
+    # average's smaller eigenvalue far above the rank cut (see
+    # test_near_pure_mixtures_pass); equal overlaps have their own draws.
+    apart = np.arccos(np.sqrt(p1)) - np.arccos(np.sqrt(p2))
+    assume(lam in (0.0, 1.0) or p1 == p2 or abs(apart) >= 1e-3)
+    rng = np.random.default_rng(seed)
+    ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+    phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
+    rule = rl.identity_rule() if alpha == 1.0 else rl.power_rule(alpha)
+    trivial, uniform = sg.run_scenarios([
+        sg.Scenario(rule, phi, p1, p2, lam, mode=mode, seed=seed)
+        for mode in (sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM)])
+
+    omega = gm.mix(trivial.ensemble_1)
+    overlap = gm.evaluate(tr.accept_effect(phi), omega)
+    pair = sg.uniform_overlap_decomposition(omega, phi)
+    assert len(pair) == 2 and np.all(pair.weights == 0.5)
+    for member in pair.states:
+        assert member.pure
+        assert abs(tr.tau(member, phi) - overlap) <= 1e-12
+    assert abs(gm.mix(pair).matrix - omega.matrix).max() <= 1e-12
+
+    assert abs(uniform.gap - trivial.gap) <= 1e-12
+    if alpha == 1.0:
+        assert max(abs(trivial.gap), abs(uniform.gap)) <= 1e-10
+    elif d > 2 and p1 != p2 and 0.0 < lam < 1.0:
+        # Jensen: a convex rule opens a positive gap, a concave one a
+        # negative gap; one within the closed-form contract has no sign.
+        expected = np.subtract(*sg.closed_form(rule, p1, p2, lam))
+        if abs(expected) > 1e-12:
+            for report in (trivial, uniform):
+                assert np.sign(report.gap) == np.sign(alpha - 1.0)
 
 
 def test_marginal_contract_fires_on_a_corrupted_steered_stack(monkeypatch):
@@ -976,10 +1007,10 @@ def test_uniform_overlap_decomposition_is_the_steered_uniform_target(p1, p2, lam
         assert abs(member.matrix - target.matrix).max() <= 1e-12
 
 
-def test_uniform_overlap_decomposition_is_a_qubit_construction():
+def test_uniform_overlap_decomposition_rejects_rank_three():
     qutrit = gm.quantum(3)
     omega = gm.state_from_matrix(qutrit, np.eye(3) / 3)
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(ValueError, match=r"^omega has rank 3; "):
         sg.uniform_overlap_decomposition(omega, gm.point_state(qutrit, 0))
 
 
