@@ -361,13 +361,13 @@ def _pure(matrices: np.ndarray) -> np.ndarray:
     return abs(_vdot(matrices, matrices) - 1.0) <= SPECTRAL_TOL
 
 
-def _states(model: SystemModel, matrices, pure, kets=None) -> list:
-    """States of already-checked stack members, without checking again;
-    a pure member i keeps ``kets[i]`` when ``kets`` is given."""
-    coeffs = _coeffs(model, matrices)
-    return [State(model, coeffs[i], matrices[i], bool(pure[i]),
-                  kets[i] if kets is not None and pure[i] else None)
-            for i in range(len(matrices))]
+def _states(model: SystemModel, matrices, pure=None, kets=None) -> list:
+    """States of already-checked stack members, without checking again:
+    member i is pure where ``pure[i]``, or is the projector of ``kets[i]``
+    and keeps that ket."""
+    coeffs, projectors = _coeffs(model, matrices), kets is not None
+    return [State(model, coeffs[i], matrices[i], projectors or bool(pure[i]),
+                  kets[i] if projectors else None) for i in range(len(coeffs))]
 
 
 def _groups(values: np.ndarray) -> list:
@@ -392,18 +392,18 @@ def state_from_matrix(model: SystemModel, matrix: np.ndarray) -> State:
 
 def _ket_states(model: SystemModel, kets: np.ndarray):
     """Check a ``(..., d)`` stack of kets for unit norm and build their
-    projectors: ``(kets, matrices, pure)``, read-only, phases fixed.
-    The projector of a unit ket has no eigenvalue below the clip floor, so
-    each ket is its matrix's; the state check stays, as it symmetrizes the
-    skew (about 1e-18) that numpy's complex outer product leaves."""
+    projectors, pure by construction: ``(kets, matrices)``, read-only,
+    phases fixed. A unit ket's projector passes the state check, so it is
+    not made; each is taken as its Hermitian part, which drops the skew
+    (about 1e-18) of numpy's complex outer product, as that check would."""
     norm = _norm(kets)
     _fail(NotNormalizedError, "Ket norm is {}, expected 1.",
           ~(abs(norm - 1.0) <= SPECTRAL_TOL), norm)  # NaN fails too
     unit = _fix_phase(kets / norm[..., None])
-    matrices = _check_states(
-        model, unit[..., :, None] * np.conj(unit)[..., None, :])
-    unit.flags.writeable = False
-    return unit, matrices, _pure(matrices)
+    outer = unit[..., :, None] * np.conj(unit)[..., None, :]
+    matrices = 0.5 * (outer + _dagger(outer))
+    unit.flags.writeable = matrices.flags.writeable = False
+    return unit, matrices
 
 
 def ket_state(model: SystemModel, ket: np.ndarray) -> State:
@@ -413,9 +413,8 @@ def ket_state(model: SystemModel, ket: np.ndarray) -> State:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if ket.shape != (model.size,):
         raise ValueError(f"Expected a length-{model.size} vector.")
-    unit, matrix, pure = _ket_states(model, ket)
-    return State(model, _coeffs(model, matrix), matrix, bool(pure),
-                 unit if pure else None)
+    unit, matrix = _ket_states(model, ket)
+    return State(model, _coeffs(model, matrix), matrix, True, unit)
 
 
 def point_state(model: SystemModel, index: int) -> State:

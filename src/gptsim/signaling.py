@@ -43,6 +43,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}.")
 
 
+def _check_count(name: str, count) -> None:
+    """Require an integer ``count`` of at least 1, called ``name``."""
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {count!r}.")
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}.")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One signaling experiment: rule, reference state and decomposition.
@@ -230,13 +238,12 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     if np.count_nonzero(inner):
         draws[inner] = tr._seeded_tau_draws(seeds, d - 1,
                                             inner.sum(axis=1).tolist())
-    kets, members, pure = gm._ket_states(
+    kets, members = gm._ket_states(
         model, tr._kets_with_tau(phi_k[:, None], p, draws))
     is_phi = p == 1.0  # the reference state itself
     if np.count_nonzero(is_phi):
         kets = np.where(is_phi[..., None], phi_k[:, None], kets)
         members = np.where(is_phi[..., None, None], phi_m[:, None], members)
-        pure = pure | is_phi
 
     # The average state (at lambda 0 or 1, the lone member up to the sign
     # of a zero) and its purification. Its check can clip: with phi's own
@@ -249,17 +256,16 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     # in uniform mode its protocol 2, the equal-overlap members.
     joints = np.concatenate([joints] * 2)
     if uniform:
-        u_kets, u_members, u_pure = gm._ket_states(
+        u_kets, u_members = gm._ket_states(
             model, _uniform_kets(schmidt, phi_k))
         schmidt = ss._Schmidt(*(np.concatenate([a] * 2) for a in schmidt))
         weights = np.concatenate([weights, np.full((n, 2), 0.5)])
         members = np.concatenate([members, u_members])
         kets = np.concatenate([kets, u_kets])
-        pure = np.concatenate([pure, u_pure])
         present = np.concatenate([present, np.ones((n, 2), bool)])
     targets = len(weights)
     effects, live = ss._synthesize(joints[:targets], schmidt, weights,
-                                   members, kets, pure, present)
+                                   members, kets, present)
     dim_a = joints.shape[1]
     effects = ss._check_synthesized(gm.quantum(dim_a), effects, live)[0]
 
@@ -317,9 +323,9 @@ def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble
     if rank > 2:
         raise ValueError(
             f"omega has rank {rank}; two pure members average to rank 2 at most.")
-    kets, members, pure = gm._ket_states(
+    kets, members = gm._ket_states(
         omega.model, _uniform_kets(schmidt, phi_k[None]))
-    states = gm._states(omega.model, members[0], pure[0], kets[0])
+    states = gm._states(omega.model, members[0], kets=kets[0])
     return gm.ensemble([(0.5, state) for state in states])
 
 
@@ -440,8 +446,7 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     scenarios, so a failing sample surfaces from :func:`run_scenario` on
     it, and the error raised names its place among the samples.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}.")
+    _check_count("samples", samples)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}.")
     _check_seed(seed)
@@ -466,11 +471,9 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
                 seeds[i] = (word & 0xffffffff) >> 1
         normals += 0.0  # as rng.normal(): 0 + 1 * z, so -0.0 reads 0.0
         kets = normals[:, :2] + 1j * normals[:, 2:]
-        phi_k, matrices, pure = gm._ket_states(
-            model, kets / gm._norm(kets)[:, None])
-        phis = (matrices, pure, phi_k)
+        phis = gm._ket_states(model, kets / gm._norm(kets)[:, None])
         try:
-            run = _run([rule] * count, model, phi_k, matrices, params[:, :2],
+            run = _run([rule] * count, model, *phis, params[:, :2],
                        params[:, 2], seeds, False)
         except GptError as exc:
             _raise_named(exc, _samples(rule, model, phis, params, seeds,
@@ -493,10 +496,9 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
 
 def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel, phis: tuple,
              params: np.ndarray, seeds: list, rows: slice) -> list:
-    """Scenarios of the certificate samples ``rows``, from phi's checked
-    arrays ``phis`` (matrices, purity, kets), the (p1, p2, lambda)
-    ``params`` and the ``seeds``."""
-    states = gm._states(model, *(a[rows] for a in phis))
+    """Scenarios of the certificate samples ``rows``, from phi's (kets,
+    projectors) ``phis``, the (p1, p2, lambda) ``params`` and the ``seeds``."""
+    states = gm._states(model, phis[1][rows], kets=phis[0][rows])
     return [Scenario(rule, phi, p1, p2, lam, seed=s) for phi, (p1, p2, lam), s
             in zip(states, params[rows].tolist(), seeds[rows])]
 
@@ -543,8 +545,7 @@ def simulate_runs(report: SignalingReport, runs: int = 10_000,
     one with standard error sqrt(P1(1-P1)/N + P2(1-P2)/N). Both read the
     predictions clamped to [0, 1], which round-off may leave by 2**-52.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}.")
+    _check_count("runs", runs)
     _check_seed(seed)
     prob_1, prob_2 = np.clip([report.prob_1, report.prob_2], 0.0, 1.0).tolist()
     rng = np.random.default_rng(seed)

@@ -216,8 +216,9 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")
     states = target.states
-    kets = np.stack([gm.pure_ket(s) if s.pure else np.eye(1, s.model.size)[0]
-                     for s in states])
+    if not all(s.pure for s in states):
+        raise NotPureError("Steering targets must decompose into pure states.")
+    kets = np.stack([gm.pure_ket(s) for s in states])
     joints = psi.joint_matrix[None]
     weights = target.weights[None]
     members = np.stack([s.matrix for s in states])[None]
@@ -226,8 +227,7 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     effects, live = _synthesize(
         joints, _Schmidt(values, vectors, (values ** 2 > RANK_TOL).sum(axis=-1),
                          _marginals_b(joints)),
-        weights, members, kets[None].astype(complex),
-        np.array([[s.pure for s in states]]), present)
+        weights, members, kets[None], present)
     effects, covectors = _check_synthesized(
         psi.model_a, basis[:, None] @ effects @ gm._dagger(basis)[:, None], live)
     steered = _steer(psi.model_b, joints, effects, live)
@@ -239,16 +239,15 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
 
 
 def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
-                members: np.ndarray, kets: np.ndarray, pure: np.ndarray,
-                present: np.ndarray):
+                members: np.ndarray, kets: np.ndarray, present: np.ndarray):
     """Synthesize the steering measurements of ``n`` joint states.
 
     ``joints`` is ``(n, A, d)``, ``schmidt`` its Schmidt form; each target
-    has ``K`` member slots: weights ``(n, K)``, matrices ``(n, K, d, d)``,
-    kets ``(n, K, d)`` and purity. A slot that is not ``present`` must have
-    weight 0 and a unit ket; it gets the zero effect. Returns ``(effects,
-    live)``: ``(n, K + 1, A, A)`` unchecked effects in the A-side Schmidt
-    basis, the last the deficit effect where ``live``.
+    has ``K`` member slots: weights ``(n, K)``, and the pure members'
+    matrices ``(n, K, d, d)`` and kets ``(n, K, d)``. A slot that is not
+    ``present`` must have weight 0 and a unit ket; it gets the zero effect.
+    Returns ``(effects, live)``: ``(n, K + 1, A, A)`` unchecked effects in
+    the A-side Schmidt basis, the last the deficit effect where ``live``.
     """
     n, dim_a, _ = joints.shape
     slots = weights.shape[1]
@@ -265,8 +264,6 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
                 f"Target has {count[i]} members but the purifier has "
                 f"dimension {dim_a}; re-purify with purifier_dim >= "
                 f"{count[i]}.", required_dimension=int(count[i]))
-    gm._fail(NotPureError, "Steering targets must decompose into pure states.",
-             present & ~pure)
 
     # In the Schmidt form sum_k s_k |k>_A |w_k>_B, the HJW coefficients
     # conj(beta) / s of the members have orthonormal columns in exact

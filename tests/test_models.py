@@ -249,6 +249,15 @@ def test_mix_singleton_is_identity():
     assert np.max(np.abs(gm.mix(ens).matrix - s.matrix)) <= 1e-15
 
 
+def test_mix_classical_averages_the_points():
+    trit = gm.classical(3)
+    ens = gm.ensemble([(0.25, gm.point_state(trit, 0)),
+                       (0.75, gm.point_state(trit, 2))])
+    mixed = gm.mix(ens)
+    assert mixed.coeffs.tolist() == [0.25, 0.0, 0.75]
+    assert mixed.matrix is None and not mixed.pure
+
+
 def test_ensemble_invariants():
     s = gm.ket_state(QUBIT, KET0)
     with pytest.raises(EmptyEnsembleError):

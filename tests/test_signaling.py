@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -155,6 +156,19 @@ def test_seeded_entry_points_reject_bad_seed_as_scenario_does(call, seed):
     with pytest.raises(ValueError, match=(
             rf"^seed must be a non-negative integer, got {seed!r}\.$")):
         call(seed)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("samples", lambda count: sg.affinity_certificate(rl.identity_rule(),
+                                                      samples=count)),
+    ("runs", lambda count: sg.simulate_runs(sg.run_scenario(sg.Scenario(
+        rl.identity_rule(), PHI, 0.2, 0.7, 0.3)), runs=count)),
+], ids=["affinity_certificate", "simulate_runs"])
+@pytest.mark.parametrize("count", [2.5, 3.0, "3"])
+def test_counts_must_be_integers(name, call, count):
+    with pytest.raises(ValueError, match=(
+            rf"^{name} must be an integer, got {re.escape(repr(count))}\.$")):
+        call(count)
 
 
 def test_nan_residual_fails_the_contract():
@@ -653,6 +667,29 @@ def test_steer_checks_only_the_live_conditionals(monkeypatch):
     monkeypatch.setattr(ss, "_steer", marked_steer)
     sg.run_scenarios(batch)
     assert sum(checked) == 3 * len(batch)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", [sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM])
+def test_single_run_checks_hermiticity_three_times(monkeypatch, d, mode):
+    # Once each for the average state, the synthesized effects and the
+    # steered conditionals: the members' projectors are pure by
+    # construction, so they are not checked again.
+    scenario = sg.Scenario(rl.power_rule(1.5), gm.point_state(gm.quantum(d), 0),
+                           0.2, 0.7, 0.4, mode)
+    calls, check = [], gm._check_hermitian
+    monkeypatch.setattr(gm, "_check_hermitian",
+                        lambda *args: calls.append(1) or check(*args))
+    sg.run_scenario(scenario)
+    assert len(calls) == 3
+
+
+def test_certificate_checks_hermiticity_three_times_per_batch(monkeypatch):
+    calls, check = [], gm._check_hermitian
+    monkeypatch.setattr(gm, "_check_hermitian",
+                        lambda *args: calls.append(1) or check(*args))
+    sg.affinity_certificate(rl.identity_rule(), samples=1000)
+    assert len(calls) == 3 * 2  # batches of 512 and 488
 
 
 def test_report_ensembles_are_built_when_first_read(monkeypatch):

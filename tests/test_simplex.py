@@ -152,6 +152,25 @@ def test_bland_fallback_solves_a_degenerate_program(monkeypatch):
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
+def test_zero_level_artificial_is_pivoted_out_before_phase_two(monkeypatch):
+    # Phase 1 ends degenerate, with an artificial basic at zero level on a
+    # row that is not redundant: one pivot, outside the counted iterations,
+    # swaps it for a structural column.
+    c = np.array([1.0, 1.0, 0.0])
+    a = np.array([[0, -1, -1], [-2, -2, -2], [-2, 2, 1]], dtype=float)
+    b = np.array([-2.0, -4.0, 2.0])
+    pivots, pivot = [], simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot",
+                        lambda *args: pivots.append(args[2:]) or pivot(*args))
+    res = solve_nonneg(c, a, b)
+    assert (res.status, res.iterations, res.phase1_iterations) == ("optimal", 3, 3)
+    assert len(pivots) == res.iterations + 1
+    # x >= 0 as -x <= 0; the oracle maximizes, so it reads -c.
+    best = enumerate_vertices(-c, -np.eye(3), np.zeros(3), a, b)
+    assert res.value == pytest.approx(-best, abs=1e-12)
+    assert np.max(np.abs(a @ res.x - b)) <= 1e-12 and res.x.min() >= 0.0
+
+
 def test_iteration_limit_raises(monkeypatch):
     # No program of the package's comes near the limit; a lowered one
     # stops Beale's program, which needs 3 pivots in phase 1.

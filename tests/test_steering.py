@@ -378,6 +378,14 @@ def test_synthesize_rejects_a_mixed_target_member():
         ss.synthesize_steering_measurement(BELL, target)
 
 
+def test_synthesize_checks_purity_before_the_marginal():
+    # A mixed target off the B marginal is rejected as mixed.
+    target = gm.ensemble([(1.0, gm.state_from_matrix(
+        QUBIT, np.diag([0.75, 0.25])))], require_pure=False)
+    with pytest.raises(NotPureError, match="^Steering targets must "):
+        ss.synthesize_steering_measurement(BELL, target)
+
+
 def test_steered_conditional_check_fires_on_swapped_effects():
     target = gm.ensemble([(0.5, KET0), (0.5, KET1)])
     synthesized = ss.synthesize_steering_measurement(BELL, target)
