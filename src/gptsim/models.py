@@ -361,13 +361,15 @@ def _pure(matrices: np.ndarray) -> np.ndarray:
     return abs(_vdot(matrices, matrices) - 1.0) <= SPECTRAL_TOL
 
 
-def _states(model: SystemModel, matrices, pure=None, kets=None) -> list:
+def _states(model: SystemModel, matrices, pure, kets=None) -> list:
     """States of already-checked stack members, without checking again:
-    member i is pure where ``pure[i]``, or is the projector of ``kets[i]``
-    and keeps that ket."""
-    coeffs, projectors = _coeffs(model, matrices), kets is not None
-    return [State(model, coeffs[i], matrices[i], projectors or bool(pure[i]),
-                  kets[i] if projectors else None) for i in range(len(coeffs))]
+    member i is pure where ``pure[i]``, or every member where ``pure`` is
+    True; given ``kets``, the members are their projectors and keep them."""
+    coeffs = _coeffs(model, matrices)
+    pure = [pure] * len(coeffs) if np.ndim(pure) == 0 else pure
+    return [State(model, coeffs[i], matrices[i], bool(pure[i]),
+                  None if kets is None else kets[i])
+            for i in range(len(coeffs))]
 
 
 def _groups(values: np.ndarray) -> list:

@@ -325,7 +325,7 @@ def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble
             f"omega has rank {rank}; two pure members average to rank 2 at most.")
     kets, members = gm._ket_states(
         omega.model, _uniform_kets(schmidt, phi_k[None]))
-    states = gm._states(omega.model, members[0], kets=kets[0])
+    states = gm._states(omega.model, members[0], True, kets[0])
     return gm.ensemble([(0.5, state) for state in states])
 
 
@@ -498,7 +498,7 @@ def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel, phis: tuple,
              params: np.ndarray, seeds: list, rows: slice) -> list:
     """Scenarios of the certificate samples ``rows``, from phi's (kets,
     projectors) ``phis``, the (p1, p2, lambda) ``params`` and the ``seeds``."""
-    states = gm._states(model, phis[1][rows], kets=phis[0][rows])
+    states = gm._states(model, phis[1][rows], True, phis[0][rows])
     return [Scenario(rule, phi, p1, p2, lam, seed=s) for phi, (p1, p2, lam), s
             in zip(states, params[rows].tolist(), seeds[rows])]
 

@@ -689,7 +689,7 @@ def test_certificate_checks_hermiticity_three_times_per_batch(monkeypatch):
     monkeypatch.setattr(gm, "_check_hermitian",
                         lambda *args: calls.append(1) or check(*args))
     sg.affinity_certificate(rl.identity_rule(), samples=1000)
-    assert len(calls) == 3 * 2  # batches of 512 and 488
+    assert len(calls) == 3 * -(-1000 // sg._CERTIFICATE_BATCH)
 
 
 def test_report_ensembles_are_built_when_first_read(monkeypatch):
