@@ -172,13 +172,14 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
             rows = [i for i, key in enumerate(keys) if key == (d, uniform)]
             group = [scenarios[i] for i in rows]
             model = gm.quantum(d)
-            run = _run(
-                [s.rule for s in group], model,
-                np.array([gm.pure_ket(s.phi) for s in group]),
-                np.array([s.phi.matrix for s in group]),
-                np.array([(s.p1, s.p2) for s in group], dtype=float),
-                np.array([s.lam for s in group], dtype=float),
+            p = np.array([(s.p1, s.p2) for s in group], dtype=float)
+            lam = np.array([s.lam for s in group], dtype=float)
+            steered, stacks, marginal = _steer_protocols(
+                model, np.array([gm.pure_ket(s.phi) for s in group]),
+                np.array([s.phi.matrix for s in group]), p, lam,
                 [s.seed for s in group], uniform)
+            run = (*_predict_protocols([s.rule for s in group], stacks, p,
+                                       lam), marginal, steered)
             for j, s in enumerate(group):
                 reports[rows[j]] = _report(s, model, run, j)
     except GptError as exc:
@@ -206,25 +207,24 @@ def _raise_named(error: GptError, scenarios: list, start: int = 0):
 
 def _report(scenario: Scenario, model: gm.SystemModel, run: tuple,
             j: int) -> SignalingReport:
-    """Report of scenario ``j`` of a :func:`_run` on ``model``."""
-    prob_1, prob_2, marginal, formula, steered = run
+    """Report of scenario ``j`` of ``run``, both halves' outputs on ``model``."""
+    (prob_1, prob_2), formula, marginal, steered = run
     return SignalingReport(
         scenario, float(prob_1[j]), float(prob_2[j]),
         float(prob_1[j] - prob_2[j]), float(marginal[j]), float(formula[j]),
         (model, steered, j, len(prob_1) + j))
 
 
-def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
-         phi_m: np.ndarray, p: np.ndarray, lam: np.ndarray, seeds: list,
-         uniform: bool) -> tuple:
-    """Run ``n`` scenarios on one quantum model: scenario j has rule
-    ``rules[j]``, phi's ket ``phi_k[j]`` and checked matrix ``phi_m[j]``,
+def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
+                     phi_m: np.ndarray, p: np.ndarray, lam: np.ndarray,
+                     seeds: list, uniform: bool) -> tuple:
+    """The rule-free half of a run of ``n`` scenarios on one quantum model:
+    scenario j has phi's ket ``phi_k[j]`` and checked matrix ``phi_m[j]``,
     overlaps ``p[j]``, weight ``lam[j]`` and draw seed ``seeds[j]``; all
     share protocol 2, the steered-uniform one if ``uniform``, else the
-    trivial measurement. Only the predictions and the closed-form check
-    depend on the rule. Returns the arrays ``(P1, P2, marginal residual,
-    formula residual)`` and the steered stack: protocol 1 of scenario j at
-    row j, its protocol 2 at row n + j.
+    trivial measurement. Returns the steered stack (protocol 1 of scenario
+    j at row j, its protocol 2 at row n + j), the prediction stacks
+    ``(weights, taus, mixed)`` and the marginal residuals, all checked.
     """
     n, d = len(p), model.size
     weights = np.empty((n, 2))
@@ -248,7 +248,8 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
     # The average state (at lambda 0 or 1, the lone member up to the sign
     # of a zero) and its purification. Its check can clip: with phi's own
     # matrix as a member (p = 1), round-off can take the average below the
-    # clip floor.
+    # clip floor. The synthesis targets average to omega, which the
+    # purification's round-trip check holds to its joints' B marginals.
     omega = gm._check_states(model, gm._average(weights, members))
     joints, schmidt = ss._purify(omega)
 
@@ -264,49 +265,53 @@ def _run(rules: list, model: gm.SystemModel, phi_k: np.ndarray,
         kets = np.concatenate([kets, u_kets])
         present = np.concatenate([present, np.ones((n, 2), bool)])
     targets = len(weights)
-    effects, live = ss._synthesize(joints[:targets], schmidt, weights,
-                                   members, kets, present)
-    dim_a = joints.shape[1]
-    effects = ss._check_synthesized(gm.quantum(dim_a), effects, live)[0]
+    effects, live = ss._synthesize(joints[:targets], schmidt, weights, kets,
+                                   present)
+    # Complete by construction: only the outer products' skew is dropped.
+    effects = 0.5 * (effects + gm._dagger(effects))
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
     # row n + j. In trivial mode protocol 2 is the lone unit effect.
     if not uniform:
         effects = np.concatenate([effects, np.zeros_like(effects)])
         live = np.concatenate([live, np.zeros_like(live)])
-        effects[n:, 0], live[n:, 0] = gm._eye(dim_a), True
+        effects[n:, 0], live[n:, 0] = gm._eye(joints.shape[1]), True
     steered = ss._steer(model, joints, effects, live)
     ss._check_targets(steered.subs[:targets], weights, members, present)
+    marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
+                                      steered.weights[n:], steered.coeffs[n:])
+    gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
+             ~(marginal <= _MARGINAL_TOL), marginal)  # NaN fails too
 
-    # Predictions: from the known decomposition, or (trivial protocol 2,
-    # the lone unit outcome of weight 1) the rule at the average state's
-    # overlap, in stacks (protocol, scenario, outcome). phi's accepting
-    # effect is its own matrix.
+    # The prediction stacks: from the known decomposition, or (trivial
+    # protocol 2, the lone unit outcome of weight 1) the rule at the average
+    # state's overlap. phi's accepting effect is its own matrix.
     taus = gm._pairings(steered.matrices.reshape(2, n, -1, d, d),
                         phi_m[:, None])
     mixed = (steered.keep & ~steered.pure).reshape(taus.shape)
     if not uniform:
         mixed[1] = False
-    stacks = (steered.weights.reshape(taus.shape), taus, mixed)
+    return steered, (steered.weights.reshape(taus.shape), taus, mixed), marginal
+
+
+def _predict_protocols(rules: list, stacks: tuple, p: np.ndarray,
+                       lam: np.ndarray) -> tuple:
+    """The rule half: P1 and P2 ``(2, n)`` from the ``stacks`` of
+    :func:`_steer_protocols`, scenario j by rule ``rules[j]`` (each rule
+    object, hashed by identity, once on its rows), and their residuals from
+    the closed form at overlaps ``p`` and weights ``lam``, checked."""
     at = np.concatenate([p.T, (lam * p[:, 0] + (1 - lam) * p[:, 1])[None]])
-    # The rule's steps, once per rule object (hashed by identity) on its
-    # rows, with the closed form's overlaps ``at`` (p1, p2 and the average
-    # state's); rules are coded 0, 1, ... as first seen.
-    codes = {}
+    codes = {}  # rules coded 0, 1, ... as first seen
     keys = np.array([codes.setdefault(rule, len(codes)) for rule in rules])
-    known, expected = np.empty((2, n)), np.empty((2, n))
+    known, expected = np.empty((2, 2, len(p)))
     for rule, (_, rows) in zip(codes, gm._groups(keys)):
         known[:, rows], (at_1, at_2, expected[1, rows]) = rl._predict(
             rule, *(a[:, rows] for a in stacks), at[:, rows])
         expected[0, rows] = lam[rows] * at_1 + (1 - lam[rows]) * at_2
-    marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
-                                      steered.weights[n:], steered.coeffs[n:])
-    gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
-             ~(marginal <= _MARGINAL_TOL), marginal)  # NaN fails too
     formula = abs(known - expected).max(axis=0)
     gm._fail(ContractError, "Pipeline deviates from the closed form by {}.",
              ~(formula <= _FORMULA_TOL), formula)
-    return (*known, marginal, formula, steered)
+    return known, formula
 
 
 def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble:
@@ -440,7 +445,7 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     at this bound). PCG64 serves 32-bit draws as the low half of a fresh
     raw word, then its high half, which whole-word draws leave buffered;
     so even samples read a raw word. The samples run in batches of up to
-    ``_CERTIFICATE_BATCH`` as arrays through the core of
+    ``_CERTIFICATE_BATCH`` as arrays through both halves of
     :func:`run_scenarios`, with no object per sample; a report is made
     only for the worst witness. A failing batch is run again as
     scenarios, so a failing sample surfaces from :func:`run_scenario` on
@@ -473,12 +478,14 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         kets = normals[:, :2] + 1j * normals[:, 2:]
         phis = gm._ket_states(model, kets / gm._norm(kets)[:, None])
         try:
-            run = _run([rule] * count, model, *phis, params[:, :2],
-                       params[:, 2], seeds, False)
+            steered, stacks, marginal = _steer_protocols(
+                model, *phis, params[:, :2], params[:, 2], seeds, False)
+            run = (*_predict_protocols([rule] * count, stacks, params[:, :2],
+                                       params[:, 2]), marginal, steered)
         except GptError as exc:
             _raise_named(exc, _samples(rule, model, phis, params, seeds,
                                        slice(None)), start)
-        magnitudes = np.abs(run[0] - run[1])  # |P1 - P2|
+        magnitudes = np.abs(run[0][0] - run[0][1])  # |P1 - P2|
         k = int(np.argmax(magnitudes))
         if worst is None or magnitudes[k] > worst[0]:
             worst = (float(magnitudes[k]), k, run, phis, params, seeds)

@@ -43,13 +43,11 @@ class SteeringMeasurement:
 class _Schmidt(NamedTuple):
     """Schmidt form of ``n`` joint matrices: joint i is the sum over
     k < rank[i] of values[i, k] |k>_A |vectors[i, k]>_B, |k>_A its A-side
-    Schmidt basis; the squared values past the rank are at most RANK_TOL.
-    ``marginal`` holds each joint's B marginal, by :func:`_marginals_b`."""
+    Schmidt basis; the squared values past the rank are at most RANK_TOL."""
 
-    values: np.ndarray    # (n, r), descending
-    vectors: np.ndarray   # (n, r, d)
-    rank: np.ndarray      # (n,)
-    marginal: np.ndarray  # (n, d, d)
+    values: np.ndarray   # (n, r), descending
+    vectors: np.ndarray  # (n, r, d)
+    rank: np.ndarray     # (n,)
 
 
 class _Steered(NamedTuple):
@@ -129,11 +127,10 @@ def _purify(matrices: np.ndarray, purifier_dims=None):
              abs(norm - 1.0) > gm.LINEAR_TOL, norm)
     amplitudes.flags.writeable = False
 
-    reduced = _marginals_b(amplitudes)
-    roundtrip = abs(reduced - matrices).max(axis=(-2, -1))
+    roundtrip = abs(_marginals_b(amplitudes) - matrices).max(axis=(-2, -1))
     gm._fail(ContractError, "Purification marginal residual {}.",
              roundtrip > STEERING_TOL, roundtrip)
-    return amplitudes, _Schmidt(values, rows, rank, reduced)
+    return amplitudes, _Schmidt(values, rows, rank)
 
 
 def _marginals_b(joints: np.ndarray) -> np.ndarray:
@@ -205,31 +202,40 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
                                     target: gm.Ensemble) -> SteeringMeasurement:
     """Purifier-side measurement steering B to the target decomposition.
 
-    :func:`_synthesize` builds it in the Schmidt basis of psi's SVD, cut
-    where :func:`purify` cuts (squared Schmidt values above RANK_TOL): one
-    rank-1 effect per member, completed by the deficit effect where the
-    purifier is larger than the Schmidt rank. It is rotated back to psi's
-    A basis before it is checked and steers. Each conditional is checked
+    The target must live on psi's B model and average to its B marginal
+    within 1e-9. :func:`_synthesize` builds the measurement in the Schmidt
+    basis of psi's SVD, cut where :func:`purify` cuts: one rank-1 effect per
+    member, and the deficit effect where the purifier is larger than the
+    Schmidt rank. Rotated back to psi's A basis, its effects and their
+    completeness are checked before it steers. Each conditional is checked
     against its target member at ``STEERING_TOL``; together they form the
     returned ensemble, identical to ``steer(psi, measurement)``.
     """
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")
     states = target.states
+    if states[0].model != psi.model_b:
+        raise ModelMismatchError(f"Target lives on {states[0].model}, not on "
+                                 f"side B's {psi.model_b}.")
     if not all(s.pure for s in states):
         raise NotPureError("Steering targets must decompose into pure states.")
     kets = np.stack([gm.pure_ket(s) for s in states])
     joints = psi.joint_matrix[None]
     weights = target.weights[None]
     members = np.stack([s.matrix for s in states])[None]
+    residual = abs(gm._average(weights, members) - _marginals_b(joints)).max()
+    if residual > 1e-9:
+        raise MarginalMismatchError(
+            f"Target ensemble averages {residual} away from the B marginal.")
     present = np.ones((1, len(states)), dtype=bool)
     basis, values, vectors = np.linalg.svd(joints)
     effects, live = _synthesize(
-        joints, _Schmidt(values, vectors, (values ** 2 > RANK_TOL).sum(axis=-1),
-                         _marginals_b(joints)),
-        weights, members, kets[None], present)
-    effects, covectors = _check_synthesized(
-        psi.model_a, basis[:, None] @ effects @ gm._dagger(basis)[:, None], live)
+        joints, _Schmidt(values, vectors, (values ** 2 > RANK_TOL).sum(axis=-1)),
+        weights, kets[None], present)
+    effects = basis[:, None] @ effects @ gm._dagger(basis)[:, None]
+    effects = _filled(live, gm._check_effects(psi.model_a, effects[live]))
+    covectors = gm._coeffs(psi.model_a, effects)
+    gm._check_complete(psi.model_a, covectors)
     steered = _steer(psi.model_b, joints, effects, live)
     _check_targets(steered.subs, weights, members, present)
     alice = gm.Measurement(tuple(
@@ -239,23 +245,19 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
 
 
 def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
-                members: np.ndarray, kets: np.ndarray, present: np.ndarray):
+                kets: np.ndarray, present: np.ndarray):
     """Synthesize the steering measurements of ``n`` joint states.
 
     ``joints`` is ``(n, A, d)``, ``schmidt`` its Schmidt form; each target
-    has ``K`` member slots: weights ``(n, K)``, and the pure members'
-    matrices ``(n, K, d, d)`` and kets ``(n, K, d)``. A slot that is not
-    ``present`` must have weight 0 and a unit ket; it gets the zero effect.
-    Returns ``(effects, live)``: ``(n, K + 1, A, A)`` unchecked effects in
-    the A-side Schmidt basis, the last the deficit effect where ``live``.
-    """
+    has ``K`` member slots: weights ``(n, K)`` and the pure members' kets
+    ``(n, K, d)``, and must average to its joint's B marginal. A slot that
+    is not ``present`` must have weight 0 and a unit ket; it gets the zero
+    effect. Returns ``(effects, live)``: ``(n, K + 1, A, A)`` effects in
+    the A-side Schmidt basis, the last the deficit effect where ``live``;
+    valid and complete by construction, but unchecked, with the skew
+    (about 6e-17) of numpy's complex outer product."""
     n, dim_a, _ = joints.shape
     slots = weights.shape[1]
-    residual = abs(gm._average(weights, members)
-                   - schmidt.marginal).max(axis=(-2, -1))
-    gm._fail(MarginalMismatchError,
-             "Target ensemble averages {} away from the B marginal.",
-             residual > 1e-9, residual)
     if slots > dim_a:
         count = present.sum(axis=1)
         if np.count_nonzero(count > dim_a):
@@ -291,17 +293,6 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
     deficit = gm._eye(dim_a) * past[:, None, :]
     effects = np.concatenate([outer, deficit[:, None]], axis=1)
     return effects, np.concatenate([present, past[:, -1:]], axis=1)
-
-
-def _check_synthesized(model_a: gm.SystemModel, effects: np.ndarray,
-                       live: np.ndarray):
-    """Check the ``live`` synthesized ``effects``: valid effects, together
-    complete. Returns them checked, zero in the other slots, with the
-    covectors of the stack, both read-only."""
-    checked = _filled(live, gm._check_effects(model_a, effects[live]))
-    covectors = gm._coeffs(model_a, checked)
-    gm._check_complete(model_a, covectors)
-    return checked, covectors
 
 
 def _check_targets(subs: np.ndarray, weights: np.ndarray,

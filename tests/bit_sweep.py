@@ -71,6 +71,13 @@ def families():
             sg.Scenario(rule, phis[d][i % 3], p1, p2, lam, mode, seed=i)))
             for i, (rule, (p1, p2, lam)) in enumerate(
                 itertools.product(RULES, grid))]
+    cuts = [(lam, 0.2, 0.7) for k in range(9, 16)  # README's first known limit
+            for lam in (10.0 ** -k, 1.0 - 10.0 ** -k)] + [
+        (0.5, 1.0, 1.0 - 10.0 ** -k) for k in range(9, 16)]
+    yield "rank cut", [outcome(lambda: sg.run_scenario(sg.Scenario(
+        RULES[i % 5], phis[d][i % 3], p1, p2, lam, mode, seed=i)))
+        for i, (d, mode, (lam, p1, p2)) in enumerate(
+            itertools.product((2, 3, 4), MODES, cuts * 3))]
     batch = [sg.Scenario(RULES[i % 4], phis[d][i % 3], *grid[7 * i % 180][:2],
                          0.3, MODES[i % 2], seed=i)
              for i, d in enumerate([2, 3, 4, 2, 2, 3, 4] * 6)]

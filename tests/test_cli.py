@@ -180,6 +180,18 @@ def test_steer_target_with_nan_weights_fails_its_weight_check(tmp_path,
     assert "Negative" not in err
 
 
+@pytest.mark.parametrize("model", [gm.quantum(3), gm.classical(2)])
+def test_steer_target_on_another_model_names_both_models(tmp_path, capsys,
+                                                         model):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(gm.ensemble([
+        (0.5, gm.point_state(model, k)) for k in range(2)]).to_dict()))
+    code, _, err = run_cli(capsys, "steer", "--target", f"@{path}")
+    assert code == 2
+    assert (f"Target lives on {model}, not on side B's {gm.quantum(2)}."
+            in err)
+
+
 @pytest.mark.parametrize("flag, data", [
     ("--target", gm.ensemble([(0.5, gm.point_state(QUBIT, 0)),
                               (0.5, gm.point_state(QUBIT, 1))]).to_dict()),

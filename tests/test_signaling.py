@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import sys
@@ -671,25 +672,60 @@ def test_steer_checks_only_the_live_conditionals(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("mode", [sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM])
-def test_single_run_checks_hermiticity_three_times(monkeypatch, d, mode):
-    # Once each for the average state, the synthesized effects and the
-    # steered conditionals: the members' projectors are pure by
-    # construction, so they are not checked again.
+def test_single_run_checks_hermiticity_twice(monkeypatch, d, mode):
+    # Once each for the average state and the steered conditionals: the
+    # members' projectors are pure by construction, and the synthesized
+    # effects valid and complete by construction, so neither is checked
+    # again.
     scenario = sg.Scenario(rl.power_rule(1.5), gm.point_state(gm.quantum(d), 0),
                            0.2, 0.7, 0.4, mode)
     calls, check = [], gm._check_hermitian
     monkeypatch.setattr(gm, "_check_hermitian",
                         lambda *args: calls.append(1) or check(*args))
     sg.run_scenario(scenario)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
-def test_certificate_checks_hermiticity_three_times_per_batch(monkeypatch):
+def test_certificate_checks_hermiticity_twice_per_batch(monkeypatch):
     calls, check = [], gm._check_hermitian
     monkeypatch.setattr(gm, "_check_hermitian",
                         lambda *args: calls.append(1) or check(*args))
     sg.affinity_certificate(rl.identity_rule(), samples=1000)
-    assert len(calls) == 3 * -(-1000 // sg._CERTIFICATE_BATCH)
+    assert len(calls) == 2 * -(-1000 // sg._CERTIFICATE_BATCH)
+
+
+def test_pipeline_synthesis_holds_its_contract_by_construction(monkeypatch):
+    # The pipeline does not check its synthesized measurements or their
+    # targets' averages: the effects are rank-1 projectors onto a polar
+    # factor's rows plus the deficit projector, and the targets average to
+    # the purified state. Each steered stack must still pass those checks.
+    rng = np.random.default_rng(11)
+    batch = []
+    for d in (2, 3, 4):
+        ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
+        for mode, p1, p2, lam in itertools.product(
+                (sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM), (0.0, 0.37, 1.0),
+                (0.0, 0.81, 1.0), (0.0, 0.42, 1.0)):
+            batch.append(sg.Scenario(rl.power_rule(1.5), phi, p1, p2, lam,
+                                     mode, seed=len(batch)))
+    stacks, targets = [], []
+    steer, check_targets = ss._steer, ss._check_targets
+    monkeypatch.setattr(ss, "_steer",
+                        lambda *args: stacks.append(args) or steer(*args))
+    monkeypatch.setattr(ss, "_check_targets", lambda *args: targets.append(
+        args) or check_targets(*args))
+    sg.run_scenarios(batch)
+    assert len(stacks) == len(targets) == 6  # one per model size and mode
+    for (_, joints, effects, live), (_, weights, members, _) in zip(
+            stacks, targets):
+        dim_a = joints.shape[1]
+        gm._check_effects(gm.quantum(dim_a), effects[live])
+        total = np.where(live[..., None, None], effects, 0.0).sum(axis=1)
+        assert abs(total - np.eye(dim_a)).max() <= gm.LINEAR_TOL
+        residual = abs(gm._average(weights, members)
+                       - ss._marginals_b(joints[:len(weights)]))
+        assert residual.max() <= 1e-9
 
 
 def test_report_ensembles_are_built_when_first_read(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,17 @@ def test_synthesize_deficit_is_the_complement_of_the_support():
 def test_synthesize_rejects_marginal_mismatch():
     target = gm.ensemble([(0.5, KET0), (0.5, PLUS)])  # averages off I/2
     with pytest.raises(MarginalMismatchError):
+        ss.synthesize_steering_measurement(BELL, target)
+
+
+@pytest.mark.parametrize("target", [
+    gm.ensemble([(1 / 3, gm.point_state(gm.quantum(3), k)) for k in range(3)]),
+    gm.ensemble([(0.5, gm.point_state(gm.classical(2), k)) for k in range(2)]),
+])
+def test_synthesize_rejects_a_target_on_another_model(target):
+    with pytest.raises(ModelMismatchError, match="^" + re.escape(
+            f"Target lives on {target.states[0].model}, not on side B's "
+            f"{QUBIT}.") + "$"):
         ss.synthesize_steering_measurement(BELL, target)
 
 
