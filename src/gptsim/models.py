@@ -269,14 +269,6 @@ def _fail(error: type, message, bad: np.ndarray, *values) -> None:
     raise error(message.format(*(np.asarray(v)[at] for v in values)))
 
 
-@lru_cache(maxsize=None)
-def _eye(d: int) -> np.ndarray:
-    """Read-only complex identity of size d."""
-    eye = np.eye(d, dtype=complex)
-    eye.flags.writeable = False
-    return eye
-
-
 def _spectrum_bounds(matrices: np.ndarray):
     """Smallest and largest eigenvalue of each Hermitian matrix.
 
@@ -482,18 +474,6 @@ class Effect:
         return data
 
 
-def _check_effects(model: SystemModel, matrices: np.ndarray):
-    """Validate a ``(..., d, d)`` stack of effect operators: they must pass
-    :func:`_check_hermitian` with spectrum inside [0, 1] within
-    SPECTRAL_TOL. Returns the checked matrices, read-only."""
-    m, low, high = _check_hermitian(
-        model, matrices, "Effect operator is not Hermitian.")
-    _fail(OutsideConeError, "Effect spectrum [{}, {}] escapes [0, 1].",
-          ~((low >= -SPECTRAL_TOL) & (high <= 1.0 + SPECTRAL_TOL)), low, high)
-    m.flags.writeable = False
-    return m
-
-
 def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
     """Effect from a Hermitian operator with spectrum inside [0, 1].
 
@@ -505,8 +485,12 @@ def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (model.size, model.size):
         raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    matrix = _check_effects(model, matrix)
-    return Effect(model, _coeffs(model, matrix), matrix)
+    m, low, high = _check_hermitian(
+        model, matrix, "Effect operator is not Hermitian.")
+    if not (low >= -SPECTRAL_TOL and high <= 1.0 + SPECTRAL_TOL):
+        raise OutsideConeError(f"Effect spectrum [{low}, {high}] escapes [0, 1].")
+    m.flags.writeable = False
+    return Effect(model, _coeffs(model, m), m)
 
 
 def effect_from_covector(model: SystemModel, covector: np.ndarray) -> Effect:
@@ -584,19 +568,13 @@ def measurement(effects) -> Measurement:
     for e in effects:
         if e.model != model:
             raise ModelMismatchError("Measurement mixes different models.")
-    _check_complete(model, np.stack([e.covector for e in effects]))
+    total = effects[0].covector  # the covectors, added in order
+    for e in effects[1:]:
+        total = total + e.covector
+    residual = abs(total - model.unit_covector).max()
+    if not residual <= LINEAR_TOL:  # NaN fails too
+        raise OutsideConeError(f"Effects sum deviates from the unit by {residual}.")
     return Measurement(effects)
-
-
-def _check_complete(model: SystemModel, covectors: np.ndarray) -> None:
-    """Each ``(..., K, m)`` stack of effect covectors, added in order, must
-    sum to the order unit within LINEAR_TOL."""
-    total = covectors[..., 0, :]
-    for k in range(1, covectors.shape[-2]):
-        total = total + covectors[..., k, :]
-    residual = abs(total - model.unit_covector).max(axis=-1)
-    _fail(OutsideConeError, "Effects sum deviates from the unit by {}.",
-          ~(residual <= LINEAR_TOL), residual)
 
 
 def measurement_from_dict(data: dict) -> Measurement:
@@ -834,7 +812,8 @@ def state_from_bloch(model: SystemModel, vec: np.ndarray) -> State:
         raise UnsupportedModelError("Bloch construction is defined for qubits.")
     vec = np.asarray(vec, dtype=float)
     return state_from_matrix(
-        model, 0.5 * (_eye(2) + np.einsum("k,kij->ij", vec, _PAULIS)))
+        model, 0.5 * (np.eye(2, dtype=complex)
+                      + np.einsum("k,kij->ij", vec, _PAULIS)))
 
 
 # ============================================================================

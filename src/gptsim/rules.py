@@ -304,26 +304,24 @@ def predict_ensemble(rule: ProbabilityRule, ens: gm.Ensemble,
         raise EmptyEnsembleError("Cannot predict from an empty ensemble.")
     accept = tr.accept_effect(phi)
     taus = np.array([gm.evaluate(accept, s) for s in ens.states])
-    mixed = np.array([not s.pure for s in ens.states])
-    return float(_predict(rule, ens.weights[None], taus[None],
-                          mixed[None])[0][0])
+    if not all(s.pure for s in ens.states):
+        raise NotPureError("Ensemble-knowledge prediction needs pure members.")
+    return float(_predict(rule, ens.weights[None], taus[None])[0][0])
 
 
 def _predict(rule: ProbabilityRule, weights: np.ndarray, taus: np.ndarray,
-             mixed: np.ndarray, at=()) -> tuple:
+             at=()) -> tuple:
     """Predictions of a stack of ensembles, one per row of ``(..., K)``
     member weights and overlaps with phi: the weight-averaged rule values,
     and the rule's values at the overlaps ``at``, from the same
     :func:`eval_rule` call.
 
-    ``mixed`` marks the mixed members of known decompositions, which have
-    no prediction. An average state with no decomposition known is a row
-    with one member of weight 1 (other slots of weight 0), whose prediction
-    is the rule at its mixed-state overlap. The rule is evaluated only on
-    members of positive weight: a slot of weight 0 holds no outcome.
+    Members of known decompositions are pure. An average state with no
+    decomposition known is a row with one member of weight 1 (other slots
+    of weight 0), whose prediction is the rule at its mixed-state overlap.
+    The rule is evaluated only on members of positive weight: a slot of
+    weight 0 holds no outcome.
     """
-    if np.count_nonzero(mixed):
-        raise NotPureError("Ensemble-knowledge prediction needs pure members.")
     live = weights > 0.0
     members = taus[live]
     evaluated = eval_rule(rule, np.concatenate([members, np.ravel(at)]))

@@ -159,43 +159,59 @@ def run_scenarios(scenarios) -> list[SignalingReport]:
     The scenarios on one model size and protocol-2 mode run as one group
     of stacked arrays, whatever their rules, each check made on the whole
     stack; each report is bitwise what the scenario gives in a batch of its
-    own. If a check fails, the scenarios are run again one at a time, in
-    order, and the first one that fails alone raises: the error's ``index``
-    and ``scenario`` name it, and so does its message.
+    own. If a check fails, the first scenario that fails alone raises: the
+    error's ``index`` and ``scenario`` name it, and so does its message.
     """
     scenarios = list(scenarios)
-    reports = [None] * len(scenarios)
     try:
-        keys = [(s.phi.model.size, s.mode == STEERED_UNIFORM)
-                for s in scenarios]
-        for d, uniform in sorted(set(keys)):
-            rows = [i for i, key in enumerate(keys) if key == (d, uniform)]
-            group = [scenarios[i] for i in rows]
-            model = gm.quantum(d)
-            p = np.array([(s.p1, s.p2) for s in group], dtype=float)
-            lam = np.array([s.lam for s in group], dtype=float)
-            steered, stacks, marginal = _steer_protocols(
-                model, np.array([gm.pure_ket(s.phi) for s in group]),
-                np.array([s.phi.matrix for s in group]), p, lam,
-                [s.seed for s in group], uniform)
-            run = (*_predict_protocols([s.rule for s in group], stacks, p,
-                                       lam), marginal, steered)
-            for j, s in enumerate(group):
-                reports[rows[j]] = _report(s, model, run, j)
+        return _run_batch(scenarios)
     except GptError as exc:
         _raise_named(exc, scenarios)
+
+
+def _run_batch(scenarios: list) -> list[SignalingReport]:
+    """:func:`run_scenarios` without naming the scenario of an error."""
+    reports = [None] * len(scenarios)
+    keys = [(s.phi.model.size, s.mode == STEERED_UNIFORM) for s in scenarios]
+    for d, uniform in sorted(set(keys)):
+        rows = [i for i, key in enumerate(keys) if key == (d, uniform)]
+        group = [scenarios[i] for i in rows]
+        model = gm.quantum(d)
+        p = np.array([(s.p1, s.p2) for s in group], dtype=float)
+        lam = np.array([s.lam for s in group], dtype=float)
+        steered, stacks, marginal = _steer_protocols(
+            model, np.array([gm.pure_ket(s.phi) for s in group]),
+            np.array([s.phi.matrix for s in group]), p, lam,
+            [s.seed for s in group], uniform)
+        run = (*_predict_protocols([s.rule for s in group], stacks, p, lam),
+               marginal, steered)
+        for j, s in enumerate(group):
+            reports[rows[j]] = _report(s, model, run, j)
     return reports
 
 
 def _raise_named(error: GptError, scenarios: list, start: int = 0):
     """Raise the error of a failed batch: that of the first scenario that
     fails when run alone through :func:`run_scenario` (the batch's own for
-    a batch of one), named by its position in the batch plus ``start``."""
+    a batch of one), named by its position in the batch plus ``start``.
+    As reports are bitwise their single runs, a batch fails if and only if
+    one of its scenarios fails alone, so bisection (Zeller & Hildebrandt
+    2002) through :func:`_run_batch` finds that scenario in about one
+    batch's work. Should it pass alone, all run alone in order, and if none
+    fails, the batch's error is raised unnamed."""
     index = 0
     if len(scenarios) > 1:
-        for index, scenario in enumerate(scenarios):
+        low, high = 0, len(scenarios)  # the first to fail is in [low, high)
+        while high - low > 1:
+            middle = (low + high) // 2
             try:
-                run_scenario(scenario)
+                _run_batch(scenarios[low:middle])
+                low = middle
+            except GptError:
+                high = middle
+        for index in [low, *range(len(scenarios))]:
+            try:
+                run_scenario(scenarios[index])
             except GptError as alone:
                 error = alone
                 break
@@ -224,7 +240,8 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     share protocol 2, the steered-uniform one if ``uniform``, else the
     trivial measurement. Returns the steered stack (protocol 1 of scenario
     j at row j, its protocol 2 at row n + j), the prediction stacks
-    ``(weights, taus, mixed)`` and the marginal residuals, all checked.
+    ``(weights, taus)`` and the marginal residuals, all checked; every
+    steered member but trivial protocol 2's is pure by construction.
     """
     n, d = len(p), model.size
     weights = np.empty((n, 2))
@@ -251,33 +268,33 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     # clip floor. The synthesis targets average to omega, which the
     # purification's round-trip check holds to its joints' B marginals.
     omega = gm._check_states(model, gm._average(weights, members))
-    joints, schmidt = ss._purify(omega)
+    joints, schmidt, marginals = ss._purify(omega)
 
     # Synthesis targets, as one stack: protocol 1 of every scenario, then
     # in uniform mode its protocol 2, the equal-overlap members.
-    joints = np.concatenate([joints] * 2)
     if uniform:
         u_kets, u_members = gm._ket_states(
             model, _uniform_kets(schmidt, phi_k))
+        joints = np.concatenate([joints] * 2)
         schmidt = ss._Schmidt(*(np.concatenate([a] * 2) for a in schmidt))
         weights = np.concatenate([weights, np.full((n, 2), 0.5)])
         members = np.concatenate([members, u_members])
         kets = np.concatenate([kets, u_kets])
         present = np.concatenate([present, np.ones((n, 2), bool)])
-    targets = len(weights)
-    effects, live = ss._synthesize(joints[:targets], schmidt, weights, kets,
-                                   present)
-    # Complete by construction: only the outer products' skew is dropped.
-    effects = 0.5 * (effects + gm._dagger(effects))
+    alphas = ss._synthesize(joints, schmidt, weights, kets, present)
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
-    # row n + j. In trivial mode protocol 2 is the lone unit effect.
+    # row n + j. A target member's effect has the one-column factor alpha,
+    # so X = alpha†J is one batched matmul. The deficit effect is not
+    # steered: the joints' rows past the rank are exactly zero. In trivial
+    # mode protocol 2 is the unit effect, factor I, whose conditional is
+    # the joint's B marginal that the purification already formed.
+    grams, live = marginals[:0], present
     if not uniform:
-        effects = np.concatenate([effects, np.zeros_like(effects)])
-        live = np.concatenate([live, np.zeros_like(live)])
-        effects[n:, 0], live[n:, 0] = gm._eye(joints.shape[1]), True
-    steered = ss._steer(model, joints, effects, live)
-    ss._check_targets(steered.subs[:targets], weights, members, present)
+        grams = marginals
+        live = np.concatenate([present, np.tile([True, False], (n, 1))])
+    steered = ss._steer(model, (alphas.conj() @ joints)[present], grams, live)
+    ss._check_targets(steered.subs[:len(weights)], weights, members, present)
     marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
                                       steered.weights[n:], steered.coeffs[n:])
     gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
@@ -288,10 +305,7 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     # state's overlap. phi's accepting effect is its own matrix.
     taus = gm._pairings(steered.matrices.reshape(2, n, -1, d, d),
                         phi_m[:, None])
-    mixed = (steered.keep & ~steered.pure).reshape(taus.shape)
-    if not uniform:
-        mixed[1] = False
-    return steered, (steered.weights.reshape(taus.shape), taus, mixed), marginal
+    return steered, (steered.weights.reshape(taus.shape), taus), marginal
 
 
 def _predict_protocols(rules: list, stacks: tuple, p: np.ndarray,

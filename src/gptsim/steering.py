@@ -20,7 +20,6 @@ from .errors import (
     ContractError,
     MarginalMismatchError,
     ModelMismatchError,
-    NotNormalizedError,
     NotPureError,
     RankDeficitError,
     UnsupportedModelError,
@@ -54,23 +53,24 @@ class _Steered(NamedTuple):
     """Stacked outcome of steering ``n`` joint states with ``S`` effects
     each: the subnormalized B conditionals ``subs`` (0 where no effect was
     applied) and, per outcome kept (probability above RANK_TOL), its
-    normalized weight and checked conditional state; other slots hold the
-    zero matrix at weight 0, which no stage reads."""
+    normalized weight and conditional state; other slots hold the zero
+    matrix at weight 0, which no stage reads."""
 
     subs: np.ndarray      # (n, S, d, d)
     keep: np.ndarray      # (n, S)
     weights: np.ndarray   # (n, S)
     matrices: np.ndarray  # (n, S, d, d)
     coeffs: np.ndarray    # (n, S, d*d)
-    pure: np.ndarray      # (n, S)
 
     def ensemble(self, model: gm.SystemModel, i: int) -> gm.Ensemble:
-        """Member ``i``'s ensemble of kept outcomes, as ``steer`` builds it."""
+        """Member ``i``'s ensemble of kept outcomes, as ``steer`` builds it;
+        a member is pure where its purity is 1 within SPECTRAL_TOL."""
         kept = self.keep[i]
         weights = self.weights[i][kept]
         weights.flags.writeable = False
+        matrices = self.matrices[i][kept]
         return gm.Ensemble(weights, tuple(gm._states(
-            model, self.matrices[i][kept], self.pure[i][kept])))
+            model, matrices, gm._pure(matrices))))
 
 
 def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteState:
@@ -97,9 +97,11 @@ def _purify(matrices: np.ndarray, purifier_dims=None):
 
     ``purifier_dims`` holds each one's requested purifier dimension (None:
     its rank); all share dimension max(2, largest request). Returns the
-    ``(n, dim_a, d)`` joints, read-only, and their :class:`_Schmidt` form in
-    the standard A basis: the square roots of the eigenvalues above
-    RANK_TOL, descending, and the eigenvectors, phase-fixed, as B vectors.
+    ``(n, dim_a, d)`` joints, read-only, their :class:`_Schmidt` form in
+    the standard A basis (the eigenvalues above RANK_TOL, descending and
+    renormalized to sum to 1, as squared values, so the joints are unit
+    vectors; the eigenvectors, phase-fixed, as B vectors) and their B
+    marginals, which must round-trip within STEERING_TOL.
     """
     eigvals, eigvecs = np.linalg.eigh(matrices)
     n, d = eigvals.shape
@@ -114,7 +116,8 @@ def _purify(matrices: np.ndarray, purifier_dims=None):
     rows = gm._fix_phase(rows)
     above = eigvals > RANK_TOL
     rank = above.sum(axis=-1)
-    values = np.sqrt(np.where(above, eigvals, 0.0))
+    kept = np.where(above, eigvals, 0.0)
+    values = np.sqrt(kept / kept.sum(axis=-1, keepdims=True))
     dims = rank if purifier_dims is None else purifier_dims
     gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
              dims < rank, dims, rank)
@@ -122,15 +125,13 @@ def _purify(matrices: np.ndarray, purifier_dims=None):
     top = min(dim_a, d)
     amplitudes = np.zeros((n, dim_a, d), dtype=complex)
     amplitudes[:, :top] = values[:, :top, None] * rows[:, :top]
-    norm = gm._norm(amplitudes.reshape(n, -1))
-    gm._fail(NotNormalizedError, "Joint norm is {}, expected 1.",
-             abs(norm - 1.0) > gm.LINEAR_TOL, norm)
     amplitudes.flags.writeable = False
 
-    roundtrip = abs(_marginals_b(amplitudes) - matrices).max(axis=(-2, -1))
+    marginals = _marginals_b(amplitudes)
+    roundtrip = abs(marginals - matrices).max(axis=(-2, -1))
     gm._fail(ContractError, "Purification marginal residual {}.",
              roundtrip > STEERING_TOL, roundtrip)
-    return amplitudes, _Schmidt(values, rows, rank)
+    return amplitudes, _Schmidt(values, rows, rank), marginals
 
 
 def _marginals_b(joints: np.ndarray) -> np.ndarray:
@@ -143,8 +144,10 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
 
     Outcome weights are the measurement probabilities (renormalized to sum
     to one exactly); outcomes of probability at most RANK_TOL are
-    dropped. Rank-1 measurements on a pure joint state give pure members;
-    coarse effects (e.g. the trivial measurement) give honest mixed members.
+    dropped. Each conditional is a state by construction (:func:`_steer`),
+    with round-off relative to its probability. Rank-1 measurements on a
+    pure joint state give pure members; coarse effects (e.g. the trivial
+    measurement) give honest mixed members.
     """
     if alice.model != psi.model_a:
         raise ModelMismatchError("Measurement does not act on side A's model.")
@@ -158,36 +161,44 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
         return gm.Ensemble(weights / weights.sum(),
                            tuple(s for _, s in members))
 
-    effects = np.stack([e.matrix for e in alice.effects])[None]
-    live = np.ones(effects.shape[:2], dtype=bool)
-    return _steer(psi.model_b, psi.joint_matrix[None], effects, live
-                  ).ensemble(psi.model_b, 0)
+    effects = np.stack([e.matrix for e in alice.effects])
+    return _steer_effects(psi, effects).ensemble(psi.model_b, 0)
 
 
-def _steer(model_b: gm.SystemModel, joints: np.ndarray, effects: np.ndarray,
+def _steer_effects(psi: gm.BipartiteState, effects: np.ndarray) -> _Steered:
+    """Steer quantum ``psi`` through ``(S, A, A)`` checked effects, each
+    factored as F F† by one batched ``eigh``, eigenvalues clipped at 0."""
+    eigvals, eigvecs = np.linalg.eigh(effects)
+    factors = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    return _steer(psi.model_b, np.empty((0, psi.model_b.size)),
+                  _marginals_b(gm._dagger(factors) @ psi.joint_matrix),
+                  np.ones((1, len(effects)), dtype=bool))
+
+
+def _steer(model_b: gm.SystemModel, kets: np.ndarray, grams: np.ndarray,
            live: np.ndarray) -> _Steered:
-    """Steer ``n`` joint matrices ``(n, A, d)`` with ``(n, S, A, A)``
-    effect stacks, of which only the ``live`` ``(n, S)`` ones, the
-    measurements', are applied."""
-    joint = joints[np.nonzero(live)[0]]
-    live_subs = (joint.conj().swapaxes(-1, -2) @ effects[live]
-                 @ joint).swapaxes(-1, -2)
-    if model_b.size == 2:
-        probs = live_subs[:, 0, 0].real + live_subs[:, 1, 1].real
-    else:
-        probs = np.trace(live_subs, axis1=-2, axis2=-1).real
+    """Steer ``n`` members' ``(n, S)`` outcome slots, the ``live`` ones.
+
+    An outcome of effect F F† leaves joint J's side B in the subnormalized
+    conditional XᵀX̄, X = F†J, of probability ‖X‖²: its Hermitian part is
+    positive by construction, with round-off relative to that probability,
+    so it is not checked (Nielsen & Chuang 2000, §2.2.3). The live outcomes
+    come in row-major order: first one-column factors' rows X, ``kets``
+    ``(L, d)``, whose conditionals are the projectors onto X/‖X‖; then the
+    other factors' Gram matrices XᵀX̄, ``grams`` ``(M, d, d)``.
+    """
+    outer = kets[:, :, None] * kets.conj()[:, None, :]
+    if len(grams):
+        outer = np.concatenate([outer, grams])
+    live_subs = 0.5 * (outer + gm._dagger(outer))
+    probs = live_subs.real.trace(axis1=-2, axis2=-1)
     kept = ~(probs <= RANK_TOL)
-    keep = np.zeros(live.shape, dtype=bool)
-    keep[live] = kept
-    subs = np.zeros(live.shape + live_subs.shape[1:], dtype=complex)
-    subs[live] = live_subs
-    weights = np.zeros(live.shape)
-    weights[keep] = probs[kept]
+    keep = _filled(live, kept)
+    weights = _filled(keep, probs[kept])
     weights = weights / weights.sum(axis=1, keepdims=True)
-    matrices = _filled(keep, gm._check_states(
-        model_b, live_subs[kept] / probs[kept, None, None]))
-    return _Steered(subs, keep, weights, matrices,
-                    gm._coeffs(model_b, matrices), gm._pure(matrices))
+    matrices = _filled(keep, live_subs[kept] / probs[kept, None, None])
+    return _Steered(_filled(live, live_subs), keep, weights, matrices,
+                    gm._coeffs(model_b, matrices))
 
 
 def _filled(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -203,13 +214,14 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     """Purifier-side measurement steering B to the target decomposition.
 
     The target must live on psi's B model and average to its B marginal
-    within 1e-9. :func:`_synthesize` builds the measurement in the Schmidt
-    basis of psi's SVD, cut where :func:`purify` cuts: one rank-1 effect per
-    member, and the deficit effect where the purifier is larger than the
-    Schmidt rank. Rotated back to psi's A basis, its effects and their
-    completeness are checked before it steers. Each conditional is checked
-    against its target member at ``STEERING_TOL``; together they form the
-    returned ensemble, identical to ``steer(psi, measurement)``.
+    within 1e-9. :func:`_synthesize` builds one effect factor per member in
+    the Schmidt basis of psi's SVD, cut where :func:`purify` cuts. Rotated
+    back to psi's A basis, factor f gives the rank-1 effect f f†; where the
+    purifier is larger than the Schmidt rank, the deficit effect projects
+    onto the basis vectors past it. The effects and their completeness are
+    checked, and the measurement steers as in :func:`steer`, so the
+    returned ensemble is ``steer(psi, measurement)`` bit for bit. Each
+    conditional is checked against its target member at ``STEERING_TOL``.
     """
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")
@@ -229,33 +241,33 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
             f"Target ensemble averages {residual} away from the B marginal.")
     present = np.ones((1, len(states)), dtype=bool)
     basis, values, vectors = np.linalg.svd(joints)
-    effects, live = _synthesize(
-        joints, _Schmidt(values, vectors, (values ** 2 > RANK_TOL).sum(axis=-1)),
-        weights, kets[None], present)
-    effects = basis[:, None] @ effects @ gm._dagger(basis)[:, None]
-    effects = _filled(live, gm._check_effects(psi.model_a, effects[live]))
-    covectors = gm._coeffs(psi.model_a, effects)
-    gm._check_complete(psi.model_a, covectors)
-    steered = _steer(psi.model_b, joints, effects, live)
+    rank = (values ** 2 > RANK_TOL).sum(axis=-1)
+    factors = _synthesize(joints, _Schmidt(values, vectors, rank), weights,
+                          kets[None], present)[0] @ basis[0].T
+    effects = factors[:, :, None] * factors.conj()[:, None, :]
+    past = basis[0][:, rank[0]:]
+    if past.size:
+        effects = np.concatenate([effects, (past @ gm._dagger(past))[None]])
+    alice = gm.measurement([gm.effect_from_matrix(psi.model_a, m)
+                            for m in effects])
+    steered = _steer_effects(psi, np.stack([e.matrix for e in alice.effects]))
     _check_targets(steered.subs, weights, members, present)
-    alice = gm.Measurement(tuple(
-        gm.Effect(psi.model_a, c, m)
-        for m, c, on in zip(effects[0], covectors[0], live[0]) if on))
     return SteeringMeasurement(alice, steered.ensemble(psi.model_b, 0))
 
 
 def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
-                kets: np.ndarray, present: np.ndarray):
+                kets: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Synthesize the steering measurements of ``n`` joint states.
 
     ``joints`` is ``(n, A, d)``, ``schmidt`` its Schmidt form; each target
     has ``K`` member slots: weights ``(n, K)`` and the pure members' kets
     ``(n, K, d)``, and must average to its joint's B marginal. A slot that
-    is not ``present`` must have weight 0 and a unit ket; it gets the zero
-    effect. Returns ``(effects, live)``: ``(n, K + 1, A, A)`` effects in
-    the A-side Schmidt basis, the last the deficit effect where ``live``;
-    valid and complete by construction, but unchecked, with the skew
-    (about 6e-17) of numpy's complex outer product."""
+    is not ``present`` must have weight 0 and a unit ket. Returns the
+    ``(n, K, A)`` rows alpha of the members' polar factor in the A-side
+    Schmidt basis: member k's effect is alpha_k alpha_k†, and the present
+    members' effects sum to the projector onto the first rank basis
+    vectors, so with the projector onto the rest (the deficit effect) they
+    are valid and complete by construction."""
     n, dim_a, _ = joints.shape
     slots = weights.shape[1]
     if slots > dim_a:
@@ -285,14 +297,7 @@ def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
                  (gm._norm(root * ket - rebuilt) > 1e-8) & present[rows])
         left, _, right = np.linalg.svd(beta.conj() / s_r, full_matrices=False)
         alphas[rows, :, :r] = left @ right
-    outer = alphas[..., :, None] * alphas.conj()[..., None, :]
-
-    # The deficit effect completes the measurement past the rank, where the
-    # purifier is larger than it.
-    past = np.arange(dim_a) >= schmidt.rank[:, None]
-    deficit = gm._eye(dim_a) * past[:, None, :]
-    effects = np.concatenate([outer, deficit[:, None]], axis=1)
-    return effects, np.concatenate([present, past[:, -1:]], axis=1)
+    return alphas
 
 
 def _check_targets(subs: np.ndarray, weights: np.ndarray,

@@ -1,9 +1,12 @@
 """One sha256 per family of results over fixed inputs: run
 ``python tests/bit_sweep.py`` from the repository root at two commits and
 compare the lines. A hash covers each result's ``to_dict()`` with every
-float as its bits, and each error's class, message and index. The file's
-name keeps pytest from collecting it."""
+float as its bits, and each error's class, message and index. ``--save
+FILE`` writes the results, and ``--against FILE`` adds each family's
+largest |change| of a float against them and the count of other values
+that differ. The file's name keeps pytest from collecting it."""
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -100,7 +103,37 @@ def families():
         for d, lam in itertools.product((2, 3, 4), LAMBDAS)]
 
 
+def delta(old, new):
+    """Largest |change| of the floats of two ``bits`` structures, and the
+    number of other leaves (or shapes) that differ."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        old, new = list(old.values()), list(new.values())
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        changes = [delta(a, b) for a, b in zip(old, new)]
+        return (max((c[0] for c in changes), default=0.0),
+                sum(c[1] for c in changes))
+    if old == new:
+        return 0.0, 0
+    try:
+        return abs(float.fromhex(old) - float.fromhex(new)), 0
+    except (TypeError, ValueError):
+        return 0.0, 1
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", metavar="FILE")
+    parser.add_argument("--against", metavar="FILE")
+    args = parser.parse_args()
+    saved = json.loads(Path(args.against).read_text()) if args.against else {}
+    runs = {}
     for name, outcomes in families():
-        text = json.dumps(bits(outcomes), sort_keys=True).encode()
-        print(f"{hashlib.sha256(text).hexdigest()}  {name} ({len(outcomes)})")
+        runs[name] = bits(outcomes)
+        text = json.dumps(runs[name], sort_keys=True).encode()
+        line = f"{hashlib.sha256(text).hexdigest()}  {name} ({len(outcomes)})"
+        if args.against:
+            change, other = delta(saved.get(name), runs[name])
+            line += f"  max |change| {change:.3g}, {other} other"
+        print(line)
+    if args.save:
+        Path(args.save).write_text(json.dumps(runs))

@@ -374,15 +374,15 @@ def test_gap_csv_format(capsys):
 
 
 def test_gap_contract_failure_is_an_error_line(capsys):
-    # power(0.5) has infinite slope at 0: round-off in a zero overlap takes
-    # the prediction 7.7e-10 off the closed form, past the 1e-12 contract.
+    # power(0.1) has infinite slope at 0: round-off in a zero overlap takes
+    # the prediction 3.0e-4 off the closed form, past the 1e-12 contract.
     code, out, err = run_cli(capsys, "gap", "--family", "power", "--alpha",
-                             "0.5", "--p1", "0", "--p2", "0.5", "--lambda",
+                             "0.1", "--p1", "0", "--p2", "0.5", "--lambda",
                              "0.5", "--seed", "3")
     assert code == 2
     assert out == ""
     assert err.startswith("error: Scenario 0 of the batch {")
-    assert '"seed": 3' in err and '"alpha": 0.5' in err
+    assert '"seed": 3' in err and '"alpha": 0.1' in err
     assert "closed form" in err and err.count("\n") == 1
 
 

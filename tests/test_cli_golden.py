@@ -193,7 +193,7 @@ GOLDEN = {
     'steer --alice z --format json':
         '7d1a8e794cebf5a5',
     'steer --target @{target} --format json':
-        'c53d81ea695e75ea',
+        'f46944571317bf28',
     'steer --alice @{alice} --format json':
         '5cd58e7ff2b09695',
     f'steer --alice {Y_BASIS} --format json':
@@ -203,7 +203,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format json':
         '2717ba6503597666',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
-        '2040a50be3f0e5fd',
+        '10490d60ab5c7043',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
         'a3a7f4d2ec9d4f09',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json':
@@ -211,19 +211,19 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json':
         'e5c149afea1e98b5',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json':
-        '6580294ed3c9cc62',
+        'e92eb55e5dd9fb6e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json':
-        'c7056621c3086766',
+        'cc0c062a193dcd2b',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json':
-        'e0a2cb89ce6f3821',
+        '71c180b0fa0067fd',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json':
         '581e131f33584f5e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json':
-        'b30843f0e26dcc1b',
+        '24e631fbf3f9a1d0',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json':
-        'a6e48ab01944fdf3',
+        'd0a8ffd8c0a2265c',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json":
-        'b89298c3375c88fd',
+        'e413be7760183b0e',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json":
         '2c89222ed969af4a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json":
@@ -231,65 +231,65 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json":
         'd16a9538a56773b3',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json":
-        '39ac309df411748f',
+        '880112c196d74682',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json":
-        '3af2783569d8c340',
+        '57a3a41cbc64d939',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json":
-        'c75ef4b13c32ea9a',
+        'bb3674c7342675cb',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json":
         '4ccbf8b27e866240',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json":
-        '38c341dc234b8708',
+        'cc55afefafabcf62',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json":
-        'cdf3371b4403c2cf',
+        '08366d4ab8a1a0b2',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format json':
-        '24b25fa16639237d',
+        'c99f121017500563',
     'scan --family identity --grid 9 --refine 7 --format json':
         '9378f8d87d038dca',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format json':
         '02adf741661721f4',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format json':
-        '2a9a31c95e9a87ab',
+        '430e88fb2ef4b638',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format json":
-        'b3b01803b4f26e04',
+        'd88f46d7e797f623',
     'certify --family identity --seed 0 --samples 1 --format json':
-        'a1a7d198276c2d6a',
+        '7015899a577e0410',
     'certify --family identity --seed 0 --samples 257 --format json':
-        '58e343b70285deef',
+        'bd760d8e9872237a',
     'certify --family identity --seed 2026 --samples 1 --format json':
-        'b4a93b6b9163f8d7',
+        '176e40dec9c8ad87',
     'certify --family identity --seed 2026 --samples 257 --format json':
-        '935e033c16e73665',
+        'd98bd8ee65c34fff',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format json':
-        'fa03e5046b9aa4bb',
+        '305073532740ffb3',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format json':
-        'dce422dced8e1964',
+        'c927056a27d399b1',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format json':
-        '236ef8d59ec1d0a8',
+        '1f9e0c4575c1df08',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format json':
-        '3e4a43e74d88f471',
+        'e1f806a130076e61',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format json':
-        '3696000bc486830c',
+        '8509515ea70505a8',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format json':
-        '30734f3d61093549',
+        '2e3be03c7d6a8827',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format json':
-        '50463d25b579083b',
+        '7085b8e863304430',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format json':
-        'e05b8e097bdcb95d',
+        'caee205e12263d78',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format json":
-        'a074cc660ef0e234',
+        '37356413aec409c5',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format json":
-        '6305afbef2a92aba',
+        'cec9a91aed9dff4f',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format json":
-        'c57c4bb793fbdffe',
+        '6e95ea4f33f1d158',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format json":
-        '56e0488460638ffe',
+        '4a2a785baed97f27',
     'certify --family identity --samples 0 --format json':
         '857b9a8f539faf27',
     'reproduce --format json':
-        'e0043e9f3384b07b',
+        'a57abd4bb02462dd',
     'reproduce --tol 1e-9 --format json':
-        '6c02f81fcb9def3c',
+        'ab06878f5c815177',
     'rule-check --family identity --format csv':
         '989f444c496d8a6f',
     'rule-check --family power --alpha 1.5 --format csv':
@@ -325,7 +325,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format csv':
         '7e09010a2d461b8f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
-        '1d5983a0524cdd23',
+        '0cb13abef9238288',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv':
@@ -333,17 +333,17 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format csv':
         '2854f526bf572263',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv':
-        '28d78716ed94de59',
+        '13705866f1635429',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv':
-        '6d2f24d81fd1eab1',
+        '0cb13abef9238288',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv':
-        '3311f65009994446',
+        '3eacb5b9cadd492e',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv':
         '7386b78d7e405103',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv':
-        'f171c33679a90cf5',
+        '2854f526bf572263',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv':
-        'a00b5754e0b71eda',
+        'dbf074486c8b8dea',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv":
         'babb9ee2d990a95d',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv":
@@ -353,29 +353,29 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format csv":
         '2179f54242989884',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv":
-        '483a889df5e1a44b',
+        '64823bdc7bb9dc92',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv":
-        '0e3125dfa24a3615',
+        'babb9ee2d990a95d',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv":
-        '1c822b8c62e718b0',
+        'a8eec772e9e3778e',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv":
         '7386b78d7e405103',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv":
         '161d8ab4a683c11a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv":
-        '483a889df5e1a44b',
+        '59590b79ec04f23e',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format csv':
-        '24b25fa16639237d',
+        'f98159a5b3af0ab8',
     'scan --family identity --grid 9 --refine 7 --format csv':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format csv':
-        '2826878111d2e863',
+        '57f5213bce361d15',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format csv":
-        '6cbbda5c6e470c2a',
+        'a70e9e5ba56c8e3c',
     'certify --family identity --seed 0 --samples 1 --format csv':
-        'f515d3b934fba348',
+        '0fb552089318a13b',
     'certify --family identity --seed 0 --samples 257 --format csv':
         '2bbcefb111368ead',
     'certify --family identity --seed 2026 --samples 1 --format csv':
@@ -383,35 +383,35 @@ GOLDEN = {
     'certify --family identity --seed 2026 --samples 257 --format csv':
         'ac6a9ab2658b4838',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format csv':
-        'ad5358dd3e2f4fd9',
+        '85ad078618a78b11',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format csv':
-        'acdbf75596918de1',
+        'bcdb00acf6940d81',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format csv':
         '16732521f9311d1b',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format csv':
         'c3b51ed107bdea3c',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format csv':
-        'ca1dbbafb91c80e7',
+        '2298632fdefa3b6c',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format csv':
         '094c0d9a32f15b11',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format csv':
-        '545ba8977372133e',
+        'dd6043ea4a42ad3a',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format csv':
-        '785a6df94036d4c9',
+        'e5750230f479167a',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format csv":
-        '0fb552089318a13b',
+        'f515d3b934fba348',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format csv":
-        '53a3f1ec3b6bfa39',
+        'e476970506c69992',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format csv":
-        'dec979d1f3431c20',
+        '6c50ce74172deb04',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format csv":
-        '8d40c5a2148d4666',
+        '2965e3e5e4c61147',
     'certify --family identity --samples 0 --format csv':
         '857b9a8f539faf27',
     'reproduce --format csv':
-        'f08f1e96073cf258',
+        'da8250ffe722d4df',
     'reproduce --tol 1e-9 --format csv':
-        '7bdaa071b5a23ba7',
+        '134fb3a868613c25',
     'rule-check --family identity --format pretty':
         '782e5bc94024313c',
     'rule-check --family power --alpha 1.5 --format pretty':
@@ -447,7 +447,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format pretty':
         '15216c3d72370f31',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
-        '07cc8ba4759e2f95',
+        '257c2dd99fbc620a',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':
         '841d8dc3abef8bb2',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty':
@@ -455,17 +455,17 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format pretty':
         '1dc480b3fafc2b85',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty':
-        'f0475333e87aab97',
+        'bb73dfc2b193dcc9',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty':
-        'e95962170d7b3db2',
+        'bc8c8071c9453220',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty':
-        '34d35fd40dc01fd8',
+        'b0e2b0187ed6a046',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty':
         '4d589fa8b7a35f87',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty':
-        '17a45d3b1e48eb3d',
+        '4ea0a02ca2328cb6',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty':
-        '30e1eb8f67255a9e',
+        'e0cd80b259dc0893',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty":
         '819feb451f57a1c3',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty":
@@ -475,59 +475,59 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format pretty":
         'df0ffd4ee3097180',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty":
-        '94680641e3a9d466',
+        'e251c6486eba7559',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty":
-        '9a337c6d7bddb862',
+        '1c77ee6e890f4e74',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty":
-        '55e3545971a551ff',
+        '610ce5967b4d9516',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty":
         '834e3a0b42b92927',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty":
         'a1db91f86bff9b86',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty":
-        '1ee2dbb2327bf2aa',
+        '470d892f685032cd',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format pretty':
-        '24b25fa16639237d',
+        '566b08812ec3e53b',
     'scan --family identity --grid 9 --refine 7 --format pretty':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format pretty':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format pretty':
-        '2826878111d2e863',
+        '57f5213bce361d15',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format pretty":
-        '6cbbda5c6e470c2a',
+        'a70e9e5ba56c8e3c',
     'certify --family identity --seed 0 --samples 1 --format pretty':
-        'be5c05f4a7982b20',
+        '3ea4f63e09752cee',
     'certify --family identity --seed 0 --samples 257 --format pretty':
-        'f871f41c79cac8c5',
+        'cd70d38b8642d522',
     'certify --family identity --seed 2026 --samples 1 --format pretty':
         'b9f17500e13d43bb',
     'certify --family identity --seed 2026 --samples 257 --format pretty':
-        'aa8521b84c7d7efe',
+        'aec6f2ffe59b2cdd',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format pretty':
-        '181f08e9e851d93d',
+        '4b9a532cd300ccd5',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format pretty':
-        '103b03f248eca1e1',
+        'd1a59f063025027a',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format pretty':
         '959b9a5969e4621b',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format pretty':
         'e0bbc80d327effec',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format pretty':
-        'e5ff76634fc58753',
+        'f874329281849615',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format pretty':
         '454da93efa2e230f',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format pretty':
-        'd4f81dba0553ac08',
+        'b3cc2c5b986f2b4a',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format pretty':
-        '8c5ea29db5a54148',
+        '8ec32f6ee5df69cf',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format pretty":
-        '91f11a593b162999',
+        '2fd0681a54baa725',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format pretty":
-        '7d9d29015443e7db',
+        '6fda9a5e86318510',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format pretty":
-        '6ee56f0ec88b2d58',
+        '8e70f6479635f0be',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format pretty":
-        'b0e2a686eac2a43c',
+        'fcb71a6f27beafc8',
     'certify --family identity --samples 0 --format pretty':
         '857b9a8f539faf27',
     'reproduce --format pretty':
@@ -537,13 +537,13 @@ GOLDEN = {
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv --out {out}':
         'fd3ecff6db431329',
     'reproduce --format csv --out {out}':
-        '9b4c9e184852ea40',
+        'f2c9db02a3db7c11',
     'certify --family identity --samples 3 --format json --out {out}':
-        'e6108538f8e74f56',
+        '569885f4a9dace00',
     'certify --family identity --samples 1025 --seed 2026 --format json':
-        '26e854c56e17327c',
+        '2780d59a97d880e9',
     'certify --family power --alpha 1.5 --samples 1025 --seed 2026 --format json':
-        '62f2184e2b1f6135',
+        '71143c5ffde3d916',
     'scan --family identity --grid 41 --format csv --out {out}':
         '2040ccc022c7febd',
     'scan --family power --alpha 1.5 --grid 41 --format csv --out {out}':
@@ -551,7 +551,7 @@ GOLDEN = {
     'scan --family piecewise-quadratic --grid 41 --format csv --out {out}':
         '463ca08052ffba1f',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 41 --format csv --out {out}":
-        '5cccd027cfd3f621',
+        '0952c4923c207e2f',
     _haar_tau(0, 720):
         '637c98e1171ccac0',
     _haar_tau(1, 720):

@@ -406,9 +406,9 @@ def test_near_pure_mixtures_pass(d, uniform, rule, p1, p2, decades,
 
 
 def steep_scenario():
-    """power(0.5) has infinite slope at 0: round-off in this scenario's zero
-    overlap takes its prediction 7.7e-10 off the closed form."""
-    return sg.Scenario(rl.power_rule(0.5), PHI, 0.0, 0.5, 0.5, seed=3)
+    """power(0.1) has infinite slope at 0: round-off in this scenario's zero
+    overlap (6.8e-33) takes its prediction 3.0e-4 off the closed form."""
+    return sg.Scenario(rl.power_rule(0.1), PHI, 0.0, 0.5, 0.5, seed=3)
 
 
 def test_batch_failure_names_its_scenario():
@@ -439,6 +439,26 @@ def test_batch_failure_names_the_first_scenario_failing_alone():
     with pytest.raises(ContractError) as info:
         sg.run_scenarios([fine, bad, mixed_phi])
     assert info.value.index == 1 and info.value.scenario is bad
+
+
+def test_batch_failure_is_found_by_bisection(monkeypatch):
+    # A failure at the last of 64 scenarios: the bisection runs 63
+    # scenarios through the batch core in six passes (32 + 16 + ... + 1),
+    # and only the failing scenario runs alone, itself a batch of one.
+    bad = steep_scenario()
+    batch = [sg.Scenario(rl.power_rule(1.5), PHI, 0.2, 0.7, 0.4, seed=i)
+             for i in range(63)] + [bad]
+    core, alone = [], []
+    run_batch, run_scenario = sg._run_batch, sg.run_scenario
+    monkeypatch.setattr(sg, "_run_batch",
+                        lambda s: core.append(len(s)) or run_batch(s))
+    monkeypatch.setattr(sg, "run_scenario",
+                        lambda s: alone.append(s) or run_scenario(s))
+    with pytest.raises(ContractError) as info:
+        sg.run_scenarios(batch)
+    assert info.value.index == 63 and info.value.scenario is bad
+    assert core == [64, 32, 16, 8, 4, 2, 1, 1]
+    assert alone == [bad]
 
 
 SCENARIO_PINS = Path(__file__).resolve().parent / "scenario_pins.json"
@@ -561,11 +581,11 @@ def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
                                      seed=1555123228)
     assert defect.passed and defect.max_abs_gap <= 1e-10
 
-    # RAMP turns round-off in an overlap on its ramp into a 4.6e-12
+    # RAMP turns round-off in an overlap on its ramp into a 3.6e-12
     # closed-form deviation at sample 376 of seed 54, in the certificate's
-    # first batch, so all 377 samples up to it run again alone. The failure
-    # also surfaces from run_scenario on that scenario, where a per-scenario
-    # wrapper (the benchmark's defect probe) finds it.
+    # first batch; bisection finds it, and only it runs again alone. The
+    # failure also surfaces from run_scenario on that scenario, where a
+    # per-scenario wrapper (the benchmark's defect probe) finds it.
     real = sg.run_scenario
     raised = []
 
@@ -643,63 +663,71 @@ PER_SCENARIO_REPORTS = (
 
 
 def test_steer_checks_only_the_live_conditionals(monkeypatch):
-    # A trivial-average batch steers each scenario's two members and its
-    # trivial outcome; the deficit and empty slots are not steered.
+    # A trivial-average batch steers each scenario's two members through
+    # their one-column factors and its trivial outcome through the B
+    # marginal; the deficit and empty slots are not steered. No
+    # conditional is state-checked, and no purity is computed.
     rng, rule = np.random.default_rng(4), rl.power_rule(1.5)
     batch = [sg.Scenario(rule, PHI, *(float(x) for x in 0.1 + 0.8 * rng.random(3)),
                          seed=k) for k in range(7)]
     sg.run_scenarios(batch[:1])  # a warm-up run, outside the count
-    checked, steering = [], []
-    check_states, steer = gm._check_states, ss._steer
+    calls, steered = [], []  # steered: None inside _steer, then its args
+    steer = ss._steer
 
-    def counting_check(model, matrices):
-        if steering:
-            checked.append(int(np.prod(np.shape(matrices)[:-2])))
-        return check_states(model, matrices)
+    def counted(name):
+        real = getattr(gm, name)
+
+        def counting(*args):
+            if steered and steered[-1] is None:
+                calls.append((name, int(np.prod(np.shape(args[-1])[:-2]))))
+            return real(*args)
+        return counting
 
     def marked_steer(*args):
-        steering.append(True)
+        steered.append(None)
         try:
             return steer(*args)
         finally:
-            steering.pop()
+            steered[-1] = args
 
-    monkeypatch.setattr(gm, "_check_states", counting_check)
+    for name in ("_check_states", "_check_hermitian", "_pure"):
+        monkeypatch.setattr(gm, name, counted(name))
     monkeypatch.setattr(ss, "_steer", marked_steer)
     sg.run_scenarios(batch)
-    assert sum(checked) == 3 * len(batch)
+    (_, kets, grams, live), = steered
+    assert (len(kets), len(grams)) == (2 * len(batch), len(batch))
+    assert np.count_nonzero(live) == 3 * len(batch)
+    assert calls == []
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("mode", [sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM])
 def test_single_run_checks_hermiticity_twice(monkeypatch, d, mode):
-    # Once each for the average state and the steered conditionals: the
-    # members' projectors are pure by construction, and the synthesized
-    # effects valid and complete by construction, so neither is checked
-    # again.
+    # Once, for the average state: the members' projectors are pure by
+    # construction, the synthesized effects valid and complete by
+    # construction, and the steered conditionals Hermitian and positive by
+    # construction, so none of them is checked.
     scenario = sg.Scenario(rl.power_rule(1.5), gm.point_state(gm.quantum(d), 0),
                            0.2, 0.7, 0.4, mode)
     calls, check = [], gm._check_hermitian
     monkeypatch.setattr(gm, "_check_hermitian",
                         lambda *args: calls.append(1) or check(*args))
     sg.run_scenario(scenario)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_certificate_checks_hermiticity_twice_per_batch(monkeypatch):
+    # Once per batch, for its average states.
     calls, check = [], gm._check_hermitian
     monkeypatch.setattr(gm, "_check_hermitian",
                         lambda *args: calls.append(1) or check(*args))
     sg.affinity_certificate(rl.identity_rule(), samples=1000)
-    assert len(calls) == 2 * -(-1000 // sg._CERTIFICATE_BATCH)
+    assert len(calls) == -(-1000 // sg._CERTIFICATE_BATCH)
 
 
-def test_pipeline_synthesis_holds_its_contract_by_construction(monkeypatch):
-    # The pipeline does not check its synthesized measurements or their
-    # targets' averages: the effects are rank-1 projectors onto a polar
-    # factor's rows plus the deficit projector, and the targets average to
-    # the purified state. Each steered stack must still pass those checks.
-    rng = np.random.default_rng(11)
+def _pipeline_batch(rng):
+    """Scenarios at d = 2..4 in both modes, with overlaps and weights at 0,
+    1 and between, on a Haar phi per dimension."""
     batch = []
     for d in (2, 3, 4):
         ket = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -709,23 +737,76 @@ def test_pipeline_synthesis_holds_its_contract_by_construction(monkeypatch):
                 (0.0, 0.81, 1.0), (0.0, 0.42, 1.0)):
             batch.append(sg.Scenario(rl.power_rule(1.5), phi, p1, p2, lam,
                                      mode, seed=len(batch)))
+    return batch
+
+
+def test_pipeline_synthesis_holds_its_contract_by_construction(monkeypatch):
+    # The pipeline does not check its synthesized measurements or their
+    # targets' averages: the effects are rank-1 projectors onto a polar
+    # factor's rows plus the deficit projector, and the targets average to
+    # the purified state. Each synthesized stack must still pass those
+    # checks.
+    batch = _pipeline_batch(np.random.default_rng(11))
     stacks, targets = [], []
-    steer, check_targets = ss._steer, ss._check_targets
-    monkeypatch.setattr(ss, "_steer",
-                        lambda *args: stacks.append(args) or steer(*args))
+    synthesize, check_targets = ss._synthesize, ss._check_targets
+    monkeypatch.setattr(ss, "_synthesize", lambda *args: stacks.append(
+        (args, synthesize(*args))) or stacks[-1][1])
     monkeypatch.setattr(ss, "_check_targets", lambda *args: targets.append(
         args) or check_targets(*args))
     sg.run_scenarios(batch)
     assert len(stacks) == len(targets) == 6  # one per model size and mode
-    for (_, joints, effects, live), (_, weights, members, _) in zip(
-            stacks, targets):
+    for ((joints, schmidt, weights, _, present), alphas), (_, _, members, _) \
+            in zip(stacks, targets):
         dim_a = joints.shape[1]
-        gm._check_effects(gm.quantum(dim_a), effects[live])
-        total = np.where(live[..., None, None], effects, 0.0).sum(axis=1)
+        effects = alphas[..., :, None] * alphas.conj()[..., None, :]
+        for effect in effects[present]:
+            gm.effect_from_matrix(gm.quantum(dim_a), effect)
+        past = np.arange(dim_a) >= schmidt.rank[:, None]
+        total = np.where(present[..., None, None], effects, 0.0).sum(axis=1)
+        total += np.eye(dim_a) * past[:, None, :]  # the deficit effect
         assert abs(total - np.eye(dim_a)).max() <= gm.LINEAR_TOL
-        residual = abs(gm._average(weights, members)
-                       - ss._marginals_b(joints[:len(weights)]))
+        residual = abs(gm._average(weights, members) - ss._marginals_b(joints))
         assert residual.max() <= 1e-9
+        assert not np.count_nonzero(joints * past[..., None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), p1=UNIT, p2=UNIT,
+       lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+       seed=st.integers(0, 2**31 - 1))
+def test_pipeline_conditionals_are_states_by_construction(d, p1, p2, lam,
+                                                         seed):
+    # The steered conditionals are not checked: each kept one must have
+    # trace 1 within 1e-12, be exactly Hermitian and have no eigenvalue
+    # below -1e-9, in both modes, and each member of a known decomposition
+    # must be pure. Members at least 1e-3 rad apart keep the average off
+    # the rank cut (README's first known limit); equal overlaps may not.
+    apart = np.arccos(np.sqrt(p1)) - np.arccos(np.sqrt(p2))
+    assume(lam in (0.0, 1.0) or abs(apart) >= 1e-3)
+    rng = np.random.default_rng(seed)
+    ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+    phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
+    stacks = []
+    steer = ss._steer
+
+    def capturing(*args):
+        stacks.append(steer(*args))
+        return stacks[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ss, "_steer", capturing)
+        trivial, uniform = sg.run_scenarios([
+            sg.Scenario(rl.identity_rule(), phi, p1, p2, lam, mode, seed=seed)
+            for mode in (sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM)])
+    for steered in stacks:
+        kept = steered.matrices[steered.keep]
+        assert np.array_equal(kept, kept.conj().swapaxes(-1, -2))
+        trace = np.trace(kept, axis1=-2, axis2=-1).real
+        assert abs(trace - 1.0).max() <= gm.LINEAR_TOL
+        assert np.linalg.eigvalsh(kept).min() >= -gm.SPECTRAL_TOL
+    members = (trivial.ensemble_1.states + uniform.ensemble_1.states
+               + uniform.ensemble_2.states)
+    assert all(state.pure for state in members)
 
 
 def test_report_ensembles_are_built_when_first_read(monkeypatch):

@@ -1,15 +1,20 @@
+import contextlib
+import io
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptsim import models as gm
 from gptsim import steering as ss
+from gptsim.cli import main
 from gptsim.errors import (
     ContractError,
     MarginalMismatchError,
     ModelMismatchError,
-    NotNormalizedError,
     NotPureError,
     RankDeficitError,
     UnsupportedModelError,
@@ -198,6 +203,46 @@ def test_steer_classical_product_point():
         assert s.coeffs.tolist() == [0.0, 1.0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), decades=st.floats(7.0, 12.0),
+       small=st.integers(1, 3),
+       angle=st.one_of(st.just(0.0), st.floats(1e-6, 0.4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_steer_accepts_near_product_joints(d, decades, small, angle, seed):
+    # Squared Schmidt values 1 - k e and e (k of them), e down to 1e-12,
+    # in Haar local bases, measured in A's Schmidt basis or in that basis
+    # rotated by a unitary exp(i angle H): every kept conditional passes
+    # the state check, through steer and through `gptsim steer`.
+    rng = np.random.default_rng(seed)
+    model, e = gm.quantum(d), 10.0 ** -decades
+    weights = np.zeros(d)
+    weights[1:1 + small] = e
+    weights[0] = 1.0 - weights.sum()
+    a_side, b_side = haar_unitary(rng, d), haar_unitary(rng, d)
+    joint = a_side @ np.diag(np.sqrt(weights)) @ b_side.T
+    psi = gm.bipartite_from_ket(model, model, joint.reshape(-1)
+                                / np.linalg.norm(joint))
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    eigvals, eigvecs = np.linalg.eigh(h + h.conj().T)
+    basis = a_side @ (eigvecs * np.exp(1j * angle * eigvals
+                                       / abs(eigvals).max())) @ eigvecs.conj().T
+    alice = gm.measurement([gm.effect_from_matrix(
+        model, np.outer(basis[:, k], basis[:, k].conj())) for k in range(d)])
+    ens = ss.steer(psi, alice)
+    assert abs(ens.weights.sum() - 1.0) <= gm.LINEAR_TOL
+    for state in ens.states:
+        gm.state_from_matrix(model, state.matrix)
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["steer", "--bipartite", json.dumps(psi.to_dict()),
+                     "--alice", json.dumps(alice.to_dict()), "--format",
+                     "json"])
+    assert code == 0
+    members = json.loads(out.getvalue())["ensemble"]["members"]
+    assert len(members) == len(ens)
+
+
 # ---------------------------------------------------------------------------
 # synthesize_steering_measurement
 # ---------------------------------------------------------------------------
@@ -365,14 +410,19 @@ def test_marginal_residual_rejects_mismatched_models():
                              gm.ensemble([(1.0, point)]))
 
 
-def test_purify_rejects_a_state_whose_cut_spectrum_breaks_the_norm():
-    # Three eigenvalues at the rank cut drop 3e-12 of the trace, so the
-    # purification's norm is 1 - 1.5e-12, outside the 1e-12 tolerance.
+def test_purify_renormalizes_the_weights_kept_at_the_rank_cut():
+    # Three eigenvalues at the rank cut drop 3e-12 of the trace. The kept
+    # Schmidt weight is renormalized, so the joint is a unit vector, and
+    # the marginal still round-trips within 1e-10.
     omega = gm.state_from_matrix(
         gm.quantum(4), np.diag([1 - 3e-12, 1e-12, 1e-12, 1e-12]))
-    with pytest.raises(NotNormalizedError,
-                       match=r"^Joint norm is 0\.9999999999985, expected 1\.$"):
-        ss.purify(omega)
+    psi = ss.purify(omega)
+    assert psi.model_a == QUBIT  # rank 1, purifier of dimension 2
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15
+    assert abs(gm.marginal(psi, "B").matrix - omega.matrix).max() <= 1e-10
+    joints, schmidt, marginals = ss._purify(omega.matrix[None])
+    assert schmidt.rank.tolist() == [1] and schmidt.values[0, 0] == 1.0
+    assert np.array_equal(marginals, ss._marginals_b(joints))
 
 
 def test_purification_round_trip_fires_on_a_non_hermitian_stack():
@@ -404,8 +454,7 @@ def test_steered_conditional_check_fires_on_swapped_effects():
     synthesized = ss.synthesize_steering_measurement(BELL, target)
     effects = np.stack([e.matrix for e in synthesized.measurement.effects])
     live = np.ones((1, 2), dtype=bool)
-    steered = ss._steer(QUBIT, BELL.joint_matrix[None], effects[None, ::-1],
-                        live)
+    steered = ss._steer_effects(BELL, effects[::-1])
     members = np.stack([KET0.matrix, KET1.matrix])[None]
     with pytest.raises(ContractError,
                        match=r"^Steered conditional 0 deviates by 0\.5\.$"):
