@@ -262,33 +262,31 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
         kets = np.where(is_phi[..., None], phi_k[:, None], kets)
         members = np.where(is_phi[..., None, None], phi_m[:, None], members)
 
-    # The average state (at lambda 0 or 1, the lone member up to the sign
-    # of a zero) and its purification. Its check can clip: with phi's own
-    # matrix as a member (p = 1), round-off can take the average below the
-    # clip floor. The synthesis targets average to omega, which the
-    # purification's round-trip check holds to its joints' B marginals.
-    omega = gm._check_states(model, gm._average(weights, members))
-    joints, schmidt, marginals = ss._purify(omega)
+    # omega = A A†, A the members' factor [sqrt(w1) m1, sqrt(w2) m2]: one
+    # SVD of A purifies omega and gives protocol 1's steering rows, so
+    # omega is neither formed as a state nor decomposed. The round trip
+    # holds the joints' B marginals to the members' average.
+    factors = (np.sqrt(weights)[..., None] * kets).swapaxes(-1, -2)
+    joints, schmidt, marginals, alphas = ss._purify(
+        factors, gm._average(weights, members))
 
-    # Synthesis targets, as one stack: protocol 1 of every scenario, then
-    # in uniform mode its protocol 2, the equal-overlap members.
+    # In uniform mode protocol 2 follows in the stack: the rows
+    # (1, +-conj(t)) / sqrt(2) in the Schmidt basis steer each joint to its
+    # equal-overlap kets s_0 v_0 +- t s_1 v_1, at weight 1/2.
     if uniform:
-        u_kets, u_members = gm._ket_states(
-            model, _uniform_kets(schmidt, phi_k))
+        u_kets, t = _uniform_kets(schmidt, phi_k)
+        rows = np.sqrt(0.5) * np.stack([np.ones(n), t.conj()], axis=-1)
+        alphas = np.concatenate([alphas, rows[:, None] * [[1, 1], [1, -1]]])
         joints = np.concatenate([joints] * 2)
-        schmidt = ss._Schmidt(*(np.concatenate([a] * 2) for a in schmidt))
         weights = np.concatenate([weights, np.full((n, 2), 0.5)])
-        members = np.concatenate([members, u_members])
-        kets = np.concatenate([kets, u_kets])
+        members = np.concatenate([members, gm._ket_states(model, u_kets)[1]])
         present = np.concatenate([present, np.ones((n, 2), bool)])
-    alphas = ss._synthesize(joints, schmidt, weights, kets, present)
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
     # row n + j. A target member's effect has the one-column factor alpha,
-    # so X = alpha†J is one batched matmul. The deficit effect is not
-    # steered: the joints' rows past the rank are exactly zero. In trivial
-    # mode protocol 2 is the unit effect, factor I, whose conditional is
-    # the joint's B marginal that the purification already formed.
+    # so X = alpha†J is one batched matmul. In trivial mode protocol 2 is
+    # the unit effect, factor I, whose conditional is the joint's B
+    # marginal that the purification already formed.
     grams, live = marginals[:0], present
     if not uniform:
         grams = marginals
@@ -331,37 +329,43 @@ def _predict_protocols(rules: list, stacks: tuple, p: np.ndarray,
 def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble:
     """Two pure members of weight 1/2 that average to omega, each with
     overlap <phi|omega|phi> with the pure state phi: the steered-uniform
-    protocol-2 target, built by :func:`_uniform_kets` in any dimension.
+    protocol-2 target, built by :func:`_uniform_kets` in any dimension
+    from the Schmidt form of omega's purification (:func:`purify`'s).
     omega must have rank at most 2, as an average of two pure states does;
     a higher rank raises ``ValueError`` naming it.
     """
     tr._require_same_model(omega, phi)
     phi_k = gm.pure_ket(phi)  # a quantum model, so omega has a matrix
-    schmidt = ss._purify(omega.matrix[None])[1]
+    matrices = omega.matrix[None]
+    schmidt = ss._purify(ss._factors(matrices), matrices)[1]
     rank = int(schmidt.rank[0])
     if rank > 2:
         raise ValueError(
             f"omega has rank {rank}; two pure members average to rank 2 at most.")
     kets, members = gm._ket_states(
-        omega.model, _uniform_kets(schmidt, phi_k[None]))
+        omega.model, _uniform_kets(schmidt, phi_k[None])[0])
     states = gm._states(omega.model, members[0], True, kets[0])
     return gm.ensemble([(0.5, state) for state in states])
 
 
-def _uniform_kets(schmidt: ss._Schmidt, phi_k: np.ndarray) -> np.ndarray:
+def _uniform_kets(schmidt: ss._Schmidt, phi_k: np.ndarray) -> tuple:
     """Kets ``(n, 2, d)`` of the equal-overlap pairs of ``n`` states of rank
     at most 2, from their :class:`_Schmidt` form, against phi's kets
-    ``phi_k``. The kets s_0 v_0 +- t s_1 v_1, |t| = 1, average to omega at
-    weight 1/2; with b_k = s_k <v_k|phi> and z = conj(b_0) b_1, t = -i z/|z|
-    (1 if z = 0) zeroes the cross term of their overlaps with phi, so both
-    are <phi|omega|phi>. A pure omega (s_1 = 0) gives v_0 twice."""
+    ``phi_k``, and their phases t ``(n,)``. The kets s_0 v_0 +- t s_1 v_1,
+    |t| = 1, average to omega at weight 1/2; with b_k = s_k <v_k|phi> and
+    z = conj(b_0) b_1, t = -i z/|z| zeroes the cross term of their overlaps
+    with phi, so both are <phi|omega|phi>. Where |z| is round-off, at most
+    64 ulp of s_0 s_1 (its largest value), t = 1: round-off does not pick
+    the pair, and the cross term left is round-off too. A pure omega
+    (s_1 = 0) gives v_0 twice."""
     scaled = schmidt.values[:, :2, None] * schmidt.vectors[:, :2]
     b = (scaled.conj() @ phi_k[..., None])[..., 0]
     z = b[:, 0].conj() * b[:, 1]
     size = abs(z)
-    t = np.where(size > 0.0, -1j * z / np.where(size > 0.0, size, 1.0), 1.0)
+    turn = size > 2.0 ** -46 * schmidt.values[:, 0] * schmidt.values[:, 1]
+    t = np.where(turn, -1j * z / np.where(turn, size, 1.0), 1.0)
     swing = t[:, None] * scaled[:, 1]
-    return np.stack([scaled[:, 0] + swing, scaled[:, 0] - swing], axis=1)
+    return np.stack([scaled[:, 0] + swing, scaled[:, 0] - swing], axis=1), t
 
 
 # ---------------------------------------------------------------------------

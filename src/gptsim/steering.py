@@ -42,7 +42,7 @@ class SteeringMeasurement:
 class _Schmidt(NamedTuple):
     """Schmidt form of ``n`` joint matrices: joint i is the sum over
     k < rank[i] of values[i, k] |k>_A |vectors[i, k]>_B, |k>_A its A-side
-    Schmidt basis; the squared values past the rank are at most RANK_TOL."""
+    Schmidt basis; past the rank, where squares fall to RANK_TOL, values are 0."""
 
     values: np.ndarray   # (n, r), descending
     vectors: np.ndarray  # (n, r, d)
@@ -78,60 +78,75 @@ def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteStat
 
     The purifier (side A) has dimension equal to the rank of omega unless a
     larger dimension is requested. Classical mixed states admit no
-    purification. Degenerate spectra are resolved deterministically:
-    eigenvalues descending, each eigenvector's first significant component
-    made real-positive.
+    purification. omega is factored by one ``eigh`` (:func:`_factors`) and
+    purified by :func:`_purify`, the scenario pipeline's kernel: Schmidt
+    values descending, each B vector's first significant component made
+    real-positive, so the result is deterministic.
     """
     if omega.model.kind != gm.QUANTUM:
         raise UnsupportedModelError(
             "Classical mixed states have no purification; steering scenarios "
             "require a quantum model.")
     dims = None if purifier_dim is None else np.array([int(purifier_dim)])
-    amplitudes = _purify(omega.matrix[None], dims)[0][0]
+    matrices = omega.matrix[None]
+    amplitudes = _purify(_factors(matrices), matrices, dims)[0][0]
     return gm.BipartiteState(gm.quantum(len(amplitudes)), omega.model,
                              amplitudes.reshape(-1))
 
 
-def _purify(matrices: np.ndarray, purifier_dims=None):
-    """Purifications of an ``(n, d, d)`` stack of density matrices.
+def _factors(matrices: np.ndarray) -> np.ndarray:
+    """Factors F of a ``(..., d, d)`` stack of positive matrices M = F F†:
+    one batched ``eigh``, eigenvectors times the roots of the eigenvalues
+    clipped at 0."""
+    eigvals, eigvecs = np.linalg.eigh(matrices)
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
+
+
+def _purify(factors: np.ndarray, matrices: np.ndarray, purifier_dims=None):
+    """Purifications of an ``(n, d, d)`` stack of density matrices, each
+    F F† for its factor F in ``factors`` ``(n, d, K)``, by one batched SVD
+    F = U S V† (Hughston, Jozsa & Wootters 1993).
 
     ``purifier_dims`` holds each one's requested purifier dimension (None:
     its rank); all share dimension max(2, largest request). Returns the
-    ``(n, dim_a, d)`` joints, read-only, their :class:`_Schmidt` form in
-    the standard A basis (the eigenvalues above RANK_TOL, descending and
-    renormalized to sum to 1, as squared values, so the joints are unit
-    vectors; the eigenvectors, phase-fixed, as B vectors) and their B
-    marginals, which must round-trip within STEERING_TOL.
+    ``(n, dim_a, d)`` joints J, read-only; their :class:`_Schmidt` form in
+    the standard A basis (S past the rank cut, renormalized so that the
+    joints are unit vectors; U's columns, phase-fixed, as B vectors); their
+    B marginals, which must round-trip ``matrices`` within STEERING_TOL;
+    and the rows alpha ``(n, K, dim_a)`` of V, each right singular vector
+    phased as its B vector and cut at the rank, so alpha_k†J is F's column
+    k, renormalized as S, and the alphas' projectors sum to the projector
+    onto the first rank basis vectors. The SVD gives small singular values
+    with error relative to the largest, where eigenvalues of F F† would
+    carry that error squared (Demmel & Veselić 1992).
     """
-    eigvals, eigvecs = np.linalg.eigh(matrices)
-    n, d = eigvals.shape
-    rows = eigvecs.swapaxes(-1, -2)
-    if np.count_nonzero(eigvals[:, 1:] == eigvals[:, :-1]):
-        # a stable sort keeps tied eigenvalues in eigh's order
-        order = (-eigvals).argsort(axis=-1, kind="stable")
-        items = np.arange(n)[:, None]
-        eigvals, rows = eigvals[items, order], rows[items, order]
-    else:  # eigh's ascending order, reversed
-        eigvals, rows = eigvals[:, ::-1], np.ascontiguousarray(rows[:, ::-1])
-    rows = gm._fix_phase(rows)
-    above = eigvals > RANK_TOL
+    left, values, right = np.linalg.svd(factors, full_matrices=False)
+    n, d, slots = factors.shape
+    above = values ** 2 > RANK_TOL
     rank = above.sum(axis=-1)
-    kept = np.where(above, eigvals, 0.0)
-    values = np.sqrt(kept / kept.sum(axis=-1, keepdims=True))
+    kept = np.where(above, values, 0.0)
+    values = kept / np.sqrt((kept ** 2).sum(axis=-1, keepdims=True))
+    # Each pair [u_k | v_k] of singular vectors gets one phase: its pivot
+    # lies among the d components of the unit u_k, one of them >= 1/sqrt(d).
+    rows = gm._fix_phase(np.concatenate(
+        [left.swapaxes(-1, -2), right.conj()], axis=-1))
     dims = rank if purifier_dims is None else purifier_dims
     gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
              dims < rank, dims, rank)
     dim_a = max(int(dims.max()), 2)
-    top = min(dim_a, d)
+    top = min(dim_a, len(rows[0]))
     amplitudes = np.zeros((n, dim_a, d), dtype=complex)
-    amplitudes[:, :top] = values[:, :top, None] * rows[:, :top]
+    amplitudes[:, :top] = values[:, :top, None] * rows[:, :top, :d]
     amplitudes.flags.writeable = False
+    alphas = np.zeros((n, slots, dim_a), dtype=complex)
+    alphas[..., :top] = np.where(above[:, :top, None], rows[:, :top, d:],
+                                 0.0).swapaxes(-1, -2)
 
     marginals = _marginals_b(amplitudes)
     roundtrip = abs(marginals - matrices).max(axis=(-2, -1))
     gm._fail(ContractError, "Purification marginal residual {}.",
              roundtrip > STEERING_TOL, roundtrip)
-    return amplitudes, _Schmidt(values, rows, rank), marginals
+    return amplitudes, _Schmidt(values, rows[..., :d], rank), marginals, alphas
 
 
 def _marginals_b(joints: np.ndarray) -> np.ndarray:
@@ -167,9 +182,8 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
 
 def _steer_effects(psi: gm.BipartiteState, effects: np.ndarray) -> _Steered:
     """Steer quantum ``psi`` through ``(S, A, A)`` checked effects, each
-    factored as F F† by one batched ``eigh``, eigenvalues clipped at 0."""
-    eigvals, eigvecs = np.linalg.eigh(effects)
-    factors = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    factored as F F† by :func:`_factors`."""
+    factors = _factors(effects)
     return _steer(psi.model_b, np.empty((0, psi.model_b.size)),
                   _marginals_b(gm._dagger(factors) @ psi.joint_matrix),
                   np.ones((1, len(effects)), dtype=bool))
@@ -213,15 +227,17 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
                                     target: gm.Ensemble) -> SteeringMeasurement:
     """Purifier-side measurement steering B to the target decomposition.
 
-    The target must live on psi's B model and average to its B marginal
-    within 1e-9. :func:`_synthesize` builds one effect factor per member in
-    the Schmidt basis of psi's SVD, cut where :func:`purify` cuts. Rotated
-    back to psi's A basis, factor f gives the rank-1 effect f f†; where the
-    purifier is larger than the Schmidt rank, the deficit effect projects
-    onto the basis vectors past it. The effects and their completeness are
-    checked, and the measurement steers as in :func:`steer`, so the
-    returned ensemble is ``steer(psi, measurement)`` bit for bit. Each
-    conditional is checked against its target member at ``STEERING_TOL``.
+    The target must live on psi's B model, average to its B marginal
+    within 1e-9 and have at most as many members as the purifier's
+    dimension. One effect factor per member comes from the members'
+    coefficients in the Schmidt basis of psi's SVD, cut where
+    :func:`purify` cuts. Rotated back to psi's A basis, factor f gives the
+    rank-1 effect f f†; where the purifier is larger than the Schmidt rank,
+    the deficit effect projects onto the basis vectors past it. The effects
+    and their completeness are checked, and the measurement steers as in
+    :func:`steer`, so the returned ensemble is ``steer(psi, measurement)``
+    bit for bit. Each conditional is checked against its target member at
+    ``STEERING_TOL``.
     """
     if psi.model_a.kind != gm.QUANTUM:
         raise UnsupportedModelError("Steering synthesis requires quantum models.")
@@ -239,65 +255,38 @@ def synthesize_steering_measurement(psi: gm.BipartiteState,
     if residual > 1e-9:
         raise MarginalMismatchError(
             f"Target ensemble averages {residual} away from the B marginal.")
-    present = np.ones((1, len(states)), dtype=bool)
-    basis, values, vectors = np.linalg.svd(joints)
-    rank = (values ** 2 > RANK_TOL).sum(axis=-1)
-    factors = _synthesize(joints, _Schmidt(values, vectors, rank), weights,
-                          kets[None], present)[0] @ basis[0].T
+    count, dim_a = len(states), psi.model_a.size
+    if count > dim_a:
+        raise RankDeficitError(
+            f"Target has {count} members but the purifier has dimension "
+            f"{dim_a}; re-purify with purifier_dim >= {count}.",
+            required_dimension=count)
+
+    # In the Schmidt form sum_j s_j |j>_A |w_j>_B, the HJW coefficients
+    # conj(beta) / s of the members have orthonormal columns in exact
+    # arithmetic, but 1/s amplifies round-off. Their polar factor (Higham
+    # 1986) has orthonormal columns to round-off, so the members' effects
+    # sum to the projector onto the first rank basis vectors.
+    basis, values, vectors = np.linalg.svd(joints[0])
+    rank = int((values ** 2 > RANK_TOL).sum())
+    support = vectors[:rank]
+    roots = np.sqrt(target.weights)[:, None]
+    beta = roots * (kets @ support.conj().T)
+    if np.count_nonzero(gm._norm(roots * kets - beta @ support) > 1e-8):
+        raise MarginalMismatchError(
+            "Target member leaves the support of the B marginal.")
+    left, _, right = np.linalg.svd(beta.conj() / values[:rank],
+                                   full_matrices=False)
+    factors = left @ right @ basis[:, :rank].T
     effects = factors[:, :, None] * factors.conj()[:, None, :]
-    past = basis[0][:, rank[0]:]
+    past = basis[:, rank:]
     if past.size:
         effects = np.concatenate([effects, (past @ gm._dagger(past))[None]])
     alice = gm.measurement([gm.effect_from_matrix(psi.model_a, m)
                             for m in effects])
     steered = _steer_effects(psi, np.stack([e.matrix for e in alice.effects]))
-    _check_targets(steered.subs, weights, members, present)
+    _check_targets(steered.subs, weights, members, weights >= 0.0)
     return SteeringMeasurement(alice, steered.ensemble(psi.model_b, 0))
-
-
-def _synthesize(joints: np.ndarray, schmidt: _Schmidt, weights: np.ndarray,
-                kets: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Synthesize the steering measurements of ``n`` joint states.
-
-    ``joints`` is ``(n, A, d)``, ``schmidt`` its Schmidt form; each target
-    has ``K`` member slots: weights ``(n, K)`` and the pure members' kets
-    ``(n, K, d)``, and must average to its joint's B marginal. A slot that
-    is not ``present`` must have weight 0 and a unit ket. Returns the
-    ``(n, K, A)`` rows alpha of the members' polar factor in the A-side
-    Schmidt basis: member k's effect is alpha_k alpha_k†, and the present
-    members' effects sum to the projector onto the first rank basis
-    vectors, so with the projector onto the rest (the deficit effect) they
-    are valid and complete by construction."""
-    n, dim_a, _ = joints.shape
-    slots = weights.shape[1]
-    if slots > dim_a:
-        count = present.sum(axis=1)
-        if np.count_nonzero(count > dim_a):
-            i = int(np.argmax(count > dim_a))
-            raise RankDeficitError(
-                f"Target has {count[i]} members but the purifier has "
-                f"dimension {dim_a}; re-purify with purifier_dim >= "
-                f"{count[i]}.", required_dimension=int(count[i]))
-
-    # In the Schmidt form sum_k s_k |k>_A |w_k>_B, the HJW coefficients
-    # conj(beta) / s of the members have orthonormal columns in exact
-    # arithmetic, but 1/s amplifies round-off. Their polar factor (Higham
-    # 1986) has orthonormal columns to round-off, so the members' effects
-    # sum to the projector onto the first rank basis vectors.
-    alphas = np.zeros((n, slots, dim_a), dtype=complex)
-    roots = np.sqrt(weights)[..., None]
-    for r, rows in gm._groups(schmidt.rank):  # the Schmidt slices differ per rank
-        s_r = schmidt.values[rows][:, None, :r]
-        w_r = schmidt.vectors[rows][:, :r]
-        root, ket = roots[rows], kets[rows]
-        beta = root * (w_r.conj()[:, None] @ ket[..., None])[..., 0]
-        rebuilt = (w_r.swapaxes(-1, -2)[:, None] @ beta[..., None])[..., 0]
-        gm._fail(MarginalMismatchError,
-                 "Target member leaves the support of the B marginal.",
-                 (gm._norm(root * ket - rebuilt) > 1e-8) & present[rows])
-        left, _, right = np.linalg.svd(beta.conj() / s_r, full_matrices=False)
-        alphas[rows, :, :r] = left @ right
-    return alphas
 
 
 def _check_targets(subs: np.ndarray, weights: np.ndarray,

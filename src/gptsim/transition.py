@@ -274,7 +274,9 @@ def _seeded_tau_draws(seeds: list, size: int, counts: list) -> np.ndarray:
 
 
 def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:
-    """Unit kets with overlap ``p`` with each of the ``(..., d)`` ``kets``.
+    """Kets with overlap ``p`` with each of the ``(..., d)`` ``kets``, unit
+    to round-off: the callers build their states through ``gm._ket_states``,
+    which checks and divides by the norm.
 
     p = 0 gives the first row of the orthonormal completion, exactly;
     otherwise the completion is weighted by ``draws`` (``(..., d-1)``) into
@@ -287,7 +289,6 @@ def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:
     residual = residual / gm._norm(residual)[..., None]
     psi = (np.sqrt(p)[..., None] * kets
            + np.sqrt(1.0 - p)[..., None] * residual)
-    psi = psi / gm._norm(psi)[..., None]
     if np.count_nonzero(p == 0.0):
         psi = np.where((p == 0.0)[..., None], completion[..., 0, :], psi)
     return psi

@@ -1,12 +1,14 @@
 """One sha256 per family of results over fixed inputs: run
 ``python tests/bit_sweep.py`` from the repository root at two commits and
 compare the lines. A hash covers each result's ``to_dict()`` with every
-float as its bits, and each error's class, message and index. ``--save
+float as its bits, and each error's class, message and index; the count
+of each error class follows it. ``--save
 FILE`` writes the results, and ``--against FILE`` adds each family's
 largest |change| of a float against them and the count of other values
 that differ. The file's name keeps pytest from collecting it."""
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -81,6 +83,14 @@ def families():
         RULES[i % 5], phis[d][i % 3], p1, p2, lam, mode, seed=i)))
         for i, (d, mode, (lam, p1, p2)) in enumerate(
             itertools.product((2, 3, 4), MODES, cuts * 3))]
+    draws = np.random.default_rng(27)
+    for k in range(15, 9, -1):  # README's first known limit, by band
+        lights = 10.0 ** (draws.random(600) - k)  # log-uniform in the band
+        yield f"lighter weight in [1e-{k}, 1e-{k - 1}]", [outcome(lambda: sg.run_scenario(
+            sg.Scenario(RULES[i % 4], phis[d][i % 3], *draws.random(2),
+                        (light, 1.0 - light)[i % 5 % 2], MODES[i % 2], seed=i)))
+            for i, (d, light) in enumerate(zip(itertools.cycle((2, 3, 4)),
+                                               lights))]
     batch = [sg.Scenario(RULES[i % 4], phis[d][i % 3], *grid[7 * i % 180][:2],
                          0.3, MODES[i % 2], seed=i)
              for i, d in enumerate([2, 3, 4, 2, 2, 3, 4] * 6)]
@@ -131,6 +141,9 @@ if __name__ == "__main__":
         runs[name] = bits(outcomes)
         text = json.dumps(runs[name], sort_keys=True).encode()
         line = f"{hashlib.sha256(text).hexdigest()}  {name} ({len(outcomes)})"
+        errors = collections.Counter(o[0] for o in outcomes
+                                     if isinstance(o[0], str))
+        line += "".join(f"  {kind} {count}" for kind, count in sorted(errors.items()))
         if args.against:
             change, other = delta(saved.get(name), runs[name])
             line += f"  max |change| {change:.3g}, {other} other"

@@ -296,14 +296,16 @@ def test_non_finite_alpha_is_usage_error(capsys, argv, alpha):
 
 
 def test_gap_at_the_rank_cut_is_the_documented_error(capsys):
-    # README's first known limit: the members are 1e-13 apart, so the
-    # average sits at the rank cut and a member leaves its support.
+    # README's first known limit: the members' overlaps differ by 1e-13, so
+    # the average's smaller squared Schmidt value falls below the rank cut
+    # and both members are steered along the kept Schmidt vector, about
+    # 1.6e-7 from each.
     code, out, err = run_cli(capsys, "gap", "--family", "identity", "--p1",
                              "1", "--p2", "0.9999999999999", "--lambda", "0.5")
     assert (code, out) == (2, "")
     assert err.startswith("error: Scenario 0 of the batch {")
-    assert err.endswith(": Target member leaves the support of the B "
-                        "marginal.\n") and err.count("\n") == 1
+    assert err.endswith(": Steered conditional 0 deviates by "
+                        "7.906923173662692e-08.\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -375,7 +377,7 @@ def test_gap_csv_format(capsys):
 
 def test_gap_contract_failure_is_an_error_line(capsys):
     # power(0.1) has infinite slope at 0: round-off in a zero overlap takes
-    # the prediction 3.0e-4 off the closed form, past the 1e-12 contract.
+    # the prediction 2.9e-4 off the closed form, past the 1e-12 contract.
     code, out, err = run_cli(capsys, "gap", "--family", "power", "--alpha",
                              "0.1", "--p1", "0", "--p2", "0.5", "--lambda",
                              "0.5", "--seed", "3")

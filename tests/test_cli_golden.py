@@ -203,93 +203,93 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format json':
         '2717ba6503597666',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
-        '10490d60ab5c7043',
+        'fa9a7aa48a365e29',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
         'a3a7f4d2ec9d4f09',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json':
         '1389c7042990bf89',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json':
-        'e5c149afea1e98b5',
+        'cb8868a417b53c6d',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json':
-        'e92eb55e5dd9fb6e',
+        '6820ac0d7ba03667',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json':
-        'cc0c062a193dcd2b',
+        'a7acdf906a591c54',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json':
-        '71c180b0fa0067fd',
+        '3f91b52a00ad3d76',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json':
         '581e131f33584f5e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json':
-        '24e631fbf3f9a1d0',
+        'b3af38695fe33212',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json':
-        'd0a8ffd8c0a2265c',
+        'a57a3315eb533159',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json":
-        'e413be7760183b0e',
+        '707553b61d5881db',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json":
         '2c89222ed969af4a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json":
         '9b7936cae5e357dd',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json":
-        'd16a9538a56773b3',
+        'a4f536d1e8d67a39',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json":
-        '880112c196d74682',
+        '1893e0e26d69f092',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json":
-        '57a3a41cbc64d939',
+        'cfae17597b5497fc',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json":
-        'bb3674c7342675cb',
+        'b2174fefa0b0ecee',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json":
         '4ccbf8b27e866240',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json":
-        'cc55afefafabcf62',
+        'a7d1038dc000f52f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json":
-        '08366d4ab8a1a0b2',
+        '1c53bc57f6da0062',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format json':
-        'c99f121017500563',
+        '33e3a9d93c2db190',
     'scan --family identity --grid 9 --refine 7 --format json':
         '9378f8d87d038dca',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format json':
         '02adf741661721f4',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format json':
-        '430e88fb2ef4b638',
+        '0f22805cd5b10b1f',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format json":
-        'd88f46d7e797f623',
+        '4bb2f7e5aacd897f',
     'certify --family identity --seed 0 --samples 1 --format json':
-        '7015899a577e0410',
+        '2ab77526d6e7924c',
     'certify --family identity --seed 0 --samples 257 --format json':
-        'bd760d8e9872237a',
+        'ba856feaeeb47212',
     'certify --family identity --seed 2026 --samples 1 --format json':
-        '176e40dec9c8ad87',
+        '2aca778c8d22f567',
     'certify --family identity --seed 2026 --samples 257 --format json':
-        'd98bd8ee65c34fff',
+        '9f0aa2c827968dc0',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format json':
-        '305073532740ffb3',
+        '96483515e9af3afb',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format json':
-        'c927056a27d399b1',
+        '54ca7bf65947897b',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format json':
-        '1f9e0c4575c1df08',
+        'f92a97e8ef7e8f47',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format json':
-        'e1f806a130076e61',
+        'b18e88db10c16894',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format json':
-        '8509515ea70505a8',
+        'c0ce5609dbe50e24',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format json':
-        '2e3be03c7d6a8827',
+        '240392f98f64ea9b',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format json':
-        '7085b8e863304430',
+        '88a43c56e8a4e9c2',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format json':
-        'caee205e12263d78',
+        'b105ad097d110b6a',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format json":
-        '37356413aec409c5',
+        'e71bbb4a0a57c1d9',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format json":
-        'cec9a91aed9dff4f',
+        'df91a9a9926d2388',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format json":
-        '6e95ea4f33f1d158',
+        'd038a02adff242fe',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format json":
-        '4a2a785baed97f27',
+        '2a07d31189b0e5c0',
     'certify --family identity --samples 0 --format json':
         '857b9a8f539faf27',
     'reproduce --format json':
-        'a57abd4bb02462dd',
+        '37577ef88e35a379',
     'reproduce --tol 1e-9 --format json':
-        'ab06878f5c815177',
+        'c9c7b824fbae9cbd',
     'rule-check --family identity --format csv':
         '989f444c496d8a6f',
     'rule-check --family power --alpha 1.5 --format csv':
@@ -325,55 +325,55 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format csv':
         '7e09010a2d461b8f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
-        '0cb13abef9238288',
+        '7410f58bda3468d2',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv':
         '7386b78d7e405103',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format csv':
-        '2854f526bf572263',
+        'e251144dcee36146',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv':
-        '13705866f1635429',
+        'b62aa8728337de70',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv':
-        '0cb13abef9238288',
+        '7410f58bda3468d2',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv':
-        '3eacb5b9cadd492e',
+        '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv':
         '7386b78d7e405103',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv':
-        '2854f526bf572263',
+        'e251144dcee36146',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv':
-        'dbf074486c8b8dea',
+        'b62aa8728337de70',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv":
-        'babb9ee2d990a95d',
+        '67901fa915abe8a6',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv":
         '7386b78d7e405103',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format csv":
-        '2179f54242989884',
+        'f57453c9844400ca',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv":
-        '64823bdc7bb9dc92',
+        '59590b79ec04f23e',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv":
-        'babb9ee2d990a95d',
+        '67901fa915abe8a6',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv":
-        'a8eec772e9e3778e',
+        '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv":
         '7386b78d7e405103',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv":
-        '161d8ab4a683c11a',
+        'f57453c9844400ca',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv":
         '59590b79ec04f23e',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format csv':
-        'f98159a5b3af0ab8',
+        'eac5aefeb6af7722',
     'scan --family identity --grid 9 --refine 7 --format csv':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format csv':
-        '57f5213bce361d15',
+        '7552bfb9f914c67d',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format csv":
-        'a70e9e5ba56c8e3c',
+        '8de8c3f5f4eb23b8',
     'certify --family identity --seed 0 --samples 1 --format csv':
         '0fb552089318a13b',
     'certify --family identity --seed 0 --samples 257 --format csv':
@@ -381,37 +381,37 @@ GOLDEN = {
     'certify --family identity --seed 2026 --samples 1 --format csv':
         '763bb56766fc48d5',
     'certify --family identity --seed 2026 --samples 257 --format csv':
-        'ac6a9ab2658b4838',
+        'c64c9821bc8cb214',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format csv':
-        '85ad078618a78b11',
+        '15dc51867e09315c',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format csv':
-        'bcdb00acf6940d81',
+        '66bf129cb044c9d6',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format csv':
-        '16732521f9311d1b',
+        '1a09004a1704f9b7',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format csv':
-        'c3b51ed107bdea3c',
+        '7bafd6e7872313c5',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format csv':
         '2298632fdefa3b6c',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format csv':
-        '094c0d9a32f15b11',
+        '481c72efc519f49c',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format csv':
-        'dd6043ea4a42ad3a',
+        'ffbd55992c7ae1b3',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format csv':
-        'e5750230f479167a',
+        '8f9e6ea8cf101872',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format csv":
         'f515d3b934fba348',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format csv":
-        'e476970506c69992',
+        '81ff697cdce65bdb',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format csv":
-        '6c50ce74172deb04',
+        '94f3160a9190fd72',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format csv":
-        '2965e3e5e4c61147',
+        'eb7228c63dcd8120',
     'certify --family identity --samples 0 --format csv':
         '857b9a8f539faf27',
     'reproduce --format csv':
-        'da8250ffe722d4df',
+        '42ff13fd8ddc7569',
     'reproduce --tol 1e-9 --format csv':
-        '134fb3a868613c25',
+        'fea0854113b3fcad',
     'rule-check --family identity --format pretty':
         '782e5bc94024313c',
     'rule-check --family power --alpha 1.5 --format pretty':
@@ -447,87 +447,87 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format pretty':
         '15216c3d72370f31',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
-        '257c2dd99fbc620a',
+        '8d327b69d6f9f072',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':
         '841d8dc3abef8bb2',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty':
         'dd937f68bb06cac3',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format pretty':
-        '1dc480b3fafc2b85',
+        'ec145805f7b0b48e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty':
-        'bb73dfc2b193dcc9',
+        '18d069122e322e4d',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty':
-        'bc8c8071c9453220',
+        '6dfa1fa4e95234db',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty':
-        'b0e2b0187ed6a046',
+        'd8f16ad776723b70',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty':
         '4d589fa8b7a35f87',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty':
-        '4ea0a02ca2328cb6',
+        'afc1b8fcbf62dd91',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty':
-        'e0cd80b259dc0893',
+        'f635aa1077238bcf',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty":
-        '819feb451f57a1c3',
+        '05b1faa4604d2198',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty":
         '39e360837aacf494',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty":
         'db1bfd51f4741764',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format pretty":
-        'df0ffd4ee3097180',
+        'd3af5b67f6590307',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty":
-        'e251c6486eba7559',
+        '920fd3bdabb121ef',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty":
-        '1c77ee6e890f4e74',
+        'ac04f2f9b5b246c0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty":
-        '610ce5967b4d9516',
+        'b843db22fa5b0e2f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty":
         '834e3a0b42b92927',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty":
-        'a1db91f86bff9b86',
+        '36ed98992bbf1dc3',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty":
-        '470d892f685032cd',
+        '3a2c3d28386403ce',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format pretty':
-        '566b08812ec3e53b',
+        '55016b3886448694',
     'scan --family identity --grid 9 --refine 7 --format pretty':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format pretty':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format pretty':
-        '57f5213bce361d15',
+        '7552bfb9f914c67d',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format pretty":
-        'a70e9e5ba56c8e3c',
+        '8de8c3f5f4eb23b8',
     'certify --family identity --seed 0 --samples 1 --format pretty':
         '3ea4f63e09752cee',
     'certify --family identity --seed 0 --samples 257 --format pretty':
-        'cd70d38b8642d522',
+        'bccd72e4749dd34e',
     'certify --family identity --seed 2026 --samples 1 --format pretty':
         'b9f17500e13d43bb',
     'certify --family identity --seed 2026 --samples 257 --format pretty':
-        'aec6f2ffe59b2cdd',
+        '8db3f8eab6c379f7',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format pretty':
-        '4b9a532cd300ccd5',
+        '987e1a457cf4a5b8',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format pretty':
-        'd1a59f063025027a',
+        '8798e678ef12e1c0',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format pretty':
-        '959b9a5969e4621b',
+        'ab7e90384fc93d21',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format pretty':
-        'e0bbc80d327effec',
+        '1d95d1998a6cb5b4',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format pretty':
         'f874329281849615',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format pretty':
-        '454da93efa2e230f',
+        '4b19c21150472e81',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format pretty':
-        'b3cc2c5b986f2b4a',
+        'faac1269d04105ba',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format pretty':
-        '8ec32f6ee5df69cf',
+        'f73bd3299f2e81f8',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format pretty":
         '2fd0681a54baa725',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format pretty":
-        '6fda9a5e86318510',
+        'a4dd262a559ebfe7',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format pretty":
-        '8e70f6479635f0be',
+        '5a25bb6b770efc21',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format pretty":
-        'fcb71a6f27beafc8',
+        '912674981980c744',
     'certify --family identity --samples 0 --format pretty':
         '857b9a8f539faf27',
     'reproduce --format pretty':
@@ -537,21 +537,21 @@ GOLDEN = {
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv --out {out}':
         'fd3ecff6db431329',
     'reproduce --format csv --out {out}':
-        'f2c9db02a3db7c11',
+        '30f1d2ea0cf1203a',
     'certify --family identity --samples 3 --format json --out {out}':
-        '569885f4a9dace00',
+        '4fb5a7b051fb5d6d',
     'certify --family identity --samples 1025 --seed 2026 --format json':
-        '2780d59a97d880e9',
+        '4a43d7314dfbf110',
     'certify --family power --alpha 1.5 --samples 1025 --seed 2026 --format json':
-        '71143c5ffde3d916',
+        '764b3a9c0d3d7767',
     'scan --family identity --grid 41 --format csv --out {out}':
         '2040ccc022c7febd',
     'scan --family power --alpha 1.5 --grid 41 --format csv --out {out}':
         'f08647e2f198a24d',
     'scan --family piecewise-quadratic --grid 41 --format csv --out {out}':
-        '463ca08052ffba1f',
+        '64250f72d7d5d0fb',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 41 --format csv --out {out}":
-        '0952c4923c207e2f',
+        'ee3cc2ea6ceae0d2',
     _haar_tau(0, 720):
         '637c98e1171ccac0',
     _haar_tau(1, 720):

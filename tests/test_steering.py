@@ -420,17 +420,31 @@ def test_purify_renormalizes_the_weights_kept_at_the_rank_cut():
     assert psi.model_a == QUBIT  # rank 1, purifier of dimension 2
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15
     assert abs(gm.marginal(psi, "B").matrix - omega.matrix).max() <= 1e-10
-    joints, schmidt, marginals = ss._purify(omega.matrix[None])
+    matrices = omega.matrix[None]
+    joints, schmidt, marginals, _ = ss._purify(ss._factors(matrices), matrices)
     assert schmidt.rank.tolist() == [1] and schmidt.values[0, 0] == 1.0
     assert np.array_equal(marginals, ss._marginals_b(joints))
 
 
 def test_purification_round_trip_fires_on_a_non_hermitian_stack():
-    # eigh reads the lower triangle, so the upper one does not round-trip.
+    # eigh reads the lower triangle, so the factor misses the upper one,
+    # which does not round-trip.
     stack = np.array([[[0.5, 0.3], [0.0, 0.5]]], dtype=complex)
     with pytest.raises(ContractError,
                        match=r"^Purification marginal residual 0\.3"):
-        ss._purify(stack)
+        ss._purify(ss._factors(stack), stack)
+
+
+def test_synthesize_rejects_a_member_outside_the_support():
+    # The product joint |00> has B marginal |0><0|. The target averages
+    # within 1e-10 of it, but its member |1> of weight 1e-10 lies outside
+    # that support, 1e-5 from it, beyond the support check's 1e-8.
+    psi = gm.bipartite_from_ket(QUBIT, QUBIT, np.array([1, 0, 0, 0]))
+    target = gm.ensemble([(1 - 1e-10, KET0), (1e-10, KET1)])
+    with pytest.raises(MarginalMismatchError, match="^Target member leaves "
+                                                    "the support of the B "
+                                                    "marginal\\.$"):
+        ss.synthesize_steering_measurement(psi, target)
 
 
 def test_synthesize_rejects_a_mixed_target_member():
