@@ -252,6 +252,11 @@ def _norm(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0] + squares[..., 1])
 
 
+def _squares(vecs: np.ndarray) -> np.ndarray:
+    """Rowwise squared Euclidean norm of a complex ``(..., n)`` stack."""
+    return (vecs.real ** 2 + vecs.imag ** 2).sum(axis=-1)
+
+
 def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real part of ``vdot`` of matching ``(..., d, d)`` matrix stacks."""
     size = a.shape[-1] * a.shape[-2]
@@ -595,23 +600,13 @@ def evaluate(effect: Effect, state: State) -> float:
     if effect.model != state.model:
         raise ModelMismatchError(
             f"Effect on {effect.model} paired with state on {state.model}.")
-    if state.matrix is not None:
-        return float(_pairings(state.matrix, effect.matrix))
-    return float(_clamp_pairings(effect.covector @ state.coeffs))
-
-
-def _pairings(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """Pairings of matching ``(..., d, d)`` state and effect matrix stacks."""
-    return _clamp_pairings(_vdot(states, effects))
-
-
-def _clamp_pairings(values: np.ndarray) -> np.ndarray:
-    """Snap pairings within SPECTRAL_TOL of [0, 1] onto it; farther raises."""
+    value = (effect.covector @ state.coeffs if state.matrix is None
+             else _vdot(state.matrix, effect.matrix))
     _fail(OutsideConeError, "Pairing {} below 0 beyond tolerance.",
-          values < -SPECTRAL_TOL, values)
+          value < -SPECTRAL_TOL, value)
     _fail(OutsideConeError, "Pairing {} above 1 beyond tolerance.",
-          values > 1.0 + SPECTRAL_TOL, values)
-    return np.clip(values, 0.0, 1.0)
+          value > 1.0 + SPECTRAL_TOL, value)
+    return float(np.clip(value, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)

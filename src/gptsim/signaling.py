@@ -262,13 +262,12 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
         kets = np.where(is_phi[..., None], phi_k[:, None], kets)
         members = np.where(is_phi[..., None, None], phi_m[:, None], members)
 
-    # omega = A A†, A the members' factor [sqrt(w1) m1, sqrt(w2) m2]: one
-    # SVD of A purifies omega and gives protocol 1's steering rows, so
-    # omega is neither formed as a state nor decomposed. The round trip
-    # holds the joints' B marginals to the members' average.
-    factors = (np.sqrt(weights)[..., None] * kets).swapaxes(-1, -2)
+    # omega = A A†, A = [sqrt(w1) m1, sqrt(w2) m2]: one closed-form rotation
+    # of A purifies omega and gives protocol 1's steering rows, so omega is
+    # not formed as a state; the round trip holds it to the members' average.
     joints, schmidt, marginals, alphas = ss._purify(
-        factors, gm._average(weights, members))
+        *ss._rotation_schmidt(np.sqrt(weights)[..., None] * kets),
+        gm._average(weights, members))
 
     # In uniform mode protocol 2 follows in the stack: the rows
     # (1, +-conj(t)) / sqrt(2) in the Schmidt basis steer each joint to its
@@ -291,19 +290,26 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     if not uniform:
         grams = marginals
         live = np.concatenate([present, np.tile([True, False], (n, 1))])
-    steered = ss._steer(model, (alphas.conj() @ joints)[present], grams, live)
+    rows = alphas.conj() @ joints
+    steered = ss._steer(model, rows[present], grams, live)
     ss._check_targets(steered.subs[:len(weights)], weights, members, present)
     marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
                                       steered.weights[n:], steered.coeffs[n:])
     gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
              ~(marginal <= _MARGINAL_TOL), marginal)  # NaN fails too
 
-    # The prediction stacks: from the known decomposition, or (trivial
-    # protocol 2, the lone unit outcome of weight 1) the rule at the average
-    # state's overlap. phi's accepting effect is its own matrix.
-    taus = gm._pairings(steered.matrices.reshape(2, n, -1, d, d),
-                        phi_m[:, None])
-    return steered, (steered.weights.reshape(taus.shape), taus), marginal
+    # The prediction stacks. The overlaps with phi of each kept member, from
+    # its row X, |<phi|X>|²/‖X‖², and of trivial protocol 2's lone outcome,
+    # ‖J conj(phi)‖²/‖J‖², have round-off relative to the overlap.
+    bras = np.tile(phi_k.conj(), (len(rows) // n, 1))[:, None]
+    taus = np.zeros((2 * n, 2))
+    np.divide(abs((rows * bras).sum(axis=-1)) ** 2, gm._squares(rows),
+              out=taus[:len(rows)], where=steered.keep[:len(rows)])
+    if not uniform:
+        taus[n:, 0] = (gm._squares((joints * bras[:n]).sum(axis=-1))
+                       / gm._squares(joints.reshape(n, -1)))
+    return steered, (steered.weights.reshape(2, n, 2),
+                     taus.reshape(2, n, 2)), marginal
 
 
 def _predict_protocols(rules: list, stacks: tuple, p: np.ndarray,
@@ -337,7 +343,7 @@ def uniform_overlap_decomposition(omega: gm.State, phi: gm.State) -> gm.Ensemble
     tr._require_same_model(omega, phi)
     phi_k = gm.pure_ket(phi)  # a quantum model, so omega has a matrix
     matrices = omega.matrix[None]
-    schmidt = ss._purify(ss._factors(matrices), matrices)[1]
+    schmidt = ss._purify(*ss._eigh_schmidt(matrices), matrices)[1]
     rank = int(schmidt.rank[0])
     if rank > 2:
         raise ValueError(

@@ -78,8 +78,8 @@ def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteStat
 
     The purifier (side A) has dimension equal to the rank of omega unless a
     larger dimension is requested. Classical mixed states admit no
-    purification. omega is factored by one ``eigh`` (:func:`_factors`) and
-    purified by :func:`_purify`, the scenario pipeline's kernel: Schmidt
+    purification. omega's Schmidt form from one ``eigh`` (:func:`_eigh_schmidt`)
+    is purified by :func:`_purify`, the scenario pipeline's kernel: Schmidt
     values descending, each B vector's first significant component made
     real-positive, so the result is deterministic.
     """
@@ -89,7 +89,7 @@ def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteStat
             "require a quantum model.")
     dims = None if purifier_dim is None else np.array([int(purifier_dim)])
     matrices = omega.matrix[None]
-    amplitudes = _purify(_factors(matrices), matrices, dims)[0][0]
+    amplitudes = _purify(*_eigh_schmidt(matrices), matrices, dims)[0][0]
     return gm.BipartiteState(gm.quantum(len(amplitudes)), omega.model,
                              amplitudes.reshape(-1))
 
@@ -102,10 +102,42 @@ def _factors(matrices: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
 
 
-def _purify(factors: np.ndarray, matrices: np.ndarray, purifier_dims=None):
-    """Purifications of an ``(n, d, d)`` stack of density matrices, each
-    F F† for its factor F in ``factors`` ``(n, d, K)``, by one batched SVD
-    F = U S V† (Hughston, Jozsa & Wootters 1993).
+def _eigh_schmidt(matrices: np.ndarray) -> tuple:
+    """:func:`_purify`'s Schmidt pieces of ``(n, d, d)`` states Q Λ Q† from
+    one batched ``eigh``: √max(λ, 0) and Q's columns descending, and V = I."""
+    eigvals, eigvecs = np.linalg.eigh(matrices)
+    return (np.sqrt(np.clip(eigvals[:, ::-1], 0.0, None)),
+            eigvecs[..., ::-1].swapaxes(-1, -2),
+            np.broadcast_to(np.eye(matrices.shape[-1]), matrices.shape))
+
+
+def _rotation_schmidt(columns: np.ndarray) -> tuple:
+    """:func:`_purify`'s Schmidt pieces of factors A = [a_0 a_1] given by
+    their ``(n, 2, d)`` columns, each by one closed-form complex Jacobi
+    rotation V = [[cos θ, −e sin θ], [ē sin θ, cos θ]], g = a_0†a_1 = |g| e,
+    tan 2θ = 2|g|/(‖a_0‖² − ‖a_1‖²), |θ| <= π/4: A V = U S, then ordered."""
+    n_0, n_1 = gm._squares(columns).T
+    g = (columns[:, 0].conj() * columns[:, 1]).sum(axis=-1)
+    size = abs(g)
+    turn = size > 2.0 ** -52 * np.sqrt(columns.shape[-1] * n_0 * n_1)
+    # No turn for a round-off g; |θ| <= π/4 keeps θ's relative digits.
+    half = 0.5 * np.arctan2(2.0 * size * turn, abs(n_0 - n_1))
+    cos = np.cos(half)
+    sin = np.copysign(np.sin(half), n_0 - n_1) * g / np.where(turn, size, 1.0)
+    right = np.stack([cos, sin.conj(), -sin, cos], axis=-1).reshape(-1, 2, 2)
+    ys = right[..., :1] * columns[:, :1] + right[..., 1:] * columns[:, 1:]
+    values = np.sqrt(gm._squares(ys))
+    flip = (values[:, 1] > values[:, 0])[:, None]  # the larger value first
+    values = np.where(flip, values[:, ::-1], values)
+    ys, right = (np.where(flip[..., None], a[:, ::-1], a) for a in (ys, right))
+    return values, ys / np.where(values > 0.0, values, 1.0)[..., None], right
+
+
+def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
+            matrices: np.ndarray, purifier_dims=None):
+    """Purifications of ``(n, d, d)`` density matrices A A†, each factor
+    given in Schmidt form A = U S V† (Hughston, Jozsa & Wootters 1993): S
+    ``(n, K)`` descending, and u_k and v_k as the rows of ``left``, ``right``.
 
     ``purifier_dims`` holds each one's requested purifier dimension (None:
     its rank); all share dimension max(2, largest request). Returns the
@@ -113,23 +145,18 @@ def _purify(factors: np.ndarray, matrices: np.ndarray, purifier_dims=None):
     the standard A basis (S past the rank cut, renormalized so that the
     joints are unit vectors; U's columns, phase-fixed, as B vectors); their
     B marginals, which must round-trip ``matrices`` within STEERING_TOL;
-    and the rows alpha ``(n, K, dim_a)`` of V, each right singular vector
-    phased as its B vector and cut at the rank, so alpha_k†J is F's column
-    k, renormalized as S, and the alphas' projectors sum to the projector
-    onto the first rank basis vectors. The SVD gives small singular values
-    with error relative to the largest, where eigenvalues of F F† would
-    carry that error squared (Demmel & Veselić 1992).
+    and the rows alpha ``(n, K, dim_a)`` of V (v_k phased as u_k, cut at the
+    rank): alpha_k†J is A's column k, renormalized as S, and the alphas'
+    projectors sum to the projector onto the first rank basis vectors.
     """
-    left, values, right = np.linalg.svd(factors, full_matrices=False)
-    n, d, slots = factors.shape
+    n, slots, d = left.shape
     above = values ** 2 > RANK_TOL
     rank = above.sum(axis=-1)
     kept = np.where(above, values, 0.0)
     values = kept / np.sqrt((kept ** 2).sum(axis=-1, keepdims=True))
-    # Each pair [u_k | v_k] of singular vectors gets one phase: its pivot
-    # lies among the d components of the unit u_k, one of them >= 1/sqrt(d).
-    rows = gm._fix_phase(np.concatenate(
-        [left.swapaxes(-1, -2), right.conj()], axis=-1))
+    # Each pair [u_k | v_k] gets one phase, its pivot among the components
+    # of u_k (one >= 1/sqrt(d)), or of the unit v_k where u_k = 0.
+    rows = gm._fix_phase(np.concatenate([left, right], axis=-1))
     dims = rank if purifier_dims is None else purifier_dims
     gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
              dims < rank, dims, rank)

@@ -91,6 +91,13 @@ def families():
                         (light, 1.0 - light)[i % 5 % 2], MODES[i % 2], seed=i)))
             for i, (d, light) in enumerate(zip(itertools.cycle((2, 3, 4)),
                                                lights))]
+    for k in range(14, 9, -1):  # members phi and sqrt(1 - delta) phi + ...
+        deltas = 10.0 ** (draws.random(5) - k)  # log-uniform in the decade
+        yield f"near-identical members, delta in [1e-{k}, 1e-{k - 1}]", [
+            outcome(lambda: sg.run_scenario(sg.Scenario(
+                rule, phis[d][i % 3], 1.0, 1.0 - delta, 0.5, mode, seed=i)))
+            for i, (d, mode, rule, delta) in enumerate(itertools.product(
+                (2, 3, 4), MODES, RULES[:4], deltas))]
     batch = [sg.Scenario(RULES[i % 4], phis[d][i % 3], *grid[7 * i % 180][:2],
                          0.3, MODES[i % 2], seed=i)
              for i, d in enumerate([2, 3, 4, 2, 2, 3, 4] * 6)]

@@ -305,7 +305,7 @@ def test_gap_at_the_rank_cut_is_the_documented_error(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: Scenario 0 of the batch {")
     assert err.endswith(": Steered conditional 0 deviates by "
-                        "7.906923173662692e-08.\n") and err.count("\n") == 1
+                        "7.906923173662698e-08.\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -203,7 +203,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format json':
         '2717ba6503597666',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
-        'fa9a7aa48a365e29',
+        'c4d503fe934a97a4',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
         'a3a7f4d2ec9d4f09',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json':
@@ -211,19 +211,19 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json':
         'cb8868a417b53c6d',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json':
-        '6820ac0d7ba03667',
+        'fb323ee3b6a3f91c',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json':
-        'a7acdf906a591c54',
+        'e52806ea525b1b1e',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json':
         '3f91b52a00ad3d76',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json':
         '581e131f33584f5e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json':
-        'b3af38695fe33212',
+        'e124aa7058e4697f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json':
-        'a57a3315eb533159',
+        '559ed2d0f4ee0634',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json":
-        '707553b61d5881db',
+        'e38a1e665ca4b677',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json":
         '2c89222ed969af4a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json":
@@ -231,9 +231,9 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json":
         'a4f536d1e8d67a39',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json":
-        '1893e0e26d69f092',
+        '47f3015799c2704f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json":
-        'cfae17597b5497fc',
+        '7348ea391a6718c5',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json":
         'b2174fefa0b0ecee',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json":
@@ -241,55 +241,55 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json":
         'a7d1038dc000f52f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json":
-        '1c53bc57f6da0062',
+        'e73de8b56516770b',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format json':
-        '33e3a9d93c2db190',
+        'b611b6badc23b505',
     'scan --family identity --grid 9 --refine 7 --format json':
         '9378f8d87d038dca',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format json':
         '02adf741661721f4',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format json':
-        '0f22805cd5b10b1f',
+        '7e538acf1f928f9e',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format json":
-        '4bb2f7e5aacd897f',
+        '218183b483b5c74a',
     'certify --family identity --seed 0 --samples 1 --format json':
-        '2ab77526d6e7924c',
+        '510e588f9b318619',
     'certify --family identity --seed 0 --samples 257 --format json':
-        'ba856feaeeb47212',
+        '047196b3d0ae92c9',
     'certify --family identity --seed 2026 --samples 1 --format json':
-        '2aca778c8d22f567',
+        'f25a2e10bbcdeb4b',
     'certify --family identity --seed 2026 --samples 257 --format json':
-        '9f0aa2c827968dc0',
+        'bae006598ea84db1',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format json':
-        '96483515e9af3afb',
+        'c44f0ce7c5d945fc',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format json':
-        '54ca7bf65947897b',
+        'dcc8eb9b95cdf753',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format json':
-        'f92a97e8ef7e8f47',
+        'ec77fa082df25b1d',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format json':
-        'b18e88db10c16894',
+        'aef15683ba51265a',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format json':
-        'c0ce5609dbe50e24',
+        'c17bb9fe6f97c052',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format json':
-        '240392f98f64ea9b',
+        '5fd48524dc90f882',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format json':
-        '88a43c56e8a4e9c2',
+        'f56772c01dc6e910',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format json':
-        'b105ad097d110b6a',
+        '5776d45210cea730',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format json":
-        'e71bbb4a0a57c1d9',
+        '5ab6e2ea4e4d0774',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format json":
-        'df91a9a9926d2388',
+        '08533363af276ba9',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format json":
-        'd038a02adff242fe',
+        '7738b7c5b66cb895',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format json":
-        '2a07d31189b0e5c0',
+        'e681b948eb18a6b9',
     'certify --family identity --samples 0 --format json':
         '857b9a8f539faf27',
     'reproduce --format json':
-        '37577ef88e35a379',
+        'b1536be1efc8d971',
     'reproduce --tol 1e-9 --format json':
-        'c9c7b824fbae9cbd',
+        '0e7bbe9f7edee10f',
     'rule-check --family identity --format csv':
         '989f444c496d8a6f',
     'rule-check --family power --alpha 1.5 --format csv':
@@ -325,7 +325,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format csv':
         '7e09010a2d461b8f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
-        '7410f58bda3468d2',
+        '64f941e3ce5182ee',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv':
@@ -335,17 +335,17 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv':
         'b62aa8728337de70',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv':
-        '7410f58bda3468d2',
+        '6713d78a9694b720',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv':
         '7386b78d7e405103',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv':
-        'e251144dcee36146',
+        'e9942c47bd6b8bff',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv':
-        'b62aa8728337de70',
+        '8e84bf16fe052cc7',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv":
-        '67901fa915abe8a6',
+        '96dfa8e4d611581b',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv":
@@ -355,7 +355,7 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv":
         '59590b79ec04f23e',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv":
-        '67901fa915abe8a6',
+        'afbc2b63d946942d',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv":
@@ -363,55 +363,55 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv":
         'f57453c9844400ca',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv":
-        '59590b79ec04f23e',
+        '601f45cb45693aaa',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format csv':
-        'eac5aefeb6af7722',
+        'afc30dd51eb9d872',
     'scan --family identity --grid 9 --refine 7 --format csv':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format csv':
-        '7552bfb9f914c67d',
+        '1eb95d0d4954421a',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format csv":
         '8de8c3f5f4eb23b8',
     'certify --family identity --seed 0 --samples 1 --format csv':
         '0fb552089318a13b',
     'certify --family identity --seed 0 --samples 257 --format csv':
-        '2bbcefb111368ead',
+        'fb3baafc450f406b',
     'certify --family identity --seed 2026 --samples 1 --format csv':
         '763bb56766fc48d5',
     'certify --family identity --seed 2026 --samples 257 --format csv':
-        'c64c9821bc8cb214',
+        '6fe59bf025295a51',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format csv':
-        '15dc51867e09315c',
+        'd0a926ae5defe5dd',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format csv':
-        '66bf129cb044c9d6',
+        'af47ef4b310adddd',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format csv':
-        '1a09004a1704f9b7',
+        '16732521f9311d1b',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format csv':
         '7bafd6e7872313c5',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format csv':
         '2298632fdefa3b6c',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format csv':
-        '481c72efc519f49c',
+        '094c0d9a32f15b11',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format csv':
-        'ffbd55992c7ae1b3',
+        'dd6043ea4a42ad3a',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format csv':
-        '8f9e6ea8cf101872',
+        'ada5f60229c95eb7',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format csv":
-        'f515d3b934fba348',
+        '0fb552089318a13b',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format csv":
-        '81ff697cdce65bdb',
+        '050cf6a4e111f7fd',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format csv":
-        '94f3160a9190fd72',
+        '6c50ce74172deb04',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format csv":
-        'eb7228c63dcd8120',
+        '399e474b40dfa3f5',
     'certify --family identity --samples 0 --format csv':
         '857b9a8f539faf27',
     'reproduce --format csv':
-        '42ff13fd8ddc7569',
+        'f6dddd22c2ab1534',
     'reproduce --tol 1e-9 --format csv':
-        'fea0854113b3fcad',
+        '76b23771d4bbdf5d',
     'rule-check --family identity --format pretty':
         '782e5bc94024313c',
     'rule-check --family power --alpha 1.5 --format pretty':
@@ -447,7 +447,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format pretty':
         '15216c3d72370f31',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
-        '8d327b69d6f9f072',
+        '9e70dc0dfe9e5b0d',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':
         '841d8dc3abef8bb2',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty':
@@ -457,17 +457,17 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty':
         '18d069122e322e4d',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty':
-        '6dfa1fa4e95234db',
+        '7d497915d45c577c',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty':
         'd8f16ad776723b70',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty':
         '4d589fa8b7a35f87',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty':
-        'afc1b8fcbf62dd91',
+        '0bce78ac3eeed227',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty':
-        'f635aa1077238bcf',
+        '81ecd73a3f4d9b4c',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty":
-        '05b1faa4604d2198',
+        '7c70a4a981ca89fe',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty":
         '39e360837aacf494',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty":
@@ -477,7 +477,7 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty":
         '920fd3bdabb121ef',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty":
-        'ac04f2f9b5b246c0',
+        'a3623c6486cc40e1',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty":
         'b843db22fa5b0e2f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty":
@@ -485,49 +485,49 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty":
         '36ed98992bbf1dc3',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty":
-        '3a2c3d28386403ce',
+        '4b8eea0a6fd04b74',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format pretty':
-        '55016b3886448694',
+        'e30c8bfa3de41d43',
     'scan --family identity --grid 9 --refine 7 --format pretty':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format pretty':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format pretty':
-        '7552bfb9f914c67d',
+        '1eb95d0d4954421a',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format pretty":
         '8de8c3f5f4eb23b8',
     'certify --family identity --seed 0 --samples 1 --format pretty':
         '3ea4f63e09752cee',
     'certify --family identity --seed 0 --samples 257 --format pretty':
-        'bccd72e4749dd34e',
+        '7d74c001104d314d',
     'certify --family identity --seed 2026 --samples 1 --format pretty':
         'b9f17500e13d43bb',
     'certify --family identity --seed 2026 --samples 257 --format pretty':
-        '8db3f8eab6c379f7',
+        'a4d3812054ab8ca1',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format pretty':
-        '987e1a457cf4a5b8',
+        '968300fe8275fbdb',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format pretty':
-        '8798e678ef12e1c0',
+        '9c445c45fdd99950',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format pretty':
-        'ab7e90384fc93d21',
+        '959b9a5969e4621b',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format pretty':
         '1d95d1998a6cb5b4',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format pretty':
         'f874329281849615',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format pretty':
-        '4b19c21150472e81',
+        '454da93efa2e230f',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format pretty':
-        'faac1269d04105ba',
+        'b3cc2c5b986f2b4a',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format pretty':
-        'f73bd3299f2e81f8',
+        '4a3fc34ac3b98d0c',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format pretty":
-        '2fd0681a54baa725',
+        '91f11a593b162999',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format pretty":
-        'a4dd262a559ebfe7',
+        'c4833452e38535e2',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format pretty":
-        '5a25bb6b770efc21',
+        '8e70f6479635f0be',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format pretty":
-        '912674981980c744',
+        'e8cf5d29b8fb0a24',
     'certify --family identity --samples 0 --format pretty':
         '857b9a8f539faf27',
     'reproduce --format pretty':
@@ -537,21 +537,21 @@ GOLDEN = {
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv --out {out}':
         'fd3ecff6db431329',
     'reproduce --format csv --out {out}':
-        '30f1d2ea0cf1203a',
+        '871d32dba8385412',
     'certify --family identity --samples 3 --format json --out {out}':
-        '4fb5a7b051fb5d6d',
+        '534e786756accb99',
     'certify --family identity --samples 1025 --seed 2026 --format json':
-        '4a43d7314dfbf110',
+        '84ddcce9085c039e',
     'certify --family power --alpha 1.5 --samples 1025 --seed 2026 --format json':
-        '764b3a9c0d3d7767',
+        'b8e56c28e8202e3a',
     'scan --family identity --grid 41 --format csv --out {out}':
         '2040ccc022c7febd',
     'scan --family power --alpha 1.5 --grid 41 --format csv --out {out}':
         'f08647e2f198a24d',
     'scan --family piecewise-quadratic --grid 41 --format csv --out {out}':
-        '64250f72d7d5d0fb',
+        '8861b77a60a7c1ca',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 41 --format csv --out {out}":
-        'ee3cc2ea6ceae0d2',
+        'f594973b5a0bf8ce',
     _haar_tau(0, 720):
         '637c98e1171ccac0',
     _haar_tau(1, 720):

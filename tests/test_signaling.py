@@ -569,9 +569,13 @@ def test_marginal_contract_fires_on_a_corrupted_steered_stack(monkeypatch):
     assert abs(float(by.rstrip(".")) - 1e-9) <= 1e-15
 
 
-# A rule rising from 0 to 1 over [0.5, 0.5 + 3e-5]: steep enough that
-# round-off in an overlap on the ramp breaks the closed-form contract.
-RAMP = rl.tabulated_rule([[0, 0], [0.5, 0], [0.5 + 3e-5, 1], [1, 1]])
+def planted_failure() -> rl.ProbabilityRule:
+    """The identity rule, but NaN at exactly the p1 of sample 376 of
+    certificate seed 54, in its first batch: the closed-form check fails on
+    that sample alone, whatever the pipeline's round-off."""
+    p1 = certificate_scenarios(rl.identity_rule(), 377, 54)[376].p1
+    return rl.ProbabilityRule("identity", {},
+                              lambda q: np.where(q == p1, np.nan, q))
 
 
 def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
@@ -581,11 +585,11 @@ def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
                                      seed=1555123228)
     assert defect.passed and defect.max_abs_gap <= 1e-10
 
-    # RAMP turns round-off in an overlap on its ramp into a 3.6e-12
-    # closed-form deviation at sample 376 of seed 54, in the certificate's
-    # first batch; bisection finds it, and only it runs again alone. The
-    # failure also surfaces from run_scenario on that scenario, where a
-    # per-scenario wrapper (the benchmark's defect probe) finds it.
+    # The planted failure: bisection finds sample 376, and only it runs
+    # again alone. The failure also surfaces from run_scenario on that
+    # scenario, where a per-scenario wrapper (the benchmark's defect probe)
+    # finds it.
+    rule = planted_failure()
     real = sg.run_scenario
     raised = []
 
@@ -598,14 +602,13 @@ def test_certificate_failure_surfaces_from_run_scenario(monkeypatch):
 
     monkeypatch.setattr(sg, "run_scenario", catching)
     with pytest.raises(ContractError) as info:
-        sg.affinity_certificate(RAMP, samples=1000, seed=54)
+        sg.affinity_certificate(rule, samples=1000, seed=54)
     assert info.value.index == 376
     assert str(info.value).startswith("Scenario 376 of the batch {")
-    assert "Pipeline deviates from the closed form by " in str(info.value)
+    assert str(info.value).endswith(
+        "Pipeline deviates from the closed form by nan.")
     assert raised == [info.value.scenario]
-    s = raised[0]
-    overlaps = (s.p1, s.p2, s.lam * s.p1 + (1 - s.lam) * s.p2)
-    assert any(0.5 < q < 0.5 + 3e-5 for q in overlaps)
+    assert np.isnan(rule._fn(np.array(raised[0].p1)))
 
 
 # (P1, P2, protocol-1 members, protocol-2 members) of the 48 scenarios of
@@ -702,8 +705,8 @@ def test_steer_checks_only_the_live_conditionals(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("mode", [sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM])
-def test_single_run_checks_hermiticity_twice(monkeypatch, d, mode):
-    # Never: the members' projectors are pure by construction, the average
+def test_single_run_makes_no_hermiticity_check(monkeypatch, d, mode):
+    # The members' projectors are pure by construction, the average
     # state is purified from the members' factor without being formed as a
     # state, and the steered conditionals are Hermitian and positive by
     # construction, so none of them is checked.
@@ -716,8 +719,8 @@ def test_single_run_checks_hermiticity_twice(monkeypatch, d, mode):
     assert len(calls) == 0
 
 
-def test_certificate_checks_hermiticity_twice_per_batch(monkeypatch):
-    # Never, for the reasons above.
+def test_certificate_makes_no_hermiticity_check(monkeypatch):
+    # For the reasons above.
     calls, check = [], gm._check_hermitian
     monkeypatch.setattr(gm, "_check_hermitian",
                         lambda *args: calls.append(1) or check(*args))
@@ -725,11 +728,14 @@ def test_certificate_checks_hermiticity_twice_per_batch(monkeypatch):
     assert len(calls) == 0
 
 
-def test_one_svd_per_stack_is_the_only_decomposition(monkeypatch):
+def test_decompositions_are_one_eigh_per_public_call_and_none_per_stack(
+        monkeypatch):
     # A batch over d = 2, 3 and both modes runs four stacks, and a
     # 1000-sample certificate two: each stack's average state is purified
-    # by one batched SVD of its members' factor, with no eigensolver and
-    # no state check of the average.
+    # by closed-form rotations of its members' factor, with no LAPACK
+    # decomposition and no state check of the average. Public purify and
+    # uniform_overlap_decomposition take their state's Schmidt form from
+    # one eigh.
     calls = []
 
     def counted(module, name):
@@ -737,18 +743,22 @@ def test_one_svd_per_stack_is_the_only_decomposition(monkeypatch):
         monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(
             name) or real(*args, **kwargs))
 
-    for name in ("svd", "eigh", "eigvalsh"):
-        counted(np.linalg, name)
-    counted(gm, "_check_states")
     batch = [sg.Scenario(rl.power_rule(1.5), gm.point_state(gm.quantum(d), 0),
                          0.2, 0.7, 0.4, mode, seed=k)
              for k, (d, mode) in enumerate(itertools.product(
                  (2, 3, 2, 3), (sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM)))]
+    omega = gm.mix(sg.run_scenario(batch[0]).ensemble_1)
+    for name in ("svd", "eigh", "eigvalsh"):
+        counted(np.linalg, name)
+    counted(gm, "_check_states")
     sg.run_scenarios(batch)
-    assert calls == ["svd"] * 4
-    calls.clear()
     sg.affinity_certificate(rl.identity_rule(), samples=1000)
-    assert calls == ["svd"] * -(-1000 // sg._CERTIFICATE_BATCH)
+    assert calls == []
+    ss.purify(omega)
+    assert calls == ["eigh"]
+    calls.clear()
+    sg.uniform_overlap_decomposition(omega, batch[0].phi)
+    assert calls == ["eigh"]
 
 
 def _pipeline_batch(rng):
@@ -768,28 +778,29 @@ def _pipeline_batch(rng):
 
 def test_pipeline_synthesis_holds_its_contract_by_construction(monkeypatch):
     # The pipeline neither synthesizes nor checks protocol 1's measurement:
-    # its rows alpha come from the SVD of the members' factor, whose
+    # its rows alpha come from the rotation of the members' factor, whose
     # columns are the members' kets m_k times sqrt(w_k). For every purified
     # stack, the projectors onto the rows must sum to the projector onto
     # the kept basis vectors, and alpha_k†J must be sqrt(w_k) m_k up to
     # phase, at weights 0, 1e-9, 0.42, 1 - 1e-9 and 1.
     batch = _pipeline_batch(np.random.default_rng(11))
     batch += [replace(s, lam=lam) for s in batch[::9] for lam in (1e-9, 1 - 1e-9)]
-    stacks = []
-    purify = ss._purify
+    factors, stacks = [], []
+    rotate, purify = ss._rotation_schmidt, ss._purify
+    monkeypatch.setattr(ss, "_rotation_schmidt", lambda factor: factors.append(
+        factor) or rotate(factor))
     monkeypatch.setattr(ss, "_purify", lambda *args: stacks.append(
-        (args, purify(*args))) or stacks[-1][1])
+        purify(*args)) or stacks[-1])
     sg.run_scenarios(batch)
-    assert len(stacks) == 6  # one per model size and mode
+    assert len(stacks) == len(factors) == 6  # one per model size and mode
     scenarios = iter(sorted(batch, key=lambda s: (  # in the stacks' order
         s.phi.model.size, s.mode == sg.STEERED_UNIFORM)))
-    for (factors, _), (joints, schmidt, _, alphas) in stacks:
+    for factor, (joints, schmidt, _, alphas) in zip(factors, stacks):
         kept = np.arange(alphas.shape[-1]) < schmidt.rank[:, None]
         total = np.einsum("nki,nkj->nij", alphas, alphas.conj())
         assert abs(total - kept[:, None] * np.eye(len(kept[0]))).max() <= 1e-12
         steered = alphas.conj() @ joints
-        for rows, columns, s in zip(steered, factors.swapaxes(-1, -2),
-                                    scenarios):
+        for rows, columns, s in zip(steered, factor, scenarios):
             weights = np.array([s.lam, 1 - s.lam])
             overlaps = abs(columns @ gm.pure_ket(s.phi).conj()) ** 2
             assert abs(gm._norm(columns) ** 2 - weights).max() <= 1e-15
@@ -940,15 +951,16 @@ def test_certificate_equals_runs_of_its_scenarios(rule, samples, seed):
 
 def test_certificate_is_batch_invariant(monkeypatch):
     # Odd batch sizes start batches on odd samples, whose seeds are the high
-    # halves of raw words read in the batch before.
-    by_batch = {}
+    # halves of raw words read in the batch before. A failure planted on one
+    # sample is named at its index in every batching.
+    by_batch, planted = {}, planted_failure()
     for batch in (1, 3, 256, 512):
         monkeypatch.setattr(sg, "_CERTIFICATE_BATCH", batch)
         by_batch[batch] = [json.dumps(sg.affinity_certificate(
             rl.identity_rule(), samples=samples, seed=2026).to_dict(),
             sort_keys=True) for samples in (1, 2, 511, 512, 513, 1025)]
         with pytest.raises(ContractError) as info:
-            sg.affinity_certificate(RAMP, samples=1000, seed=54)
+            sg.affinity_certificate(planted, samples=1000, seed=54)
         assert info.value.index == 376
     assert all(out == by_batch[512] for out in by_batch.values())
 
@@ -1134,13 +1146,15 @@ def test_simulate_runs_deterministic_and_serializable():
             sg.simulate_runs(report, runs=runs)
 
 
-@pytest.mark.parametrize("lam, prob_1", [(0.395557273104876, 1 + 2**-52),
-                                          (0.5, 1.0)], ids=["above-1", "at-1"])
-def test_simulate_runs_at_certain_outcomes(lam, prob_1):
-    # Both members are phi: the pipeline's P1 can round to just above 1,
-    # which is sampled as 1, and sigma is 0.
-    report = sg.run_scenario(sg.Scenario(rl.identity_rule(), PHI, 1.0, 1.0, lam))
-    assert (report.prob_1, report.prob_2) == (prob_1, 1.0)
+@pytest.mark.parametrize("prob_1", [1 + 2**-52, 1.0], ids=["above-1", "at-1"])
+def test_simulate_runs_at_certain_outcomes(prob_1):
+    # Both members are phi, so P1 is 1. At this lambda, overlaps from
+    # pairings of projectors once gave 1 + 2**-52; the steered rows give 1.
+    # A P1 rounded to just above 1 is sampled as 1, and sigma is 0.
+    report = sg.run_scenario(sg.Scenario(rl.identity_rule(), PHI, 1.0, 1.0,
+                                         0.395557273104876))
+    assert (report.prob_1, report.prob_2) == (1.0, 1.0)
+    report = replace(report, prob_1=prob_1)
     stats = sg.simulate_runs(report, runs=100, seed=1)
     assert (stats.successes_1, stats.successes_2) == (100, 100)
     assert stats.sigma == 0.0 and stats.z_score == 0.0
