@@ -226,11 +226,12 @@ def validate_state(model: SystemModel, coeffs: np.ndarray) -> State:
 
 
 # Stack kernels. Each takes a ``(..., d, d)`` stack (or ``(..., d)`` for
-# vectors) and works on every member at once with the same arithmetic, call
-# for call, as on a single one, so a stack member's result is bitwise equal
-# to that of a stack of one. BLAS-backed reductions (dot products, norms)
-# go through ``matmul`` on per-member rows, which calls the same routine
-# per member as ``np.dot``/``np.vdot``/``np.linalg.norm`` on one vector.
+# vectors) and works on every member at once. A member's arithmetic does
+# not depend on the batch, so its result is bitwise equal to that of a
+# stack of one. Sums over a short axis (2 to 4 terms in the pipeline) are
+# added elementwise in a fixed order: numpy runs that in a fraction of a
+# batched ``matmul``'s time. Real dot products stay ``matmul``s on rows,
+# the routine ``np.dot`` runs per member, which is faster there.
 
 def _dagger(matrices: np.ndarray) -> np.ndarray:
     return matrices.conj().swapaxes(-1, -2)
@@ -241,15 +242,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products a @ b of ``(..., m, K)`` and ``(..., K, n)`` stacks
+    with a short K, the K products added elementwise in order."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
 def _norm(vecs: np.ndarray) -> np.ndarray:
-    """Rowwise Euclidean norm of a ``(..., n)`` stack (of a complex row:
-    the root of its real part's and its imaginary part's squares)."""
+    """Rowwise Euclidean norm of a ``(..., n)`` stack."""
     if vecs.dtype.kind != "c":
         return np.sqrt(_dot(vecs, vecs))
-    parts = np.ascontiguousarray(vecs).view(np.float64).reshape(
-        *vecs.shape, 2).swapaxes(-1, -2)
-    squares = _dot(parts, parts)
-    return np.sqrt(squares[..., 0] + squares[..., 1])
+    return np.sqrt(_squares(vecs))
 
 
 def _squares(vecs: np.ndarray) -> np.ndarray:
@@ -672,10 +678,9 @@ def ensemble_from_dict(data: dict) -> Ensemble:
 def _average(weights: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """Weighted sums ``(n, d, d)`` of ``n`` stacks of ``K`` member matrices
     ``(n, K, d, d)`` with weights ``(n, K)``, added in member order."""
-    avg = weights[:, 0, None, None] * matrices[:, 0]
-    for k in range(1, weights.shape[1]):
-        avg = avg + weights[:, k, None, None] * matrices[:, k]
-    return avg
+    n, _, d, _ = matrices.shape
+    flat = matrices.reshape(n, -1, d * d)
+    return _product(weights[:, None], flat).reshape(n, d, d)
 
 
 def mix(ens: Ensemble) -> State:

@@ -283,18 +283,22 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
 
     # One steered stack: protocol 1 of scenario j at row j, protocol 2 at
     # row n + j. A target member's effect has the one-column factor alpha,
-    # so X = alpha†J is one batched matmul. In trivial mode protocol 2 is
-    # the unit effect, factor I, whose conditional is the joint's B
-    # marginal that the purification already formed.
+    # so X = alpha†J. In trivial mode protocol 2 is the unit effect, factor
+    # I, whose conditional is the joint's B marginal that the purification
+    # already formed.
     grams, live = marginals[:0], present
     if not uniform:
         grams = marginals
         live = np.concatenate([present, np.tile([True, False], (n, 1))])
-    rows = alphas.conj() @ joints
-    steered = ss._steer(model, rows[present], grams, live)
+    rows = gm._product(alphas.conj(), joints)
+    steered = ss._steer(rows[present], grams, live)
     ss._check_targets(steered.subs[:len(weights)], weights, members, present)
-    marginal = ss._marginal_residuals(steered.weights[:n], steered.coeffs[:n],
-                                      steered.weights[n:], steered.coeffs[n:])
+    # Each protocol's average is its kept subs' sum over that sum's trace,
+    # so no conditional is normalized and one difference is expanded.
+    sums = gm._average(steered.keep, steered.subs)
+    averages = sums / sums.real.trace(axis1=-2, axis2=-1)[:, None, None]
+    marginal = abs(model.coeffs_from_matrix(averages[:n] - averages[n:])
+                   ).max(axis=-1)
     gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
              ~(marginal <= _MARGINAL_TOL), marginal)  # NaN fails too
 

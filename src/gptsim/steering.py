@@ -52,23 +52,22 @@ class _Schmidt(NamedTuple):
 class _Steered(NamedTuple):
     """Stacked outcome of steering ``n`` joint states with ``S`` effects
     each: the subnormalized B conditionals ``subs`` (0 where no effect was
-    applied) and, per outcome kept (probability above RANK_TOL), its
-    normalized weight and conditional state; other slots hold the zero
-    matrix at weight 0, which no stage reads."""
+    applied), each of probability its trace; ``keep``, the outcomes of
+    probability above RANK_TOL; and their normalized ``weights``, else 0."""
 
-    subs: np.ndarray      # (n, S, d, d)
-    keep: np.ndarray      # (n, S)
-    weights: np.ndarray   # (n, S)
-    matrices: np.ndarray  # (n, S, d, d)
-    coeffs: np.ndarray    # (n, S, d*d)
+    subs: np.ndarray     # (n, S, d, d)
+    keep: np.ndarray     # (n, S)
+    weights: np.ndarray  # (n, S)
 
     def ensemble(self, model: gm.SystemModel, i: int) -> gm.Ensemble:
-        """Member ``i``'s ensemble of kept outcomes, as ``steer`` builds it;
-        a member is pure where its purity is 1 within SPECTRAL_TOL."""
+        """Member ``i``'s ensemble of kept outcomes, as ``steer`` builds it:
+        each kept sub divided by its trace; a member is pure where its
+        purity is 1 within SPECTRAL_TOL."""
         kept = self.keep[i]
         weights = self.weights[i][kept]
-        weights.flags.writeable = False
-        matrices = self.matrices[i][kept]
+        subs = self.subs[i][kept]
+        matrices = subs / subs.real.trace(axis1=-2, axis2=-1)[:, None, None]
+        weights.flags.writeable = matrices.flags.writeable = False
         return gm.Ensemble(weights, tuple(gm._states(
             model, matrices, gm._pure(matrices))))
 
@@ -177,8 +176,8 @@ def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
 
 
 def _marginals_b(joints: np.ndarray) -> np.ndarray:
-    """B marginals ``(n, d, d)`` of ``(n, A, d)`` joint matrices."""
-    return (joints.conj().swapaxes(-1, -2) @ joints).swapaxes(-1, -2)
+    """B marginals JᵀJ̄ ``(n, d, d)`` of ``(n, A, d)`` joint matrices J."""
+    return gm._product(joints.swapaxes(-1, -2), joints.conj())
 
 
 def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
@@ -211,22 +210,22 @@ def _steer_effects(psi: gm.BipartiteState, effects: np.ndarray) -> _Steered:
     """Steer quantum ``psi`` through ``(S, A, A)`` checked effects, each
     factored as F F† by :func:`_factors`."""
     factors = _factors(effects)
-    return _steer(psi.model_b, np.empty((0, psi.model_b.size)),
+    return _steer(np.empty((0, psi.model_b.size)),
                   _marginals_b(gm._dagger(factors) @ psi.joint_matrix),
                   np.ones((1, len(effects)), dtype=bool))
 
 
-def _steer(model_b: gm.SystemModel, kets: np.ndarray, grams: np.ndarray,
-           live: np.ndarray) -> _Steered:
+def _steer(kets: np.ndarray, grams: np.ndarray, live: np.ndarray) -> _Steered:
     """Steer ``n`` members' ``(n, S)`` outcome slots, the ``live`` ones.
 
     An outcome of effect F F† leaves joint J's side B in the subnormalized
-    conditional XᵀX̄, X = F†J, of probability ‖X‖²: its Hermitian part is
-    positive by construction, with round-off relative to that probability,
-    so it is not checked (Nielsen & Chuang 2000, §2.2.3). The live outcomes
-    come in row-major order: first one-column factors' rows X, ``kets``
-    ``(L, d)``, whose conditionals are the projectors onto X/‖X‖; then the
-    other factors' Gram matrices XᵀX̄, ``grams`` ``(M, d, d)``.
+    conditional XᵀX̄, X = F†J, of probability ‖X‖², its trace: its
+    Hermitian part is positive by construction, with round-off relative to
+    that probability, so it is not checked (Nielsen & Chuang 2000,
+    §2.2.3), and it is not normalized here. The live outcomes come in
+    row-major order: first one-column factors' rows X, ``kets`` ``(L, d)``,
+    whose conditionals are the projectors onto X/‖X‖; then the other
+    factors' Gram matrices XᵀX̄, ``grams`` ``(M, d, d)``.
     """
     outer = kets[:, :, None] * kets.conj()[:, None, :]
     if len(grams):
@@ -236,10 +235,8 @@ def _steer(model_b: gm.SystemModel, kets: np.ndarray, grams: np.ndarray,
     kept = ~(probs <= RANK_TOL)
     keep = _filled(live, kept)
     weights = _filled(keep, probs[kept])
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    matrices = _filled(keep, live_subs[kept] / probs[kept, None, None])
-    return _Steered(_filled(live, live_subs), keep, weights, matrices,
-                    gm._coeffs(model_b, matrices))
+    return _Steered(_filled(live, live_subs), keep,
+                    weights / weights.sum(axis=1, keepdims=True))
 
 
 def _filled(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -337,14 +334,6 @@ def marginal_residual(ens_1: gm.Ensemble, ens_2: gm.Ensemble) -> float:
     """
     if ens_1.states[0].model != ens_2.states[0].model:
         raise ModelMismatchError("Ensembles live on different models.")
-    return float(_marginal_residuals(
-        ens_1.weights, np.stack([s.coeffs for s in ens_1.states]),
-        ens_2.weights, np.stack([s.coeffs for s in ens_2.states])))
-
-
-def _marginal_residuals(weights_1, coeffs_1, weights_2, coeffs_2):
-    """Rowwise :func:`marginal_residual` of stacked ensembles: weights
-    ``(..., K)`` and member coefficients ``(..., K, m)`` for each side."""
-    avg_1 = (weights_1[..., None, :] @ coeffs_1)[..., 0, :]
-    avg_2 = (weights_2[..., None, :] @ coeffs_2)[..., 0, :]
-    return np.abs(avg_1 - avg_2).max(axis=-1)
+    avg_1, avg_2 = (e.weights[None] @ np.stack([s.coeffs for s in e.states])
+                    for e in (ens_1, ens_2))
+    return float(np.abs(avg_1 - avg_2).max())

@@ -285,7 +285,7 @@ def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     completion = orthonormal_completion(kets)
-    residual = (draws[..., None, :] @ completion)[..., 0, :]
+    residual = gm._product(draws[..., None, :], completion)[..., 0, :]
     residual = residual / gm._norm(residual)[..., None]
     psi = (np.sqrt(p)[..., None] * kets
            + np.sqrt(1.0 - p)[..., None] * residual)

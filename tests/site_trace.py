@@ -2,6 +2,7 @@
 ``python tests/site_trace.py [pytest arguments]`` from the repository root.
 Under a line tracer, every ``raise`` line and ``_fail`` call of the package
 is ``fired`` (a ``raise`` line ran, a ``_fail`` call raised) or ``SILENT``.
+The exit status is pytest's, or 1 if pytest passed and any site is SILENT.
 The file's name keeps pytest from collecting it."""
 
 import collections
@@ -55,4 +56,4 @@ if __name__ == "__main__":
                 counts[kind, "fired" if hit else "silent"] += 1
                 print(f"{path.name}:{number} {kind} {'fired' if hit else 'SILENT'}")
     print(dict(counts))
-    sys.exit(status)
+    sys.exit(status or int(any(hit == "silent" for _, hit in counts)))

@@ -13,6 +13,7 @@ from gptsim import models as gm
 from gptsim import rules as rl
 from gptsim import signaling as sg
 from gptsim.cli import _format_distinct, main
+from gptsim.errors import ContractError
 
 QUBIT = gm.quantum(2)
 
@@ -306,6 +307,14 @@ def test_gap_at_the_rank_cut_is_the_documented_error(capsys):
     assert err.startswith("error: Scenario 0 of the batch {")
     assert err.endswith(": Steered conditional 0 deviates by "
                         "7.906923173662698e-08.\n") and err.count("\n") == 1
+    # Equal qubit overlaps near 0 leave both members next to phi's
+    # orthogonal state, about sqrt(p) apart: the same limit, at an input
+    # that test_steered_uniform_in_every_dimension once drew.
+    rng = np.random.default_rng(0)
+    ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+    phi = gm.ket_state(QUBIT, ket / np.linalg.norm(ket))
+    with pytest.raises(ContractError, match="Steered conditional 0 deviates"):
+        sg.run_scenario(sg.Scenario(rl.identity_rule(), phi, 1e-15, 1e-15, 0.5))
 
 
 @pytest.mark.parametrize("argv, message", [

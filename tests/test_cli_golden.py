@@ -203,7 +203,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format json':
         '2717ba6503597666',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
-        'c4d503fe934a97a4',
+        '7ba3023da04e4d13',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
         'a3a7f4d2ec9d4f09',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json':
@@ -213,17 +213,17 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json':
         'fb323ee3b6a3f91c',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json':
-        'e52806ea525b1b1e',
+        'ba94bae5e9dabb6c',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json':
         '3f91b52a00ad3d76',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json':
         '581e131f33584f5e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json':
-        'e124aa7058e4697f',
+        '07cbfad08a71a2ad',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json':
-        '559ed2d0f4ee0634',
+        '052991e80236f948',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json":
-        'e38a1e665ca4b677',
+        '0445880fad8b1364',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json":
         '2c89222ed969af4a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json":
@@ -233,57 +233,57 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json":
         '47f3015799c2704f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json":
-        '7348ea391a6718c5',
+        'a99cbe87e4584bd4',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json":
         'b2174fefa0b0ecee',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json":
         '4ccbf8b27e866240',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json":
-        'a7d1038dc000f52f',
+        '3da154d7bc5f5781',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json":
-        'e73de8b56516770b',
+        'fee51c1e981cb3ca',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format json':
-        'b611b6badc23b505',
+        '55cab94222ae1c8e',
     'scan --family identity --grid 9 --refine 7 --format json':
         '9378f8d87d038dca',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format json':
-        '02adf741661721f4',
+        '7f1de71729df99f1',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format json':
-        '7e538acf1f928f9e',
+        'fd6713393d987e76',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format json":
-        '218183b483b5c74a',
+        '946a28646b68a48e',
     'certify --family identity --seed 0 --samples 1 --format json':
-        '510e588f9b318619',
+        '3d756f99d13a5217',
     'certify --family identity --seed 0 --samples 257 --format json':
-        '047196b3d0ae92c9',
+        '279bdc15dfe131c2',
     'certify --family identity --seed 2026 --samples 1 --format json':
-        'f25a2e10bbcdeb4b',
+        '4a8b004ea910731b',
     'certify --family identity --seed 2026 --samples 257 --format json':
-        'bae006598ea84db1',
+        'af0251f97ace0c99',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format json':
-        'c44f0ce7c5d945fc',
+        'a3dff80102606e23',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format json':
-        'dcc8eb9b95cdf753',
+        'f0f629b3e5efba27',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format json':
-        'ec77fa082df25b1d',
+        '4b2da5f6ef736bce',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format json':
-        'aef15683ba51265a',
+        '8acf5679131184cc',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format json':
-        'c17bb9fe6f97c052',
+        'f14a390104a4b819',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format json':
-        '5fd48524dc90f882',
+        '1499203066ddecb7',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format json':
-        'f56772c01dc6e910',
+        'd73aea4c9f4dd5bc',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format json':
-        '5776d45210cea730',
+        '814a12035a4b865a',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format json":
-        '5ab6e2ea4e4d0774',
+        'd45f082e0ad262a2',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format json":
-        '08533363af276ba9',
+        '941be9fe3e683b95',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format json":
-        '7738b7c5b66cb895',
+        'fe3e98ba2070b4e6',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format json":
-        'e681b948eb18a6b9',
+        '2caef315a54eceeb',
     'certify --family identity --samples 0 --format json':
         '857b9a8f539faf27',
     'reproduce --format json':
@@ -325,7 +325,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format csv':
         '7e09010a2d461b8f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
-        '64f941e3ce5182ee',
+        '0cb13abef9238288',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv':
@@ -335,7 +335,7 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv':
         'b62aa8728337de70',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv':
-        '6713d78a9694b720',
+        '9add261b859c251c',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv':
@@ -345,7 +345,7 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv':
         '8e84bf16fe052cc7',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv":
-        '96dfa8e4d611581b',
+        'babb9ee2d990a95d',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv":
@@ -355,7 +355,7 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv":
         '59590b79ec04f23e',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv":
-        'afbc2b63d946942d',
+        '037f896a84da467f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv":
@@ -377,35 +377,35 @@ GOLDEN = {
     'certify --family identity --seed 0 --samples 1 --format csv':
         '0fb552089318a13b',
     'certify --family identity --seed 0 --samples 257 --format csv':
-        'fb3baafc450f406b',
+        'c31722e8ce0b6b9d',
     'certify --family identity --seed 2026 --samples 1 --format csv':
-        '763bb56766fc48d5',
+        '77a41e23172f3ba7',
     'certify --family identity --seed 2026 --samples 257 --format csv':
-        '6fe59bf025295a51',
+        '7deac3974f2784f1',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format csv':
         'd0a926ae5defe5dd',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format csv':
-        'af47ef4b310adddd',
+        'f7fa16815516930e',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format csv':
         '16732521f9311d1b',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format csv':
-        '7bafd6e7872313c5',
+        'c3b51ed107bdea3c',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format csv':
         '2298632fdefa3b6c',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format csv':
-        '094c0d9a32f15b11',
+        'fdfdca09625ca223',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format csv':
-        'dd6043ea4a42ad3a',
+        '391e4764b42f70cc',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format csv':
         'ada5f60229c95eb7',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format csv":
         '0fb552089318a13b',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format csv":
-        '050cf6a4e111f7fd',
+        'c4d79d73be9790fa',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format csv":
-        '6c50ce74172deb04',
+        '07fe61b3e082a5ee',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format csv":
-        '399e474b40dfa3f5',
+        '2b42ed5d0c46ade3',
     'certify --family identity --samples 0 --format csv':
         '857b9a8f539faf27',
     'reproduce --format csv':
@@ -447,7 +447,7 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format pretty':
         '15216c3d72370f31',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
-        '9e70dc0dfe9e5b0d',
+        'e8c8eebc87496557',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':
         '841d8dc3abef8bb2',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty':
@@ -457,17 +457,17 @@ GOLDEN = {
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty':
         '18d069122e322e4d',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty':
-        '7d497915d45c577c',
+        '0e7700c2b55c9b35',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty':
         'd8f16ad776723b70',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty':
         '4d589fa8b7a35f87',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty':
-        '0bce78ac3eeed227',
+        '68a625eadde86484',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty':
-        '81ecd73a3f4d9b4c',
+        'ad9a09b5596efd87',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty":
-        '7c70a4a981ca89fe',
+        '5426aef59d23e2fa',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty":
         '39e360837aacf494',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty":
@@ -477,17 +477,17 @@ GOLDEN = {
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty":
         '920fd3bdabb121ef',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty":
-        'a3623c6486cc40e1',
+        '6a8d0f908014d5c2',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty":
         'b843db22fa5b0e2f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty":
         '834e3a0b42b92927',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty":
-        '36ed98992bbf1dc3',
+        '0055b3cdc375a829',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty":
-        '4b8eea0a6fd04b74',
+        'c54364ec1ce49678',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format pretty':
-        'e30c8bfa3de41d43',
+        'f2f43f68b2bf5530',
     'scan --family identity --grid 9 --refine 7 --format pretty':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format pretty':
@@ -499,35 +499,35 @@ GOLDEN = {
     'certify --family identity --seed 0 --samples 1 --format pretty':
         '3ea4f63e09752cee',
     'certify --family identity --seed 0 --samples 257 --format pretty':
-        '7d74c001104d314d',
+        '73b850194b51c6c6',
     'certify --family identity --seed 2026 --samples 1 --format pretty':
-        'b9f17500e13d43bb',
+        'b8db6d3fed5d7d71',
     'certify --family identity --seed 2026 --samples 257 --format pretty':
-        'a4d3812054ab8ca1',
+        '777315326b7a03c0',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format pretty':
         '968300fe8275fbdb',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format pretty':
-        '9c445c45fdd99950',
+        'c7d2e969dad57094',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format pretty':
         '959b9a5969e4621b',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format pretty':
-        '1d95d1998a6cb5b4',
+        'e0bbc80d327effec',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format pretty':
         'f874329281849615',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format pretty':
-        '454da93efa2e230f',
+        '292890dcd46b8acc',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format pretty':
-        'b3cc2c5b986f2b4a',
+        '9a4f0185b1867b99',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format pretty':
         '4a3fc34ac3b98d0c',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format pretty":
         '91f11a593b162999',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format pretty":
-        'c4833452e38535e2',
+        'ae89084372c5d157',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format pretty":
-        '8e70f6479635f0be',
+        '8ae490cd1ba89754',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format pretty":
-        'e8cf5d29b8fb0a24',
+        'dca9a9de533886bd',
     'certify --family identity --samples 0 --format pretty':
         '857b9a8f539faf27',
     'reproduce --format pretty':
@@ -539,11 +539,11 @@ GOLDEN = {
     'reproduce --format csv --out {out}':
         '871d32dba8385412',
     'certify --family identity --samples 3 --format json --out {out}':
-        '534e786756accb99',
+        'a97f40dd700aa8cb',
     'certify --family identity --samples 1025 --seed 2026 --format json':
-        '84ddcce9085c039e',
+        '82354b0ff7acfd89',
     'certify --family power --alpha 1.5 --samples 1025 --seed 2026 --format json':
-        'b8e56c28e8202e3a',
+        'd8953b0b91a8d481',
     'scan --family identity --grid 41 --format csv --out {out}':
         '2040ccc022c7febd',
     'scan --family power --alpha 1.5 --grid 41 --format csv --out {out}':

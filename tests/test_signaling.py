@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gptsim import errors
@@ -514,12 +514,18 @@ UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.999))
        lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
        alpha=st.sampled_from([1.0, 0.9, 1.5, 3.0]),
        seed=st.integers(0, 2**31 - 1))
+@example(d=2, p1=0.5, p2=0.5, lam=0.5, alpha=1.5, seed=0)
 def test_steered_uniform_in_every_dimension(d, p1, p2, lam, alpha, seed):
     # Members at least 1e-3 rad apart in Fubini-Study angle keep the
     # average's smaller eigenvalue far above the rank cut (see
-    # test_near_pure_mixtures_pass); equal overlaps have their own draws.
+    # test_near_pure_mixtures_pass). Equal overlaps are apart for sure only
+    # beyond the qubit, where each member has its own residual direction,
+    # or at 0 and 1, where both members are one state. On a qubit, equal
+    # overlaps p near 0 or 1 leave members about sqrt(p) or sqrt(1 - p)
+    # apart, README's near-identical limit.
     apart = np.arccos(np.sqrt(p1)) - np.arccos(np.sqrt(p2))
-    assume(lam in (0.0, 1.0) or p1 == p2 or abs(apart) >= 1e-3)
+    assume(lam in (0.0, 1.0) or abs(apart) >= 1e-3
+           or (p1 == p2 and (d > 2 or p1 in (0.0, 1.0))))
     rng = np.random.default_rng(seed)
     ket = rng.normal(size=d) + 1j * rng.normal(size=d)
     phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
@@ -550,15 +556,19 @@ def test_steered_uniform_in_every_dimension(d, p1, p2, lam, alpha, seed):
 
 
 def test_marginal_contract_fires_on_a_corrupted_steered_stack(monkeypatch):
-    # Shift protocol 2's lone (trivial) outcome by 1e-9 in one coefficient
-    # after steering: only the marginal contract reads it.
+    # Shift protocol 2's lone (trivial) outcome by 1e-9 in its traceless Z
+    # coefficient, (m00 - m11)/sqrt(2), after steering: only the marginal
+    # contract reads that sub, and its trace, the outcome's probability,
+    # stays as it was.
     steer = ss._steer
 
     def corrupted(*args):
         steered = steer(*args)
-        coeffs = steered.coeffs.copy()
-        coeffs[len(coeffs) // 2:, 0, 0] += 1e-9
-        return steered._replace(coeffs=coeffs)
+        subs = steered.subs.copy()
+        shift = 1e-9 / np.sqrt(2.0)
+        subs[len(subs) // 2:, 0, 0, 0] += shift
+        subs[len(subs) // 2:, 0, 1, 1] -= shift
+        return steered._replace(subs=subs)
 
     monkeypatch.setattr(ss, "_steer", corrupted)
     with pytest.raises(ContractError) as info:
@@ -697,7 +707,7 @@ def test_steer_checks_only_the_live_conditionals(monkeypatch):
         monkeypatch.setattr(gm, name, counted(name))
     monkeypatch.setattr(ss, "_steer", marked_steer)
     sg.run_scenarios(batch)
-    (_, kets, grams, live), = steered
+    (kets, grams, live), = steered
     assert (len(kets), len(grams)) == (2 * len(batch), len(batch))
     assert np.count_nonzero(live) == 3 * len(batch)
     assert calls == []
@@ -859,7 +869,8 @@ def test_pipeline_conditionals_are_states_by_construction(d, p1, p2, lam,
             sg.Scenario(rl.identity_rule(), phi, p1, p2, lam, mode, seed=seed)
             for mode in (sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM)])
     for steered in stacks:
-        kept = steered.matrices[steered.keep]
+        subs = steered.subs[steered.keep]
+        kept = subs / np.trace(subs, axis1=-2, axis2=-1).real[:, None, None]
         assert np.array_equal(kept, kept.conj().swapaxes(-1, -2))
         trace = np.trace(kept, axis1=-2, axis2=-1).real
         assert abs(trace - 1.0).max() <= gm.LINEAR_TOL
@@ -888,6 +899,24 @@ def test_report_ensembles_are_built_when_first_read(monkeypatch):
     assert calls == [3]
     assert len(report.to_dict()["ensemble_2"]["members"]) == 1
     assert calls == [3, 53]
+
+
+def test_certificate_expands_one_row_per_sample(monkeypatch):
+    # The steered stack keeps subnormalized conditionals only: the marginal
+    # check expands one difference of averages per sample, and only the
+    # witness's report builds states (phi and its ensembles' members).
+    assert ss._Steered._fields == ("subs", "keep", "weights")
+    rows = []
+    expand = gm.SystemModel.coeffs_from_matrix
+
+    def counting(self, matrix):
+        rows.append(int(np.prod(np.shape(matrix)[:-2])))
+        return expand(self, matrix)
+
+    monkeypatch.setattr(gm.SystemModel, "coeffs_from_matrix", counting)
+    cert = sg.affinity_certificate(rl.power_rule(1.5), samples=1000, seed=3)
+    witness = 1 + len(cert.worst.ensemble_1) + len(cert.worst.ensemble_2)
+    assert sum(rows) <= 1000 + witness
 
 
 def test_batch_reports_match_per_scenario_pipeline():
