@@ -36,13 +36,6 @@ _MARGINAL_TOL = 1e-10
 _CERTIFICATE_BATCH = 512
 
 
-def _check_seed(seed) -> None:
-    """Require a non-negative integer seed, with one message for every
-    seeded entry point."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}.")
-
-
 def _check_count(name: str, count) -> None:
     """Require an integer ``count`` of at least 1, called ``name``."""
     if not isinstance(count, numbers.Integral):
@@ -58,8 +51,8 @@ class Scenario:
     ``phi`` is a pure quantum state of any dimension. ``mode`` picks
     protocol 2: the trivial measurement, or steering to the equal-overlap
     pair of :func:`uniform_overlap_decomposition`. ``seed``, a non-negative
-    integer, seeds the scenario's own stream, ``np.random.default_rng(seed)``,
-    which draws the members' residual directions.
+    integer of any size, keys the counter-based words that draw the
+    members' residual directions (README, "Numerical conventions").
     """
 
     rule: rl.ProbabilityRule
@@ -77,7 +70,7 @@ class Scenario:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}.")
         if self.mode not in (TRIVIAL_AVERAGE, STEERED_UNIFORM):
             raise ValueError(f"Unknown protocol-2 mode {self.mode!r}.")
-        _check_seed(self.seed)
+        tr._check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {"rule": self.rule.to_dict(), "phi": self.phi.to_dict(),
@@ -250,13 +243,8 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
 
     # Protocol 1's members: states with overlaps p1 and p2 with phi,
     # their residual directions drawn from the scenario's seed.
-    inner = (0.0 < p) & (p < 1.0)
-    draws = np.ones((n, 2, d - 1), dtype=complex)
-    if np.count_nonzero(inner):
-        draws[inner] = tr._seeded_tau_draws(seeds, d - 1,
-                                            inner.sum(axis=1).tolist())
-    kets, members = gm._ket_states(
-        model, tr._kets_with_tau(phi_k[:, None], p, draws))
+    kets, members = gm._ket_states(model, tr._kets_with_tau(
+        phi_k[:, None], p, tr._residual_draws(seeds, d)))
     is_phi = p == 1.0  # the reference state itself
     if np.count_nonzero(is_phi):
         kets = np.where(is_phi[..., None], phi_k[:, None], kets)
@@ -467,12 +455,8 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     """Sample random scenarios through the full pipeline; pass iff every
     |gap| stays within tolerance. The worst witness is returned either way.
 
-    Sample i draws phi's ket (two real parts, then two imaginary parts),
-    then (p1, p2, lambda), then its scenario's seed: ``integers(2**31)``
-    bit for bit, one 32-bit draw ``>> 1`` (Lemire's method never rejects
-    at this bound). PCG64 serves 32-bit draws as the low half of a fresh
-    raw word, then its high half, which whole-word draws leave buffered;
-    so even samples read a raw word. The samples run in batches of up to
+    Sample i reads words 8i to 8i + 7 of the seed's sample stream, in
+    :func:`_certificate_draws`. The samples run in batches of up to
     ``_CERTIFICATE_BATCH`` as arrays through both halves of
     :func:`run_scenarios`, with no object per sample; a report is made
     only for the worst witness. A failing batch is run again as
@@ -482,28 +466,12 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     _check_count("samples", samples)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}.")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    normal, random = rng.standard_normal, rng.random
-    raw = rng.bit_generator.random_raw
+    tr._check_seed(seed)
     model = gm.quantum(2)
     worst = None  # (|gap|, its row, its batch's arrays); the first wins
-    word = 0  # the raw word of the last even sample, kept across batches
     for start in range(0, samples, _CERTIFICATE_BATCH):
         count = min(_CERTIFICATE_BATCH, samples - start)
-        normals = np.empty((count, 4))
-        params = np.empty((count, 3))
-        seeds = [0] * count
-        for i in range(count):
-            normal(out=normals[i])
-            random(out=params[i])
-            if (start + i) % 2:
-                seeds[i] = word >> 33
-            else:
-                word = raw()
-                seeds[i] = (word & 0xffffffff) >> 1
-        normals += 0.0  # as rng.normal(): 0 + 1 * z, so -0.0 reads 0.0
-        kets = normals[:, :2] + 1j * normals[:, 2:]
+        kets, params, seeds = _certificate_draws(seed, start, count)
         phis = gm._ket_states(model, kets / gm._norm(kets)[:, None])
         try:
             steered, stacks, marginal = _steer_protocols(
@@ -527,6 +495,18 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         max_abs_gap=worst_value,
         worst=_report(witness, model, run, k),
     )
+
+
+def _certificate_draws(seed: int, start: int, count: int) -> tuple:
+    """Certificate samples ``start`` to ``start + count - 1`` of ``seed``:
+    phi's kets ``(count, 2)``, not yet normalized, the (p1, p2, lambda)
+    ``(count, 3)`` and the scenario seeds, a list of ints. Sample i reads
+    words 8i to 8i + 7 of the seed's sample stream: two complex normals
+    (words 0-3), three uniforms (words 4-6) and word 7 >> 33, 31 bits."""
+    words = tr._stream_words(tr._SAMPLE_STREAM, [seed], 8 * start,
+                             8 * count).reshape(count, 8)
+    return (tr._normals(words[:, :4]), tr._uniforms(words[:, 4:7]),
+            (words[:, 7] >> 33).tolist())
 
 
 def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel, phis: tuple,
@@ -581,7 +561,7 @@ def simulate_runs(report: SignalingReport, runs: int = 10_000,
     predictions clamped to [0, 1], which round-off may leave by 2**-52.
     """
     _check_count("runs", runs)
-    _check_seed(seed)
+    tr._check_seed(seed)
     prob_1, prob_2 = np.clip([report.prob_1, report.prob_2], 0.0, 1.0).tolist()
     rng = np.random.default_rng(seed)
     k1 = int(rng.binomial(runs, prob_1))

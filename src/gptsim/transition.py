@@ -10,11 +10,11 @@ an independent cross-check.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import models as gm
 from .errors import (
@@ -115,12 +115,14 @@ def state_with_tau(model: gm.SystemModel, phi: gm.State, p: float,
                    seed) -> gm.State:
     """Pure state psi with tau(psi, phi) = p.
 
-    The residual direction (and phase) is drawn from the seeded generator;
-    p = 0 and p = 1 return exact complement/reference states with no
-    trigonometric noise. Classical models only admit p in {0, 1}.
+    The residual direction (and phase) is drawn as in a scenario of seed
+    ``seed``: psi is bitwise its first member at p1 = p. p = 0 and p = 1
+    return exact complement/reference states with no trigonometric noise.
+    Classical models only admit p in {0, 1}.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}.")
+    _check_seed(seed)
     _require_pure(phi, "phi")
     if model != phi.model:
         raise ModelMismatchError("phi does not belong to the given model.")
@@ -138,139 +140,70 @@ def state_with_tau(model: gm.SystemModel, phi: gm.State, p: float,
     ket = gm.pure_ket(phi)
     if p == 1.0:
         return phi
-    draws = np.ones(model.size - 1, dtype=complex)
-    if p != 0.0:
-        draws = _tau_draws([np.random.default_rng(seed)], model.size - 1,
-                           [1])[0]
+    draws = _residual_draws([seed], model.size)[0, 0]
     return gm.ket_state(model, _kets_with_tau(ket, p, draws))
 
 
-def _tau_draws(rngs: list, size: int, counts: list) -> np.ndarray:
-    """``(sum(counts), size)`` complex residual weights for states with an
-    intermediate overlap: ``counts[j]`` of them from generator ``rngs[j]``,
-    drawn one state after another: real parts, then imaginary parts."""
-    pairs = np.empty((sum(counts), 2, size))
-    end = 0
-    for rng, count in zip(rngs, counts):
-        rng.standard_normal(out=pairs[end:end + count])
-        end += count
-    pairs += 0.0  # as rng.normal(): 0 + 1 * z, so -0.0 reads 0.0
-    return pairs.transpose(0, 2, 1).copy().view(complex)[..., 0]
+def _check_seed(seed) -> None:
+    """Require a non-negative integer seed, with one message for every
+    seeded entry point."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}.")
 
 
-# numpy's SeedSequence hashes (O'Neill's seed_seq_fe), all in uint32
-# arithmetic modulo 2**32. Call k of a hash XORs its word with the running
-# constant INIT * MULT**k, multiplies it by the next constant and folds its
-# high half down (_hashmix). The entropy hash (INIT_A, MULT_A) builds the
-# four-word pool, with mix(x, y) folding MIX_MULT_L*x - MIX_MULT_R*y down
-# the same way; the output hash (INIT_B, MULT_B) turns the pool into state
-# words: PCG64 takes eight (four uint64), two rounds over the pool.
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-# 0-d arrays: as operands they cost numpy less than Python or numpy scalars
-_MIX_MULT_L = np.array(0xca01f9dd, dtype=np.uint32)
-_MIX_MULT_R = np.array(0x4973f715, dtype=np.uint32)
-_HALF = np.array(16, dtype=np.uint32)
-_POOL_SIZE = 4
+# Counter-based draws (README, "Numerical conventions"): SplitMix64's
+# gamma and finalizer multipliers, and the two streams' constants.
+_GAMMA, _MIX_1, _MIX_2 = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], np.uint64)
+_SCENARIO_STREAM, _SAMPLE_STREAM = (int.from_bytes(name, "little")
+                                    for name in (b"scenario", b"sampling"))
 
 
-def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """The XOR and multiply constants ``(2, count)`` of hash calls
-    ``first`` to ``first + count - 1``."""
-    powers = np.array([init * pow(mult, k, 2**32) % 2**32
-                       for k in range(first, first + count + 1)],
-                      dtype=np.uint32)
-    return np.stack([powers[:-1], powers[1:]])
+def _mix64(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on uint64 arrays, which wrap silently."""
+    for shift, factor in ((30, _MIX_1), (27, _MIX_2)):
+        words = (words ^ words >> shift) * factor
+    return words ^ words >> 31
 
 
-def _cross_consts() -> np.ndarray:
-    """``(4, 2, 4)``: for each pool word, the entropy hash constants of its
-    calls into every other pool word (calls 4 to 15, in numpy's order),
-    and 0 at its own place."""
-    calls = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE,
-                         _POOL_SIZE * (_POOL_SIZE - 1))
-    calls = calls.reshape(2, _POOL_SIZE, _POOL_SIZE - 1)
-    consts = np.zeros((_POOL_SIZE, 2, _POOL_SIZE), dtype=np.uint32)
-    for src in range(_POOL_SIZE):
-        consts[src][:, np.arange(_POOL_SIZE) != src] = calls[:, src]
-    return consts
+def _stream_words(stream: int, seeds, start: int, count: int) -> np.ndarray:
+    """Words ``start`` to ``start + count - 1`` of each seed's ``stream``:
+    word k is mix64(key + (k + 1) gamma), the key mix64 folded over the
+    seed's 64-bit limbs from the stream constant, low limb first."""
+    try:
+        limbs = np.array(seeds, dtype=np.uint64)[:, None]
+    except OverflowError:  # a seed of 2**64 or more
+        seeds = [operator.index(seed) for seed in seeds]
+        limbs = np.array([[seed >> 64 * k & 2**64 - 1 for k in range(
+            (max(seeds).bit_length() + 63) // 64)] for seed in seeds], np.uint64)
+    keys = _mix64(limbs[:, 0] ^ np.uint64(stream))
+    for k in range(1, limbs.shape[1]):  # up to each seed's top limb
+        keys = np.where(limbs[:, k:].any(axis=1), _mix64(keys ^ limbs[:, k]),
+                        keys)
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return _mix64(keys[:, None] + counters * _GAMMA)
 
 
-_FILL_CONSTS = _hash_consts(_INIT_A, _MULT_A, 0, _POOL_SIZE)
-_CROSS_CONSTS = _cross_consts()
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE).reshape(
-    2, 2, _POOL_SIZE)
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1): each word's top 53 bits times 2**-53."""
+    return (words >> 11) * 2.0 ** -53
 
 
-def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    hashed = words ^ xor
-    hashed *= mul
-    hashed ^= hashed >> _HALF
-    return hashed
+def _normals(words: np.ndarray) -> np.ndarray:
+    """Complex normals ``(..., k)``, real and imaginary parts each N(0, 1),
+    by Box-Muller on the consecutive pairs of the ``(..., 2k)`` words."""
+    radius = np.sqrt(-2.0 * np.log(_uniforms(words[..., 0::2]) + 2.0 ** -53))
+    turn = 2.0 * np.pi * _uniforms(words[..., 1::2])
+    normals = np.empty(turn.shape, dtype=complex)
+    normals.real, normals.imag = radius * np.cos(turn), radius * np.sin(turn)
+    return normals
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = x * _MIX_MULT_L
-    y *= _MIX_MULT_R
-    mixed -= y
-    mixed ^= mixed >> _HALF
-    return mixed
-
-
-def _seed_pools(seeds: list) -> np.ndarray:
-    """``np.random.SeedSequence(seed).pool`` of each non-negative integer
-    seed, as one ``(n, 4)`` uint32 array, bit for bit.
-
-    A seed's entropy is its little-endian uint32 words (one for 0); the
-    first four, zero-padded, are hashed into the pool, every pool word is
-    mixed with the hash of every other, and each word past the fourth is
-    then hashed into all four pool words. Each step runs on the whole
-    batch at once.
-    """
-    seeds = [operator.index(seed) for seed in seeds]
-    size = max(_POOL_SIZE, (max(seeds).bit_length() + 31) // 32)
-    words = np.frombuffer(
-        b"".join(seed.to_bytes(4 * size, "little") for seed in seeds),
-        dtype="<u4").reshape(-1, size)
-    pool = _hashmix(words[:, :_POOL_SIZE], *_FILL_CONSTS)
-    for src, consts in enumerate(_CROSS_CONSTS):
-        mixed = _mix(pool, _hashmix(pool[:, src, None], *consts))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    for src in range(_POOL_SIZE, size):
-        has_word = (words[:, src:] != 0).any(axis=1)  # a seed's top word is not 0
-        mixed = _mix(pool, _hashmix(words[:, src, None], *_hash_consts(
-            _INIT_A, _MULT_A, _POOL_SIZE * src, _POOL_SIZE)))
-        pool = np.where(has_word[:, None], mixed, pool)
-    return pool
-
-
-class _StateWords(ISeedSequence):
-    """A seed sequence whose PCG64 state words are already generated."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _seeded_tau_draws(seeds: list, size: int, counts: list) -> np.ndarray:
-    """:func:`_tau_draws` from generator ``np.random.default_rng(seeds[j])``
-    for each ``counts[j] > 0`` (at least one), bit for bit.
-
-    The drawing seeds' entropy pools (:func:`_seed_pools`) and the output
-    hash that turns them into PCG64 states each run once on the batch.
-    """
-    drawing = [j for j, count in enumerate(counts) if count]
-    pools = _seed_pools([seeds[j] for j in drawing])
-    words = _hashmix(pools[:, None, :], *_STATE_CONSTS)
-    # numpy pairs the words little-endian, whatever the platform's order
-    words = (words.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
-             .astype(np.uint64, copy=False))
-    rngs = [np.random.Generator(np.random.PCG64(_StateWords(row)))
-            for row in words]
-    return _tau_draws(rngs, size, [counts[j] for j in drawing])
+def _residual_draws(seeds, d: int) -> np.ndarray:
+    """``(len(seeds), 2, d-1)`` residual weights: entry j of member m of a
+    seed from words 2((d-1)m + j) and 2((d-1)m + j) + 1 of its stream."""
+    words = _stream_words(_SCENARIO_STREAM, seeds, 0, 4 * (d - 1))
+    return _normals(words).reshape(-1, 2, d - 1)
 
 
 def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:

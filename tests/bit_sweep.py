@@ -65,7 +65,18 @@ def steering(phis, light):
             ss.synthesize_steering_measurement(psi, steered).measurement]
 
 
+def stream_draws(stream, seed):
+    """Words 0 to 7 of ``seed``'s ``stream``, their uniforms and their
+    Box-Muller normals as (real, imaginary) pairs."""
+    words = tr._stream_words(stream, [seed], 0, 8)
+    return [words.tolist(), tr._uniforms(words).tolist(),
+            [[z.real, z.imag] for z in tr._normals(words)[0].tolist()]]
+
+
 def families():
+    yield "draws", [stream_draws(stream, seed) for stream, seed in itertools.product(
+        (tr._SCENARIO_STREAM, tr._SAMPLE_STREAM),
+        (0, 1, 2**31 - 1, 2**64 - 1, 2**64, 2**64 + 5, 2**128 + 7, 3**200))]
     rng = np.random.default_rng(2026)
     phis = {d: [gm.ket_state(gm.quantum(d), k / np.linalg.norm(k)) for k in
                 rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))]

@@ -306,7 +306,7 @@ def test_gap_at_the_rank_cut_is_the_documented_error(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: Scenario 0 of the batch {")
     assert err.endswith(": Steered conditional 0 deviates by "
-                        "7.906923173662698e-08.\n") and err.count("\n") == 1
+                        "7.906923173662695e-08.\n") and err.count("\n") == 1
     # Equal qubit overlaps near 0 leave both members next to phi's
     # orthogonal state, about sqrt(p) apart: the same limit, at an input
     # that test_steered_uniform_in_every_dimension once drew.
@@ -386,14 +386,14 @@ def test_gap_csv_format(capsys):
 
 def test_gap_contract_failure_is_an_error_line(capsys):
     # power(0.1) has infinite slope at 0: round-off in a zero overlap takes
-    # the prediction 2.9e-4 off the closed form, past the 1e-12 contract.
+    # the prediction 3.3e-4 off the closed form, past the 1e-12 contract.
     code, out, err = run_cli(capsys, "gap", "--family", "power", "--alpha",
                              "0.1", "--p1", "0", "--p2", "0.5", "--lambda",
-                             "0.5", "--seed", "3")
+                             "0.5", "--seed", "0")
     assert code == 2
     assert out == ""
     assert err.startswith("error: Scenario 0 of the batch {")
-    assert '"seed": 3' in err and '"alpha": 0.1' in err
+    assert '"seed": 0' in err and '"alpha": 0.1' in err
     assert "closed form" in err and err.count("\n") == 1
 
 

@@ -203,93 +203,93 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format json':
         '2717ba6503597666',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json':
-        '7ba3023da04e4d13',
+        'b051573ecb7f8892',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json':
         'a3a7f4d2ec9d4f09',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json':
         '1389c7042990bf89',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json':
-        'cb8868a417b53c6d',
+        '17aa4bca02c5906f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json':
-        'fb323ee3b6a3f91c',
+        '868e200a4aec6961',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json':
-        'ba94bae5e9dabb6c',
+        '989841133260a690',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json':
         '3f91b52a00ad3d76',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json':
         '581e131f33584f5e',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json':
-        '07cbfad08a71a2ad',
+        'bda20ca092f8b0f6',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json':
-        '052991e80236f948',
+        'f72be2619ba60c74',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format json":
-        '0445880fad8b1364',
+        '4069a3ad119b3b2d',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format json":
         '2c89222ed969af4a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format json":
         '9b7936cae5e357dd',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format json":
-        'a4f536d1e8d67a39',
+        '116ae7104943268d',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format json":
-        '47f3015799c2704f',
+        'b904ac73a8a4d41f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format json":
-        'a99cbe87e4584bd4',
+        'd02ca5d6faf30557',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format json":
         'b2174fefa0b0ecee',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format json":
         '4ccbf8b27e866240',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format json":
-        '3da154d7bc5f5781',
+        'c0c7cd129143d9e3',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format json":
-        'fee51c1e981cb3ca',
+        '121b3434faadacda',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format json':
-        '55cab94222ae1c8e',
+        'e12a25abe2d9d178',
     'scan --family identity --grid 9 --refine 7 --format json':
         '9378f8d87d038dca',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format json':
         '7f1de71729df99f1',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format json':
-        'fd6713393d987e76',
+        '49eb6531b6f3d0c1',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format json":
-        '946a28646b68a48e',
+        '3621212e0f19b965',
     'certify --family identity --seed 0 --samples 1 --format json':
-        '3d756f99d13a5217',
+        '04fbfa02075c8c91',
     'certify --family identity --seed 0 --samples 257 --format json':
-        '279bdc15dfe131c2',
+        'fac1a4ae600e4927',
     'certify --family identity --seed 2026 --samples 1 --format json':
-        '4a8b004ea910731b',
+        '04fbfeec2633d93c',
     'certify --family identity --seed 2026 --samples 257 --format json':
-        'af0251f97ace0c99',
+        '6815ca9dbdd24a3f',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format json':
-        'a3dff80102606e23',
+        'e33bd553d8fadfbf',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format json':
-        'f0f629b3e5efba27',
+        'b2f41c8b0792e012',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format json':
-        '4b2da5f6ef736bce',
+        '53f07d4eda6639ab',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format json':
-        '8acf5679131184cc',
+        'cb466f06c98ebcfc',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format json':
-        'f14a390104a4b819',
+        '48638b5b15a609ee',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format json':
-        '1499203066ddecb7',
+        'b18aed6fa2d2d8bf',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format json':
-        'd73aea4c9f4dd5bc',
+        '0fcd29a8a023a969',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format json':
-        '814a12035a4b865a',
+        '5dd3fc22e0d15694',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format json":
-        'd45f082e0ad262a2',
+        'fb3978a9368aa4cf',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format json":
-        '941be9fe3e683b95',
+        'bb6b9f61c60866fe',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format json":
-        'fe3e98ba2070b4e6',
+        'a03e158894d10b7a',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format json":
-        '2caef315a54eceeb',
+        '71e6224bf9d2a527',
     'certify --family identity --samples 0 --format json':
         '857b9a8f539faf27',
     'reproduce --format json':
-        'b1536be1efc8d971',
+        'a041a1fddde2e4cf',
     'reproduce --tol 1e-9 --format json':
-        '0e7bbe9f7edee10f',
+        'b3cc0140ef9cad46',
     'rule-check --family identity --format csv':
         '989f444c496d8a6f',
     'rule-check --family power --alpha 1.5 --format csv':
@@ -325,93 +325,93 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format csv':
         '7e09010a2d461b8f',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv':
-        '0cb13abef9238288',
+        '8bb3e683fca67789',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv':
         '7386b78d7e405103',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format csv':
-        'e251144dcee36146',
+        '2854f526bf572263',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv':
-        'b62aa8728337de70',
+        '1c91c0edfdbdc9d2',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv':
-        '9add261b859c251c',
+        '39b7d2c0d8b27585',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv':
         '3311f65009994446',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv':
         '7386b78d7e405103',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv':
-        'e9942c47bd6b8bff',
+        'f171c33679a90cf5',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv':
-        '8e84bf16fe052cc7',
+        '307046864bc47456',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format csv":
-        'babb9ee2d990a95d',
+        '0e3125dfa24a3615',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format csv":
         '7386b78d7e405103',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format csv":
-        'f57453c9844400ca',
+        '2179f54242989884',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format csv":
-        '59590b79ec04f23e',
+        '603d16aee631ab23',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format csv":
-        '037f896a84da467f',
+        '25e486142ec07a38',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format csv":
         '1c822b8c62e718b0',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format csv":
         '7386b78d7e405103',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format csv":
-        'f57453c9844400ca',
+        '5903f51bd6b176a8',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format csv":
-        '601f45cb45693aaa',
+        '603d16aee631ab23',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format csv':
-        'afc30dd51eb9d872',
+        '579995affd6a41fa',
     'scan --family identity --grid 9 --refine 7 --format csv':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format csv':
-        '1eb95d0d4954421a',
+        '7552bfb9f914c67d',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format csv":
-        '8de8c3f5f4eb23b8',
+        'f565164d842c5b8d',
     'certify --family identity --seed 0 --samples 1 --format csv':
-        '0fb552089318a13b',
+        '6e9d5a8e322e17a3',
     'certify --family identity --seed 0 --samples 257 --format csv':
-        'c31722e8ce0b6b9d',
+        'ccc0f855efffea10',
     'certify --family identity --seed 2026 --samples 1 --format csv':
         '77a41e23172f3ba7',
     'certify --family identity --seed 2026 --samples 257 --format csv':
         '7deac3974f2784f1',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format csv':
-        'd0a926ae5defe5dd',
+        '763fe3b3c0ffd483',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format csv':
-        'f7fa16815516930e',
+        'd73ecae1d257ad4d',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format csv':
-        '16732521f9311d1b',
+        'cf4358de416b0975',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format csv':
-        'c3b51ed107bdea3c',
+        '2ea275a085aa1804',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format csv':
-        '2298632fdefa3b6c',
+        '8a34fa508912f377',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format csv':
-        'fdfdca09625ca223',
+        '9d2d476de61f18b5',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format csv':
-        '391e4764b42f70cc',
+        'fb6f5bf0c3de38f9',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format csv':
-        'ada5f60229c95eb7',
+        'c0a22bcad2e7c3df',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format csv":
-        '0fb552089318a13b',
+        '7b267e93f8eeecae',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format csv":
-        'c4d79d73be9790fa',
+        'ecefc389323c9831',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format csv":
-        '07fe61b3e082a5ee',
+        '944cbcc888fd6160',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format csv":
-        '2b42ed5d0c46ade3',
+        '300bd149739f40ea',
     'certify --family identity --samples 0 --format csv':
         '857b9a8f539faf27',
     'reproduce --format csv':
-        'f6dddd22c2ab1534',
+        'b629bab58ac4f2e8',
     'reproduce --tol 1e-9 --format csv':
-        '76b23771d4bbdf5d',
+        '6cfdc1265b5b1277',
     'rule-check --family identity --format pretty':
         '782e5bc94024313c',
     'rule-check --family power --alpha 1.5 --format pretty':
@@ -447,87 +447,87 @@ GOLDEN = {
     'steer --bipartite @{bipartite} --alice z --format pretty':
         '15216c3d72370f31',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty':
-        'e8c8eebc87496557',
+        '0fc207da0e8d6d23',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty':
         '841d8dc3abef8bb2',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty':
         'dd937f68bb06cac3',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format pretty':
-        'ec145805f7b0b48e',
+        '1dc480b3fafc2b85',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty':
-        '18d069122e322e4d',
+        'e2e4a192b82c1f4d',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty':
-        '0e7700c2b55c9b35',
+        '2737ea951e99529c',
     'gap --family power --alpha 1.5 --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty':
         'd8f16ad776723b70',
     'gap --family power --alpha 1.5 --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty':
         '4d589fa8b7a35f87',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty':
-        '68a625eadde86484',
+        '672b68d29b234f8c',
     'gap --family power --alpha 1.5 --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty':
-        'ad9a09b5596efd87',
+        'ee2a997e89ddc652',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode trivial-average --format pretty":
-        '5426aef59d23e2fa',
+        '5dfecc8a3bc912f1',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode trivial-average --format pretty":
         '39e360837aacf494',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode trivial-average --format pretty":
         'db1bfd51f4741764',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode trivial-average --format pretty":
-        'd3af5b67f6590307',
+        'df0ffd4ee3097180',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode trivial-average --format pretty":
-        '920fd3bdabb121ef',
+        '11a37c0a3d60a215',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0.3 --mode steered-uniform --format pretty":
-        '6a8d0f908014d5c2',
+        '1708ceefac6c6cdc',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 1 --p2 0 --lambda 0.5 --mode steered-uniform --format pretty":
         'b843db22fa5b0e2f',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0 --p2 0 --lambda 1 --mode steered-uniform --format pretty":
         '834e3a0b42b92927',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 0 --mode steered-uniform --format pretty":
-        '0055b3cdc375a829',
+        'a8904591c9761a1a',
     "gap --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --p1 0.2 --p2 0.7 --lambda 1 --mode steered-uniform --format pretty":
-        'c54364ec1ce49678',
+        '99fca90aa8b8edb8',
     'gap --family power --alpha 0.5 --p1 0 --p2 0.5 --lambda 0.5 --seed 3 --format pretty':
-        'f2f43f68b2bf5530',
+        '8bd6e730d9a17bc8',
     'scan --family identity --grid 9 --refine 7 --format pretty':
         '8eebac359711e573',
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format pretty':
         '749194beaeb0efae',
     'scan --family piecewise-quadratic --grid 9 --refine 7 --format pretty':
-        '1eb95d0d4954421a',
+        '7552bfb9f914c67d',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 9 --refine 7 --format pretty":
-        '8de8c3f5f4eb23b8',
+        'f565164d842c5b8d',
     'certify --family identity --seed 0 --samples 1 --format pretty':
-        '3ea4f63e09752cee',
+        '1bf6f02263b35d61',
     'certify --family identity --seed 0 --samples 257 --format pretty':
-        '73b850194b51c6c6',
+        '10154a9d039b4a85',
     'certify --family identity --seed 2026 --samples 1 --format pretty':
-        'b8db6d3fed5d7d71',
+        '9992d76a392ec286',
     'certify --family identity --seed 2026 --samples 257 --format pretty':
-        '777315326b7a03c0',
+        '810791a6cdce3d12',
     'certify --family power --alpha 1.5 --seed 0 --samples 1 --format pretty':
-        '968300fe8275fbdb',
+        'c0e4d96c8d1f38ca',
     'certify --family power --alpha 1.5 --seed 0 --samples 257 --format pretty':
-        'c7d2e969dad57094',
+        '8802ad71c373c320',
     'certify --family power --alpha 1.5 --seed 2026 --samples 1 --format pretty':
-        '959b9a5969e4621b',
+        '0836e611d8c88eca',
     'certify --family power --alpha 1.5 --seed 2026 --samples 257 --format pretty':
-        'e0bbc80d327effec',
+        '79520b076a7dd20c',
     'certify --family piecewise-quadratic --seed 0 --samples 1 --format pretty':
-        'f874329281849615',
+        '9f77b7484bab4f20',
     'certify --family piecewise-quadratic --seed 0 --samples 257 --format pretty':
-        '292890dcd46b8acc',
+        'a7c6be0c82be6696',
     'certify --family piecewise-quadratic --seed 2026 --samples 1 --format pretty':
-        '9a4f0185b1867b99',
+        '789aea7d17a0fc9b',
     'certify --family piecewise-quadratic --seed 2026 --samples 257 --format pretty':
-        '4a3fc34ac3b98d0c',
+        '10f5e2ea89592486',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 1 --format pretty":
-        '91f11a593b162999',
+        '0f7f338578da5f17',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 0 --samples 257 --format pretty":
-        'ae89084372c5d157',
+        '9c50c6c1fe3cd97d',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 1 --format pretty":
-        '8ae490cd1ba89754',
+        'f43d27a8cd591be6',
     "certify --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --seed 2026 --samples 257 --format pretty":
-        'dca9a9de533886bd',
+        '0adb8730c4280c41',
     'certify --family identity --samples 0 --format pretty':
         '857b9a8f539faf27',
     'reproduce --format pretty':
@@ -537,13 +537,13 @@ GOLDEN = {
     'scan --family power --alpha 1.5 --grid 9 --refine 7 --format csv --out {out}':
         'fd3ecff6db431329',
     'reproduce --format csv --out {out}':
-        '871d32dba8385412',
+        'c29371d3073f2615',
     'certify --family identity --samples 3 --format json --out {out}':
-        'a97f40dd700aa8cb',
+        'f58ceb9c9f9231c1',
     'certify --family identity --samples 1025 --seed 2026 --format json':
-        '82354b0ff7acfd89',
+        '945a4ded4b347458',
     'certify --family power --alpha 1.5 --samples 1025 --seed 2026 --format json':
-        'd8953b0b91a8d481',
+        'd1f13156971ae6a9',
     'scan --family identity --grid 41 --format csv --out {out}':
         '2040ccc022c7febd',
     'scan --family power --alpha 1.5 --grid 41 --format csv --out {out}':
@@ -551,7 +551,7 @@ GOLDEN = {
     'scan --family piecewise-quadratic --grid 41 --format csv --out {out}':
         '8861b77a60a7c1ca',
     "scan --family tabulated --rule-samples '[[0, 0], [0.3, 0.1], [0.7, 0.8], [1, 1]]' --grid 41 --format csv --out {out}":
-        'f594973b5a0bf8ce',
+        'bf2f043621c4061e',
     _haar_tau(0, 720):
         '637c98e1171ccac0',
     _haar_tau(1, 720):

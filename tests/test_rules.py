@@ -293,9 +293,8 @@ def test_predict_ensemble_plus_minus_mixture():
 
 def test_predict_ensemble_piecewise_on_02_04():
     rule = rl.piecewise_quadratic_rule()
-    rng = np.random.default_rng(0)
-    psi1 = tr.state_with_tau(QUBIT, KET0, 0.2, rng)
-    psi2 = tr.state_with_tau(QUBIT, KET0, 0.4, rng)
+    psi1 = tr.state_with_tau(QUBIT, KET0, 0.2, 0)
+    psi2 = tr.state_with_tau(QUBIT, KET0, 0.4, 1)
     ens = gm.ensemble([(0.5, psi1), (0.5, psi2)])
     assert rl.predict_ensemble(rule, ens, KET0) == pytest.approx(0.2, abs=1e-12)
 
@@ -358,13 +357,13 @@ def test_identity_rule_ensemble_average_agree(seed):
 def test_jensen_direction_for_strictly_convex_rule():
     rule = rl.power_rule(2.0)
     rng = np.random.default_rng(3)
-    for _ in range(50):
+    for i in range(50):
         p1, p2 = sorted(rng.uniform(0.05, 0.95, size=2))
         if p2 - p1 < 0.05:
             continue
         lam = float(rng.uniform(0.2, 0.8))
-        psi1 = tr.state_with_tau(QUBIT, KET0, p1, rng)
-        psi2 = tr.state_with_tau(QUBIT, KET0, p2, rng)
+        psi1 = tr.state_with_tau(QUBIT, KET0, p1, 2 * i)
+        psi2 = tr.state_with_tau(QUBIT, KET0, p2, 2 * i + 1)
         ens = gm.ensemble([(lam, psi1), (1 - lam, psi2)])
         avg = rl.eval_rule(
             rule, gm.evaluate(tr.accept_effect(KET0), gm.mix(ens)))

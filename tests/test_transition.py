@@ -1,13 +1,18 @@
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import draws_reference as ref
 from gptsim import errors
 from gptsim import models as gm
+from gptsim import rules as rl
+from gptsim import signaling as sg
 from gptsim import transition as tr
 from gptsim.errors import (
     InfeasibleError,
@@ -165,9 +170,8 @@ def test_mixed_tau_maximally_mixed():
 
 
 def test_mixed_tau_equal_weight_mixture_of_02_04():
-    rng = np.random.default_rng(6)
-    psi1 = tr.state_with_tau(QUBIT, KET0, 0.2, rng)
-    psi2 = tr.state_with_tau(QUBIT, KET0, 0.4, rng)
+    psi1 = tr.state_with_tau(QUBIT, KET0, 0.2, 6)
+    psi2 = tr.state_with_tau(QUBIT, KET0, 0.4, 7)
     omega = gm.mix(gm.ensemble([(0.5, psi1), (0.5, psi2)]))
     assert mixed_tau(omega, KET0) == pytest.approx(0.3, abs=1e-12)
 
@@ -204,20 +208,20 @@ def test_state_with_tau_endpoints_exact():
 
 def test_state_with_tau_roundtrip_thousand_random():
     rng = np.random.default_rng(9)
-    for _ in range(1000):
+    for seed in range(1000):
         phi = random_pure(QUBIT, rng)
         p = float(rng.uniform())
-        psi = tr.state_with_tau(QUBIT, phi, p, rng)
+        psi = tr.state_with_tau(QUBIT, phi, p, seed)
         assert psi.pure
         assert tr.tau(psi, phi) == pytest.approx(p, abs=1e-12)
 
 
 def test_state_with_tau_higher_dimension():
     rng = np.random.default_rng(10)
-    for _ in range(50):
+    for seed in range(50):
         phi = random_pure(QUTRIT, rng)
         p = float(rng.uniform())
-        psi = tr.state_with_tau(QUTRIT, phi, p, rng)
+        psi = tr.state_with_tau(QUTRIT, phi, p, seed)
         assert tr.tau(psi, phi) == pytest.approx(p, abs=1e-12)
 
 
@@ -243,74 +247,138 @@ def test_state_with_tau_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# Seeded residual draws of a batch
+# Counter-based draws
 # ---------------------------------------------------------------------------
 
-EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7, 3**200]
+# every limb count from one to four; 5 and 2**64 + 5 share their low limb
+EDGE_SEEDS = [0, 1, 5, 2**31 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5,
+              2**128 + 7, 3**200]
 
 
-def reference_draws(seeds, size, counts):
-    """Each drawing seed's own ``default_rng``, its normals laid out one
-    state after another, real parts then imaginary parts."""
-    return np.concatenate([
-        np.random.default_rng(seed).normal(size=(count, 2, size))
-        .transpose(0, 2, 1).copy().view(complex)[..., 0]
-        for seed, count in zip(seeds, counts) if count])
+def test_stream_constants_are_the_documented_ones():
+    assert (tr._SCENARIO_STREAM, tr._SAMPLE_STREAM) == ref.STREAMS
 
 
-def assert_same_draws(seeds, size, counts):
-    got = tr._seeded_tau_draws(seeds, size, counts)
-    want = reference_draws(seeds, size, counts)
-    assert got.shape == (sum(counts), size)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("stream", ref.STREAMS, ids=["scenario", "sampling"])
+def test_words_match_the_python_reference(stream):
+    got = tr._stream_words(stream, EDGE_SEEDS, 3, 5)
+    assert got.dtype == np.uint64 and got.shape == (len(EDGE_SEEDS), 5)
+    assert got.tolist() == [ref.words(stream, seed, 3, 5) for seed in EDGE_SEEDS]
 
 
-@pytest.mark.parametrize("size", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 256, 257])
-def test_seeded_draws_match_each_seeds_default_rng(n, size):
-    rng = np.random.default_rng(1000 * n + size)
-    seeds = [EDGE_SEEDS[i % len(EDGE_SEEDS)] if i % 3
-             else int(rng.integers(2**62)) << int(rng.integers(70))
-             for i in range(n)]
-    counts = rng.integers(0, 3, size=n).tolist()  # zero-count rows mixed in
-    counts[n // 2] = 1 + n % 2
-    assert_same_draws(seeds, size, counts)
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**200 - 1), min_size=1, max_size=6),
+       stream=st.sampled_from(ref.STREAMS), start=st.integers(0, 2**40),
+       count=st.integers(1, 9))
+def test_words_match_the_python_reference_property(seeds, stream, start, count):
+    assert tr._stream_words(stream, seeds, start, count).tolist() == [
+        ref.words(stream, seed, start, count) for seed in seeds]
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 2**130 - 1),
-                               st.integers(0, 2)), min_size=1, max_size=12),
-       size=st.integers(1, 3))
-def test_seeded_draws_match_default_rng_property(rows, size):
-    seeds, counts = map(list, zip(*rows))
-    assume(any(counts))
-    assert_same_draws(seeds, size, counts)
+def test_uniforms_and_normals_match_the_python_reference():
+    # the extreme words too: u1 = 2**-53 and 1, u2 = 0 and 1 - 2**-53
+    words = np.concatenate([tr._stream_words(ref.STREAMS[1], EDGE_SEEDS, 0, 8),
+                            np.array([[0, 0, ref.MASK, ref.MASK] * 2],
+                                     dtype=np.uint64)])
+    rows = words.tolist()
+    assert tr._uniforms(words).tolist() == [[ref.uniform(w) for w in row]
+                                            for row in rows]
+    normals = tr._normals(words)
+    assert normals.shape == (len(rows), 4)
+    assert normals.tolist() == [[ref.normal(*row[k:k + 2])
+                                 for k in range(0, 8, 2)] for row in rows]
+    assert normals[-1, :2].tolist() == [np.sqrt(106 * np.log(2)), 0j]
 
 
-POOL_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**128 + 1]
+def test_draws_are_a_function_of_seed_and_counter():
+    # the same words whatever else the call draws: other seeds, a window
+    for stream in ref.STREAMS:
+        whole = tr._stream_words(stream, EDGE_SEEDS, 0, 24)
+        for row, seed in zip(whole, EDGE_SEEDS):
+            assert row.tobytes() == tr._stream_words(
+                stream, [seed], 0, 24)[0].tobytes()
+            assert row[10:17].tobytes() == tr._stream_words(
+                stream, [seed], 10, 7)[0].tobytes()
+    for d in (2, 3, 4):
+        batch = tr._residual_draws(EDGE_SEEDS, d)
+        assert batch.shape == (len(EDGE_SEEDS), 2, d - 1)
+        for row, seed in zip(batch, EDGE_SEEDS):
+            assert row.tobytes() == tr._residual_draws([seed], d)[0].tobytes()
 
 
-def assert_same_pools(seeds):
-    want = np.array([np.random.SeedSequence(seed).pool for seed in seeds])
-    got = tr._seed_pools(seeds)
-    assert got.dtype == np.uint32 and got.tobytes() == want.tobytes()
+def test_distinct_seeds_and_streams_draw_distinct_words():
+    seeds = list(range(10_000)) + EDGE_SEEDS[4:]
+    first = [tr._stream_words(stream, seeds, 0, 4) for stream in ref.STREAMS]
+    for words in first:
+        assert len(set(words[:, 0].tolist())) == len(seeds)
+    assert not np.any(first[0] == first[1])
 
 
-def test_seed_pools_match_numpy_where_the_entropy_grows():
-    # the number of entropy words changes at each of these seeds
-    assert_same_pools(POOL_SEEDS)
-    for seed in POOL_SEEDS:
-        assert_same_pools([seed])
+def test_one_word_of_one_seed_draws_without_overflow_warnings():
+    # numpy warns when uint64 scalars wrap; the draws wrap on arrays only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stream, seed in itertools.product(ref.STREAMS, [0, ref.MASK, 3**200]):
+            word = tr._stream_words(stream, [seed], 2**61, 1)
+            assert word.tolist() == [ref.words(stream, seed, 2**61, 1)]
+            assert tr._uniforms(word).tolist() == [[ref.uniform(word[0, 0])]]
+        assert tr._residual_draws([ref.MASK], 2).shape == (1, 2, 1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2**200 - 1), min_size=1, max_size=6))
-def test_seed_pools_match_numpy_property(seeds):
-    assert_same_pools(seeds)
+def test_residual_directions_of_a_member_read_their_own_words():
+    # entry j of member m reads words 2((d-1)m + j) and 2((d-1)m + j) + 1
+    for d, seed in itertools.product((2, 3, 4), (0, 2**64 + 5)):
+        words = ref.words(ref.STREAMS[0], seed, 0, 4 * (d - 1))
+        want = [[ref.normal(*words[2 * ((d - 1) * m + j):][:2])
+                 for j in range(d - 1)] for m in range(2)]
+        assert tr._residual_draws([seed], d)[0].tolist() == want
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_residual_directions_are_isotropic(d):
+    # 10**5 unit directions in the completion's coordinates: each of the
+    # 2(d - 1) real components has mean 0 and second moment 1/(2(d - 1)),
+    # both within 5 standard errors
+    draws = tr._residual_draws(list(range(50_000)), d).reshape(-1, d - 1)
+    units = draws / np.linalg.norm(draws, axis=-1, keepdims=True)
+    parts = np.concatenate([units.real, units.imag], axis=-1)
+    assert parts.shape == (10**5, 2 * (d - 1))
+    for values, want in ((parts, 0.0), (parts ** 2, 0.5 / (d - 1))):
+        error = values.std(axis=0) / np.sqrt(len(values))
+        assert np.all(abs(values.mean(axis=0) - want) <= 5 * error)
 
 
 def test_seeded_draws_see_only_the_seeds_that_draw():
-    assert_same_draws([-1, 5, 2**70], 1, [0, 2, 1])
+    # Members at p = 0 (the completion's first row) and p = 1 (phi itself)
+    # use no draw, so their states and the pipeline's run of them are the
+    # same bits under every seed; a member at p in (0, 1) sees its seed.
+    phi = gm.ket_state(QUTRIT, np.array([1, 2j, -1]) / np.sqrt(6))
+    for p in (0.0, 1.0):
+        states = {tr.state_with_tau(QUTRIT, phi, p, seed).matrix.tobytes()
+                  for seed in EDGE_SEEDS}
+        assert len(states) == 1
+    assert len({tr.state_with_tau(QUTRIT, phi, 0.5, seed).matrix.tobytes()
+                for seed in EDGE_SEEDS}) == len(EDGE_SEEDS)
+    for p1, p2 in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        reports = sg.run_scenarios([sg.Scenario(
+            rl.identity_rule(), phi, p1, p2, 0.3, seed=seed)
+            for seed in EDGE_SEEDS])
+        assert len({(r.prob_1, r.prob_2, r.gap) for r in reports}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**130 - 1), runs=st.integers(1, 10**6),
+       p1=st.floats(0, 1), p2=st.floats(0, 1), lam=st.floats(0, 1))
+def test_seeded_draws_match_default_rng_property(seed, runs, p1, p2, lam):
+    # simulate_runs, the one seeded draw left on numpy's generators, takes
+    # its two binomials from default_rng(seed), protocol 1's first
+    report = sg.run_scenario(sg.Scenario(rl.identity_rule(), KET0, p1, p2,
+                                         lam, seed=seed))
+    stats = sg.simulate_runs(report, runs=runs, seed=seed)
+    rng = np.random.default_rng(seed)
+    probs = np.clip([report.prob_1, report.prob_2], 0.0, 1.0).tolist()
+    assert [stats.successes_1, stats.successes_2] == [
+        int(rng.binomial(runs, prob)) for prob in probs]
 
 
 # ---------------------------------------------------------------------------
