@@ -228,10 +228,18 @@ def validate_state(model: SystemModel, coeffs: np.ndarray) -> State:
 # Stack kernels. Each takes a ``(..., d, d)`` stack (or ``(..., d)`` for
 # vectors) and works on every member at once. A member's arithmetic does
 # not depend on the batch, so its result is bitwise equal to that of a
-# stack of one. Sums over a short axis (2 to 4 terms in the pipeline) are
-# added elementwise in a fixed order: numpy runs that in a fraction of a
-# batched ``matmul``'s time. Real dot products stay ``matmul``s on rows,
-# the routine ``np.dot`` runs per member, which is faster there.
+# stack of one. Products with a short inner axis (2 to 4 terms in the
+# pipeline) are added elementwise in a fixed order: numpy runs that in a
+# fraction of a batched ``matmul``'s time. Real dot products stay
+# ``matmul``s on rows, the routine ``np.dot`` runs per member, which is
+# faster there. Reductions over a short last axis are as slow: numpy
+# reduces each output with its own inner loop, so ``sum(axis=-1)`` of a
+# ``(1024, 2, 2)`` complex stack takes about 20 times two elementwise
+# calls. :func:`_total` adds a 2-term axis elementwise, with numpy's bits,
+# and leaves a longer one to numpy, whose pairwise order an in-order chain
+# would not keep; the choice reads the axis length only, never the batch.
+# :func:`_largest` takes a maximum as one reduction over the leading axis
+# of a contiguous transposed copy, exact in any order.
 
 def _dagger(matrices: np.ndarray) -> np.ndarray:
     return matrices.conj().swapaxes(-1, -2)
@@ -251,6 +259,33 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _total(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` of a ``(..., k)`` stack, bit for bit, booleans
+    counted as integers, but for one case: numpy's reduction starts from
+    +0.0, so where both of two terms are -0.0 it gives +0.0 and this -0.0.
+    A caller whose terms can be -0.0 and whose result's sign of zero is
+    read adds 0.0 to match."""
+    if x.shape[-1] != 2:
+        return x.sum(axis=-1)
+    if x.dtype == bool:
+        x = x.astype(np.intp)
+    return x[..., 0] + x[..., 1]
+
+
+def _largest(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` of a real ``(..., k)`` stack, bit for bit: a NaN
+    anywhere in a row makes its maximum NaN."""
+    k = x.shape[-1]
+    return np.ascontiguousarray(x.reshape(-1, k).T).max(axis=0).reshape(
+        x.shape[:-1])
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix of a ``(..., d, d)`` stack,
+    ``m.real.trace(axis1=-2, axis2=-1)`` bit for bit."""
+    return _total(m.real.diagonal(axis1=-2, axis2=-1))
+
+
 def _norm(vecs: np.ndarray) -> np.ndarray:
     """Rowwise Euclidean norm of a ``(..., n)`` stack."""
     if vecs.dtype.kind != "c":
@@ -260,7 +295,7 @@ def _norm(vecs: np.ndarray) -> np.ndarray:
 
 def _squares(vecs: np.ndarray) -> np.ndarray:
     """Rowwise squared Euclidean norm of a complex ``(..., n)`` stack."""
-    return (vecs.real ** 2 + vecs.imag ** 2).sum(axis=-1)
+    return _total(vecs.real ** 2 + vecs.imag ** 2)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,15 +410,6 @@ def _states(model: SystemModel, matrices, pure, kets=None) -> list:
             for i in range(len(coeffs))]
 
 
-def _groups(values: np.ndarray) -> list:
-    """``(value, rows)`` for each distinct value of an int array, ascending;
-    ``rows`` is a full slice when all values agree."""
-    distinct = sorted(set(values.tolist()))
-    if len(distinct) == 1:
-        return [(distinct[0], slice(None))]
-    return [(v, np.flatnonzero(values == v)) for v in distinct]
-
-
 def state_from_matrix(model: SystemModel, matrix: np.ndarray) -> State:
     """Validate a density matrix and wrap it as a State."""
     if model.kind != QUANTUM:
@@ -454,13 +480,15 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     """Each ``(..., d)`` row times the phase making its first component
     larger than 1e-12 in modulus real and positive."""
     pivot = vecs[..., 0]
-    if np.count_nonzero(abs(pivot) > 1e-12) < pivot.size:
+    size = np.hypot(pivot.real, pivot.imag)
+    if np.count_nonzero(size > 1e-12) < pivot.size:
         idx = np.argmax(abs(vecs) > 1e-12, axis=-1)
         pivot = np.take_along_axis(vecs, idx[..., None], axis=-1)[..., 0]
+        size = np.hypot(pivot.real, pivot.imag)
     keep = (pivot.imag == 0.0) & (pivot.real > 0.0)
     if np.count_nonzero(keep) == keep.size:
         return vecs
-    fixed = vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))[..., None]
+    fixed = vecs * (pivot.conj() / size)[..., None]
     np.copyto(fixed, vecs, where=keep[..., None])
     return fixed
 

@@ -176,8 +176,8 @@ def _run_batch(scenarios: list) -> list[SignalingReport]:
             model, np.array([gm.pure_ket(s.phi) for s in group]),
             np.array([s.phi.matrix for s in group]), p, lam,
             [s.seed for s in group], uniform)
-        run = (*_predict_protocols([s.rule for s in group], stacks, p, lam),
-               marginal, steered)
+        run = (*_predict_protocols(_rule_groups([s.rule for s in group]),
+                                   stacks, p, lam), marginal, steered)
         for j, s in enumerate(group):
             reports[rows[j]] = _report(s, model, run, j)
     return reports
@@ -262,7 +262,9 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     # equal-overlap kets s_0 v_0 +- t s_1 v_1, at weight 1/2.
     if uniform:
         u_kets, t = _uniform_kets(schmidt, phi_k)
-        rows = np.sqrt(0.5) * np.stack([np.ones(n), t.conj()], axis=-1)
+        rows = np.empty((n, 2), dtype=complex)
+        rows[:, 0], rows[:, 1] = 1.0, t.conj()
+        rows *= np.sqrt(0.5)
         alphas = np.concatenate([alphas, rows[:, None] * [[1, 1], [1, -1]]])
         joints = np.concatenate([joints] * 2)
         weights = np.concatenate([weights, np.full((n, 2), 0.5)])
@@ -284,37 +286,49 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     # Each protocol's average is its kept subs' sum over that sum's trace,
     # so no conditional is normalized and one difference is expanded.
     sums = gm._average(steered.keep, steered.subs)
-    averages = sums / sums.real.trace(axis1=-2, axis2=-1)[:, None, None]
-    marginal = abs(model.coeffs_from_matrix(averages[:n] - averages[n:])
-                   ).max(axis=-1)
+    averages = sums / gm._trace(sums)[:, None, None]
+    marginal = gm._largest(abs(model.coeffs_from_matrix(averages[:n]
+                                                        - averages[n:])))
     gm._fail(ContractError, "Protocols disagree on the distant marginal by {}.",
              ~(marginal <= _MARGINAL_TOL), marginal)  # NaN fails too
 
     # The prediction stacks. The overlaps with phi of each kept member, from
     # its row X, |<phi|X>|²/‖X‖², and of trivial protocol 2's lone outcome,
     # ‖J conj(phi)‖²/‖J‖², have round-off relative to the overlap.
-    bras = np.tile(phi_k.conj(), (len(rows) // n, 1))[:, None]
+    bras = phi_k.conj()[:, None]
+    overlaps = gm._total(rows.reshape(-1, n, *rows.shape[1:]) * bras)
     taus = np.zeros((2 * n, 2))
-    np.divide(abs((rows * bras).sum(axis=-1)) ** 2, gm._squares(rows),
+    np.divide(abs(overlaps.reshape(len(rows), -1)) ** 2, gm._squares(rows),
               out=taus[:len(rows)], where=steered.keep[:len(rows)])
     if not uniform:
-        taus[n:, 0] = (gm._squares((joints * bras[:n]).sum(axis=-1))
+        taus[n:, 0] = (gm._squares(gm._total(joints * bras))
                        / gm._squares(joints.reshape(n, -1)))
     return steered, (steered.weights.reshape(2, n, 2),
                      taus.reshape(2, n, 2)), marginal
 
 
-def _predict_protocols(rules: list, stacks: tuple, p: np.ndarray,
+def _rule_groups(rules: list) -> list:
+    """``(rule, rows)`` for each distinct rule object of ``rules`` (hashed
+    by identity) in order of first appearance; ``rows`` indexes the
+    scenarios it predicts, a full slice when there is one rule."""
+    codes = {}  # rules coded 0, 1, ... as first seen
+    keys = [codes.setdefault(rule, len(codes)) for rule in rules]
+    if len(codes) == 1:
+        return [(rules[0], slice(None))]
+    keys = np.array(keys)
+    return [(rule, np.flatnonzero(keys == code))
+            for rule, code in codes.items()]
+
+
+def _predict_protocols(groups: list, stacks: tuple, p: np.ndarray,
                        lam: np.ndarray) -> tuple:
     """The rule half: P1 and P2 ``(2, n)`` from the ``stacks`` of
-    :func:`_steer_protocols`, scenario j by rule ``rules[j]`` (each rule
-    object, hashed by identity, once on its rows), and their residuals from
-    the closed form at overlaps ``p`` and weights ``lam``, checked."""
+    :func:`_steer_protocols`, the scenarios ``rows`` of each ``(rule,
+    rows)`` group by its rule, evaluated once on them, and their residuals
+    from the closed form at overlaps ``p`` and weights ``lam``, checked."""
     at = np.concatenate([p.T, (lam * p[:, 0] + (1 - lam) * p[:, 1])[None]])
-    codes = {}  # rules coded 0, 1, ... as first seen
-    keys = np.array([codes.setdefault(rule, len(codes)) for rule in rules])
     known, expected = np.empty((2, 2, len(p)))
-    for rule, (_, rows) in zip(codes, gm._groups(keys)):
+    for rule, rows in groups:
         known[:, rows], (at_1, at_2, expected[1, rows]) = rl._predict(
             rule, *(a[:, rows] for a in stacks), at[:, rows])
         expected[0, rows] = lam[rows] * at_1 + (1 - lam[rows]) * at_2
@@ -363,7 +377,9 @@ def _uniform_kets(schmidt: ss._Schmidt, phi_k: np.ndarray) -> tuple:
     turn = size > 2.0 ** -46 * schmidt.values[:, 0] * schmidt.values[:, 1]
     t = np.where(turn, -1j * z / np.where(turn, size, 1.0), 1.0)
     swing = t[:, None] * scaled[:, 1]
-    return np.stack([scaled[:, 0] + swing, scaled[:, 0] - swing], axis=1), t
+    kets = np.empty_like(scaled)
+    kets[:, 0], kets[:, 1] = scaled[:, 0] + swing, scaled[:, 0] - swing
+    return kets, t
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +492,9 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
         try:
             steered, stacks, marginal = _steer_protocols(
                 model, *phis, params[:, :2], params[:, 2], seeds, False)
-            run = (*_predict_protocols([rule] * count, stacks, params[:, :2],
-                                       params[:, 2]), marginal, steered)
+            run = (*_predict_protocols([(rule, slice(None))], stacks,
+                                       params[:, :2], params[:, 2]),
+                   marginal, steered)
         except GptError as exc:
             _raise_named(exc, _samples(rule, model, phis, params, seeds,
                                        slice(None)), start)

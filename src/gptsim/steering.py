@@ -66,7 +66,7 @@ class _Steered(NamedTuple):
         kept = self.keep[i]
         weights = self.weights[i][kept]
         subs = self.subs[i][kept]
-        matrices = subs / subs.real.trace(axis1=-2, axis2=-1)[:, None, None]
+        matrices = subs / gm._trace(subs)[:, None, None]
         weights.flags.writeable = matrices.flags.writeable = False
         return gm.Ensemble(weights, tuple(gm._states(
             model, matrices, gm._pure(matrices))))
@@ -116,19 +116,24 @@ def _rotation_schmidt(columns: np.ndarray) -> tuple:
     rotation V = [[cos θ, −e sin θ], [ē sin θ, cos θ]], g = a_0†a_1 = |g| e,
     tan 2θ = 2|g|/(‖a_0‖² − ‖a_1‖²), |θ| <= π/4: A V = U S, then ordered."""
     n_0, n_1 = gm._squares(columns).T
-    g = (columns[:, 0].conj() * columns[:, 1]).sum(axis=-1)
+    g = gm._total(columns[:, 0].conj() * columns[:, 1]) + 0.0  # sum's -0.0
     size = abs(g)
     turn = size > 2.0 ** -52 * np.sqrt(columns.shape[-1] * n_0 * n_1)
     # No turn for a round-off g; |θ| <= π/4 keeps θ's relative digits.
     half = 0.5 * np.arctan2(2.0 * size * turn, abs(n_0 - n_1))
     cos = np.cos(half)
     sin = np.copysign(np.sin(half), n_0 - n_1) * g / np.where(turn, size, 1.0)
-    right = np.stack([cos, sin.conj(), -sin, cos], axis=-1).reshape(-1, 2, 2)
+    right = np.empty((len(cos), 2, 2), dtype=complex)
+    right[:, 0, 0] = right[:, 1, 1] = cos
+    right[:, 0, 1], right[:, 1, 0] = sin.conj(), -sin
     ys = right[..., :1] * columns[:, :1] + right[..., 1:] * columns[:, 1:]
     values = np.sqrt(gm._squares(ys))
-    flip = (values[:, 1] > values[:, 0])[:, None]  # the larger value first
-    values = np.where(flip, values[:, ::-1], values)
-    ys, right = (np.where(flip[..., None], a[:, ::-1], a) for a in (ys, right))
+    flip = values[:, 1] > values[:, 0]  # the larger value first
+    if np.count_nonzero(flip):  # one swap of the rows [y_k | v_k | s_k]
+        pieces = np.concatenate([ys, right, values[..., None]], axis=-1)
+        pieces = np.where(flip[:, None, None], pieces[:, ::-1], pieces)
+        ys, right = pieces[..., :-3], pieces[..., -3:-1]
+        values = pieces[..., -1].real
     return values, ys / np.where(values > 0.0, values, 1.0)[..., None], right
 
 
@@ -150,15 +155,17 @@ def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
     """
     n, slots, d = left.shape
     above = values ** 2 > RANK_TOL
-    rank = above.sum(axis=-1)
+    rank = gm._total(above)
     kept = np.where(above, values, 0.0)
-    values = kept / np.sqrt((kept ** 2).sum(axis=-1, keepdims=True))
+    values = kept / np.sqrt(gm._total(kept ** 2))[:, None]
     # Each pair [u_k | v_k] gets one phase, its pivot among the components
     # of u_k (one >= 1/sqrt(d)), or of the unit v_k where u_k = 0.
     rows = gm._fix_phase(np.concatenate([left, right], axis=-1))
-    dims = rank if purifier_dims is None else purifier_dims
-    gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
-             dims < rank, dims, rank)
+    dims = rank
+    if purifier_dims is not None:  # only a request can fall below the rank
+        dims = purifier_dims
+        gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
+                 dims < rank, dims, rank)
     dim_a = max(int(dims.max()), 2)
     top = min(dim_a, len(rows[0]))
     amplitudes = np.zeros((n, dim_a, d), dtype=complex)
@@ -169,7 +176,7 @@ def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
                                  0.0).swapaxes(-1, -2)
 
     marginals = _marginals_b(amplitudes)
-    roundtrip = abs(marginals - matrices).max(axis=(-2, -1))
+    roundtrip = gm._largest(abs(marginals - matrices).reshape(n, -1))
     gm._fail(ContractError, "Purification marginal residual {}.",
              roundtrip > STEERING_TOL, roundtrip)
     return amplitudes, _Schmidt(values, rows[..., :d], rank), marginals, alphas
@@ -231,12 +238,12 @@ def _steer(kets: np.ndarray, grams: np.ndarray, live: np.ndarray) -> _Steered:
     if len(grams):
         outer = np.concatenate([outer, grams])
     live_subs = 0.5 * (outer + gm._dagger(outer))
-    probs = live_subs.real.trace(axis1=-2, axis2=-1)
+    probs = gm._trace(live_subs)
     kept = ~(probs <= RANK_TOL)
     keep = _filled(live, kept)
     weights = _filled(keep, probs[kept])
     return _Steered(_filled(live, live_subs), keep,
-                    weights / weights.sum(axis=1, keepdims=True))
+                    weights / gm._total(weights)[:, None])
 
 
 def _filled(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -317,11 +324,12 @@ def _check_targets(subs: np.ndarray, weights: np.ndarray,
                    members: np.ndarray, present: np.ndarray) -> None:
     """Each synthesized measurement's subnormalized conditionals ``subs``
     must equal its target's weighted members within STEERING_TOL."""
-    residual = abs(subs[:, :weights.shape[1]]
-                   - weights[..., None, None] * members).max(axis=(-2, -1))
-    position = present.cumsum(axis=1) - 1  # index among the members
-    gm._fail(ContractError, "Steered conditional {} deviates by {}.",
-             present & (residual > STEERING_TOL), position, residual)
+    gaps = abs(subs[:, :weights.shape[1]] - weights[..., None, None] * members)
+    residual = gm._largest(gaps.reshape(*weights.shape, -1))
+    bad = present & (residual > STEERING_TOL)
+    if np.count_nonzero(bad):  # named by its index among the members
+        gm._fail(ContractError, "Steered conditional {} deviates by {}.",
+                 bad, present.cumsum(axis=1) - 1, residual)
 
 
 def marginal_residual(ens_1: gm.Ensemble, ens_2: gm.Ensemble) -> float:

@@ -425,6 +425,85 @@ def test_model_serialization():
 
 
 # ---------------------------------------------------------------------------
+# short-axis reductions: numpy's bits
+# ---------------------------------------------------------------------------
+
+SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, 1.0, -2.5, 1e-300, 3.0])
+
+
+def special_stack(rng, rows, k, dtype):
+    """A ``(rows, k)`` stack drawn from SPECIAL, complex parts drawn too."""
+    x = rng.choice(SPECIAL, size=(rows, k)).astype(dtype)
+    if dtype is complex:
+        x.imag = rng.choice(SPECIAL, size=(rows, k))
+    return x
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint8).tobytes()
+
+
+def negative_zero(x):
+    """Which float parts of ``x`` are -0.0: ``(..., parts)``."""
+    parts = np.ascontiguousarray(x).view(float).reshape(*x.shape, -1)
+    return (parts == 0.0) & np.signbit(parts)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rows", [1, 3, 1024])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_total_is_numpys_sum(rows, k, dtype):
+    # inf - inf's NaN included. numpy's reduction starts from +0.0, so
+    # where both terms of a part are -0.0 it gives +0.0 and the elementwise
+    # sum -0.0; adding 0.0 changes no other part.
+    x = special_stack(np.random.default_rng(rows * k), rows, k, dtype)
+    x[0] = -np.zeros((), dtype)  # -0.0 in every part
+    total = gm._total(x)
+    if k == 2:
+        assert np.array_equal(negative_zero(total),
+                              negative_zero(x).all(axis=1))
+        total = total + 0.0
+    assert bits(total) == bits(x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_total_counts_booleans(k):
+    x = np.random.default_rng(k).random((5, k)) > 0.5
+    assert gm._total(x).dtype == x.sum(axis=-1).dtype
+    assert np.array_equal(gm._total(x), x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 1024])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_largest_is_numpys_max(rows, k):
+    x = special_stack(np.random.default_rng(rows + k), rows, k, float)
+    stacked = x.reshape(rows, 1, k)  # leading axes kept
+    assert bits(gm._largest(x)) == bits(x.max(axis=-1))
+    assert bits(gm._largest(stacked)) == bits(stacked.max(axis=-1))
+    x[-1, k // 2] = np.nan
+    largest = gm._largest(x)
+    assert np.isnan(largest[-1]) and not np.isnan(largest[:-1]).any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rows", [1, 3, 1024])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trace_is_numpys_trace(rows, d, dtype):
+    rng = np.random.default_rng(rows * d)
+    m = special_stack(rng, rows, d * d, dtype).reshape(rows, d, d)
+    m[0] = -np.zeros((), dtype)
+    trace = gm._trace(m)
+    if d == 2:  # as for _total
+        diagonal = m.real.diagonal(axis1=-2, axis2=-1)
+        assert np.array_equal(negative_zero(trace)[..., 0],
+                              negative_zero(diagonal)[..., 0].all(axis=-1))
+        trace = trace + 0.0
+    assert bits(trace) == bits(m.real.trace(axis1=-2, axis2=-1))
+
+
+# ---------------------------------------------------------------------------
 # every input check fires on the input it guards against
 # ---------------------------------------------------------------------------
 

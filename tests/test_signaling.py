@@ -336,6 +336,39 @@ def test_rules_do_not_split_the_pipeline(monkeypatch):
     assert [report_json(r) for r in reports] == singles
 
 
+def test_rules_are_coded_once_per_batch(monkeypatch):
+    # A certificate predicts each batch by its one rule on all rows and
+    # codes no rule per row; a mixed-rule batch codes its rules once and
+    # evaluates each rule object once on its rows, each report its single
+    # run's.
+    rules = (rl.power_rule(1.5), rl.piecewise_quadratic_rule(),
+             rl.power_rule(1.5))
+    batch = [sg.Scenario(rules[k], PHI, 0.1 * j, 0.5, 0.3, seed=j)
+             for j, k in enumerate([0, 1, 0, 2, 1, 0])]
+    singles = [report_json(sg.run_scenario(s)) for s in batch]
+    coded, evaluated = [], []
+    real_groups, real_predict = sg._rule_groups, rl._predict
+
+    def counted_groups(rules):
+        coded.append(len(rules))
+        return real_groups(rules)
+
+    def counted_predict(rule, weights, *args):
+        evaluated.append((rule, weights.shape[1]))
+        return real_predict(rule, weights, *args)
+
+    monkeypatch.setattr(sg, "_rule_groups", counted_groups)
+    monkeypatch.setattr(rl, "_predict", counted_predict)
+    sg.affinity_certificate(rules[0], samples=1025, tol=1e-3)
+    assert coded == []
+    assert evaluated == [(rules[0], 512), (rules[0], 512), (rules[0], 1)]
+    del evaluated[:]
+    reports = sg.run_scenarios(batch)
+    assert coded == [6]
+    assert evaluated == [(rules[0], 3), (rules[1], 2), (rules[2], 1)]
+    assert [report_json(r) for r in reports] == singles
+
+
 def test_rules_shared_across_threads():
     # Four threads run rotated copies of one batch (d = 2, 3, 4; three rule
     # objects shared by all) and each gets the serial run's reports.
