@@ -26,7 +26,8 @@ from .errors import (
 )
 
 STEERING_TOL = 1e-10
-# Squared Schmidt values and steered outcome weights at or below this are zero.
+# Squared Schmidt values from an eigensolver, and outcome weights that a
+# measurement steers to, at or below this are zero.
 RANK_TOL = 1e-12
 
 
@@ -42,7 +43,7 @@ class SteeringMeasurement:
 class _Schmidt(NamedTuple):
     """Schmidt form of ``n`` joint matrices: joint i is the sum over
     k < rank[i] of values[i, k] |k>_A |vectors[i, k]>_B, |k>_A its A-side
-    Schmidt basis; past the rank, where squares fall to RANK_TOL, values are 0."""
+    Schmidt basis; past the rank, where the pieces were cut, values are 0."""
 
     values: np.ndarray   # (n, r), descending
     vectors: np.ndarray  # (n, r, d)
@@ -53,7 +54,7 @@ class _Steered(NamedTuple):
     """Stacked outcome of steering ``n`` joint states with ``S`` effects
     each: the subnormalized B conditionals ``subs`` (0 where no effect was
     applied), each of probability its trace; ``keep``, the outcomes of
-    probability above RANK_TOL; and their normalized ``weights``, else 0."""
+    positive probability; and their normalized ``weights``, else 0."""
 
     subs: np.ndarray     # (n, S, d, d)
     keep: np.ndarray     # (n, S)
@@ -103,9 +104,12 @@ def _factors(matrices: np.ndarray) -> np.ndarray:
 
 def _eigh_schmidt(matrices: np.ndarray) -> tuple:
     """:func:`_purify`'s Schmidt pieces of ``(n, d, d)`` states Q Λ Q† from
-    one batched ``eigh``: √max(λ, 0) and Q's columns descending, and V = I."""
+    one batched ``eigh``: √max(λ, 0) and Q's columns descending, and V = I.
+    An eigenvalue carries round-off relative to the largest, so a value
+    whose square is at most RANK_TOL is cut to 0."""
     eigvals, eigvecs = np.linalg.eigh(matrices)
-    return (np.sqrt(np.clip(eigvals[:, ::-1], 0.0, None)),
+    values = np.sqrt(np.clip(eigvals[:, ::-1], 0.0, None))
+    return (np.where(values ** 2 > RANK_TOL, values, 0.0),
             eigvecs[..., ::-1].swapaxes(-1, -2),
             np.broadcast_to(np.eye(matrices.shape[-1]), matrices.shape))
 
@@ -114,7 +118,10 @@ def _rotation_schmidt(columns: np.ndarray) -> tuple:
     """:func:`_purify`'s Schmidt pieces of factors A = [a_0 a_1] given by
     their ``(n, 2, d)`` columns, each by one closed-form complex Jacobi
     rotation V = [[cos θ, −e sin θ], [ē sin θ, cos θ]], g = a_0†a_1 = |g| e,
-    tan 2θ = 2|g|/(‖a_0‖² − ‖a_1‖²), |θ| <= π/4: A V = U S, then ordered."""
+    tan 2θ = 2|g|/(‖a_0‖² − ‖a_1‖²), |θ| <= π/4: A V = U S, then ordered.
+    A value is accurate relative to itself (one-sided Jacobi), so only one
+    at most 2**-46 of the larger, 64 ulp of it, is cut to 0; its u_k stays
+    the unit direction of its column of A V."""
     n_0, n_1 = gm._squares(columns).T
     g = gm._total(columns[:, 0].conj() * columns[:, 1]) + 0.0  # sum's -0.0
     size = abs(g)
@@ -134,14 +141,17 @@ def _rotation_schmidt(columns: np.ndarray) -> tuple:
         pieces = np.where(flip[:, None, None], pieces[:, ::-1], pieces)
         ys, right = pieces[..., :-3], pieces[..., -3:-1]
         values = pieces[..., -1].real
-    return values, ys / np.where(values > 0.0, values, 1.0)[..., None], right
+    left = ys / np.where(values > 0.0, values, 1.0)[..., None]
+    cut = values > 2.0 ** -46 * values[:, :1]
+    return np.where(cut, values, 0.0), left, right
 
 
 def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
             matrices: np.ndarray, purifier_dims=None):
     """Purifications of ``(n, d, d)`` density matrices A A†, each factor
     given in Schmidt form A = U S V† (Hughston, Jozsa & Wootters 1993): S
-    ``(n, K)`` descending, and u_k and v_k as the rows of ``left``, ``right``.
+    ``(n, K)`` descending and 0 past the rank cut its maker made, and u_k
+    and v_k as the rows of ``left``, ``right``.
 
     ``purifier_dims`` holds each one's requested purifier dimension (None:
     its rank); all share dimension max(2, largest request). Returns the
@@ -154,7 +164,7 @@ def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
     projectors sum to the projector onto the first rank basis vectors.
     """
     n, slots, d = left.shape
-    above = values ** 2 > RANK_TOL
+    above = values > 0.0
     rank = gm._total(above)
     kept = np.where(above, values, 0.0)
     values = kept / np.sqrt(gm._total(kept ** 2))[:, None]
@@ -192,7 +202,7 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
 
     Outcome weights are the measurement probabilities (renormalized to sum
     to one exactly); outcomes of probability at most RANK_TOL are
-    dropped. Each conditional is a state by construction (:func:`_steer`),
+    dropped, and so are not steered. Each conditional is a state by construction (:func:`_steer`),
     with round-off relative to its probability. Rank-1 measurements on a
     pure joint state give pure members; coarse effects (e.g. the trivial
     measurement) give honest mixed members.
@@ -215,11 +225,11 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
 
 def _steer_effects(psi: gm.BipartiteState, effects: np.ndarray) -> _Steered:
     """Steer quantum ``psi`` through ``(S, A, A)`` checked effects, each
-    factored as F F† by :func:`_factors`."""
-    factors = _factors(effects)
-    return _steer(np.empty((0, psi.model_b.size)),
-                  _marginals_b(gm._dagger(factors) @ psi.joint_matrix),
-                  np.ones((1, len(effects)), dtype=bool))
+    factored as F F† by :func:`_factors`; an outcome of probability at most
+    RANK_TOL is not live."""
+    grams = _marginals_b(gm._dagger(_factors(effects)) @ psi.joint_matrix)
+    live = ~(gm._trace(grams) <= RANK_TOL)  # NaN is live, for the checks
+    return _steer(np.empty((0, psi.model_b.size)), grams[live], live[None])
 
 
 def _steer(kets: np.ndarray, grams: np.ndarray, live: np.ndarray) -> _Steered:
@@ -239,7 +249,7 @@ def _steer(kets: np.ndarray, grams: np.ndarray, live: np.ndarray) -> _Steered:
         outer = np.concatenate([outer, grams])
     live_subs = 0.5 * (outer + gm._dagger(outer))
     probs = gm._trace(live_subs)
-    kept = ~(probs <= RANK_TOL)
+    kept = ~(probs <= 0.0)  # NaN is kept, for the checks to see
     keep = _filled(live, kept)
     weights = _filled(keep, probs[kept])
     return _Steered(_filled(live, live_subs), keep,

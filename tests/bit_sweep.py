@@ -87,7 +87,7 @@ def families():
             sg.Scenario(rule, phis[d][i % 3], p1, p2, lam, mode, seed=i)))
             for i, (rule, (p1, p2, lam)) in enumerate(
                 itertools.product(RULES, grid))]
-    cuts = [(lam, 0.2, 0.7) for k in range(9, 16)  # README's first known limit
+    cuts = [(lam, 0.2, 0.7) for k in range(9, 16)  # README's former limit
             for lam in (10.0 ** -k, 1.0 - 10.0 ** -k)] + [
         (0.5, 1.0, 1.0 - 10.0 ** -k) for k in range(9, 16)]
     yield "rank cut", [outcome(lambda: sg.run_scenario(sg.Scenario(
@@ -95,7 +95,7 @@ def families():
         for i, (d, mode, (lam, p1, p2)) in enumerate(
             itertools.product((2, 3, 4), MODES, cuts * 3))]
     draws = np.random.default_rng(27)
-    for k in range(15, 9, -1):  # README's first known limit, by band
+    for k in range(15, 9, -1):  # README's former rank-cut limit, by band
         lights = 10.0 ** (draws.random(600) - k)  # log-uniform in the band
         yield f"lighter weight in [1e-{k}, 1e-{k - 1}]", [outcome(lambda: sg.run_scenario(
             sg.Scenario(RULES[i % 4], phis[d][i % 3], *draws.random(2),

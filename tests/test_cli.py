@@ -13,7 +13,6 @@ from gptsim import models as gm
 from gptsim import rules as rl
 from gptsim import signaling as sg
 from gptsim.cli import _format_distinct, main
-from gptsim.errors import ContractError
 
 QUBIT = gm.quantum(2)
 
@@ -296,25 +295,31 @@ def test_non_finite_alpha_is_usage_error(capsys, argv, alpha):
     assert err == f"error: alpha must be positive and finite, got {alpha}.\n"
 
 
-def test_gap_at_the_rank_cut_is_the_documented_error(capsys):
-    # README's first known limit: the members' overlaps differ by 1e-13, so
-    # the average's smaller squared Schmidt value falls below the rank cut
-    # and both members are steered along the kept Schmidt vector, about
-    # 1.6e-7 from each.
+def test_gap_at_the_former_rank_cut_is_exact(capsys):
+    # The members' overlaps differ by 1e-13, so the average's smaller
+    # squared Schmidt value is about 2.5e-14. Cut at 1e-12, both members
+    # were steered along the kept Schmidt vector, about 1.6e-7 from each,
+    # and the run exited 2; the rotation keeps that value, and the run
+    # meets the closed form exactly.
     code, out, err = run_cli(capsys, "gap", "--family", "identity", "--p1",
                              "1", "--p2", "0.9999999999999", "--lambda", "0.5")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: Scenario 0 of the batch {")
-    assert err.endswith(": Steered conditional 0 deviates by "
-                        "7.906923173662695e-08.\n") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["P1  = 0.99999999999995004",
+                                    "P2  = 0.99999999999995004",
+                                    "gap = 0", "marginal residual: 3.74e-23"]
     # Equal qubit overlaps near 0 leave both members next to phi's
-    # orthogonal state, about sqrt(p) apart: the same limit, at an input
-    # that test_steered_uniform_in_every_dimension once drew.
+    # orthogonal state, about sqrt(p) apart: the same former limit, at an
+    # input that test_steered_uniform_in_every_dimension once drew.
     rng = np.random.default_rng(0)
     ket = rng.normal(size=2) + 1j * rng.normal(size=2)
     phi = gm.ket_state(QUBIT, ket / np.linalg.norm(ket))
-    with pytest.raises(ContractError, match="Steered conditional 0 deviates"):
-        sg.run_scenario(sg.Scenario(rl.identity_rule(), phi, 1e-15, 1e-15, 0.5))
+    report = sg.run_scenario(sg.Scenario(rl.identity_rule(), phi, 1e-15,
+                                         1e-15, 0.5))
+    assert (report.prob_1, report.prob_2) == (1.0000000012978453e-15,
+                                              1.0000000006083803e-15)
+    assert report.marginal_residual == 3.925231146709437e-17
+    assert report.formula_residual == 1.297845202537508e-24
+    assert (len(report.ensemble_1), len(report.ensemble_2)) == (2, 1)
 
 
 @pytest.mark.parametrize("argv, message", [

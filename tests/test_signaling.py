@@ -423,9 +423,9 @@ def test_near_pure_mixtures_pass(d, uniform, rule, p1, p2, decades,
     # value, whose inverse once amplified round-off past the effect checks.
     # Members at Fubini-Study angles theta_1 and theta_2 from phi are at
     # least |theta_1 - theta_2| apart, so the average's smallest eigenvalue
-    # is at least light * (1 - light) * sin(theta_1 - theta_2)**2. Nearly
-    # identical members take it to the rank cut at any weight, a separate
-    # documented limit; the property keeps it 100 times above the cut.
+    # is at least light * (1 - light) * sin(theta_1 - theta_2)**2, kept 100
+    # times above 1e-12 here; test_mixtures_at_the_former_rank_cut_pass
+    # takes it below.
     light = 10.0 ** -decades
     apart = np.arccos(np.sqrt(p1)) - np.arccos(np.sqrt(p2))
     assume(light * (1.0 - light) * np.sin(apart) ** 2 >= 100 * ss.RANK_TOL)
@@ -435,6 +435,34 @@ def test_near_pure_mixtures_pass(d, uniform, rule, p1, p2, decades,
     mode = sg.STEERED_UNIFORM if uniform else sg.TRIVIAL_AVERAGE
     report = sg.run_scenario(sg.Scenario(
         rule, phi, p1, p2, light if light_first else 1.0 - light, mode=mode,
+        seed=seed))
+    assert report.marginal_residual <= 1e-10
+    assert report.formula_residual <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), uniform=st.booleans(),
+       rule=st.sampled_from(FAMILY_RULES),
+       p=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       decades=st.floats(0.0, 15.0), light_first=st.booleans(),
+       near=st.one_of(st.none(), st.floats(-14.0, -9.0)),
+       seed=st.integers(0, 2**31 - 1))
+def test_mixtures_at_the_former_rank_cut_pass(d, uniform, rule, p, decades,
+                                              light_first, near, seed):
+    # Lighter weights 0.5 down to 5e-16, and members phi and one at overlap
+    # 1 - delta with it, delta down to 1e-14, whose average has a smaller
+    # squared Schmidt value of about delta/4 at lambda = 0.5: each once
+    # took omega's smaller squared Schmidt value below the 1e-12 cut, and
+    # the run raised ContractError. Every check holds at its tolerance.
+    light = 0.5 * 10.0 ** -decades
+    if near is not None:
+        p = (1.0, 1.0 - 10.0 ** near)[::1 if light_first else -1]
+    rng = np.random.default_rng(seed)
+    ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+    phi = gm.ket_state(gm.quantum(d), ket / np.linalg.norm(ket))
+    mode = sg.STEERED_UNIFORM if uniform else sg.TRIVIAL_AVERAGE
+    report = sg.run_scenario(sg.Scenario(
+        rule, phi, *p, light if light_first else 1.0 - light, mode=mode,
         seed=seed))
     assert report.marginal_residual <= 1e-10
     assert report.formula_residual <= 1e-12
@@ -859,9 +887,10 @@ def test_pipeline_synthesis_holds_its_contract_by_construction(monkeypatch):
 
 def test_lighter_weight_below_the_cut_matches_the_closed_form():
     # A lighter weight of 1e-13 puts the average state's smaller squared
-    # Schmidt value below the rank cut; the factor's SVD still steers every
-    # member within the contracts, in both modes at d = 2..4, where
-    # synthesis from the cut Schmidt basis found a member outside it.
+    # Schmidt value below 1e-12, where an eigensolver's values are cut; the
+    # factor's rotation keeps it and steers every member within the
+    # contracts, in both modes at d = 2..4, where synthesis from the cut
+    # Schmidt basis found a member outside it.
     rule = rl.power_rule(1.5)
     rng = np.random.default_rng(5)
     for d, mode, lam in itertools.product(

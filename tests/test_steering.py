@@ -442,7 +442,8 @@ def test_rotation_is_the_svd_of_a_two_column_factor(d, light, light_first,
     # A = [sqrt(w1) m1, sqrt(w2) m2], the lighter weight 1e-15 to 0.5,
     # with m2 a Haar ket or m1 moved by 10**delta: the rotation's values
     # are the SVD's within 4 eps sigma_0, V is unitary, A V = U S and the
-    # values descend. np.linalg.svd is the reference, here only.
+    # values descend. np.linalg.svd is the reference, here only. A value
+    # cut to 0, at most 2**-46 sigma_0, is the SVD's in A V = U S.
     rng = np.random.default_rng(seed)
     kets = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
     if delta is not None:
@@ -455,10 +456,13 @@ def test_rotation_is_the_svd_of_a_two_column_factor(d, light, light_first,
     (values,), (left,), (right,) = ss._rotation_schmidt(columns[None])
     scale = EPS * values[0]
     reference = np.linalg.svd(columns.T, compute_uv=False)
-    assert abs(values - reference).max() <= 4 * scale
+    cut = values == 0.0
+    kept = np.where(cut, reference, values)
+    assert not cut[0] and (reference[cut] <= 2.0 ** -46 * kept[0] + 4 * scale).all()
+    assert abs(kept - reference).max() <= 4 * scale
     # The rows of left and right are U's and V's columns.
     assert abs(right.conj() @ right.T - np.eye(2)).max() <= 1e-15
-    assert abs(columns.T @ right.T - left.T * values).max() <= 4 * scale
+    assert abs(columns.T @ right.T - left.T * kept).max() <= 4 * scale
     assert values[0] >= values[1]
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import draws_reference as ref
@@ -369,6 +369,8 @@ def test_seeded_draws_see_only_the_seeds_that_draw():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**130 - 1), runs=st.integers(1, 10**6),
        p1=st.floats(0, 1), p2=st.floats(0, 1), lam=st.floats(0, 1))
+@example(seed=0, runs=1, p1=0.0, p2=1e-6, lam=1e-6)  # omega's smaller
+# squared Schmidt value about 1e-12, once cut at 1e-12 and raised
 def test_seeded_draws_match_default_rng_property(seed, runs, p1, p2, lam):
     # simulate_runs, the one seeded draw left on numpy's generators, takes
     # its two binomials from default_rng(seed), protocol 1's first
