@@ -201,8 +201,8 @@ def steer(psi: gm.BipartiteState, alice: gm.Measurement) -> gm.Ensemble:
     """Ensemble prepared on side B by measuring side A.
 
     Outcome weights are the measurement probabilities (renormalized to sum
-    to one exactly); outcomes of probability at most RANK_TOL are
-    dropped, and so are not steered. Each conditional is a state by construction (:func:`_steer`),
+    to one exactly); outcomes of probability at most RANK_TOL are dropped
+    unsteered. Each conditional is a state by construction (:func:`_steer`),
     with round-off relative to its probability. Rank-1 measurements on a
     pure joint state give pure members; coarse effects (e.g. the trivial
     measurement) give honest mixed members.
