@@ -315,43 +315,43 @@ def _fail(error: type, message, bad: np.ndarray, *values) -> None:
     raise error(message.format(*(np.asarray(v)[at] for v in values)))
 
 
-def _spectrum_bounds(matrices: np.ndarray):
-    """Smallest and largest eigenvalue of each Hermitian matrix.
+def _spectrum_bounds(matrix: np.ndarray):
+    """Smallest and largest eigenvalue of a Hermitian matrix.
 
-    2x2 matrices use the closed form (exact at the arithmetic level, which
-    keeps projector spectra at exactly {0, 1}); larger ones use the
-    eigensolver.
+    A 2x2 matrix uses the closed form (exact at the arithmetic level, which
+    keeps projector spectra at exactly {0, 1}; ``np.abs`` takes numpy's
+    array loop, whose bits a scalar's ``abs`` does not keep); a larger one
+    uses the eigensolver.
     """
-    if matrices.shape[-1] == 2:
-        m00, m11 = matrices[..., 0, 0].real, matrices[..., 1, 1].real
+    if len(matrix) == 2:
+        m00, m11 = matrix[0, 0].real, matrix[1, 1].real
         half_trace = 0.5 * (m00 + m11)
-        radius = np.sqrt((0.5 * (m00 - m11)) ** 2 + abs(matrices[..., 0, 1]) ** 2)
+        radius = np.sqrt((0.5 * (m00 - m11)) ** 2 + np.abs(matrix[0, 1]) ** 2)
         return half_trace - radius, half_trace + radius
-    eigvals = np.linalg.eigvalsh(matrices)
-    return eigvals[..., 0], eigvals[..., -1]
+    eigvals = np.linalg.eigvalsh(matrix)
+    return eigvals[0], eigvals[-1]
 
 
-def _check_hermitian(model: SystemModel, matrices: np.ndarray,
+def _check_hermitian(model: SystemModel, matrix: np.ndarray,
                      not_hermitian: str):
-    """Core of the state and effect checks on a ``(..., d, d)`` stack: each
-    member's skew, the largest entry of ``|m - m^dagger|``, must be at most
-    SPECTRAL_TOL (else ``OutsideConeError(not_hermitian)``), and a member
-    with any skew is replaced by its Hermitian part. Returns a C-contiguous
-    copy of the stack, which callers may freeze, and each member's smallest
-    and largest eigenvalue."""
-    m = np.array(matrices, dtype=complex, order="C")
-    if model.size == 2:  # the same value in closed form
-        diagonal = np.maximum(abs(m[..., 0, 0].imag), abs(m[..., 1, 1].imag))
-        skew = np.maximum(2.0 * diagonal, abs(m[..., 0, 1] - m[..., 1, 0].conj()))
+    """Core of the state and effect checks: ``matrix`` must be ``(d, d)``
+    for the model's d, and its skew, the largest entry of ``|m - m^dagger|``,
+    at most SPECTRAL_TOL (else ``OutsideConeError(not_hermitian)``).
+    Returns its Hermitian part, a read-only C-contiguous copy, and its
+    smallest and largest eigenvalue."""
+    m = np.array(matrix, dtype=complex, order="C")
+    if m.shape != (model.size, model.size):
+        raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
+    if model.size == 2:  # the same value in closed form; NaN propagates
+        diagonal = np.maximum(abs(m[0, 0].imag), abs(m[1, 1].imag))
+        skew = np.maximum(2.0 * diagonal, abs(m[0, 1] - m[1, 0].conj()))
     else:
-        skew = abs(m - _dagger(m)).max(axis=(-2, -1))
-    _fail(OutsideConeError, not_hermitian, ~(skew <= SPECTRAL_TOL))
-    asym = skew > 0.0
-    count = np.count_nonzero(asym)
-    if count:
-        hermitian = 0.5 * (m + _dagger(m))
-        m = hermitian if count == asym.size else np.where(
-            asym[..., None, None], hermitian, m)
+        skew = abs(m - _dagger(m)).max()
+    if not skew <= SPECTRAL_TOL:  # NaN fails too
+        raise OutsideConeError(not_hermitian)
+    if skew > 0.0:
+        m = 0.5 * (m + _dagger(m))
+    m.flags.writeable = False
     return (m, *_spectrum_bounds(m))
 
 
@@ -362,35 +362,28 @@ def _coeffs(model: SystemModel, matrices: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _check_states(model: SystemModel, matrices: np.ndarray):
-    """Validate a ``(..., d, d)`` stack of density matrices.
-
-    Each must pass :func:`_check_hermitian`, have unit trace within
-    LINEAR_TOL and no eigenvalue below -SPECTRAL_TOL. Eigenvalues between
-    that and the clip floor are projected away. Returns the checked
-    matrices, read-only; :func:`_coeffs` and :func:`_pure` read them.
-    """
+def _check_state(model: SystemModel, matrix: np.ndarray):
+    """Validate a density matrix: it must pass :func:`_check_hermitian`,
+    have unit trace within LINEAR_TOL and no eigenvalue below
+    -SPECTRAL_TOL. Eigenvalues between that and the clip floor are
+    projected away. Returns the checked matrix, read-only."""
     m, low, _ = _check_hermitian(
-        model, matrices, "Matrix is not Hermitian within tolerance.")
-    trace = m.real.trace(axis1=-2, axis2=-1)
-    _fail(NotNormalizedError, "Trace is {}, expected 1.",
-          ~(abs(trace - 1.0) <= LINEAR_TOL), trace)  # NaN fails too
-    _fail(OutsideConeError, "Negative eigenvalue {} beyond tolerance.",
-          ~(low >= -SPECTRAL_TOL), low)
+        model, matrix, "Matrix is not Hermitian within tolerance.")
+    trace = m.real.trace()
+    if not abs(trace - 1.0) <= LINEAR_TOL:  # NaN fails too
+        raise NotNormalizedError(f"Trace is {trace}, expected 1.")
+    if not low >= -SPECTRAL_TOL:
+        raise OutsideConeError(f"Negative eigenvalue {low} beyond tolerance.")
 
-    clipped = low < _CLIP_FLOOR
-    if np.count_nonzero(clipped):
+    if low < _CLIP_FLOOR:
         # Genuine (but tolerable) negative part: project it away. Values
         # above the floor are rounding noise that a rebuild could not
         # improve on, so they pass through untouched.
-        eigvals, eigvecs = np.linalg.eigh(m[clipped])
-        fixed = (eigvecs * np.clip(eigvals, 0.0, None)[..., None, :]) @ \
-            _dagger(eigvecs)
+        eigvals, eigvecs = np.linalg.eigh(m)
+        fixed = (eigvecs * np.clip(eigvals, 0.0, None)) @ _dagger(eigvecs)
         fixed = 0.5 * (fixed + _dagger(fixed))
-        fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
-        m[clipped] = fixed
-
-    m.flags.writeable = False
+        m = fixed / fixed.trace().real
+        m.flags.writeable = False
     return m
 
 
@@ -414,10 +407,7 @@ def state_from_matrix(model: SystemModel, matrix: np.ndarray) -> State:
     """Validate a density matrix and wrap it as a State."""
     if model.kind != QUANTUM:
         raise UnsupportedModelError("Matrix states require a quantum model.")
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (model.size, model.size):
-        raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
-    matrix = _check_states(model, matrix)
+    matrix = _check_state(model, matrix)
     return State(model, _coeffs(model, matrix), matrix, bool(_pure(matrix)))
 
 
@@ -521,14 +511,10 @@ def effect_from_matrix(model: SystemModel, matrix: np.ndarray) -> Effect:
     """
     if model.kind != QUANTUM:
         raise UnsupportedModelError("Matrix effects require a quantum model.")
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (model.size, model.size):
-        raise ValueError(f"Expected a {model.size}x{model.size} matrix.")
     m, low, high = _check_hermitian(
         model, matrix, "Effect operator is not Hermitian.")
     if not (low >= -SPECTRAL_TOL and high <= 1.0 + SPECTRAL_TOL):
         raise OutsideConeError(f"Effect spectrum [{low}, {high}] escapes [0, 1].")
-    m.flags.writeable = False
     return Effect(model, _coeffs(model, m), m)
 
 

@@ -169,18 +169,26 @@ def _run_batch(scenarios: list) -> list[SignalingReport]:
     for d, uniform in sorted(set(keys)):
         rows = [i for i, key in enumerate(keys) if key == (d, uniform)]
         group = [scenarios[i] for i in rows]
-        model = gm.quantum(d)
-        p = np.array([(s.p1, s.p2) for s in group], dtype=float)
-        lam = np.array([s.lam for s in group], dtype=float)
-        steered, stacks, marginal = _steer_protocols(
-            model, np.array([gm.pure_ket(s.phi) for s in group]),
-            np.array([s.phi.matrix for s in group]), p, lam,
-            [s.seed for s in group], uniform)
-        run = (*_predict_protocols(_rule_groups([s.rule for s in group]),
-                                   stacks, p, lam), marginal, steered)
+        run = _run_stack(
+            gm.quantum(d), np.array([gm.pure_ket(s.phi) for s in group]),
+            np.array([s.phi.matrix for s in group]),
+            np.array([(s.p1, s.p2, s.lam) for s in group], dtype=float),
+            [s.seed for s in group], uniform,
+            _rule_groups([s.rule for s in group]))
         for j, s in enumerate(group):
-            reports[rows[j]] = _report(s, model, run, j)
+            reports[rows[j]] = _report(s, run, j)
     return reports
+
+
+def _run_stack(model: gm.SystemModel, phi_k: np.ndarray, phi_m: np.ndarray,
+               params: np.ndarray, seeds: list, uniform: bool,
+               groups: list) -> tuple:
+    """:func:`_steer_protocols` then :func:`_predict_protocols` on ``n``
+    scenarios, ``params`` ``(n, 3)`` holding (p1, p2, lambda): returns
+    ``(model, (P1, P2), formula, marginal, steered)``, all checked."""
+    p, lam = params[:, :2], params[:, 2]
+    stacks, *rest = _steer_protocols(model, phi_k, phi_m, p, lam, seeds, uniform)
+    return (model, *_predict_protocols(groups, stacks, p, lam), *rest)
 
 
 def _raise_named(error: GptError, scenarios: list, start: int = 0):
@@ -214,10 +222,9 @@ def _raise_named(error: GptError, scenarios: list, start: int = 0):
     raise error from None
 
 
-def _report(scenario: Scenario, model: gm.SystemModel, run: tuple,
-            j: int) -> SignalingReport:
-    """Report of scenario ``j`` of ``run``, both halves' outputs on ``model``."""
-    (prob_1, prob_2), formula, marginal, steered = run
+def _report(scenario: Scenario, run: tuple, j: int) -> SignalingReport:
+    """Report of scenario ``j`` of ``run``, a :func:`_run_stack` result."""
+    model, (prob_1, prob_2), formula, marginal, steered = run
     return SignalingReport(
         scenario, float(prob_1[j]), float(prob_2[j]),
         float(prob_1[j] - prob_2[j]), float(marginal[j]), float(formula[j]),
@@ -231,9 +238,9 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     scenario j has phi's ket ``phi_k[j]`` and checked matrix ``phi_m[j]``,
     overlaps ``p[j]``, weight ``lam[j]`` and draw seed ``seeds[j]``; all
     share protocol 2, the steered-uniform one if ``uniform``, else the
-    trivial measurement. Returns the steered stack (protocol 1 of scenario
-    j at row j, its protocol 2 at row n + j), the prediction stacks
-    ``(weights, taus)`` and the marginal residuals, all checked; every
+    trivial measurement. Returns the prediction stacks ``(weights,
+    taus)``, the marginal residuals and the steered stack (protocol 1 of
+    scenario j at row j, its protocol 2 at row n + j), all checked; every
     steered member but trivial protocol 2's is pure by construction.
     """
     n, d = len(p), model.size
@@ -303,8 +310,8 @@ def _steer_protocols(model: gm.SystemModel, phi_k: np.ndarray,
     if not uniform:
         taus[n:, 0] = (gm._squares(gm._total(joints * bras))
                        / gm._squares(joints.reshape(n, -1)))
-    return steered, (steered.weights.reshape(2, n, 2),
-                     taus.reshape(2, n, 2)), marginal
+    return ((steered.weights.reshape(2, n, 2), taus.reshape(2, n, 2)),
+            marginal, steered)
 
 
 def _rule_groups(rules: list) -> list:
@@ -472,9 +479,9 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     |gap| stays within tolerance. The worst witness is returned either way.
 
     Sample i reads words 8i to 8i + 7 of the seed's sample stream, in
-    :func:`_certificate_draws`. The samples run in batches of up to
-    ``_CERTIFICATE_BATCH`` as arrays through both halves of
-    :func:`run_scenarios`, with no object per sample; a report is made
+    :func:`transition._certificate_draws`. The samples run in batches of
+    up to ``_CERTIFICATE_BATCH`` as arrays through :func:`_run_stack`, as
+    :func:`run_scenarios` does, with no object per sample; a report is made
     only for the worst witness. A failing batch is run again as
     scenarios, so a failing sample surfaces from :func:`run_scenario` on
     it, and the error raised names its place among the samples.
@@ -487,50 +494,36 @@ def affinity_certificate(rule: rl.ProbabilityRule, samples: int = 10_000,
     worst = None  # (|gap|, its row, its batch's arrays); the first wins
     for start in range(0, samples, _CERTIFICATE_BATCH):
         count = min(_CERTIFICATE_BATCH, samples - start)
-        kets, params, seeds = _certificate_draws(seed, start, count)
+        kets, params, seeds = tr._certificate_draws(seed, start, count)
         phis = gm._ket_states(model, kets / gm._norm(kets)[:, None])
         try:
-            steered, stacks, marginal = _steer_protocols(
-                model, *phis, params[:, :2], params[:, 2], seeds, False)
-            run = (*_predict_protocols([(rule, slice(None))], stacks,
-                                       params[:, :2], params[:, 2]),
-                   marginal, steered)
+            run = _run_stack(model, *phis, params, seeds, False,
+                             [(rule, slice(None))])
         except GptError as exc:
-            _raise_named(exc, _samples(rule, model, phis, params, seeds,
-                                       slice(None)), start)
-        magnitudes = np.abs(run[0][0] - run[0][1])  # |P1 - P2|
+            _raise_named(exc, _samples(rule, model, *phis, params, seeds),
+                         start)
+        magnitudes = np.abs(run[1][0] - run[1][1])  # |P1 - P2|
         k = int(np.argmax(magnitudes))
         if worst is None or magnitudes[k] > worst[0]:
             worst = (float(magnitudes[k]), k, run, phis, params, seeds)
     worst_value, k, run, phis, params, seeds = worst
-    witness = _samples(rule, model, phis, params, seeds, slice(k, k + 1))[0]
+    witness = _samples(rule, model, *phis, params, seeds, slice(k, k + 1))[0]
     return CertificateResult(
         passed=worst_value <= tol,
         samples=samples,
         tolerance=tol,
         seed=seed,
         max_abs_gap=worst_value,
-        worst=_report(witness, model, run, k),
+        worst=_report(witness, run, k),
     )
 
 
-def _certificate_draws(seed: int, start: int, count: int) -> tuple:
-    """Certificate samples ``start`` to ``start + count - 1`` of ``seed``:
-    phi's kets ``(count, 2)``, not yet normalized, the (p1, p2, lambda)
-    ``(count, 3)`` and the scenario seeds, a list of ints. Sample i reads
-    words 8i to 8i + 7 of the seed's sample stream: two complex normals
-    (words 0-3), three uniforms (words 4-6) and word 7 >> 33, 31 bits."""
-    words = tr._stream_words(tr._SAMPLE_STREAM, [seed], 8 * start,
-                             8 * count).reshape(count, 8)
-    return (tr._normals(words[:, :4]), tr._uniforms(words[:, 4:7]),
-            (words[:, 7] >> 33).tolist())
-
-
-def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel, phis: tuple,
-             params: np.ndarray, seeds: list, rows: slice) -> list:
-    """Scenarios of the certificate samples ``rows``, from phi's (kets,
-    projectors) ``phis``, the (p1, p2, lambda) ``params`` and the ``seeds``."""
-    states = gm._states(model, phis[1][rows], True, phis[0][rows])
+def _samples(rule: rl.ProbabilityRule, model: gm.SystemModel,
+             kets: np.ndarray, matrices: np.ndarray, params: np.ndarray,
+             seeds: list, rows: slice = slice(None)) -> list:
+    """Scenarios of the certificate samples ``rows``, from phi's ``kets``
+    and projectors ``matrices``, the ``params`` and the ``seeds``."""
+    states = gm._states(model, matrices[rows], True, kets[rows])
     return [Scenario(rule, phi, p1, p2, lam, seed=s) for phi, (p1, p2, lam), s
             in zip(states, params[rows].tolist(), seeds[rows])]
 

@@ -87,9 +87,9 @@ def purify(omega: gm.State, purifier_dim: int | None = None) -> gm.BipartiteStat
         raise UnsupportedModelError(
             "Classical mixed states have no purification; steering scenarios "
             "require a quantum model.")
-    dims = None if purifier_dim is None else np.array([int(purifier_dim)])
     matrices = omega.matrix[None]
-    amplitudes = _purify(*_eigh_schmidt(matrices), matrices, dims)[0][0]
+    amplitudes = _purify(*_eigh_schmidt(matrices), matrices,
+                         purifier_dim)[0][0]
     return gm.BipartiteState(gm.quantum(len(amplitudes)), omega.model,
                              amplitudes.reshape(-1))
 
@@ -147,14 +147,14 @@ def _rotation_schmidt(columns: np.ndarray) -> tuple:
 
 
 def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
-            matrices: np.ndarray, purifier_dims=None):
+            matrices: np.ndarray, purifier_dim: int | None = None):
     """Purifications of ``(n, d, d)`` density matrices A A†, each factor
     given in Schmidt form A = U S V† (Hughston, Jozsa & Wootters 1993): S
     ``(n, K)`` descending and 0 past the rank cut its maker made, and u_k
     and v_k as the rows of ``left``, ``right``.
 
-    ``purifier_dims`` holds each one's requested purifier dimension (None:
-    its rank); all share dimension max(2, largest request). Returns the
+    The joints share purifier dimension max(2, ``purifier_dim``), which
+    must be at least each rank (None: the largest rank). Returns the
     ``(n, dim_a, d)`` joints J, read-only; their :class:`_Schmidt` form in
     the standard A basis (S past the rank cut, renormalized so that the
     joints are unit vectors; U's columns, phase-fixed, as B vectors); their
@@ -171,12 +171,10 @@ def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
     # Each pair [u_k | v_k] gets one phase, its pivot among the components
     # of u_k (one >= 1/sqrt(d)), or of the unit v_k where u_k = 0.
     rows = gm._fix_phase(np.concatenate([left, right], axis=-1))
-    dims = rank
-    if purifier_dims is not None:  # only a request can fall below the rank
-        dims = purifier_dims
-        gm._fail(ValueError, "Purifier dimension {} is below rank {}.",
-                 dims < rank, dims, rank)
-    dim_a = max(int(dims.max()), 2)
+    if purifier_dim is not None and purifier_dim < rank.max():
+        raise ValueError(f"Purifier dimension {int(purifier_dim)} is below "
+                         f"rank {rank.max()}.")
+    dim_a = max(int(rank.max() if purifier_dim is None else purifier_dim), 2)
     top = min(dim_a, len(rows[0]))
     amplitudes = np.zeros((n, dim_a, d), dtype=complex)
     amplitudes[:, :top] = values[:, :top, None] * rows[:, :top, :d]
@@ -188,7 +186,7 @@ def _purify(values: np.ndarray, left: np.ndarray, right: np.ndarray,
     marginals = _marginals_b(amplitudes)
     roundtrip = gm._largest(abs(marginals - matrices).reshape(n, -1))
     gm._fail(ContractError, "Purification marginal residual {}.",
-             roundtrip > STEERING_TOL, roundtrip)
+             ~(roundtrip <= STEERING_TOL), roundtrip)  # NaN fails too
     return amplitudes, _Schmidt(values, rows[..., :d], rank), marginals, alphas
 
 
@@ -336,7 +334,7 @@ def _check_targets(subs: np.ndarray, weights: np.ndarray,
     must equal its target's weighted members within STEERING_TOL."""
     gaps = abs(subs[:, :weights.shape[1]] - weights[..., None, None] * members)
     residual = gm._largest(gaps.reshape(*weights.shape, -1))
-    bad = present & (residual > STEERING_TOL)
+    bad = present & ~(residual <= STEERING_TOL)  # NaN fails too
     if np.count_nonzero(bad):  # named by its index among the members
         gm._fail(ContractError, "Steered conditional {} deviates by {}.",
                  bad, present.cumsum(axis=1) - 1, residual)

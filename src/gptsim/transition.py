@@ -206,6 +206,18 @@ def _residual_draws(seeds, d: int) -> np.ndarray:
     return _normals(words).reshape(-1, 2, d - 1)
 
 
+def _certificate_draws(seed: int, start: int, count: int) -> tuple:
+    """Certificate samples ``start`` to ``start + count - 1`` of ``seed``:
+    phi's kets ``(count, 2)``, not yet normalized, the (p1, p2, lambda)
+    ``(count, 3)`` and the scenario seeds, a list of ints. Sample i reads
+    words 8i to 8i + 7 of the seed's sample stream: two complex normals
+    (words 0-3), three uniforms (words 4-6) and word 7 >> 33, 31 bits."""
+    words = _stream_words(_SAMPLE_STREAM, [seed], 8 * start,
+                          8 * count).reshape(count, 8)
+    return (_normals(words[:, :4]), _uniforms(words[:, 4:7]),
+            (words[:, 7] >> 33).tolist())
+
+
 def _kets_with_tau(kets: np.ndarray, p, draws: np.ndarray) -> np.ndarray:
     """Kets with overlap ``p`` with each of the ``(..., d)`` ``kets``, unit
     to round-off: the callers build their states through ``gm._ket_states``,

@@ -96,6 +96,10 @@ NAN = float("nan")
      OutsideConeError),
     (lambda: gm.effect_from_matrix(QUBIT, np.diag([NAN, 0.5])),
      OutsideConeError),
+    (lambda: gm.state_from_matrix(QUBIT, np.diag([0.5, complex(0.5, NAN)])),
+     OutsideConeError),
+    (lambda: gm.effect_from_matrix(QUBIT, np.diag([0.5, complex(0.5, NAN)])),
+     OutsideConeError),
     (lambda: gm.validate_state(QUBIT, np.full(4, NAN)), OutsideConeError),
     (lambda: gm.validate_state(BIT, np.array([NAN, 1.0])), NotNormalizedError),
     (lambda: gm.effect_from_covector(BIT, np.array([NAN, 0.5])),
@@ -106,7 +110,8 @@ NAN = float("nan")
     (lambda: gm.ensemble([(NAN, gm.ket_state(QUBIT, KET0)),
                           (NAN, gm.ket_state(QUBIT, KET1))]), ValueError),
 ], ids=["state-2", "state-2-diagonal", "state-3", "effect-2",
-        "effect-2-diagonal", "validate-quantum", "validate-classical",
+        "effect-2-diagonal", "state-2-imaginary", "effect-2-imaginary",
+        "validate-quantum", "validate-classical",
         "covector-classical", "ket", "bipartite", "ensemble-weights"])
 def test_nan_input_fails_its_check(make, error):
     # Each check fails unless its value is within bounds, so a NaN fails

@@ -762,7 +762,7 @@ def test_steer_checks_only_the_live_conditionals(monkeypatch):
         finally:
             steered[-1] = args
 
-    for name in ("_check_states", "_check_hermitian", "_pure"):
+    for name in ("_check_state", "_check_hermitian", "_pure"):
         monkeypatch.setattr(gm, name, counted(name))
     monkeypatch.setattr(ss, "_steer", marked_steer)
     sg.run_scenarios(batch)
@@ -819,7 +819,7 @@ def test_decompositions_are_one_eigh_per_public_call_and_none_per_stack(
     omega = gm.mix(sg.run_scenario(batch[0]).ensemble_1)
     for name in ("svd", "eigh", "eigvalsh"):
         counted(np.linalg, name)
-    counted(gm, "_check_states")
+    counted(gm, "_check_state")
     sg.run_scenarios(batch)
     sg.affinity_certificate(rl.identity_rule(), samples=1000)
     assert calls == []
@@ -828,6 +828,35 @@ def test_decompositions_are_one_eigh_per_public_call_and_none_per_stack(
     calls.clear()
     sg.uniform_overlap_decomposition(omega, batch[0].phi)
     assert calls == ["eigh"]
+
+
+def test_both_halves_run_only_from_the_stack_runner(monkeypatch):
+    # A batch over d = 2, 3 and both modes runs four stacks, and a
+    # 1000-sample certificate two: each stack reaches each half once,
+    # from _run_stack.
+    callers = []
+
+    def counted(name):
+        real = getattr(sg, name)
+
+        def counting(*args):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+        monkeypatch.setattr(sg, name, counting)
+
+    for name in ("_steer_protocols", "_predict_protocols"):
+        counted(name)
+    batch = [sg.Scenario(rl.power_rule(1.5), gm.point_state(gm.quantum(d), 0),
+                         0.2, 0.7, 0.4, mode, seed=k)
+             for k, (d, mode) in enumerate(itertools.product(
+                 (2, 3, 2, 3), (sg.TRIVIAL_AVERAGE, sg.STEERED_UNIFORM)))]
+    halves = [("_steer_protocols", "_run_stack"),
+              ("_predict_protocols", "_run_stack")]
+    sg.run_scenarios(batch)
+    assert callers == halves * 4
+    callers.clear()
+    sg.affinity_certificate(rl.identity_rule(), samples=1000)
+    assert callers == halves * 2
 
 
 def _pipeline_batch(rng):
@@ -1061,11 +1090,11 @@ def test_certificate_seeds_are_halves_of_raw_words(seed):
     # certificate seed's sample stream, >> 1: 31 bits, whichever window of
     # samples reads it.
     raw = ref.words(ref.STREAMS[1], seed, 0, 8 * 9)
-    seeds = sg._certificate_draws(seed, 0, 9)[2]
+    seeds = tr._certificate_draws(seed, 0, 9)[2]
     assert seeds == [(raw[8 * i + 7] >> 32) >> 1 for i in range(9)]
     assert all(isinstance(s, int) and 0 <= s < 2**31 for s in seeds)
     for start in range(9):
-        assert sg._certificate_draws(seed, start, 1)[2] == [seeds[start]]
+        assert tr._certificate_draws(seed, start, 1)[2] == [seeds[start]]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

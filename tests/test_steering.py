@@ -475,6 +475,15 @@ def test_purification_round_trip_fires_on_a_non_hermitian_stack():
         ss._purify(*ss._eigh_schmidt(stack), stack)
 
 
+def test_purification_round_trip_fails_on_a_nan():
+    # A NaN eigenvalue leaves a NaN in the marginal, and a NaN residual is
+    # not within the tolerance.
+    stack = np.array([[[0.5, 0.0], [0.0, np.nan]]], dtype=complex)
+    with pytest.raises(ContractError,
+                       match=r"^Purification marginal residual nan\.$"):
+        ss._purify(*ss._eigh_schmidt(stack), stack)
+
+
 def test_synthesize_rejects_a_member_outside_the_support():
     # The product joint |00> has B marginal |0><0|. The target averages
     # within 1e-10 of it, but its member |1> of weight 1e-10 lies outside
@@ -513,6 +522,19 @@ def test_steered_conditional_check_fires_on_swapped_effects():
     with pytest.raises(ContractError,
                        match=r"^Steered conditional 0 deviates by 0\.5\.$"):
         ss._check_targets(steered.subs, target.weights[None], members, live)
+
+
+def test_steered_conditional_check_fails_on_a_nan():
+    target = gm.ensemble([(0.5, KET0), (0.5, KET1)])
+    synthesized = ss.synthesize_steering_measurement(BELL, target)
+    effects = np.stack([e.matrix for e in synthesized.measurement.effects])
+    subs = ss._steer_effects(BELL, effects).subs.copy()
+    subs[0, 0, 0, 0] = np.nan
+    members = np.stack([KET0.matrix, KET1.matrix])[None]
+    with pytest.raises(ContractError,
+                       match=r"^Steered conditional 0 deviates by nan\.$"):
+        ss._check_targets(subs, target.weights[None], members,
+                          np.ones((1, 2), dtype=bool))
 
 
 def test_synthesize_accepts_a_joint_at_the_norm_tolerance_with_a_deficit():
